@@ -31,12 +31,17 @@ type Broadcaster struct {
 
 	isRelay bool
 	nextSeq uint64
-	seen    map[instanceKey]bool
+	seen    map[wire.ProcID]*originSeen
 }
 
-type instanceKey struct {
-	origin wire.ProcID
-	seq    uint64
+// originSeen is the dedup state for one origin's instances: every seq up to
+// floor has been seen, plus the ones in ahead. An origin numbers its
+// broadcasts consecutively from 1 and each instance reaches every live
+// server, so ahead holds only what reordering let overtake a missing seq
+// and the state stays small however many broadcasts have passed.
+type originSeen struct {
+	floor uint64
+	ahead map[uint64]struct{}
 }
 
 // New creates a broadcaster for the server self. peers must list all L1
@@ -54,7 +59,7 @@ func New(self wire.ProcID, peers []wire.ProcID, relayCount int, send SendFunc) (
 		peers:  append([]wire.ProcID(nil), peers...),
 		relays: append([]wire.ProcID(nil), peers[:relayCount]...),
 		send:   send,
-		seen:   make(map[instanceKey]bool),
+		seen:   make(map[wire.ProcID]*originSeen),
 	}
 	for _, r := range b.relays {
 		if r == self {
@@ -85,11 +90,22 @@ func (b *Broadcaster) Broadcast(inner wire.Message) error {
 // the first time, it forwards to all peers before consuming (the ordering
 // the primitive's guarantee depends on).
 func (b *Broadcaster) Handle(msg wire.Broadcast) (inner wire.Message, consume bool) {
-	key := instanceKey{origin: msg.Origin, seq: msg.Seq}
-	if b.seen[key] {
+	o := b.seen[msg.Origin]
+	if o == nil {
+		o = &originSeen{ahead: make(map[uint64]struct{})}
+		b.seen[msg.Origin] = o
+	}
+	if _, dup := o.ahead[msg.Seq]; dup || msg.Seq <= o.floor {
 		return nil, false
 	}
-	b.seen[key] = true
+	o.ahead[msg.Seq] = struct{}{}
+	for {
+		if _, next := o.ahead[o.floor+1]; !next {
+			break
+		}
+		delete(o.ahead, o.floor+1)
+		o.floor++
+	}
 	if b.isRelay {
 		for _, p := range b.peers {
 			// Best effort per peer: a failed send to one peer must not stop
@@ -103,4 +119,10 @@ func (b *Broadcaster) Handle(msg wire.Broadcast) (inner wire.Message, consume bo
 // SeenCount reports how many broadcast instances have been consumed or
 // relayed; exposed for tests and storage accounting (the dedup set is
 // metadata).
-func (b *Broadcaster) SeenCount() int { return len(b.seen) }
+func (b *Broadcaster) SeenCount() int {
+	n := 0
+	for _, o := range b.seen {
+		n += int(o.floor) + len(o.ahead)
+	}
+	return n
+}

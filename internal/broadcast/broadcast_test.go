@@ -204,3 +204,35 @@ func TestRelayCrashTolerance(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupStateStaysBounded: the dedup state must not grow with the number
+// of broadcasts that have passed (it used to: one map entry per instance,
+// forever). Instances arriving out of order within a window are still each
+// consumed exactly once, and only the window is remembered.
+func TestDedupStateStaysBounded(t *testing.T) {
+	peers := ids(3)
+	b, _ := New(peers[2], peers, 1, func(wire.ProcID, wire.Message) error { return nil })
+	const total, window = 10000, 8
+	consumed := 0
+	deliver := func(seq uint64) {
+		for range 2 { // every instance arrives twice (two relays)
+			if _, consume := b.Handle(wire.Broadcast{Origin: peers[0], Seq: seq, Inner: wire.CommitTag{}}); consume {
+				consumed++
+			}
+		}
+	}
+	for base := uint64(1); base <= total; base += window {
+		for seq := base + window - 1; seq >= base; seq-- { // reversed within the window
+			deliver(seq)
+			if held := len(b.seen[peers[0]].ahead); held > window {
+				t.Fatalf("at seq %d the dedup state holds %d entries, want <= %d", seq, held, window)
+			}
+		}
+	}
+	if consumed != total || b.SeenCount() != total {
+		t.Errorf("consumed %d instances, SeenCount %d, want %d each", consumed, b.SeenCount(), total)
+	}
+	if held := len(b.seen[peers[0]].ahead); held != 0 {
+		t.Errorf("with nothing missing the dedup state still holds %d entries", held)
+	}
+}

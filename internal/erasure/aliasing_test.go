@@ -1,14 +1,14 @@
 package erasure_test
 
-// Buffer-aliasing safety tests for the pooled-scratch erasure layer. The
-// Into-variant refactor pools every internal buffer (padded values, lane
-// tables, per-stripe matrices), so these tests pin the two contracts the
-// rest of the system depends on: plain-form outputs (Encode, EncodeNodes,
-// Decode, Regenerate) are freshly allocated — a retaining consumer such as
-// an L2 server or the history checker can hold them forever, and
-// corrupting them never bleeds into later calls — and the pooled scratch
-// is safe under concurrent use of one shared Code value (the -race CI jobs
-// run these).
+// Buffer-aliasing safety tests for the erasure layer. The codes alias their
+// inputs read-only (message lanes are slices of the caller's value, shard
+// and helper lanes slices of the caller's shards) and hold no state between
+// calls, so these tests pin the two contracts the rest of the system depends
+// on: outputs (Encode, EncodeNodes, Decode, Regenerate) are freshly
+// allocated -- a retaining consumer such as an L2 server or the history
+// checker can hold them forever, and corrupting them never bleeds into
+// later calls -- and one shared Code value is safe under concurrent use
+// (the -race CI jobs run these).
 
 import (
 	"bytes"
@@ -166,8 +166,8 @@ func TestAliasingRegenerateOutputsFresh(t *testing.T) {
 }
 
 // TestAliasingConcurrentScratch hammers one shared Code from many
-// goroutines; the pooled scratch must keep every round-trip independent
-// (run under -race in CI).
+// goroutines; every round-trip must stay independent (run under -race in
+// CI).
 func TestAliasingConcurrentScratch(t *testing.T) {
 	for name, c := range aliasingCodes(t) {
 		t.Run(name, func(t *testing.T) {

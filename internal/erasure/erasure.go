@@ -9,11 +9,22 @@
 // since symbols are GF(2^8) elements). Each of the n nodes stores
 // NodeSymbols bytes per stripe; a repair helper contributes HelperSymbols
 // bytes per stripe.
+//
+// The layout is lane-major. With L = Stripes(len(value)), message symbol j
+// of every stripe is the contiguous lane value[j*L:(j+1)*L] of the
+// zero-padded value, a shard is its NodeSymbols output lanes back to back
+// and a helper payload is HelperSymbols lanes. Every operation is then a
+// small coefficient matrix, computed once per call, applied to whole lanes
+// (matrix.AddMulLanes); nothing loops over stripes. Inputs are only read
+// and may be aliased by the lanes; every output is freshly allocated.
 package erasure
 
 import (
 	"errors"
 	"fmt"
+
+	"github.com/lds-storage/lds/internal/gf"
+	"github.com/lds-storage/lds/internal/matrix"
 )
 
 // Common errors returned by the code implementations.
@@ -107,42 +118,118 @@ type Regenerating interface {
 // PadToStripes returns value padded with zeros to stripes*stripeSize bytes.
 // A nil or empty value still occupies one stripe.
 func PadToStripes(value []byte, stripeSize int) []byte {
-	return PadToStripesInto(nil, value, stripeSize)
+	padded := make([]byte, StripeCount(len(value), stripeSize)*stripeSize)
+	copy(padded, value)
+	return padded
 }
 
-// PadToStripesInto pads value into dst's storage, growing dst only when
-// its capacity is short, and returns the padded slice. It is the
-// scratch-buffer form of PadToStripes: encoders call it with a pooled
-// buffer so the per-call padded-copy allocation disappears.
-func PadToStripesInto(dst, value []byte, stripeSize int) []byte {
-	n := StripeCount(len(value), stripeSize) * stripeSize
-	if cap(dst) < n {
-		dst = make([]byte, n)
-	} else {
-		dst = dst[:n]
+// Lanes views value, zero-padded to whole stripes, as message lanes of
+// length L = StripeCount(len(value), stripeSize): lane p is
+// value[p*L:(p+1)*L], cut short (possibly to nothing) where value ends --
+// matrix.AddMulLanes reads a short lane as zero-extended, so the padding is
+// never materialised and value is aliased, not copied. The result arranges
+// the lanes by layout: entry i is lane layout[i], or nil for a negative
+// layout[i] (a structural zero of the code's message matrix).
+func Lanes(value []byte, stripeSize int, layout []int) [][]byte {
+	l := StripeCount(len(value), stripeSize)
+	lanes := make([][]byte, len(layout))
+	for i, p := range layout {
+		if p >= 0 {
+			lanes[i] = value[min(p*l, len(value)):min((p+1)*l, len(value))]
+		}
 	}
-	copy(dst, value)
-	clear(dst[len(value):])
-	return dst
+	return lanes
 }
 
-// GrowSlice returns a slice of length n backed by dst when its capacity
-// allows, allocating otherwise. Contents are unspecified; callers
-// overwrite every byte. It is the shared caller-owned-buffer idiom of
-// the EncodeInto/DecodeInto variants.
-func GrowSlice(dst []byte, n int) []byte {
-	if cap(dst) < n {
-		return make([]byte, n)
+// EncodeLanes is the one encode path of all three codes: node i stores
+// psi_i * M, where the message matrix M is given column by column as lanes
+// (column c is msg[c*psi.Cols():(c+1)*psi.Cols()]). It returns the shards of
+// the listed nodes, each its len(msg)/psi.Cols() output lanes of laneLen
+// bytes back to back.
+func EncodeLanes(psi *matrix.Matrix, nodes []int, msg [][]byte, laneLen int) [][]byte {
+	rows := psi.Cols()
+	shards := make([][]byte, len(nodes))
+	for i, node := range nodes {
+		shards[i] = make([]byte, len(msg)/rows*laneLen)
+		for c := 0; c*rows < len(msg); c++ {
+			matrix.AddMulLanes(psi.Row(node), msg[c*rows:(c+1)*rows], shards[i][c*laneLen:(c+1)*laneLen])
+		}
 	}
-	return dst[:n]
+	return shards
 }
 
-// GrowInts is GrowSlice for index scratch ([]int).
-func GrowInts(dst []int, n int) []int {
-	if cap(dst) < n {
-		return make([]int, n)
+// HelperLane computes the repair lane node helperIdx, owning shard, sends
+// toward the repair of node failedIdx in a product-matrix code: the shard's
+// coef.Cols() lanes combined by row failedIdx of coef.
+func HelperLane(coef *matrix.Matrix, shard []byte, helperIdx, failedIdx int) ([]byte, error) {
+	n, alpha := coef.Rows(), coef.Cols()
+	if helperIdx < 0 || helperIdx >= n || failedIdx < 0 || failedIdx >= n {
+		return nil, fmt.Errorf("%w: helper %d, failed %d", ErrIndexRange, helperIdx, failedIdx)
 	}
-	return dst[:n]
+	if helperIdx == failedIdx {
+		return nil, fmt.Errorf("erasure: node %d cannot help repair itself", failedIdx)
+	}
+	if len(shard)%alpha != 0 || len(shard) == 0 {
+		return nil, fmt.Errorf("%w: %d bytes, want multiple of alpha = %d", ErrShardSize, len(shard), alpha)
+	}
+	l := len(shard) / alpha
+	out := make([]byte, l)
+	for c, coeff := range coef.Row(failedIdx) {
+		gf.AddMulSlice(coeff, shard[c*l:(c+1)*l], out)
+	}
+	return out, nil
+}
+
+// RepairLanes validates the helpers offered toward the repair of failedIdx
+// -- at least d = coef.Cols() of them, with distinct in-range indices, none
+// the failed node itself, and non-empty payloads of one length -- and
+// returns, for the first d, their rows of coef and their payloads.
+func RepairLanes(coef *matrix.Matrix, failedIdx int, helpers []Helper) (*matrix.Matrix, [][]byte, error) {
+	n, d := coef.Rows(), coef.Cols()
+	if failedIdx < 0 || failedIdx >= n {
+		return nil, nil, fmt.Errorf("%w: %d", ErrIndexRange, failedIdx)
+	}
+	if len(helpers) < d {
+		return nil, nil, fmt.Errorf("%w: have %d, need %d", ErrShortHelpers, len(helpers), d)
+	}
+	var seen indexSet
+	rows, lanes := matrix.New(d, d), make([][]byte, d)
+	for i, h := range helpers[:d] {
+		if h.Index == failedIdx {
+			return nil, nil, fmt.Errorf("erasure: node %d cannot help repair itself", failedIdx)
+		}
+		if len(h.Data) == 0 || len(h.Data) != len(helpers[0].Data) {
+			return nil, nil, fmt.Errorf("%w: helper %d has %d bytes, want %d", ErrShardSize, h.Index, len(h.Data), len(helpers[0].Data))
+		}
+		if err := seen.add(h.Index, n); err != nil {
+			return nil, nil, err
+		}
+		copy(rows.Row(i), coef.Row(h.Index))
+		lanes[i] = h.Data
+	}
+	return rows, lanes, nil
+}
+
+// DecodeShards validates the shards offered to a decode -- at least k of
+// them, each of shardSize bytes, with distinct in-range indices -- and
+// returns the rows of coef of the first k.
+func DecodeShards(coef *matrix.Matrix, k, shardSize int, shards []Shard) (*matrix.Matrix, error) {
+	n := coef.Rows()
+	if len(shards) < k {
+		return nil, fmt.Errorf("%w: have %d, need %d", ErrShortShards, len(shards), k)
+	}
+	var seen indexSet
+	rows := matrix.New(k, coef.Cols())
+	for i, sh := range shards[:k] {
+		if len(sh.Data) != shardSize {
+			return nil, fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrShardSize, sh.Index, len(sh.Data), shardSize)
+		}
+		if err := seen.add(sh.Index, n); err != nil {
+			return nil, err
+		}
+		copy(rows.Row(i), coef.Row(sh.Index))
+	}
+	return rows, nil
 }
 
 // StripeCount returns the number of stripes a value of the given length
@@ -154,20 +241,32 @@ func StripeCount(valueLen, stripeSize int) int {
 	return (valueLen + stripeSize - 1) / stripeSize
 }
 
+// indexSet is the set of node indices seen so far. Indices are bounded by
+// the field size (n <= 256, enforced by Params.Validate), so membership is
+// a four-word bitset on the stack rather than a per-call map -- this runs
+// on every encode/decode/regenerate.
+type indexSet [4]uint64
+
+// add inserts idx, failing if it lies outside [0, n) or was already added.
+func (s *indexSet) add(idx, n int) error {
+	if idx < 0 || idx >= n || idx >= 256 {
+		return fmt.Errorf("%w: %d (n = %d)", ErrIndexRange, idx, n)
+	}
+	if s[idx>>6]&(1<<(uint(idx)&63)) != 0 {
+		return fmt.Errorf("%w: %d", ErrDuplicateItem, idx)
+	}
+	s[idx>>6] |= 1 << (uint(idx) & 63)
+	return nil
+}
+
 // CheckDistinct verifies that shard/helper indices are distinct and within
-// [0, n). Indices are bounded by the field size (n <= 256, enforced by
-// Params.Validate), so membership is a four-word stack bitset rather than
-// a per-call map — this runs on every encode/decode/regenerate.
+// [0, n).
 func CheckDistinct(indices []int, n int) error {
-	var seen [4]uint64 // 256 bits; n <= 256 always holds
+	var seen indexSet
 	for _, idx := range indices {
-		if idx < 0 || idx >= n || idx >= 256 {
-			return fmt.Errorf("%w: %d (n = %d)", ErrIndexRange, idx, n)
+		if err := seen.add(idx, n); err != nil {
+			return err
 		}
-		if seen[idx>>6]&(1<<(uint(idx)&63)) != 0 {
-			return fmt.Errorf("%w: %d", ErrDuplicateItem, idx)
-		}
-		seen[idx>>6] |= 1 << (uint(idx) & 63)
 	}
 	return nil
 }

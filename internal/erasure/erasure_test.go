@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,27 @@ func TestPadToStripesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestLanes(t *testing.T) {
+	value := []byte{1, 2, 3, 4, 5, 6, 7} // 7 bytes in 4 lanes of L = 2
+	lanes := Lanes(value, 4, []int{0, 3, -1, 2, 3})
+	want := [][]byte{{1, 2}, {7}, nil, {5, 6}, {7}}
+	for i := range want {
+		if !bytes.Equal(lanes[i], want[i]) || (want[i] == nil) != (lanes[i] == nil) {
+			t.Errorf("lane %d = %v, want %v", i, lanes[i], want[i])
+		}
+	}
+	if &lanes[0][0] != &value[0] || &lanes[1][0] != &value[6] {
+		t.Error("lanes must alias the value, not copy it")
+	}
+	// Past the end of the value a lane is empty: the padding is implied.
+	if got := Lanes([]byte{9}, 3, []int{0, 1, 2}); len(got[0]) != 1 || len(got[1]) != 0 || len(got[2]) != 0 {
+		t.Errorf("lanes of a 1-byte value = %v, want one byte then nothing", got)
+	}
+	if got := Lanes(nil, 3, []int{0, 1, 2}); len(got[0])+len(got[1])+len(got[2]) != 0 {
+		t.Errorf("lanes of an empty value = %v, want all empty", got)
 	}
 }
 

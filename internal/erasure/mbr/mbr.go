@@ -16,19 +16,16 @@
 //  2. Operating at the MBR point, beta/B = 2/(k(2d-k+1)), which is what
 //     drives the Theta(1) read cost of Lemma V.2.
 //
-// Buffer ownership: every operation has an Into variant taking a
-// caller-owned dst whose storage is reused when capacity allows; the plain
-// forms are wrappers passing nil dst (fresh allocation). All per-stripe
-// working matrices live in a sync.Pool-backed scratch on the Code, so the
-// stripe loops themselves allocate nothing.
+// Layout is lane-major (package erasure): with L stripes, message symbol p
+// of every stripe is one L-byte lane of the value, a shard is its d lanes
+// psi_i * M back to back, a helper payload is one lane. Inputs are only
+// read, every output is freshly allocated.
 package mbr
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/lds-storage/lds/internal/erasure"
-	"github.com/lds-storage/lds/internal/gf"
 	"github.com/lds-storage/lds/internal/matrix"
 )
 
@@ -39,39 +36,11 @@ type Code struct {
 	b      int            // stripe size B in bytes
 	psi    *matrix.Matrix // n x d encoding matrix [Phi | Delta]
 	phi    *matrix.Matrix // n x k left block of psi
-
-	scratch sync.Pool // *codeScratch
+	all    []int          // 0..n-1, the node list of a full Encode
+	layout []int          // message matrix M: symbol index per entry, -1 for zero
 }
 
 var _ erasure.Regenerating = (*Code)(nil)
-
-// codeScratch is the per-call working set of the encode/decode/repair
-// loops. Pooled on the Code so concurrent callers never contend and the
-// per-stripe matrix allocations disappear.
-type codeScratch struct {
-	padded []byte
-	idx    []int
-	rhs    []byte
-	m      *matrix.Matrix // d x d message matrix
-	coded  *matrix.Matrix // stacked stripe codewords
-	sel    *matrix.Matrix // selected psi/phi rows
-	delta  *matrix.Matrix // Delta restriction of the selected rows
-	right  *matrix.Matrix // codeword columns [k, d)
-	left   *matrix.Matrix // codeword columns [0, k)
-	tmat   *matrix.Matrix // recovered T block
-	tmatT  *matrix.Matrix // T^t
-	dtt    *matrix.Matrix // Delta_DC * T^t
-	smat   *matrix.Matrix // recovered S block
-}
-
-func (c *Code) getScratch() *codeScratch {
-	if s, ok := c.scratch.Get().(*codeScratch); ok {
-		return s
-	}
-	return &codeScratch{}
-}
-
-func (c *Code) putScratch(s *codeScratch) { c.scratch.Put(s) }
 
 // New constructs an MBR code for the given parameters.
 func New(p erasure.Params) (*Code, error) {
@@ -79,8 +48,10 @@ func New(p erasure.Params) (*Code, error) {
 		return nil, err
 	}
 	points := make([]byte, p.N)
+	all := make([]int, p.N)
 	for i := range points {
 		points[i] = byte(i)
+		all[i] = i
 	}
 	psi := matrix.Vandermonde(points, p.D)
 	return &Code{
@@ -88,6 +59,8 @@ func New(p erasure.Params) (*Code, error) {
 		b:      p.K*p.D - p.K*(p.K-1)/2,
 		psi:    psi,
 		phi:    psi.ColRange(0, p.K),
+		all:    all,
+		layout: messageLayout(p.K, p.D),
 	}, nil
 }
 
@@ -112,188 +85,68 @@ func (c *Code) ShardSize(valueLen int) int { return c.Stripes(valueLen) * c.para
 // HelperSize returns beta * stripes bytes.
 func (c *Code) HelperSize(valueLen int) int { return c.Stripes(valueLen) }
 
-// messageMatrixInto builds the symmetric d x d matrix M for one stripe
-// into m (reshaped/zeroed as needed; allocated when nil):
+// messageLayout places the B message symbols in the symmetric d x d matrix
 //
 //	M = | S   T |
 //	    | T^t 0 |
 //
 // where S is k x k symmetric (k(k+1)/2 symbols) and T is k x (d-k)
-// (k(d-k) symbols). data must be exactly B bytes.
-func (c *Code) messageMatrixInto(data []byte, m *matrix.Matrix) *matrix.Matrix {
-	k, d := c.params.K, c.params.D
-	m = matrix.Reuse(m, d, d)
+// (k(d-k) symbols): entry (r, c) of M is symbol layout[r*d+c], -1 in the
+// zero block. M is symmetric, so row r and column r are the same d symbols.
+func messageLayout(k, d int) []int {
+	layout := make([]int, d*d)
+	for i := range layout {
+		layout[i] = -1
+	}
 	p := 0
 	for i := 0; i < k; i++ {
 		for j := i; j < k; j++ {
-			m.Set(i, j, data[p])
-			m.Set(j, i, data[p])
+			layout[i*d+j], layout[j*d+i] = p, p
 			p++
 		}
 	}
 	for i := 0; i < k; i++ {
 		for j := k; j < d; j++ {
-			m.Set(i, j, data[p])
-			m.Set(j, i, data[p])
+			layout[i*d+j], layout[j*d+i] = p, p
 			p++
 		}
 	}
-	return m
+	return layout
 }
 
-// extractBlocks is the inverse of messageMatrixInto, reading the message
-// symbols straight out of the recovered S (k x k) and T (k x (d-k))
-// blocks without materializing the full d x d matrix. tmat may be nil
-// when d == k.
-func extractBlocks(smat, tmat *matrix.Matrix, k, d int, out []byte) {
-	p := 0
-	for i := 0; i < k; i++ {
-		for j := i; j < k; j++ {
-			out[p] = smat.At(i, j)
-			p++
-		}
-	}
-	if tmat == nil {
-		return
-	}
-	for i := 0; i < k; i++ {
-		for j := k; j < d; j++ {
-			out[p] = tmat.At(i, j-k)
-			p++
-		}
-	}
+// encode computes the shards psi_i * M of the listed nodes.
+func (c *Code) encode(value []byte, nodes []int) [][]byte {
+	return erasure.EncodeLanes(c.psi, nodes, erasure.Lanes(value, c.b, c.layout), c.Stripes(len(value)))
 }
 
 // Encode splits value into n shards of ShardSize(len(value)) bytes each.
-// Shard layout is stripe-major: stripe s occupies bytes [s*alpha, (s+1)*alpha).
 func (c *Code) Encode(value []byte) ([][]byte, error) {
-	return c.EncodeInto(nil, value)
-}
-
-// EncodeInto is Encode with caller-owned shard storage: shard i reuses
-// dst[i]'s backing array when its capacity suffices. dst may be nil or
-// the wrong shape. The returned slices alias dst's storage, so callers
-// that hand shards to retaining consumers (the L2 store keeps coded
-// elements by reference) must not recycle dst while those references
-// live.
-func (c *Code) EncodeInto(dst [][]byte, value []byte) ([][]byte, error) {
-	n, d := c.params.N, c.params.D
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.padded = erasure.PadToStripesInto(s.padded, value, c.b)
-	stripes := len(s.padded) / c.b
-	if cap(dst) < n {
-		dst = make([][]byte, n)
-	} else {
-		dst = dst[:n]
-	}
-	for i := range dst {
-		dst[i] = erasure.GrowSlice(dst[i], stripes*d)
-	}
-	for st := 0; st < stripes; st++ {
-		s.m = c.messageMatrixInto(s.padded[st*c.b:(st+1)*c.b], s.m)
-		s.coded = c.psi.MulInto(s.m, s.coded) // n x d
-		for i := 0; i < n; i++ {
-			copy(dst[i][st*d:(st+1)*d], s.coded.Row(i))
-		}
-	}
-	return dst, nil
+	return c.encode(value, c.all), nil
 }
 
 // EncodeNode computes only node's shard; used where a single coded element
 // is needed without materializing all n.
 func (c *Code) EncodeNode(value []byte, node int) ([]byte, error) {
-	return c.EncodeNodeInto(nil, value, node)
-}
-
-// EncodeNodeInto is EncodeNode into caller-owned storage (see EncodeInto
-// for the aliasing rules).
-func (c *Code) EncodeNodeInto(dst []byte, value []byte, node int) ([]byte, error) {
 	if node < 0 || node >= c.params.N {
 		return nil, fmt.Errorf("%w: %d", erasure.ErrIndexRange, node)
 	}
-	d := c.params.D
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.padded = erasure.PadToStripesInto(s.padded, value, c.b)
-	stripes := len(s.padded) / c.b
-	shard := erasure.GrowSlice(dst, stripes*d)
-	clear(shard)
-	row := c.psi.Row(node)
-	for st := 0; st < stripes; st++ {
-		s.m = c.messageMatrixInto(s.padded[st*c.b:(st+1)*c.b], s.m)
-		out := shard[st*d : (st+1)*d]
-		for i, coeff := range row {
-			gf.AddMulSlice(coeff, s.m.Row(i), out)
-		}
-	}
-	return shard, nil
+	return c.encode(value, []int{node})[0], nil
 }
 
 // EncodeNodes computes the shards of only the listed nodes; the LDS edge
 // servers use it to produce the C2 restriction (the n2 back-end elements)
 // without materializing the full codeword.
 func (c *Code) EncodeNodes(value []byte, nodes []int) ([][]byte, error) {
-	return c.EncodeNodesInto(nil, value, nodes)
-}
-
-// EncodeNodesInto is EncodeNodes into caller-owned storage (see
-// EncodeInto for the aliasing rules).
-func (c *Code) EncodeNodesInto(dst [][]byte, value []byte, nodes []int) ([][]byte, error) {
 	if err := erasure.CheckDistinct(nodes, c.params.N); err != nil {
 		return nil, err
 	}
-	d := c.params.D
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.padded = erasure.PadToStripesInto(s.padded, value, c.b)
-	stripes := len(s.padded) / c.b
-	if cap(dst) < len(nodes) {
-		dst = make([][]byte, len(nodes))
-	} else {
-		dst = dst[:len(nodes)]
-	}
-	for i := range dst {
-		dst[i] = erasure.GrowSlice(dst[i], stripes*d)
-		clear(dst[i])
-	}
-	for st := 0; st < stripes; st++ {
-		s.m = c.messageMatrixInto(s.padded[st*c.b:(st+1)*c.b], s.m)
-		for si, node := range nodes {
-			out := dst[si][st*d : (st+1)*d]
-			for i, coeff := range c.psi.Row(node) {
-				gf.AddMulSlice(coeff, s.m.Row(i), out)
-			}
-		}
-	}
-	return dst, nil
+	return c.encode(value, nodes), nil
 }
 
 // Helper computes the repair data node helperIdx sends toward the repair of
-// node failedIdx: one byte per stripe, h = c_i . psi_f.
+// node failedIdx: one lane, h = c_i . psi_f.
 func (c *Code) Helper(shard []byte, helperIdx, failedIdx int) ([]byte, error) {
-	return c.HelperInto(nil, shard, helperIdx, failedIdx)
-}
-
-// HelperInto is Helper into caller-owned storage.
-func (c *Code) HelperInto(dst, shard []byte, helperIdx, failedIdx int) ([]byte, error) {
-	n, d := c.params.N, c.params.D
-	if helperIdx < 0 || helperIdx >= n || failedIdx < 0 || failedIdx >= n {
-		return nil, fmt.Errorf("%w: helper %d, failed %d", erasure.ErrIndexRange, helperIdx, failedIdx)
-	}
-	if helperIdx == failedIdx {
-		return nil, fmt.Errorf("erasure: node %d cannot help repair itself", failedIdx)
-	}
-	if len(shard)%d != 0 || len(shard) == 0 {
-		return nil, fmt.Errorf("%w: %d bytes, want multiple of alpha = %d", erasure.ErrShardSize, len(shard), d)
-	}
-	stripes := len(shard) / d
-	psiF := c.psi.Row(failedIdx)
-	out := erasure.GrowSlice(dst, stripes)
-	for s := 0; s < stripes; s++ {
-		out[s] = gf.Dot(shard[s*d:(s+1)*d], psiF)
-	}
-	return out, nil
+	return erasure.HelperLane(c.psi, shard, helperIdx, failedIdx)
 }
 
 // Regenerate rebuilds the shard of failedIdx from at least d helpers with
@@ -301,55 +154,15 @@ func (c *Code) HelperInto(dst, shard []byte, helperIdx, failedIdx int) ([]byte, 
 // satisfy Psi_rep * (M psi_f^T) = h, so inverting Psi_rep recovers
 // M psi_f^T, whose transpose is psi_f M (M is symmetric) -- the lost shard.
 func (c *Code) Regenerate(failedIdx int, helpers []erasure.Helper) ([]byte, error) {
-	return c.RegenerateInto(nil, failedIdx, helpers)
-}
-
-// RegenerateInto is Regenerate into caller-owned storage (see EncodeInto
-// for the aliasing rules).
-func (c *Code) RegenerateInto(dst []byte, failedIdx int, helpers []erasure.Helper) ([]byte, error) {
-	n, d := c.params.N, c.params.D
-	if failedIdx < 0 || failedIdx >= n {
-		return nil, fmt.Errorf("%w: %d", erasure.ErrIndexRange, failedIdx)
-	}
-	if len(helpers) < d {
-		return nil, fmt.Errorf("%w: have %d, need %d", erasure.ErrShortHelpers, len(helpers), d)
-	}
-	helpers = helpers[:d]
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.idx = erasure.GrowInts(s.idx, d)
-	stripes := -1
-	for i, h := range helpers {
-		if h.Index == failedIdx {
-			return nil, fmt.Errorf("erasure: node %d cannot help repair itself", failedIdx)
-		}
-		s.idx[i] = h.Index
-		if stripes < 0 {
-			stripes = len(h.Data)
-		} else if len(h.Data) != stripes {
-			return nil, fmt.Errorf("%w: helper %d has %d bytes, want %d", erasure.ErrShardSize, h.Index, len(h.Data), stripes)
-		}
-	}
-	if stripes <= 0 {
-		return nil, fmt.Errorf("%w: empty helper data", erasure.ErrShardSize)
-	}
-	if err := erasure.CheckDistinct(s.idx, n); err != nil {
+	psiRep, lanes, err := erasure.RepairLanes(c.psi, failedIdx, helpers)
+	if err != nil {
 		return nil, err
 	}
-	s.sel = c.psi.SelectRowsInto(s.idx, s.sel)
-	inv, err := s.sel.Inverse()
+	inv, err := psiRep.Inverse()
 	if err != nil {
-		return nil, fmt.Errorf("erasure: repair matrix for helpers %v: %w", s.idx, err)
+		return nil, fmt.Errorf("erasure: repair matrix: %w", err)
 	}
-	shard := erasure.GrowSlice(dst, stripes*d)
-	s.rhs = erasure.GrowSlice(s.rhs, d)
-	for st := 0; st < stripes; st++ {
-		for i, h := range helpers {
-			s.rhs[i] = h.Data[st]
-		}
-		inv.MulVecInto(s.rhs, shard[st*d:(st+1)*d])
-	}
-	return shard, nil
+	return inv.MulLanes(lanes, len(lanes[0])), nil
 }
 
 // Decode recovers a value of the given original length from at least k
@@ -359,65 +172,50 @@ func (c *Code) RegenerateInto(dst []byte, failedIdx int, helpers []erasure.Helpe
 //	C = Psi_DC M = [Phi_DC S + Delta_DC T^t | Phi_DC T],
 //
 // so T = Phi_DC^-1 * C_right and S = Phi_DC^-1 * (C_left - Delta_DC T^t).
+// Both products land straight in the message lanes of the returned value.
 func (c *Code) Decode(valueLen int, shards []erasure.Shard) ([]byte, error) {
-	return c.DecodeInto(nil, valueLen, shards)
-}
-
-// DecodeInto is Decode into caller-owned storage. The returned value
-// aliases dst, so callers that retain decoded values across operations
-// (the reader returning to the application, the history checker) must
-// pass nil or a buffer they will not recycle.
-func (c *Code) DecodeInto(dst []byte, valueLen int, shards []erasure.Shard) ([]byte, error) {
-	k, d, n := c.params.K, c.params.D, c.params.N
-	if len(shards) < k {
-		return nil, fmt.Errorf("%w: have %d, need %d", erasure.ErrShortShards, len(shards), k)
-	}
-	shards = shards[:k]
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.idx = erasure.GrowInts(s.idx, k)
-	stripes := c.Stripes(valueLen)
-	for i, sh := range shards {
-		s.idx[i] = sh.Index
-		if len(sh.Data) != stripes*d {
-			return nil, fmt.Errorf("%w: shard %d has %d bytes, want %d", erasure.ErrShardSize, sh.Index, len(sh.Data), stripes*d)
-		}
-	}
-	if err := erasure.CheckDistinct(s.idx, n); err != nil {
+	k, d := c.params.K, c.params.D
+	l := c.Stripes(valueLen)
+	phiDC, err := erasure.DecodeShards(c.phi, k, d*l, shards)
+	if err != nil {
 		return nil, err
 	}
-	s.sel = c.phi.SelectRowsInto(s.idx, s.sel)
-	phiInv, err := s.sel.Inverse()
+	phiInv, err := phiDC.Inverse()
 	if err != nil {
-		return nil, fmt.Errorf("erasure: decode matrix for shards %v: %w", s.idx, err)
+		return nil, fmt.Errorf("erasure: decode matrix: %w", err)
+	}
+	// cw is C by columns: column j is cw[j*k:(j+1)*k], lane j of each shard.
+	cw := make([][]byte, d*k)
+	for i, sh := range shards[:k] {
+		for j := 0; j < d; j++ {
+			cw[j*k+i] = sh.Data[j*l : (j+1)*l]
+		}
+	}
+	out := make([]byte, l*c.b)
+	m := erasure.Lanes(out, c.b, c.layout)
+	for j := k; j < d; j++ {
+		for r := 0; r < k; r++ {
+			matrix.AddMulLanes(phiInv.Row(r), cw[j*k:(j+1)*k], m[r*d+j])
+		}
 	}
 	if d > k {
-		s.sel = c.psi.SelectRowsInto(s.idx, s.sel)
-		s.delta = s.sel.ColRangeInto(k, d, s.delta)
-	}
-
-	out := erasure.GrowSlice(dst, stripes*c.b)
-	for st := 0; st < stripes; st++ {
-		s.coded = matrix.Reuse(s.coded, k, d)
-		for i, sh := range shards {
-			copy(s.coded.Row(i), sh.Data[st*d:(st+1)*d])
-		}
-		if d > k {
-			s.right = s.coded.ColRangeInto(k, d, s.right)
-			s.tmat = phiInv.MulInto(s.right, s.tmat) // k x (d-k)
-			s.left = s.coded.ColRangeInto(0, k, s.left)
-			s.tmatT = s.tmat.TransposeInto(s.tmatT)
-			s.dtt = s.delta.MulInto(s.tmatT, s.dtt)
-			s.left.AddInPlace(s.dtt)
-			s.smat = phiInv.MulInto(s.left, s.smat)
-			extractBlocks(s.smat, s.tmat, k, d, out[st*c.b:(st+1)*c.b])
-		} else {
-			s.smat = phiInv.MulInto(s.coded, s.smat)
-			extractBlocks(s.smat, nil, k, d, out[st*c.b:(st+1)*c.b])
+		// C_left - Delta_DC T^t replaces C_left; entry (i, j) subtracts
+		// delta_i . (row j of T).
+		left := make([]byte, k*k*l)
+		for j := 0; j < k; j++ {
+			for i := 0; i < k; i++ {
+				lane := left[(j*k+i)*l : (j*k+i+1)*l]
+				copy(lane, cw[j*k+i])
+				matrix.AddMulLanes(c.psi.Row(shards[i].Index)[k:], m[j*d+k:(j+1)*d], lane)
+				cw[j*k+i] = lane
+			}
 		}
 	}
-	if valueLen > len(out) {
-		return nil, fmt.Errorf("erasure: value length %d exceeds decoded data %d", valueLen, len(out))
+	// S is symmetric: its upper triangle is all the message holds.
+	for j := 0; j < k; j++ {
+		for r := 0; r <= j; r++ {
+			matrix.AddMulLanes(phiInv.Row(r), cw[j*k:(j+1)*k], m[r*d+j])
+		}
 	}
 	return out[:valueLen], nil
 }

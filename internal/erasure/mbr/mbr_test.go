@@ -3,11 +3,13 @@ package mbr
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/lds-storage/lds/internal/erasure"
+	"github.com/lds-storage/lds/internal/gf"
 )
 
 func mustNew(t *testing.T, n, k, d int) *Code {
@@ -408,6 +410,163 @@ func TestPaperScaleParameters(t *testing.T) {
 	}
 }
 
+// refEncode is the layout oracle: the per-stripe encoder this package had
+// before it computed on lanes, kept scalar. Stripe s takes message symbol p
+// from lane p of the padded value, builds the symmetric message matrix M and
+// emits psi_i * M as alpha consecutive bytes, so ref[s*alpha+c] is symbol c
+// of stripe s.
+func refEncode(c *Code, value []byte, node int) []byte {
+	k, d := c.params.K, c.params.D
+	padded := erasure.PadToStripes(value, c.b)
+	stripes := len(padded) / c.b
+	out := make([]byte, stripes*d)
+	m := make([][]byte, d)
+	for i := range m {
+		m[i] = make([]byte, d)
+	}
+	for s := 0; s < stripes; s++ {
+		p := 0
+		for i := 0; i < k; i++ {
+			for j := i; j < k; j++ {
+				m[i][j], m[j][i] = padded[p*stripes+s], padded[p*stripes+s]
+				p++
+			}
+		}
+		for i := 0; i < k; i++ {
+			for j := k; j < d; j++ {
+				m[i][j], m[j][i] = padded[p*stripes+s], padded[p*stripes+s]
+				p++
+			}
+		}
+		for col := 0; col < d; col++ {
+			for r := 0; r < d; r++ {
+				out[s*d+col] ^= gf.Mul(c.psi.At(node, r), m[r][col])
+			}
+		}
+	}
+	return out
+}
+
+// TestLanesArePermutedStripes: the lane-major shard is exactly the
+// stripe-major reference shard with symbol c of stripe s moved from
+// s*alpha+c to c*L+s -- the same code, re-laid.
+func TestLanesArePermutedStripes(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260926))
+	for trial := 0; trial < 250; trial++ {
+		k := 1 + rng.Intn(5)
+		d := k + rng.Intn(4)
+		c := mustNew(t, d+1+rng.Intn(4), k, d)
+		value := randValue(rng, rng.Intn(4*c.b+2))
+		shards, err := c.Encode(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripes := c.Stripes(len(value))
+		for node, shard := range shards {
+			ref := refEncode(c, value, node)
+			if len(shard) != len(ref) {
+				t.Fatalf("trial %d (n=%d k=%d d=%d len=%d): shard %d has %d bytes, reference %d",
+					trial, c.params.N, k, d, len(value), node, len(shard), len(ref))
+			}
+			for s := 0; s < stripes; s++ {
+				for col := 0; col < d; col++ {
+					if shard[col*stripes+s] != ref[s*d+col] {
+						t.Fatalf("trial %d (n=%d k=%d d=%d len=%d): node %d stripe %d symbol %d = %d, reference %d",
+							trial, c.params.N, k, d, len(value), node, s, col, shard[col*stripes+s], ref[s*d+col])
+					}
+				}
+			}
+		}
+	}
+}
+
+// The benchmarks below run at the reference benchmark's geometry -- LDS
+// (n1, n2, f1, f2) = (6, 8, 1, 2), i.e. the (14, 4, 4) code, at its 4 KiB
+// and 16 KiB value sizes -- on the shapes of the write and read paths, so
+// they predict benchmark/'s mbr.* probes: an L1 server encodes the n2
+// back-end elements, an L2 server helps L1 server 0, which regenerates from
+// d helpers, and the reader decodes from k L1 elements.
+func benchSizes(b *testing.B, run func(b *testing.B, c *Code, value []byte, l2 []int, shards [][]byte)) {
+	c, err := New(erasure.Params{N: 14, K: 4, D: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l2 := []int{6, 7, 8, 9, 10, 11, 12, 13}
+	for _, size := range []int{4 << 10, 16 << 10} {
+		value := make([]byte, size)
+		rand.New(rand.NewSource(1)).Read(value)
+		shards, err := c.Encode(value)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b, c, value, l2, shards)
+		})
+	}
+}
+
+func benchHelpers(b *testing.B, c *Code, l2 []int, shards [][]byte) []erasure.Helper {
+	helpers := make([]erasure.Helper, c.params.D)
+	for i := range helpers {
+		data, err := c.Helper(shards[l2[i]], l2[i], 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		helpers[i] = erasure.Helper{Index: l2[i], Data: data}
+	}
+	return helpers
+}
+
+func BenchmarkEncodeNodes(b *testing.B) {
+	benchSizes(b, func(b *testing.B, c *Code, value []byte, l2 []int, _ [][]byte) {
+		for i := 0; i < b.N; i++ {
+			if _, err := c.EncodeNodes(value, l2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkHelper(b *testing.B) {
+	benchSizes(b, func(b *testing.B, c *Code, _ []byte, l2 []int, shards [][]byte) {
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Helper(shards[l2[0]], l2[0], 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkRegenerate(b *testing.B) {
+	benchSizes(b, func(b *testing.B, c *Code, _ []byte, l2 []int, shards [][]byte) {
+		helpers := benchHelpers(b, c, l2, shards)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Regenerate(0, helpers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkDecode(b *testing.B) {
+	benchSizes(b, func(b *testing.B, c *Code, value []byte, _ []int, shards [][]byte) {
+		l1 := make([]erasure.Shard, c.params.K)
+		for i := range l1 {
+			l1[i] = erasure.Shard{Index: i, Data: shards[i]}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Decode(len(value), l1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkEncode(b *testing.B) {
 	c, err := New(erasure.Params{N: 15, K: 5, D: 8})
 	if err != nil {
@@ -419,27 +578,6 @@ func BenchmarkEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Encode(value); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRegenerate(b *testing.B) {
-	c, err := New(erasure.Params{N: 15, K: 5, D: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	value := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(value)
-	shards, _ := c.Encode(value)
-	var helpers []erasure.Helper
-	for h := 1; h <= 8; h++ {
-		data, _ := c.Helper(shards[h], h, 0)
-		helpers = append(helpers, erasure.Helper{Index: h, Data: data})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Regenerate(0, helpers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,16 +13,13 @@
 // Vandermonde and Lambda diagonal with distinct entries. Node i stores
 // psi_i * M.
 //
-// Buffer ownership mirrors package mbr: Into variants reuse caller-owned
-// dst storage, the plain forms allocate, and all per-stripe working
-// matrices come from a sync.Pool-backed scratch on the Code. Per-call
-// solver matrices (row solvers, inverses) still allocate once per call;
-// only the stripe loops are allocation-free.
+// Layout is lane-major (package erasure): a shard is its alpha lanes
+// psi_i * M back to back, a helper payload is one lane. Inputs are only
+// read, every output is freshly allocated.
 package msr
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/lds-storage/lds/internal/erasure"
 	"github.com/lds-storage/lds/internal/gf"
@@ -38,44 +35,11 @@ type Code struct {
 	phi    *matrix.Matrix // n x alpha
 	lambda []byte         // n distinct diagonal entries
 	psi    *matrix.Matrix // n x d = [Phi | Lambda*Phi]
-
-	scratch sync.Pool // *codeScratch
+	all    []int          // 0..n-1, the node list of a full Encode
+	layout []int          // message matrix M by columns: symbol index per entry
 }
 
 var _ erasure.Regenerating = (*Code)(nil)
-
-// codeScratch is the pooled per-call working set of the stripe loops.
-type codeScratch struct {
-	padded []byte
-	idx    []int
-	seq    []int
-	rhs    []byte
-	uv     []byte
-	lam    []byte
-	srhs   []byte
-	s1     *matrix.Matrix
-	s2     *matrix.Matrix
-	c1     *matrix.Matrix
-	c2     *matrix.Matrix
-	sel    *matrix.Matrix
-	coded  *matrix.Matrix
-	amat   *matrix.Matrix
-	pmat   *matrix.Matrix
-	qmat   *matrix.Matrix
-	phiS   *matrix.Matrix
-	srows  *matrix.Matrix
-	rs1    *matrix.Matrix
-	rs2    *matrix.Matrix
-}
-
-func (c *Code) getScratch() *codeScratch {
-	if s, ok := c.scratch.Get().(*codeScratch); ok {
-		return s
-	}
-	return &codeScratch{}
-}
-
-func (c *Code) putScratch(s *codeScratch) { c.scratch.Put(s) }
 
 // New constructs an MSR code with n nodes and dimension k >= 2; d is fixed
 // to 2k-2 by the construction.
@@ -96,12 +60,14 @@ func New(n, k int) (*Code, error) {
 	}
 	phi := matrix.Vandermonde(points, alpha)
 	psi := matrix.New(n, d)
+	all := make([]int, n)
 	for i := 0; i < n; i++ {
 		row := psi.Row(i)
 		copy(row[:alpha], phi.Row(i))
 		gf.MulSlice(lambda[i], phi.Row(i), row[alpha:])
+		all[i] = i
 	}
-	return &Code{params: p, alpha: alpha, b: k * alpha, phi: phi, lambda: lambda, psi: psi}, nil
+	return &Code{params: p, alpha: alpha, b: k * alpha, phi: phi, lambda: lambda, psi: psi, all: all, layout: messageLayout(alpha)}, nil
 }
 
 // pickPoints selects n distinct field elements whose alpha-th powers are
@@ -146,203 +112,77 @@ func (c *Code) ShardSize(valueLen int) int { return c.Stripes(valueLen) * c.alph
 // HelperSize returns beta * stripes bytes.
 func (c *Code) HelperSize(valueLen int) int { return c.Stripes(valueLen) }
 
-// messageMatricesInto builds the two symmetric alpha x alpha matrices
-// S1, S2 from B bytes of data into the given scratch matrices.
-func (c *Code) messageMatricesInto(data []byte, s1, s2 *matrix.Matrix) (*matrix.Matrix, *matrix.Matrix) {
-	s1 = matrix.Reuse(s1, c.alpha, c.alpha)
-	s2 = matrix.Reuse(s2, c.alpha, c.alpha)
+// messageLayout places the B message symbols in the d x alpha matrix
+// M = [S1; S2] of two symmetric alpha x alpha blocks (alpha(alpha+1)/2
+// symbols each, S1 first), column by column: entry (r, c) of M is symbol
+// layout[c*d+r].
+func messageLayout(alpha int) []int {
+	d := 2 * alpha
+	layout := make([]int, alpha*d)
 	p := 0
-	for _, s := range []*matrix.Matrix{s1, s2} {
-		for i := 0; i < c.alpha; i++ {
-			for j := i; j < c.alpha; j++ {
-				s.Set(i, j, data[p])
-				s.Set(j, i, data[p])
+	for block := 0; block < d; block += alpha {
+		for i := 0; i < alpha; i++ {
+			for j := i; j < alpha; j++ {
+				layout[j*d+block+i], layout[i*d+block+j] = p, p
 				p++
 			}
 		}
 	}
-	return s1, s2
+	return layout
 }
 
-// extractMessage is the inverse of messageMatricesInto.
-func (c *Code) extractMessage(s1, s2 *matrix.Matrix, out []byte) {
-	p := 0
-	for _, s := range []*matrix.Matrix{s1, s2} {
-		for i := 0; i < c.alpha; i++ {
-			for j := i; j < c.alpha; j++ {
-				out[p] = s.At(i, j)
-				p++
-			}
-		}
-	}
+// encode computes the shards psi_i * M = phi_i*S1 + lambda_i*phi_i*S2 of
+// the listed nodes.
+func (c *Code) encode(value []byte, nodes []int) [][]byte {
+	return erasure.EncodeLanes(c.psi, nodes, erasure.Lanes(value, c.b, c.layout), c.Stripes(len(value)))
 }
 
-// Encode splits value into n shards; node i stores
-// phi_i*S1 + lambda_i*phi_i*S2 per stripe.
+// Encode splits value into n shards of ShardSize(len(value)) bytes each.
 func (c *Code) Encode(value []byte) ([][]byte, error) {
-	return c.EncodeInto(nil, value)
-}
-
-// EncodeInto is Encode with caller-owned shard storage (same aliasing
-// rules as mbr.Code.EncodeInto: returned slices alias dst).
-func (c *Code) EncodeInto(dst [][]byte, value []byte) ([][]byte, error) {
-	n := c.params.N
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.padded = erasure.PadToStripesInto(s.padded, value, c.b)
-	stripes := len(s.padded) / c.b
-	if cap(dst) < n {
-		dst = make([][]byte, n)
-	} else {
-		dst = dst[:n]
-	}
-	for i := range dst {
-		dst[i] = erasure.GrowSlice(dst[i], stripes*c.alpha)
-	}
-	for st := 0; st < stripes; st++ {
-		s.s1, s.s2 = c.messageMatricesInto(s.padded[st*c.b:(st+1)*c.b], s.s1, s.s2)
-		s.c1 = c.phi.MulInto(s.s1, s.c1) // n x alpha
-		s.c2 = c.phi.MulInto(s.s2, s.c2)
-		for i := 0; i < n; i++ {
-			out := dst[i][st*c.alpha : (st+1)*c.alpha]
-			copy(out, s.c1.Row(i))
-			gf.AddMulSlice(c.lambda[i], s.c2.Row(i), out)
-		}
-	}
-	return dst, nil
+	return c.encode(value, c.all), nil
 }
 
 // EncodeNode computes a single node's shard.
 func (c *Code) EncodeNode(value []byte, node int) ([]byte, error) {
-	shards, err := c.EncodeNodes(value, []int{node})
-	if err != nil {
-		return nil, err
+	if node < 0 || node >= c.params.N {
+		return nil, fmt.Errorf("%w: %d", erasure.ErrIndexRange, node)
 	}
-	return shards[0], nil
+	return c.encode(value, []int{node})[0], nil
 }
 
 // EncodeNodes computes the shards of only the listed nodes (the C2
 // restriction used when MSR substitutes for MBR in the ablation benches).
 func (c *Code) EncodeNodes(value []byte, nodes []int) ([][]byte, error) {
-	return c.EncodeNodesInto(nil, value, nodes)
-}
-
-// EncodeNodesInto is EncodeNodes into caller-owned storage.
-func (c *Code) EncodeNodesInto(dst [][]byte, value []byte, nodes []int) ([][]byte, error) {
 	if err := erasure.CheckDistinct(nodes, c.params.N); err != nil {
 		return nil, err
 	}
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.padded = erasure.PadToStripesInto(s.padded, value, c.b)
-	stripes := len(s.padded) / c.b
-	if cap(dst) < len(nodes) {
-		dst = make([][]byte, len(nodes))
-	} else {
-		dst = dst[:len(nodes)]
-	}
-	for i := range dst {
-		dst[i] = erasure.GrowSlice(dst[i], stripes*c.alpha)
-		clear(dst[i])
-	}
-	for st := 0; st < stripes; st++ {
-		s.s1, s.s2 = c.messageMatricesInto(s.padded[st*c.b:(st+1)*c.b], s.s1, s.s2)
-		for si, node := range nodes {
-			out := dst[si][st*c.alpha : (st+1)*c.alpha]
-			for i, coeff := range c.phi.Row(node) {
-				gf.AddMulSlice(coeff, s.s1.Row(i), out)
-				gf.AddMulSlice(gf.Mul(c.lambda[node], coeff), s.s2.Row(i), out)
-			}
-		}
-	}
-	return dst, nil
+	return c.encode(value, nodes), nil
 }
 
-// Helper computes the byte-per-stripe repair data toward failedIdx:
+// Helper computes the one-lane repair data toward failedIdx:
 // h = c_i . phi_f. As with MBR, it depends only on the failed node's index.
 func (c *Code) Helper(shard []byte, helperIdx, failedIdx int) ([]byte, error) {
-	return c.HelperInto(nil, shard, helperIdx, failedIdx)
-}
-
-// HelperInto is Helper into caller-owned storage.
-func (c *Code) HelperInto(dst, shard []byte, helperIdx, failedIdx int) ([]byte, error) {
-	n := c.params.N
-	if helperIdx < 0 || helperIdx >= n || failedIdx < 0 || failedIdx >= n {
-		return nil, fmt.Errorf("%w: helper %d, failed %d", erasure.ErrIndexRange, helperIdx, failedIdx)
-	}
-	if helperIdx == failedIdx {
-		return nil, fmt.Errorf("erasure: node %d cannot help repair itself", failedIdx)
-	}
-	if len(shard)%c.alpha != 0 || len(shard) == 0 {
-		return nil, fmt.Errorf("%w: %d bytes, want multiple of alpha = %d", erasure.ErrShardSize, len(shard), c.alpha)
-	}
-	stripes := len(shard) / c.alpha
-	phiF := c.phi.Row(failedIdx)
-	out := erasure.GrowSlice(dst, stripes)
-	for s := 0; s < stripes; s++ {
-		out[s] = gf.Dot(shard[s*c.alpha:(s+1)*c.alpha], phiF)
-	}
-	return out, nil
+	return erasure.HelperLane(c.phi, shard, helperIdx, failedIdx)
 }
 
 // Regenerate rebuilds failedIdx's shard from at least d = 2k-2 helpers.
 // Stacking d helper equations gives Psi_rep * [S1 phi_f^T; S2 phi_f^T] = h;
 // inverting Psi_rep yields u = S1 phi_f^T and v = S2 phi_f^T, and the lost
-// shard is u^T + lambda_f * v^T.
+// shard is u^T + lambda_f * v^T, i.e. [I | lambda_f I] * Psi_rep^-1 * h.
 func (c *Code) Regenerate(failedIdx int, helpers []erasure.Helper) ([]byte, error) {
-	return c.RegenerateInto(nil, failedIdx, helpers)
-}
-
-// RegenerateInto is Regenerate into caller-owned storage.
-func (c *Code) RegenerateInto(dst []byte, failedIdx int, helpers []erasure.Helper) ([]byte, error) {
-	n, d := c.params.N, c.params.D
-	if failedIdx < 0 || failedIdx >= n {
-		return nil, fmt.Errorf("%w: %d", erasure.ErrIndexRange, failedIdx)
-	}
-	if len(helpers) < d {
-		return nil, fmt.Errorf("%w: have %d, need %d", erasure.ErrShortHelpers, len(helpers), d)
-	}
-	helpers = helpers[:d]
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.idx = erasure.GrowInts(s.idx, d)
-	stripes := -1
-	for i, h := range helpers {
-		if h.Index == failedIdx {
-			return nil, fmt.Errorf("erasure: node %d cannot help repair itself", failedIdx)
-		}
-		s.idx[i] = h.Index
-		if stripes < 0 {
-			stripes = len(h.Data)
-		} else if len(h.Data) != stripes {
-			return nil, fmt.Errorf("%w: helper %d has %d bytes, want %d", erasure.ErrShardSize, h.Index, len(h.Data), stripes)
-		}
-	}
-	if stripes <= 0 {
-		return nil, fmt.Errorf("%w: empty helper data", erasure.ErrShardSize)
-	}
-	if err := erasure.CheckDistinct(s.idx, n); err != nil {
+	psiRep, lanes, err := erasure.RepairLanes(c.psi, failedIdx, helpers)
+	if err != nil {
 		return nil, err
 	}
-	s.sel = c.psi.SelectRowsInto(s.idx, s.sel)
-	inv, err := s.sel.Inverse()
+	inv, err := psiRep.Inverse()
 	if err != nil {
-		return nil, fmt.Errorf("msr: repair matrix for helpers %v: %w", s.idx, err)
+		return nil, fmt.Errorf("msr: repair matrix: %w", err)
 	}
-	shard := erasure.GrowSlice(dst, stripes*c.alpha)
-	s.rhs = erasure.GrowSlice(s.rhs, d)
-	s.uv = erasure.GrowSlice(s.uv, d)
-	lamF := c.lambda[failedIdx]
-	for st := 0; st < stripes; st++ {
-		for i, h := range helpers {
-			s.rhs[i] = h.Data[st]
-		}
-		inv.MulVecInto(s.rhs, s.uv) // [u; v], each alpha long
-		out := shard[st*c.alpha : (st+1)*c.alpha]
-		copy(out, s.uv[:c.alpha])
-		gf.AddMulSlice(lamF, s.uv[c.alpha:], out)
+	fold := inv.SelectRows(c.all[:c.alpha])
+	for r := 0; r < c.alpha; r++ {
+		gf.AddMulSlice(c.lambda[failedIdx], inv.Row(c.alpha+r), fold.Row(r))
 	}
-	return shard, nil
+	return fold.MulLanes(lanes, len(lanes[0])), nil
 }
 
 // Decode recovers the value from at least k shards. Following the
@@ -354,114 +194,87 @@ func (c *Code) RegenerateInto(dst []byte, failedIdx int, helpers []erasure.Helpe
 // independent, and finally S1 = (alpha rows of Phi_DC)^-1 * rows. Same for
 // S2.
 func (c *Code) Decode(valueLen int, shards []erasure.Shard) ([]byte, error) {
-	return c.DecodeInto(nil, valueLen, shards)
-}
-
-// DecodeInto is Decode into caller-owned storage; the returned value
-// aliases dst (see mbr.Code.DecodeInto for retention rules).
-func (c *Code) DecodeInto(dst []byte, valueLen int, shards []erasure.Shard) ([]byte, error) {
-	k, n := c.params.K, c.params.N
-	if len(shards) < k {
-		return nil, fmt.Errorf("%w: have %d, need %d", erasure.ErrShortShards, len(shards), k)
-	}
-	shards = shards[:k]
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.idx = erasure.GrowInts(s.idx, k)
-	stripes := c.Stripes(valueLen)
-	for i, sh := range shards {
-		s.idx[i] = sh.Index
-		if len(sh.Data) != stripes*c.alpha {
-			return nil, fmt.Errorf("%w: shard %d has %d bytes, want %d", erasure.ErrShardSize, sh.Index, len(sh.Data), stripes*c.alpha)
-		}
-	}
-	if err := erasure.CheckDistinct(s.idx, n); err != nil {
+	k, a := c.params.K, c.alpha
+	l := c.Stripes(valueLen)
+	phiDC, err := erasure.DecodeShards(c.phi, k, a*l, shards) // k x alpha
+	if err != nil {
 		return nil, err
 	}
-	phiDC := c.phi.SelectRows(s.idx) // k x alpha
-	phiDCT := phiDC.Transpose()      // alpha x k
-	s.lam = erasure.GrowSlice(s.lam, k)
-	for i, ix := range s.idx {
-		s.lam[i] = c.lambda[ix]
-	}
-	// Per decoder row i, the alpha x alpha system whose columns are the
-	// other rows' phi vectors; invert once outside the stripe loop.
-	rowSolvers := make([]*matrix.Matrix, k)
-	for i := 0; i < k; i++ {
-		cols := make([]int, 0, k-1)
+
+	// A by lanes: entry (i, j) is phi_j applied to shard i's alpha lanes.
+	// The diagonal is never used.
+	abuf := make([]byte, k*k*l)
+	at := func(i, j int) []byte { return abuf[(i*k+j)*l : (i*k+j+1)*l] }
+	ci := make([][]byte, a)
+	for i, sh := range shards[:k] {
+		for col := range ci {
+			ci[col] = sh.Data[col*l : (col+1)*l]
+		}
 		for j := 0; j < k; j++ {
 			if j != i {
-				cols = append(cols, j)
+				matrix.AddMulLanes(phiDC.Row(j), ci, at(i, j))
 			}
 		}
-		g := phiDCT.SelectCols(cols) // alpha x alpha: columns phi_j^T, j != i
-		ginv, err := g.Inverse()
-		if err != nil {
-			return nil, fmt.Errorf("msr: row solver %d singular: %w", i, err)
+	}
+	// A_ij = P_ij + lam_i Q_ij and A_ji = P_ij + lam_j Q_ij (i < j), solved in
+	// place: P_ij ends up where A_ij was, Q_ij where A_ji was.
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			li, lj := c.lambda[shards[i].Index], c.lambda[shards[j].Index]
+			p, q := at(i, j), at(j, i)
+			gf.AddSlice(p, q)
+			gf.MulSlice(gf.Inv(gf.Sub(li, lj)), q, q) // nonzero: lambdas distinct
+			gf.AddMulSlice(li, q, p)
 		}
-		rowSolvers[i] = ginv.Transpose()
 	}
-	// S = (first alpha rows of Phi_DC)^-1 applied to the recovered Phi*S.
-	s.seq = erasure.GrowInts(s.seq, c.alpha)
-	for i := range s.seq {
-		s.seq[i] = i
-	}
-	phiTopInv, err := phiDC.SelectRows(s.seq).Inverse()
+
+	// S = (first alpha rows of Phi_DC)^-1 applied to those rows of Phi_DC*S.
+	phiTopInv, err := phiDC.SelectRows(c.all[:a]).Inverse()
 	if err != nil {
 		return nil, fmt.Errorf("msr: Phi_DC top block singular: %w", err)
 	}
-
-	out := erasure.GrowSlice(dst, stripes*c.b)
-	for st := 0; st < stripes; st++ {
-		s.coded = matrix.Reuse(s.coded, k, c.alpha)
-		for i, sh := range shards {
-			copy(s.coded.Row(i), sh.Data[st*c.alpha:(st+1)*c.alpha])
-		}
-		s.amat = s.coded.MulInto(phiDCT, s.amat) // k x k; A = P + Lambda Q
-		s.pmat = matrix.Reuse(s.pmat, k, k)
-		s.qmat = matrix.Reuse(s.qmat, k, k)
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				// A_ij = P_ij + lam_i Q_ij ; A_ji = P_ij + lam_j Q_ij.
-				den := gf.Sub(s.lam[i], s.lam[j]) // nonzero: lambdas distinct
-				q := gf.Div(gf.Sub(s.amat.At(i, j), s.amat.At(j, i)), den)
-				p := gf.Sub(s.amat.At(i, j), gf.Mul(s.lam[i], q))
-				s.pmat.Set(i, j, p)
-				s.pmat.Set(j, i, p)
-				s.qmat.Set(i, j, q)
-				s.qmat.Set(j, i, q)
+	out := make([]byte, l*c.b)
+	m := erasure.Lanes(out, c.b, c.layout)
+	// Row i of Phi_DC*S solves w_i * [phi_j^T]_{j != i} = P_i,offdiag, i.e.
+	// w_i^T = (Phi_DC without row i)^-1 * P_i,offdiag^T; likewise for Q.
+	// phiS holds both products by columns: entry (i, col) of block b is
+	// phiS[(b*a+col)*a+i].
+	phiS := make([][]byte, 2*a*a)
+	others, offdiag := make([]int, a), make([][]byte, a)
+	for i := 0; i < a; i++ {
+		for j := range others {
+			others[j] = j
+			if j >= i {
+				others[j] = j + 1
 			}
 		}
-		s.rs1 = c.recoverSymInto(s.pmat, rowSolvers, phiTopInv, s, s.rs1)
-		s.rs2 = c.recoverSymInto(s.qmat, rowSolvers, phiTopInv, s, s.rs2)
-		c.extractMessage(s.rs1, s.rs2, out[st*c.b:(st+1)*c.b])
+		solver, err := phiDC.SelectRows(others).Inverse()
+		if err != nil {
+			return nil, fmt.Errorf("msr: row solver %d singular: %w", i, err)
+		}
+		for b := 0; b < 2; b++ {
+			for t, j := range others {
+				lo, hi := min(i, j), max(i, j)
+				if b == 1 {
+					lo, hi = hi, lo
+				}
+				offdiag[t] = at(lo, hi)
+			}
+			w := solver.MulLanes(offdiag, l)
+			for col := 0; col < a; col++ {
+				phiS[(b*a+col)*a+i] = w[col*l : (col+1)*l]
+			}
+		}
 	}
-	if valueLen > len(out) {
-		return nil, fmt.Errorf("msr: value length %d exceeds decoded data %d", valueLen, len(out))
+	// S1 and S2 are symmetric: their upper triangles are all the message
+	// holds. Entry (r, col) of block b is M's entry (b*a+r, col).
+	d := c.params.D
+	for b := 0; b < 2; b++ {
+		for r := 0; r < a; r++ {
+			for col := r; col < a; col++ {
+				matrix.AddMulLanes(phiTopInv.Row(r), phiS[(b*a+col)*a:(b*a+col+1)*a], m[col*d+b*a+r])
+			}
+		}
 	}
 	return out[:valueLen], nil
-}
-
-// recoverSymInto turns the off-diagonal entries of P = Phi_DC S Phi_DC^T
-// back into the symmetric alpha x alpha matrix S, using the scratch's
-// phiS/srows/srhs working storage and writing the result into res.
-func (c *Code) recoverSymInto(p *matrix.Matrix, rowSolvers []*matrix.Matrix, phiTopInv *matrix.Matrix, s *codeScratch, res *matrix.Matrix) *matrix.Matrix {
-	k := c.params.K
-	// Row i of Phi_DC*S solves w_i * [phi_j^T]_{j != i} = P_i,offdiag.
-	s.phiS = matrix.Reuse(s.phiS, k, c.alpha)
-	s.srhs = erasure.GrowSlice(s.srhs, c.alpha)
-	for i := 0; i < k; i++ {
-		pos := 0
-		for j := 0; j < k; j++ {
-			if j != i {
-				s.srhs[pos] = p.At(i, j)
-				pos++
-			}
-		}
-		// w_i = rhs * G^-1  <=>  w_i^T = (G^-1)^T * rhs^T; rowSolvers[i]
-		// already stores (G^-1)^T.
-		rowSolvers[i].MulVecInto(s.srhs, s.phiS.Row(i))
-	}
-	s.srows = s.phiS.SelectRowsInto(s.seq, s.srows)
-	return phiTopInv.MulInto(s.srows, res)
 }

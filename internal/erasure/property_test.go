@@ -226,13 +226,18 @@ func TestPropertyHelperSizes(t *testing.T) {
 	}
 }
 
-// TestPropertyEncodeNodeAgreesWithEncode: the repair scheduler's naive
-// fallback re-encodes a single node's element via EncodeNode; it must
-// produce byte-identical output to the corresponding row of a full Encode
-// for every family, or repaired elements would diverge from written ones.
+// TestPropertyEncodeNodeAgreesWithEncode: Encode, EncodeNode (the repair
+// scheduler's naive fallback re-encodes a single node's element with it) and
+// EncodeNodes (the L1 servers' offload encodes only the L2 elements with it)
+// are wrappers over one encode path and must agree byte for byte in every
+// family, or repaired and offloaded elements would diverge from written
+// ones. Every length from empty to past three stripes is swept, so every
+// way the zero padding can cut through, or swallow, a message lane occurs;
+// each length also decodes back from a random k-subset.
 func TestPropertyEncodeNodeAgreesWithEncode(t *testing.T) {
 	type nodeEncoder interface {
 		EncodeNode(value []byte, node int) ([]byte, error)
+		EncodeNodes(value []byte, nodes []int) ([][]byte, error)
 	}
 	for _, f := range families() {
 		f := f
@@ -245,20 +250,46 @@ func TestPropertyEncodeNodeAgreesWithEncode(t *testing.T) {
 				}
 				enc, ok := code.(nodeEncoder)
 				if !ok {
-					t.Fatalf("%T does not implement EncodeNode", code)
+					t.Fatalf("%T does not implement EncodeNode and EncodeNodes", code)
 				}
-				value := randomValue(rng, code.StripeSize())
-				shards, err := code.Encode(value)
-				if err != nil {
-					t.Fatalf("trial %d: Encode: %v", trial, err)
-				}
-				node := rng.Intn(code.Params().N)
-				got, err := enc.EncodeNode(value, node)
-				if err != nil {
-					t.Fatalf("trial %d: EncodeNode(%d): %v", trial, node, err)
-				}
-				if !bytes.Equal(got, shards[node]) {
-					t.Fatalf("trial %d: EncodeNode(%d) differs from Encode row", trial, node)
+				p := code.Params()
+				for size := 0; size <= 3*code.StripeSize()+1; size++ {
+					ctx := fmt.Sprintf("trial %d n=%d k=%d d=%d len=%d", trial, p.N, p.K, p.D, size)
+					value := make([]byte, size)
+					rng.Read(value)
+					shards, err := code.Encode(value)
+					if err != nil {
+						t.Fatalf("%s: Encode: %v", ctx, err)
+					}
+					node := rng.Intn(p.N)
+					got, err := enc.EncodeNode(value, node)
+					if err != nil {
+						t.Fatalf("%s: EncodeNode(%d): %v", ctx, node, err)
+					}
+					if !bytes.Equal(got, shards[node]) {
+						t.Fatalf("%s: EncodeNode(%d) differs from Encode row", ctx, node)
+					}
+					nodes := rng.Perm(p.N)[:1+rng.Intn(p.N)]
+					some, err := enc.EncodeNodes(value, nodes)
+					if err != nil {
+						t.Fatalf("%s: EncodeNodes(%v): %v", ctx, nodes, err)
+					}
+					for i, node := range nodes {
+						if !bytes.Equal(some[i], shards[node]) {
+							t.Fatalf("%s: EncodeNodes(%v) entry %d differs from Encode row %d", ctx, nodes, i, node)
+						}
+					}
+					sub := make([]erasure.Shard, 0, p.K)
+					for _, node := range rng.Perm(p.N)[:p.K] {
+						sub = append(sub, erasure.Shard{Index: node, Data: shards[node]})
+					}
+					dec, err := code.Decode(size, sub)
+					if err != nil {
+						t.Fatalf("%s: Decode: %v", ctx, err)
+					}
+					if !bytes.Equal(dec, value) {
+						t.Fatalf("%s: decoded value differs from original", ctx)
+					}
 				}
 			}
 		})

@@ -55,48 +55,17 @@ func (c *RepairCode) Helper(shard []byte, helperIdx, failedIdx int) ([]byte, err
 	return out, nil
 }
 
-// Regenerate decodes the value from d = k helper shards and re-encodes the
-// failed node's shard.
+// Regenerate rebuilds the failed node's shard from d = k helper shards: the
+// helpers decode to the message lanes, which the failed node's encoding row
+// re-encodes -- one coefficient row, enc_f * Enc_rep^-1, over the helpers.
 func (c *RepairCode) Regenerate(failedIdx int, helpers []erasure.Helper) ([]byte, error) {
-	k, n := c.Params().K, c.Params().N
-	if failedIdx < 0 || failedIdx >= n {
-		return nil, fmt.Errorf("%w: %d", erasure.ErrIndexRange, failedIdx)
-	}
-	if len(helpers) < k {
-		return nil, fmt.Errorf("%w: have %d, need %d", erasure.ErrShortHelpers, len(helpers), k)
-	}
-	shards := make([]erasure.Shard, k)
-	stripes := -1
-	for i, h := range helpers[:k] {
-		if h.Index == failedIdx {
-			return nil, fmt.Errorf("erasure: node %d cannot help repair itself", failedIdx)
-		}
-		if stripes < 0 {
-			stripes = len(h.Data)
-		} else if len(h.Data) != stripes {
-			return nil, fmt.Errorf("%w: helper %d has %d bytes, want %d", erasure.ErrShardSize, h.Index, len(h.Data), stripes)
-		}
-		shards[i] = erasure.Shard{Index: h.Index, Data: h.Data}
-	}
-	// Decode the padded value (stripes * k bytes) and re-encode one node.
-	value, err := c.Decode(stripes*k, shards)
+	encRep, lanes, err := erasure.RepairLanes(c.enc, failedIdx, helpers)
 	if err != nil {
 		return nil, err
 	}
-	return c.EncodeNode(value, failedIdx)
-}
-
-// EncodeNode computes a single node's shard (also used by the LDS L2
-// server for its initial state).
-func (c *RepairCode) EncodeNode(value []byte, node int) ([]byte, error) {
-	if node < 0 || node >= c.Params().N {
-		return nil, fmt.Errorf("%w: %d", erasure.ErrIndexRange, node)
-	}
-	// Encoding all shards is acceptable here: the adapter exists for
-	// ablation benchmarks, not the production path.
-	shards, err := c.Encode(value)
+	inv, err := encRep.Inverse()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rs: repair matrix: %w", err)
 	}
-	return shards[node], nil
+	return c.enc.SelectRows([]int{failedIdx}).Mul(inv).MulLanes(lanes, len(lanes[0])), nil
 }

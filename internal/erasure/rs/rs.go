@@ -15,10 +15,8 @@ package rs
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/lds-storage/lds/internal/erasure"
-	"github.com/lds-storage/lds/internal/gf"
 	"github.com/lds-storage/lds/internal/matrix"
 )
 
@@ -27,40 +25,7 @@ import (
 type Code struct {
 	params erasure.Params
 	enc    *matrix.Matrix // n x k systematic encoding matrix
-
-	scratch sync.Pool // *codeScratch
-}
-
-// codeScratch pools the data-lane workspace of Encode/Decode; lanes[j]
-// is the j-th byte of every stripe gathered into one long vector.
-type codeScratch struct {
-	padded []byte
-	idx    []int
-	lanes  [][]byte
-	sel    *matrix.Matrix
-}
-
-func (c *Code) getScratch() *codeScratch {
-	if s, ok := c.scratch.Get().(*codeScratch); ok {
-		return s
-	}
-	return &codeScratch{}
-}
-
-func (c *Code) putScratch(s *codeScratch) { c.scratch.Put(s) }
-
-// growLanes resizes the lane workspace to k lanes of length stripes,
-// reusing backing arrays and zeroing each lane.
-func (s *codeScratch) growLanes(k, stripes int) {
-	if cap(s.lanes) < k {
-		s.lanes = make([][]byte, k)
-	} else {
-		s.lanes = s.lanes[:k]
-	}
-	for j := range s.lanes {
-		s.lanes[j] = erasure.GrowSlice(s.lanes[j], stripes)
-		clear(s.lanes[j])
-	}
+	all    []int          // 0..n-1, the node list of a full Encode
 }
 
 var _ erasure.Code = (*Code)(nil)
@@ -73,15 +38,17 @@ func New(n, k int) (*Code, error) {
 		return nil, err
 	}
 	points := make([]byte, n)
+	all := make([]int, n)
 	for i := range points {
 		points[i] = byte(i)
+		all[i] = i
 	}
 	vand := matrix.Vandermonde(points, k)
-	topInv, err := vand.SelectRows(seq(k)).Inverse()
+	topInv, err := vand.SelectRows(all[:k]).Inverse()
 	if err != nil {
 		return nil, fmt.Errorf("rs: systematize: %w", err)
 	}
-	return &Code{params: p, enc: vand.Mul(topInv)}, nil
+	return &Code{params: p, enc: vand.Mul(topInv), all: all}, nil
 }
 
 // Params returns the code parameters (with D = K).
@@ -99,98 +66,54 @@ func (c *Code) Stripes(valueLen int) int { return erasure.StripeCount(valueLen, 
 // ShardSize returns the per-node bytes for a value of the given length.
 func (c *Code) ShardSize(valueLen int) int { return c.Stripes(valueLen) }
 
-// Encode splits value into n shards of ShardSize(len(value)) bytes.
-// Shard i holds, for each stripe s, the i-th code symbol of that stripe.
-// Because the code is systematic, shard i < k is byte i, i+k, i+2k, ... of
-// the (padded) value.
-func (c *Code) Encode(value []byte) ([][]byte, error) {
-	return c.EncodeInto(nil, value)
+// encode computes the shards of the listed nodes: shard i is row i of the
+// encoding matrix applied to the k message lanes.
+func (c *Code) encode(value []byte, nodes []int) [][]byte {
+	return erasure.EncodeLanes(c.enc, nodes, erasure.Lanes(value, c.params.K, c.all[:c.params.K]), c.Stripes(len(value)))
 }
 
-// EncodeInto is Encode with caller-owned shard storage (returned slices
-// alias dst; see mbr.Code.EncodeInto for the aliasing rules).
-func (c *Code) EncodeInto(dst [][]byte, value []byte) ([][]byte, error) {
-	n, k := c.params.N, c.params.K
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.padded = erasure.PadToStripesInto(s.padded, value, k)
-	stripes := len(s.padded) / k
-	if cap(dst) < n {
-		dst = make([][]byte, n)
-	} else {
-		dst = dst[:n]
+// Encode splits value into n shards of ShardSize(len(value)) bytes.
+// Because the code is systematic, shard i < k is lane i of the (padded)
+// value: bytes [i*L, (i+1)*L) with L = Stripes(len(value)).
+func (c *Code) Encode(value []byte) ([][]byte, error) {
+	return c.encode(value, c.all), nil
+}
+
+// EncodeNode computes a single node's shard.
+func (c *Code) EncodeNode(value []byte, node int) ([]byte, error) {
+	if node < 0 || node >= c.params.N {
+		return nil, fmt.Errorf("%w: %d", erasure.ErrIndexRange, node)
 	}
-	for i := range dst {
-		dst[i] = erasure.GrowSlice(dst[i], stripes)
-		clear(dst[i])
+	return c.encode(value, []int{node})[0], nil
+}
+
+// EncodeNodes computes the shards of only the listed nodes.
+func (c *Code) EncodeNodes(value []byte, nodes []int) ([][]byte, error) {
+	if err := erasure.CheckDistinct(nodes, c.params.N); err != nil {
+		return nil, err
 	}
-	// Gather the value into k "data lanes" so each shard is one
-	// matrix-vector product over long vectors rather than per-stripe work.
-	s.growLanes(k, stripes)
-	for j := 0; j < k; j++ {
-		for st := 0; st < stripes; st++ {
-			s.lanes[j][st] = s.padded[st*k+j]
-		}
-	}
-	for i := 0; i < n; i++ {
-		row := c.enc.Row(i)
-		for j, coeff := range row {
-			gf.AddMulSlice(coeff, s.lanes[j], dst[i])
-		}
-	}
-	return dst, nil
+	return c.encode(value, nodes), nil
 }
 
 // Decode reconstructs a value of the given original length from at least k
-// shards with distinct indices.
+// shards with distinct indices: the inverse of their k encoding rows,
+// applied to the shards, is the k message lanes.
 func (c *Code) Decode(valueLen int, shards []erasure.Shard) ([]byte, error) {
-	return c.DecodeInto(nil, valueLen, shards)
-}
-
-// DecodeInto is Decode into caller-owned storage; the returned value
-// aliases dst (see mbr.Code.DecodeInto for retention rules).
-func (c *Code) DecodeInto(dst []byte, valueLen int, shards []erasure.Shard) ([]byte, error) {
-	n, k := c.params.N, c.params.K
-	if len(shards) < k {
-		return nil, fmt.Errorf("%w: have %d, need %d", erasure.ErrShortShards, len(shards), k)
-	}
-	shards = shards[:k]
-	s := c.getScratch()
-	defer c.putScratch(s)
-	s.idx = erasure.GrowInts(s.idx, k)
-	stripes := c.Stripes(valueLen)
-	for i, sh := range shards {
-		s.idx[i] = sh.Index
-		if len(sh.Data) != stripes {
-			return nil, fmt.Errorf("%w: shard %d has %d bytes, want %d", erasure.ErrShardSize, sh.Index, len(sh.Data), stripes)
-		}
-	}
-	if err := erasure.CheckDistinct(s.idx, n); err != nil {
+	k := c.params.K
+	l := c.Stripes(valueLen)
+	encDC, err := erasure.DecodeShards(c.enc, k, l, shards)
+	if err != nil {
 		return nil, err
 	}
-	s.sel = c.enc.SelectRowsInto(s.idx, s.sel)
-	inv, err := s.sel.Inverse()
+	inv, err := encDC.Inverse()
 	if err != nil {
-		return nil, fmt.Errorf("rs: decode matrix for shards %v: %w", s.idx, err)
+		return nil, fmt.Errorf("rs: decode matrix: %w", err)
 	}
-	// Recover the k data lanes, then interleave back into the value.
-	s.growLanes(k, stripes)
-	for j := 0; j < k; j++ {
-		row := inv.Row(j)
-		for i, coeff := range row {
-			gf.AddMulSlice(coeff, shards[i].Data, s.lanes[j])
-		}
+	data := make([][]byte, k)
+	for i, sh := range shards[:k] {
+		data[i] = sh.Data
 	}
-	out := erasure.GrowSlice(dst, stripes*k)
-	for st := 0; st < stripes; st++ {
-		for j := 0; j < k; j++ {
-			out[st*k+j] = s.lanes[j][st]
-		}
-	}
-	if valueLen > len(out) {
-		return nil, fmt.Errorf("rs: value length %d exceeds decoded data %d", valueLen, len(out))
-	}
-	return out[:valueLen], nil
+	return inv.MulLanes(data, l)[:valueLen], nil
 }
 
 // RepairReadCost returns the number of bytes that must be transferred to
@@ -198,12 +121,4 @@ func (c *Code) DecodeInto(dst []byte, valueLen int, shards []erasure.Shard) ([]b
 // This is the quantity the regenerating-code benchmarks compare against.
 func (c *Code) RepairReadCost(valueLen int) int {
 	return c.params.K * c.ShardSize(valueLen)
-}
-
-func seq(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
 }

@@ -48,11 +48,11 @@ func TestSystematicProperty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	// Shard j < k must contain value bytes j, j+k, j+2k, ...
+	// Shard j < k must be lane j of the value: bytes [j*L, (j+1)*L), L = 2.
 	for j := 0; j < 4; j++ {
 		for s := 0; s < 2; s++ {
-			if shards[j][s] != value[s*4+j] {
-				t.Fatalf("systematic shard %d stripe %d = %d, want %d", j, s, shards[j][s], value[s*4+j])
+			if shards[j][s] != value[j*2+s] {
+				t.Fatalf("systematic shard %d stripe %d = %d, want %d", j, s, shards[j][s], value[j*2+s])
 			}
 		}
 	}

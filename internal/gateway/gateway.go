@@ -775,7 +775,8 @@ func (g *Gateway) Ensure(ctx context.Context, keys ...string) error {
 // Put writes value under key and returns the tag of the write. On a fleet
 // member the operation runs locally only if this gateway holds the key's
 // shard lease; otherwise it is forwarded to the owner (see fleet.go), so
-// every fleet member is a full front door for the whole keyspace.
+// every fleet member is a full front door for the whole keyspace. value
+// is the caller's again once Put returns: the store keeps its own copy.
 func (g *Gateway) Put(ctx context.Context, key string, value []byte) (tag.Tag, error) {
 	if f := g.fleet; f != nil {
 		if sh := g.ShardFor(key); !f.owns(sh) {
@@ -828,6 +829,7 @@ func (g *Gateway) putLocal(ctx context.Context, key string, value []byte) (tag.T
 
 // Get reads the value stored under key and the tag it was written under.
 // Fleet routing as in Put: non-owned shards are forwarded to the owner.
+// The returned value is the caller's: it shares no storage with the store.
 func (g *Gateway) Get(ctx context.Context, key string) ([]byte, tag.Tag, error) {
 	if f := g.fleet; f != nil {
 		if sh := g.ShardFor(key); !f.owns(sh) {

@@ -75,6 +75,49 @@ func TestAliasingReadValueCallerOwned(t *testing.T) {
 	}
 }
 
+// TestAliasingWriteBufferCallerOwned is the mirror for writes: once Write
+// returns the caller may reuse its buffer. Scribbling over it must reach
+// neither the L1 temporary copies (some servers have not even handled the
+// put-data yet) nor, through the later offload, the L2 coded elements.
+func TestAliasingWriteBufferCallerOwned(t *testing.T) {
+	ctx := testCtx(t)
+	c := newCluster(t, smallParams(t))
+	w, err := c.Writer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Reader(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Large enough that the offload is still encoding when Write returns.
+	want := bytes.Repeat([]byte("edge"), 16<<10)
+	buf := bytes.Clone(want)
+	if _, err := w.Write(ctx, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xAA
+	}
+	got, _, err := r.Read(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("stored value corrupted by reusing the written buffer (L1 path)")
+	}
+	if err := c.WaitIdle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = r.Read(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("L2 coded elements encode the reused buffer, not the written value (offload path)")
+	}
+}
+
 // TestAliasingRetainedReadsSurviveLaterOps models the history checker: it
 // retains every read result for the whole run. Values returned early must
 // still be intact after many later operations have churned every pool in

@@ -1,9 +1,11 @@
 package lds
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/lds-storage/lds/internal/erasure"
@@ -94,21 +96,71 @@ type clientCore struct {
 	opSeq  uint64
 	obs    OpObserver
 	phase  respSet
+
+	// What Handle admits, set by the operation's goroutine and read by the
+	// transport's: the op id of the phase being collected (0 between
+	// operations) and, in a put-data phase, the tag being written.
+	mu      sync.Mutex
+	awaitOp uint64
+	awaitTw tag.Tag
 }
 
 func newClientCore(params Params, id wire.ProcID) clientCore {
 	return clientCore{
 		params: params,
 		id:     id,
-		// The buffer absorbs a few operations' worth of responses; the
-		// transport's unbounded mailbox absorbs the rest without deadlock.
+		// Handle admits only answers to the phase in flight, so the inbox
+		// holds at most that phase's responses (a server may answer a
+		// get-data twice) and the previous phase's stragglers: under 4*n1
+		// envelopes even if collect never runs.
 		inbox: make(chan wire.Envelope, 4*(params.N1+1)),
 	}
 }
 
-// Handle is the transport handler: it forwards every delivery into the
-// operation loop.
-func (c *clientCore) Handle(env wire.Envelope) { c.inbox <- env }
+// Handle is the transport handler. It runs on the transport's delivery
+// goroutine, which WaitIdle and Close wait for, so it never blocks: a
+// response that does not answer the phase in flight is dropped (a client
+// that finished its operation keeps receiving late and relayed responses,
+// and nothing drains the inbox then), and so is one that finds the inbox
+// full.
+func (c *clientCore) Handle(env wire.Envelope) {
+	c.mu.Lock()
+	op, tw := c.awaitOp, c.awaitTw
+	c.mu.Unlock()
+	var answers bool
+	switch m := env.Msg.(type) {
+	case wire.QueryTagResp:
+		answers = m.OpID == op
+	case wire.PutDataResp:
+		// The broadcast-threshold ack carries no op id; the tag names the
+		// write on both ack paths.
+		answers = m.Tag == tw
+	case wire.QueryCommTagResp:
+		answers = m.OpID == op
+	case wire.QueryDataResp:
+		answers = m.OpID == op
+	case wire.PutTagResp:
+		answers = m.OpID == op
+	}
+	if op == 0 || !answers {
+		return
+	}
+	select {
+	case c.inbox <- env:
+	default:
+	}
+}
+
+// await opens the next phase: it mints the phase's op id and makes Handle
+// admit answers to it, and to nothing else. tw is the tag a put-data phase
+// writes, the zero tag in every other phase.
+func (c *clientCore) await(tw tag.Tag) uint64 {
+	c.opSeq++
+	c.mu.Lock()
+	c.awaitOp, c.awaitTw = c.opSeq, tw
+	c.mu.Unlock()
+	return c.opSeq
+}
 
 // Bind attaches the transport node.
 func (c *clientCore) Bind(node transport.Node) { c.node = node }
@@ -116,8 +168,12 @@ func (c *clientCore) Bind(node transport.Node) { c.node = node }
 // ID returns the client's process id.
 func (c *clientCore) ID() wire.ProcID { return c.id }
 
-// observe reports a finished operation to the observer, if one is set.
+// observe closes the operation (Handle drops everything from here on) and
+// reports it to the observer, if one is set.
 func (c *clientCore) observe(op OpKind, start time.Time, payloadBytes int, err error) {
+	c.mu.Lock()
+	c.awaitOp = 0
+	c.mu.Unlock()
 	if c.obs == nil {
 		return
 	}
@@ -125,11 +181,6 @@ func (c *clientCore) observe(op OpKind, start time.Time, payloadBytes int, err e
 		payloadBytes = 0
 	}
 	c.obs(op, time.Since(start), payloadBytes, err)
-}
-
-func (c *clientCore) nextOp() uint64 {
-	c.opSeq++
-	return c.opSeq
 }
 
 // sendAllL1 fans a message out to every L1 server.
@@ -208,7 +259,7 @@ func (w *Writer) Write(ctx context.Context, value []byte) (tag.Tag, error) {
 
 func (w *Writer) write(ctx context.Context, value []byte) (tag.Tag, error) {
 	// Phase 1: get-tag -- discover the maximum tag from f1+k servers.
-	opGet := w.core.nextOp()
+	opGet := w.core.await(tag.Tag{})
 	if err := w.core.sendAllL1(wire.QueryTag{OpID: opGet}); err != nil {
 		return tag.Tag{}, err
 	}
@@ -227,9 +278,12 @@ func (w *Writer) write(ctx context.Context, value []byte) (tag.Tag, error) {
 	}
 
 	// Phase 2: put-data -- write (tw, v) and await f1+k acknowledgments.
+	// The caller may reuse value once Write returns, but on channet the L1
+	// servers keep the PutData slice itself (and encode it for L2 well after
+	// the f1+k acks that end this operation), so they get one private copy.
 	tw := maxTag.Next(w.wid)
-	opPut := w.core.nextOp()
-	if err := w.core.sendAllL1(wire.PutData{OpID: opPut, Tag: tw, Value: value}); err != nil {
+	opPut := w.core.await(tw)
+	if err := w.core.sendAllL1(wire.PutData{OpID: opPut, Tag: tw, Value: bytes.Clone(value)}); err != nil {
 		return tag.Tag{}, err
 	}
 	w.core.phase.reset(w.core.params.N1)
@@ -346,7 +400,7 @@ func (r *Reader) read(ctx context.Context) ([]byte, tag.Tag, error) {
 
 	// Phase 1: get-commited-tag -- treq is the max committed tag of f1+k
 	// servers; the read must return a value at least this fresh.
-	opQ := r.core.nextOp()
+	opQ := r.core.await(tag.Tag{})
 	if err := r.core.sendAllL1(wire.QueryCommTag{OpID: opQ}); err != nil {
 		return nil, tag.Tag{}, err
 	}
@@ -369,7 +423,7 @@ func (r *Reader) read(ctx context.Context) ([]byte, tag.Tag, error) {
 	// tag. Servers may respond more than once (a (bot, bot) regeneration
 	// failure can be followed by a value served off the commit path), so
 	// collection is per-server with the best data retained.
-	opG := r.core.nextOp()
+	opG := r.core.await(tag.Tag{})
 	if err := r.core.sendAllL1(wire.QueryData{OpID: opG, Req: treq}); err != nil {
 		return nil, tag.Tag{}, err
 	}
@@ -438,9 +492,6 @@ func (r *Reader) read(ctx context.Context) ([]byte, tag.Tag, error) {
 			return false
 		}
 		if bestCoded != nil {
-			// Decode into a fresh buffer (nil dst): the value escapes to
-			// the application, so it must not share storage with any
-			// reader scratch.
 			v, err := r.code.Decode(bestCoded.valueLen, bestCoded.shards)
 			if err != nil {
 				// A decode failure cannot happen with k distinct correct
@@ -449,6 +500,10 @@ func (r *Reader) read(ctx context.Context) ([]byte, tag.Tag, error) {
 				return false
 			}
 			bestValue = v
+		} else {
+			// The value escapes to the application, and on channet m.Data
+			// is the server's own list-entry slice: hand out a copy.
+			bestValue = bytes.Clone(bestValue)
 		}
 		readTag, readValue, haveResult = bestTag, bestValue, true
 		return true
@@ -463,7 +518,7 @@ func (r *Reader) read(ctx context.Context) ([]byte, tag.Tag, error) {
 	// Phase 3: put-tag -- write back the tag (not the value: that is what
 	// keeps the read cost at Theta(1) without concurrency) so that f1+k
 	// servers commit at least tr before the read returns.
-	opP := r.core.nextOp()
+	opP := r.core.await(tag.Tag{})
 	if err := r.core.sendAllL1(wire.PutTag{OpID: opP, Tag: readTag}); err != nil {
 		return nil, tag.Tag{}, err
 	}

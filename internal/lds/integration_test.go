@@ -12,6 +12,7 @@ import (
 	"github.com/lds-storage/lds/internal/sim"
 	"github.com/lds-storage/lds/internal/tag"
 	"github.com/lds-storage/lds/internal/transport"
+	"github.com/lds-storage/lds/internal/wire"
 )
 
 const testTimeout = 30 * time.Second
@@ -559,5 +560,80 @@ func TestLargeValuesAndOddSizes(t *testing.T) {
 		if !bytes.Equal(got, value) {
 			t.Fatalf("size %d: mismatch", size)
 		}
+	}
+}
+
+// TestIdleClientsNeverBlockDelivery: a client's transport handler runs on
+// the delivery goroutine that WaitIdle and Close wait for, and a client
+// between operations drains nothing. More stale responses than its inbox
+// holds must be dropped, not parked on: the network goes idle, closes, and
+// the clients still work in between.
+func TestIdleClientsNeverBlockDelivery(t *testing.T) {
+	ctx := testCtx(t)
+	c, err := sim.New(smallParams(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.Writer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Reader(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt, err := w.Write(ctx, []byte("before the flood"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Read(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	flooder, err := c.Network().Register(wire.ProcID{Role: wire.RoleL1, Index: 99}, func(wire.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood := 10 * 4 * (c.Params().N1 + 1) // ten inboxes' worth per client
+	for i := 0; i < flood; i++ {
+		for _, msg := range []wire.Message{
+			wire.QueryTagResp{OpID: 1, Tag: wt},
+			wire.PutDataResp{OpID: 2, Tag: wt},
+			wire.PutDataResp{Tag: wt}, // broadcast-threshold ack: no op id
+		} {
+			if err := flooder.Send(w.ID(), msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, msg := range []wire.Message{
+			wire.QueryCommTagResp{OpID: 1, Tag: wt},
+			wire.QueryDataResp{OpID: 2, Class: wire.PayloadNone, Tag: wt},
+			wire.PutTagResp{OpID: 3},
+		} {
+			if err := flooder.Send(r.ID(), msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.WaitIdle(time.Second); err != nil {
+		t.Fatalf("flooded idle clients wedged delivery: %v", err)
+	}
+
+	if _, err := w.Write(ctx, []byte("after the flood")); err != nil {
+		t.Fatalf("write after flood: %v", err)
+	}
+	if got, _, err := r.Read(ctx); err != nil || string(got) != "after the flood" {
+		t.Fatalf("read after flood: %q, %v", got, err)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within a second of the flood")
 	}
 }

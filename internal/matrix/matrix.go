@@ -21,6 +21,10 @@ var ErrSingular = errors.New("matrix: singular")
 type Matrix struct {
 	rows, cols int
 	data       []byte
+	// small backs data for matrices of up to 64 elements, so the erasure
+	// codes' per-call coefficient matrices (d x d, d <= 8) cost one
+	// allocation each instead of two.
+	small [64]byte
 }
 
 // New returns a zero matrix of the given shape.
@@ -28,35 +32,12 @@ func New(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("matrix: invalid shape %dx%d", rows, cols))
 	}
-	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
-}
-
-// Reshape reinitializes m to a zeroed rows x cols matrix, reusing the
-// backing storage when its capacity allows. It is the scratch-reuse
-// primitive behind the erasure codes' allocation-free stripe loops.
-func (m *Matrix) Reshape(rows, cols int) {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("matrix: invalid shape %dx%d", rows, cols))
-	}
-	n := rows * cols
-	if cap(m.data) < n {
-		m.data = make([]byte, n)
+	m := &Matrix{rows: rows, cols: cols}
+	if n := rows * cols; n <= len(m.small) {
+		m.data = m.small[:n]
 	} else {
-		m.data = m.data[:n]
-		clear(m.data)
+		m.data = make([]byte, n)
 	}
-	m.rows, m.cols = rows, cols
-}
-
-// Reuse returns m reshaped to rows x cols (zeroed), allocating a new
-// matrix only when m is nil. The idiom for lazily built scratch:
-//
-//	s.tmp = matrix.Reuse(s.tmp, k, d)
-func Reuse(m *Matrix, rows, cols int) *Matrix {
-	if m == nil {
-		return New(rows, cols)
-	}
-	m.Reshape(rows, cols)
 	return m
 }
 
@@ -150,38 +131,54 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return m.MulInto(o, nil)
 }
 
-// MulInto computes m * o into out (reshaped as needed; allocated when
-// nil), returning out. out must not alias m or o.
+// MulInto computes m * o into out, reusing out's storage when it is large
+// enough (a nil out is allocated), and returns it. out must not alias m or
+// o.
 func (m *Matrix) MulInto(o, out *Matrix) *Matrix {
 	if m.cols != o.rows {
 		panic(fmt.Sprintf("matrix: cannot multiply %dx%d by %dx%d", m.rows, m.cols, o.rows, o.cols))
 	}
-	out = Reuse(out, m.rows, o.cols)
+	if n := m.rows * o.cols; out == nil || cap(out.data) < n {
+		out = New(m.rows, o.cols)
+	} else {
+		out.rows, out.cols, out.data = m.rows, o.cols, out.data[:n]
+		clear(out.data)
+	}
 	for r := 0; r < m.rows; r++ {
-		mRow := m.Row(r)
 		outRow := out.Row(r)
-		for i, c := range mRow {
+		for i, c := range m.Row(r) {
 			gf.AddMulSlice(c, o.Row(i), outRow)
 		}
 	}
 	return out
 }
 
-// MulVec returns m * v for a column vector v of length m.Cols().
-func (m *Matrix) MulVec(v []byte) []byte {
-	return m.MulVecInto(v, make([]byte, m.rows))
+// AddMulLanes is the kernel every erasure-code operation runs on: one
+// coefficient row applied to whole byte lanes, out ^= sum_j row[j]*in[j].
+// A lane shorter than out (nil included) is read as zero-extended.
+func AddMulLanes(row []byte, in [][]byte, out []byte) {
+	for j, coeff := range row {
+		gf.AddMulSlice(coeff, in[j], out[:len(in[j])])
+	}
 }
 
-// MulVecInto computes m * v into out, which must have length m.Rows()
-// and must not alias v. It returns out.
-func (m *Matrix) MulVecInto(v, out []byte) []byte {
+// MulLanes returns m applied to m.Cols() lanes of laneLen bytes: m.Rows()
+// freshly allocated lanes back to back, lane r = sum_j m[r][j]*in[j].
+func (m *Matrix) MulLanes(in [][]byte, laneLen int) []byte {
+	out := make([]byte, m.rows*laneLen)
+	for r := 0; r < m.rows; r++ {
+		AddMulLanes(m.Row(r), in, out[r*laneLen:(r+1)*laneLen])
+	}
+	return out
+}
+
+// MulVec returns m * v for a column vector v of length m.Cols().
+func (m *Matrix) MulVec(v []byte) []byte {
 	if m.cols != len(v) {
 		panic(fmt.Sprintf("matrix: cannot multiply %dx%d by vector of length %d", m.rows, m.cols, len(v)))
 	}
-	if len(out) != m.rows {
-		panic(fmt.Sprintf("matrix: MulVecInto out length %d, want %d", len(out), m.rows))
-	}
-	for r := 0; r < m.rows; r++ {
+	out := make([]byte, m.rows)
+	for r := range out {
 		out[r] = gf.Dot(m.Row(r), v)
 	}
 	return out
@@ -189,13 +186,7 @@ func (m *Matrix) MulVecInto(v, out []byte) []byte {
 
 // Transpose returns the transposed matrix.
 func (m *Matrix) Transpose() *Matrix {
-	return m.TransposeInto(nil)
-}
-
-// TransposeInto computes the transpose into out (reshaped as needed;
-// allocated when nil), returning out. out must not alias m.
-func (m *Matrix) TransposeInto(out *Matrix) *Matrix {
-	out = Reuse(out, m.cols, m.rows)
+	out := New(m.cols, m.rows)
 	for r := 0; r < m.rows; r++ {
 		for c := 0; c < m.cols; c++ {
 			out.Set(c, r, m.At(r, c))
@@ -208,44 +199,19 @@ func (m *Matrix) TransposeInto(out *Matrix) *Matrix {
 // given order. Row indices may repeat; callers that need full rank must pass
 // distinct indices.
 func (m *Matrix) SelectRows(idx []int) *Matrix {
-	return m.SelectRowsInto(idx, nil)
-}
-
-// SelectRowsInto writes the given rows of m into out (reshaped as
-// needed; allocated when nil), returning out. out must not alias m.
-func (m *Matrix) SelectRowsInto(idx []int, out *Matrix) *Matrix {
-	out = Reuse(out, len(idx), m.cols)
+	out := New(len(idx), m.cols)
 	for i, r := range idx {
 		copy(out.Row(i), m.Row(r))
 	}
 	return out
 }
 
-// SelectCols returns a new matrix consisting of the given columns of m.
-func (m *Matrix) SelectCols(idx []int) *Matrix {
-	out := New(m.rows, len(idx))
-	for r := 0; r < m.rows; r++ {
-		src := m.Row(r)
-		dst := out.Row(r)
-		for i, c := range idx {
-			dst[i] = src[c]
-		}
-	}
-	return out
-}
-
 // ColRange returns columns [lo, hi) of m as a new matrix.
 func (m *Matrix) ColRange(lo, hi int) *Matrix {
-	return m.ColRangeInto(lo, hi, nil)
-}
-
-// ColRangeInto writes columns [lo, hi) of m into out (reshaped as
-// needed; allocated when nil), returning out. out must not alias m.
-func (m *Matrix) ColRangeInto(lo, hi int, out *Matrix) *Matrix {
 	if lo < 0 || hi > m.cols || lo >= hi {
 		panic(fmt.Sprintf("matrix: invalid column range [%d, %d) of %d", lo, hi, m.cols))
 	}
-	out = Reuse(out, m.rows, hi-lo)
+	out := New(m.rows, hi-lo)
 	for r := 0; r < m.rows; r++ {
 		copy(out.Row(r), m.Row(r)[lo:hi])
 	}
@@ -260,14 +226,6 @@ func (m *Matrix) Add(o *Matrix) *Matrix {
 	out := m.Clone()
 	gf.AddSlice(o.data, out.data)
 	return out
-}
-
-// AddInPlace sets m += o elementwise (XOR over GF(2^8)).
-func (m *Matrix) AddInPlace(o *Matrix) {
-	if m.rows != o.rows || m.cols != o.cols {
-		panic("matrix: AddInPlace shape mismatch")
-	}
-	gf.AddSlice(o.data, m.data)
 }
 
 // Scale returns c * m.

@@ -98,6 +98,42 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
+// TestMulLanes: applying m to lanes is MulVec applied to every byte
+// position at once, with a short or nil lane read as zero-extended; and
+// MulInto still reuses (and re-zeroes) a result matrix passed back in.
+func TestMulLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := randomMatrix(rng, 3, 4)
+	const laneLen = 9
+	lanes := [][]byte{make([]byte, laneLen), make([]byte, 5), nil, make([]byte, laneLen)}
+	for _, lane := range lanes {
+		rng.Read(lane)
+	}
+	out := m.MulLanes(lanes, laneLen)
+	if len(out) != m.Rows()*laneLen {
+		t.Fatalf("MulLanes returned %d bytes, want %d", len(out), m.Rows()*laneLen)
+	}
+	for pos := 0; pos < laneLen; pos++ {
+		v := make([]byte, len(lanes))
+		for j, lane := range lanes {
+			if pos < len(lane) {
+				v[j] = lane[pos]
+			}
+		}
+		for r, want := range m.MulVec(v) {
+			if got := out[r*laneLen+pos]; got != want {
+				t.Fatalf("row %d position %d = %d, want %d", r, pos, got, want)
+			}
+		}
+	}
+
+	a, b := randomMatrix(rng, 3, 3), randomMatrix(rng, 3, 3)
+	prod := a.MulInto(b, nil)
+	if again := a.MulInto(b, prod); again != prod || !again.Equal(a.Mul(b)) {
+		t.Error("MulInto into its own earlier result changed the product or reallocated")
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	m := mustFromRows(t, [][]byte{{1, 2, 3}, {4, 5, 6}})
 	tr := m.Transpose()
@@ -229,17 +265,12 @@ func TestSolve(t *testing.T) {
 	}
 }
 
-func TestSelectRowsAndCols(t *testing.T) {
+func TestSelectRowsAndColRange(t *testing.T) {
 	m := mustFromRows(t, [][]byte{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	sub := m.SelectRows([]int{2, 0})
 	want := mustFromRows(t, [][]byte{{7, 8, 9}, {1, 2, 3}})
 	if !sub.Equal(want) {
 		t.Errorf("SelectRows =\n%vwant\n%v", sub, want)
-	}
-	cols := m.SelectCols([]int{1, 2})
-	wantCols := mustFromRows(t, [][]byte{{2, 3}, {5, 6}, {8, 9}})
-	if !cols.Equal(wantCols) {
-		t.Errorf("SelectCols =\n%vwant\n%v", cols, wantCols)
 	}
 	rng := m.ColRange(0, 2)
 	wantRange := mustFromRows(t, [][]byte{{1, 2}, {4, 5}, {7, 8}})
