@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/lds-storage/lds/internal/gf"
 	"github.com/lds-storage/lds/internal/matrix"
 )
 
@@ -90,6 +89,12 @@ type Code interface {
 	// Encode splits a value into n shards. The value is padded internally;
 	// callers must remember the original length to decode.
 	Encode(value []byte) ([][]byte, error)
+	// EncodeNode computes only node's shard of Encode's output.
+	EncodeNode(value []byte, node int) ([]byte, error)
+	// EncodeNodes computes the shards of only the listed nodes, which must
+	// be distinct; the LDS edge servers use it to produce the n2 back-end
+	// elements without materializing the full codeword.
+	EncodeNodes(value []byte, nodes []int) ([][]byte, error)
 	// Decode recovers a value of the given original length from at least k
 	// shards with distinct indices.
 	Decode(valueLen int, shards []Shard) ([]byte, error)
@@ -173,10 +178,12 @@ func HelperLane(coef *matrix.Matrix, shard []byte, helperIdx, failedIdx int) ([]
 		return nil, fmt.Errorf("%w: %d bytes, want multiple of alpha = %d", ErrShardSize, len(shard), alpha)
 	}
 	l := len(shard) / alpha
-	out := make([]byte, l)
-	for c, coeff := range coef.Row(failedIdx) {
-		gf.AddMulSlice(coeff, shard[c*l:(c+1)*l], out)
+	lanes := make([][]byte, 0, 8) // on the stack for alpha <= 8
+	for c := 0; c < alpha; c++ {
+		lanes = append(lanes, shard[c*l:(c+1)*l])
 	}
+	out := make([]byte, l)
+	matrix.AddMulLanes(coef.Row(failedIdx), lanes, out)
 	return out, nil
 }
 

@@ -482,7 +482,8 @@ func TestLanesArePermutedStripes(t *testing.T) {
 
 // The benchmarks below run at the reference benchmark's geometry -- LDS
 // (n1, n2, f1, f2) = (6, 8, 1, 2), i.e. the (14, 4, 4) code, at its 4 KiB
-// and 16 KiB value sizes -- on the shapes of the write and read paths, so
+// and 16 KiB value sizes and at 1 MiB (1024KiB: lanes far larger than the
+// L1 cache) -- on the shapes of the write and read paths, so
 // they predict benchmark/'s mbr.* probes: an L1 server encodes the n2
 // back-end elements, an L2 server helps L1 server 0, which regenerates from
 // d helpers, and the reader decodes from k L1 elements.
@@ -492,7 +493,7 @@ func benchSizes(b *testing.B, run func(b *testing.B, c *Code, value []byte, l2 [
 		b.Fatal(err)
 	}
 	l2 := []int{6, 7, 8, 9, 10, 11, 12, 13}
-	for _, size := range []int{4 << 10, 16 << 10} {
+	for _, size := range []int{4 << 10, 16 << 10, 1 << 20} {
 		value := make([]byte, size)
 		rand.New(rand.NewSource(1)).Read(value)
 		shards, err := c.Encode(value)

@@ -104,13 +104,7 @@ func MeasureRepairBandwidth(p lds.Params, valueSize int) (RepairPoint, error) {
 	if err != nil {
 		return RepairPoint{}, err
 	}
-	enc, ok := code.(interface {
-		EncodeNode(value []byte, node int) ([]byte, error)
-	})
-	if !ok {
-		return RepairPoint{}, fmt.Errorf("code %T does not support single-node encoding", code)
-	}
-	naive, err := enc.EncodeNode(decoded, failed)
+	naive, err := code.EncodeNode(decoded, failed)
 	if err != nil {
 		return RepairPoint{}, err
 	}

@@ -588,14 +588,7 @@ func (g *Gateway) repairGroup(ctx context.Context, sg *scrubGroup, report *Repai
 				value, err = code.Decode(refValueLen, shards)
 			}
 			if err == nil {
-				enc, ok := code.(interface {
-					EncodeNode(value []byte, node int) ([]byte, error)
-				})
-				if !ok {
-					err = fmt.Errorf("code %T does not support single-node encoding", code)
-				} else {
-					coded, err = enc.EncodeNode(value, failedCode)
-				}
+				coded, err = code.EncodeNode(value, failedCode)
 			}
 			if err == nil {
 				report.Naive++

@@ -1,6 +1,9 @@
 package gf
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -185,76 +188,102 @@ func TestFieldAxiomsQuick(t *testing.T) {
 	}
 }
 
-func TestMulSlice(t *testing.T) {
-	src := []byte{0, 1, 2, 0xFF, 0x80}
-	dst := make([]byte, len(src))
-
-	MulSlice(0, src, dst)
-	for i, v := range dst {
-		if v != 0 {
-			t.Fatalf("MulSlice(0)[%d] = %#x, want 0", i, v)
+// TestSliceKernelsMatchScalar checks MulSlice, AddMulSlice and AddSlice
+// against the scalar Mul for every coefficient, every length that puts zero
+// to eight whole words and every tail between them, and every alignment of
+// src and dst within a word. The bytes around dst must not change.
+func TestSliceKernelsMatchScalar(t *testing.T) {
+	const maxLen, pad = 71, 8
+	rng := rand.New(rand.NewSource(1))
+	srcBuf, dstBuf := make([]byte, pad+maxLen), make([]byte, 3*pad+maxLen)
+	rng.Read(srcBuf)
+	rng.Read(dstBuf)
+	got, want := make([]byte, len(dstBuf)), make([]byte, len(dstBuf))
+	check := func(kernel string, c, n, so, do int) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: c=%#x len=%d src offset %d dst offset %d:\n got  %x\n want %x", kernel, c, n, so, do, got, want)
 		}
 	}
-
-	MulSlice(1, src, dst)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("MulSlice(1)[%d] = %#x, want %#x", i, dst[i], src[i])
+	coeffs := []int{0, 1, 2, 0x53, 0x8e, 0xff} // -short, for the race detector's sake
+	if !testing.Short() {
+		coeffs = coeffs[:0]
+		for c := 0; c < Order; c++ {
+			coeffs = append(coeffs, c)
 		}
 	}
+	for _, c := range coeffs {
+		for n := 0; n <= maxLen; n++ {
+			for so := 0; so < pad; so++ {
+				src := srcBuf[so : so+n]
+				for do := 0; do < pad; do++ {
+					lo := pad + do
 
-	MulSlice(7, src, dst)
-	for i := range src {
-		if want := Mul(7, src[i]); dst[i] != want {
-			t.Fatalf("MulSlice(7)[%d] = %#x, want %#x", i, dst[i], want)
+					copy(got, dstBuf)
+					copy(want, dstBuf)
+					for i, x := range src {
+						want[lo+i] = Mul(byte(c), x)
+					}
+					MulSlice(byte(c), src, got[lo:lo+n])
+					check("MulSlice", c, n, so, do)
+
+					copy(got, dstBuf)
+					copy(want, dstBuf)
+					for i, x := range src {
+						want[lo+i] ^= Mul(byte(c), x)
+					}
+					AddMulSlice(byte(c), src, got[lo:lo+n])
+					check("AddMulSlice", c, n, so, do)
+
+					if c == 1 {
+						copy(got, dstBuf)
+						AddSlice(src, got[lo:lo+n])
+						check("AddSlice", c, n, so, do)
+					}
+				}
+			}
+			// dst aliasing src exactly: the product in place.
+			copy(got, dstBuf)
+			copy(want, dstBuf)
+			for i, x := range dstBuf[pad : pad+n] {
+				want[pad+i] = Mul(byte(c), x)
+			}
+			MulSlice(byte(c), got[pad:pad+n], got[pad:pad+n])
+			check("MulSlice in place", c, n, 0, 0)
 		}
 	}
 }
 
-func TestMulSliceAliasing(t *testing.T) {
-	buf := []byte{1, 2, 3, 4}
-	want := make([]byte, len(buf))
-	MulSlice(9, buf, want)
-	MulSlice(9, buf, buf)
-	for i := range buf {
-		if buf[i] != want[i] {
-			t.Fatalf("aliased MulSlice[%d] = %#x, want %#x", i, buf[i], want[i])
-		}
-	}
-}
-
-func TestAddMulSlice(t *testing.T) {
-	src := []byte{3, 0, 5, 0xAA}
-	dst := []byte{1, 2, 3, 4}
-	want := make([]byte, len(dst))
-	for i := range dst {
-		want[i] = Add(dst[i], Mul(0x1B, src[i]))
-	}
-	AddMulSlice(0x1B, src, dst)
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("AddMulSlice[%d] = %#x, want %#x", i, dst[i], want[i])
-		}
-	}
-
-	// c == 0 must be a no-op.
-	before := append([]byte(nil), dst...)
-	AddMulSlice(0, src, dst)
-	for i := range dst {
-		if dst[i] != before[i] {
-			t.Fatalf("AddMulSlice(0) modified dst[%d]", i)
-		}
-	}
-}
-
-func TestAddSlice(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	AddSlice(a, b)
-	want := []byte{5, 7, 5}
-	for i := range b {
-		if b[i] != want[i] {
-			t.Fatalf("AddSlice[%d] = %#x, want %#x", i, b[i], want[i])
+// TestAddMulSlices checks the fused kernel against AddMulSlice for zero to
+// six sources (the fused arities and both sides of them), with every source
+// full, one source short, and one source empty.
+func TestAddMulSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for n := 0; n <= 6; n++ {
+		for _, dstLen := range []int{0, 1, 7, 8, 9, 31, 64, 71} {
+			for short := -1; short < n; short++ {
+				for _, cut := range []int{1, dstLen/2 + 1, dstLen} {
+					c, src := make([]byte, n), make([][]byte, n)
+					rng.Read(c)
+					for j := range src {
+						src[j] = make([]byte, dstLen)
+						if j == short {
+							src[j] = src[j][:max(dstLen-cut, 0)]
+						}
+						rng.Read(src[j])
+					}
+					got := make([]byte, dstLen)
+					rng.Read(got)
+					want := append([]byte(nil), got...)
+					for j, s := range src {
+						AddMulSlice(c[j], s, want[:len(s)])
+					}
+					AddMulSlices(c, src, got)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%d sources of %d bytes, source %d cut by %d:\n got  %x\n want %x", n, dstLen, short, cut, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -276,7 +305,10 @@ func TestSliceKernelLengthMismatchPanics(t *testing.T) {
 		"MulSlice":    func() { MulSlice(1, []byte{1}, []byte{1, 2}) },
 		"AddMulSlice": func() { AddMulSlice(1, []byte{1}, []byte{1, 2}) },
 		"AddSlice":    func() { AddSlice([]byte{1}, []byte{1, 2}) },
-		"Dot":         func() { Dot([]byte{1}, []byte{1, 2}) },
+		"AddMulSlices": func() {
+			AddMulSlices([]byte{2, 3, 4}, [][]byte{{1}, {1, 2, 3}, {1}}, []byte{1, 2})
+		},
+		"Dot": func() { Dot([]byte{1}, []byte{1, 2}) },
 	}
 	for name, fn := range fns {
 		func() {
@@ -298,15 +330,44 @@ func BenchmarkMul(b *testing.B) {
 	_ = acc
 }
 
+// laneSizes are the lane lengths of 4 KiB, 16 KiB and 1 MiB values at the
+// reference benchmark's stripe size B = 10.
+var laneSizes = []int{410, 1640, 104858}
+
+// benchLanes runs the kernel over n+1 seeded random lanes of each size
+// (random bytes, because a predictable source flatters a kernel with a
+// data-dependent branch); the last lane is dst.
+func benchLanes(b *testing.B, n int, kernel func(c byte, lanes [][]byte)) {
+	for _, size := range laneSizes {
+		rng := rand.New(rand.NewSource(1))
+		lanes := make([][]byte, n+1)
+		for i := range lanes {
+			lanes[i] = make([]byte, size)
+			rng.Read(lanes[i])
+		}
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			b.SetBytes(int64(n * size))
+			for i := 0; i < b.N; i++ {
+				kernel(byte(i)|2, lanes)
+			}
+		})
+	}
+}
+
 func BenchmarkAddMulSlice(b *testing.B) {
-	src := make([]byte, 4096)
-	dst := make([]byte, 4096)
-	for i := range src {
-		src[i] = byte(i)
+	benchLanes(b, 1, func(c byte, l [][]byte) { AddMulSlice(c, l[0], l[1]) })
+}
+
+func BenchmarkAddMulSlices(b *testing.B) {
+	for _, n := range []int{3, 4} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			benchLanes(b, n, func(c byte, l [][]byte) {
+				AddMulSlices([]byte{c, 7, 9, 200}[:n], l[:n], l[n])
+			})
+		})
 	}
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMulSlice(byte(i)|1, src, dst)
-	}
+}
+
+func BenchmarkAddSlice(b *testing.B) {
+	benchLanes(b, 1, func(_ byte, l [][]byte) { AddSlice(l[0], l[1]) })
 }

@@ -326,8 +326,10 @@ func NewReader(params Params, rid int32, code erasure.Regenerating) (*Reader, er
 		return nil, errors.New("lds: reader needs the code to decode coded elements")
 	}
 	return &Reader{
-		core: newClientCore(params, wire.ProcID{Role: wire.RoleReader, Index: rid}),
-		code: code,
+		core:   newClientCore(params, wire.ProcID{Role: wire.RoleReader, Index: rid}),
+		code:   code,
+		values: make(map[tag.Tag][]byte),
+		coded:  make(map[tag.Tag]*codedSet),
 	}, nil
 }
 
@@ -368,15 +370,9 @@ func (r *Reader) takeCodedSet() *codedSet {
 }
 
 // resetGetData clears the get-data collection state, recycling codedSets.
-// Shard Data references from the previous operation are dropped here, so
-// nothing pins a prior read's coded elements beyond the next operation's
-// start.
+// It runs as the read ends, so a pooled reader idle between operations pins
+// none of the up to n1 coded elements and L1 values its last read collected.
 func (r *Reader) resetGetData() {
-	if r.values == nil {
-		r.values = make(map[tag.Tag][]byte)
-		r.coded = make(map[tag.Tag]*codedSet)
-		return
-	}
 	clear(r.values)
 	for t, cs := range r.coded {
 		for i := range cs.shards {
@@ -427,7 +423,7 @@ func (r *Reader) read(ctx context.Context) ([]byte, tag.Tag, error) {
 	if err := r.core.sendAllL1(wire.QueryData{OpID: opG, Req: treq}); err != nil {
 		return nil, tag.Tag{}, err
 	}
-	r.resetGetData()
+	defer r.resetGetData()
 	r.core.phase.reset(r.core.params.N1) // distinct responders (any class)
 	var (
 		readTag    tag.Tag

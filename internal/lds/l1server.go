@@ -58,12 +58,6 @@ type offloadItem struct {
 	value []byte
 }
 
-// nodesEncoder is the optional fast path for encoding only the L2 portion
-// of the codeword; both product-matrix codes implement it.
-type nodesEncoder interface {
-	EncodeNodes(value []byte, nodes []int) ([][]byte, error)
-}
-
 // L1Server is one edge-layer server s_j implementing the protocol of the
 // paper's Fig. 2. It is an actor: Handle is invoked sequentially by the
 // transport, and each invocation corresponds to one atomic action of the
@@ -656,14 +650,11 @@ func (s *L1Server) drainOffload() {
 	}
 	batch := s.offloadQueue
 	s.offloadQueue = nil
-	// Reuse the outer header slice only: the inner element slices travel to
-	// L2 inside WriteCodeElemBatch messages (by reference on the simulated
-	// transport) and may still be in flight past the ack quorum, so they
-	// must be freshly allocated every round.
+	// Reuse the outer header slice only (all nil between rounds): the inner
+	// element slices travel to L2 inside WriteCodeElemBatch messages (by
+	// reference on the simulated transport) and may still be in flight past
+	// the ack quorum, so they must be freshly allocated every round.
 	perServer := s.perServer
-	for i := range perServer {
-		perServer[i] = nil
-	}
 	elems := 0
 	var highest tag.Tag
 	for _, it := range batch {
@@ -694,6 +685,7 @@ func (s *L1Server) drainOffload() {
 	s.updateOffloadDepth()
 	for i, id := range s.params.L2IDs() {
 		s.send(id, wire.WriteCodeElemBatch{Elems: perServer[i]})
+		perServer[i] = nil // sent: holding it would pin the round's n2 shards until the next offload
 	}
 }
 
@@ -815,18 +807,10 @@ func (s *L1Server) dropValue(e *listEntry) {
 	e.hasValue = false
 }
 
-// encodeL2 produces the n2 coded elements c_{n1}..c_{n1+n2-1} of value.
+// encodeL2 produces the n2 coded elements c_{n1}..c_{n1+n2-1} of value,
+// freshly allocated: they go to L2, which retains them by reference.
 func (s *L1Server) encodeL2(value []byte) ([][]byte, error) {
-	if enc, ok := s.code.(nodesEncoder); ok {
-		// The shards go to L2, which retains them by reference: EncodeNodes
-		// (not an Into variant) so every round's output is freshly allocated.
-		return enc.EncodeNodes(value, s.l2Idx)
-	}
-	all, err := s.code.Encode(value)
-	if err != nil {
-		return nil, err
-	}
-	return all[s.params.N1:], nil
+	return s.code.EncodeNodes(value, s.l2Idx)
 }
 
 // sendValue answers a reader with a (tag, value) pair.

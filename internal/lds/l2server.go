@@ -77,13 +77,7 @@ func NewL2ServerSeeded(params Params, index int, code erasure.Regenerating, valu
 	if index < 0 || index >= params.N2 {
 		return nil, fmt.Errorf("lds: L2 index %d out of range [0, %d)", index, params.N2)
 	}
-	encoder, ok := code.(interface {
-		EncodeNode(value []byte, node int) ([]byte, error)
-	})
-	if !ok {
-		return nil, fmt.Errorf("lds: code %T does not support single-node encoding", code)
-	}
-	c0, err := encoder.EncodeNode(value, params.L2CodeIndex(index))
+	c0, err := code.EncodeNode(value, params.L2CodeIndex(index))
 	if err != nil {
 		return nil, fmt.Errorf("lds: encode initial value: %w", err)
 	}

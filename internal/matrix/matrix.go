@@ -4,7 +4,7 @@
 // Gauss-Jordan inversion, rank, Vandermonde generators and row selection.
 // Matrices are small (dimensions are on the order of the code parameters
 // n, k, d <= 256), so clarity is preferred over blocking or SIMD tricks;
-// the only hot kernels delegate to package gf.
+// the only hot kernel, AddMulLanes, delegates to package gf.
 package matrix
 
 import (
@@ -155,11 +155,30 @@ func (m *Matrix) MulInto(o, out *Matrix) *Matrix {
 
 // AddMulLanes is the kernel every erasure-code operation runs on: one
 // coefficient row applied to whole byte lanes, out ^= sum_j row[j]*in[j].
-// A lane shorter than out (nil included) is read as zero-extended.
+// A lane shorter than out (nil included) is read as zero-extended. Lanes
+// with a zero coefficient are skipped, a coefficient of 1 is a plain XOR,
+// and the rest go to gf.AddMulSlices four at a time, so out is loaded and
+// stored once per four inputs, not once per input.
 func AddMulLanes(row []byte, in [][]byte, out []byte) {
+	var (
+		coeffs [4]byte
+		lanes  [4][]byte
+		n      int
+	)
 	for j, coeff := range row {
-		gf.AddMulSlice(coeff, in[j], out[:len(in[j])])
+		switch lane := in[j]; {
+		case coeff == 0 || len(lane) == 0:
+		case coeff == 1:
+			gf.AddSlice(lane, out[:len(lane)])
+		default:
+			coeffs[n], lanes[n] = coeff, lane
+			if n++; n == len(lanes) {
+				gf.AddMulSlices(coeffs[:], lanes[:], out)
+				n = 0
+			}
+		}
 	}
+	gf.AddMulSlices(coeffs[:n], lanes[:n], out)
 }
 
 // MulLanes returns m applied to m.Cols() lanes of laneLen bytes: m.Rows()

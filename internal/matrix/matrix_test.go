@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -132,6 +134,91 @@ func TestMulLanes(t *testing.T) {
 	if again := a.MulInto(b, prod); again != prod || !again.Equal(a.Mul(b)) {
 		t.Error("MulInto into its own earlier result changed the product or reallocated")
 	}
+}
+
+// addMulLanesScalar is the oracle for AddMulLanes: gf.Mul, byte by byte.
+func addMulLanesScalar(row []byte, in [][]byte, out []byte) {
+	for j, coeff := range row {
+		for pos, x := range in[j] {
+			out[pos] ^= gf.Mul(coeff, x)
+		}
+	}
+}
+
+// TestAddMulLanesMatchesScalar covers the grouping in AddMulLanes: one to
+// nine inputs (below, at and past two fused groups of four), with lanes that
+// are nil, short or full and coefficients that are 0 (skipped), 1 (plain
+// XOR) or anything else, at lengths around the word loop's edges.
+func TestAddMulLanesMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for inputs := 1; inputs <= 9; inputs++ {
+		for _, laneLen := range []int{1, 7, 8, 9, 40, 67} {
+			for trial := 0; trial < 40; trial++ {
+				row, in := make([]byte, inputs), make([][]byte, inputs)
+				for j := range in {
+					row[j] = byte(rng.Intn(256))
+					if c := rng.Intn(6); c < 2 {
+						row[j] = byte(c)
+					}
+					switch rng.Intn(4) {
+					case 0: // nil
+					case 1:
+						in[j] = make([]byte, rng.Intn(laneLen))
+					default:
+						in[j] = make([]byte, laneLen)
+					}
+					rng.Read(in[j])
+				}
+				got := make([]byte, laneLen)
+				rng.Read(got)
+				want := append([]byte(nil), got...)
+				addMulLanesScalar(row, in, want)
+				AddMulLanes(row, in, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("row %v, lane lengths %v of %d:\n got  %x\n want %x", row, laneLens(in), laneLen, got, want)
+				}
+			}
+		}
+	}
+}
+
+func laneLens(in [][]byte) []int {
+	lens := make([]int, len(in))
+	for j, lane := range in {
+		lens[j] = len(lane)
+	}
+	return lens
+}
+
+// FuzzAddMulLanes derives a row, its lanes (cut to fuzzed lengths, so nil,
+// short and full ones all occur) and the prior contents of out from the
+// fuzzed bytes and compares AddMulLanes with the scalar oracle.
+func FuzzAddMulLanes(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4}, []byte("seed lanes, long enough to cut into a few pieces"), uint8(9))
+	f.Add([]byte{0, 1, 0x53, 0xff, 2, 7, 9, 200, 1}, bytes.Repeat([]byte{0xa5, 0x5a, 3}, 200), uint8(64))
+	f.Fuzz(func(t *testing.T, row, data []byte, laneLen uint8) {
+		if len(row) > 16 {
+			row = row[:16]
+		}
+		in := make([][]byte, len(row))
+		for j := range in {
+			// The first byte of what is left picks the lane's length.
+			n := 0
+			if len(data) > 0 {
+				n = min(int(data[0])%(int(laneLen)+1), len(data)-1)
+				data = data[1:]
+			}
+			in[j], data = data[:n:n], data[n:]
+		}
+		got := make([]byte, laneLen)
+		copy(got, data)
+		want := append([]byte(nil), got...)
+		addMulLanesScalar(row, in, want)
+		AddMulLanes(row, in, got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("row %v, lane lengths %v of %d:\n got  %x\n want %x", row, laneLens(in), laneLen, got, want)
+		}
+	})
 }
 
 func TestTranspose(t *testing.T) {
@@ -354,5 +441,26 @@ func BenchmarkInverse32(b *testing.B) {
 		if _, err := v.Inverse(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAddMulLanes applies one dense four-coefficient row -- an output
+// lane of the (14, 4, 4) MBR code -- to seeded random lanes of 4 KiB,
+// 16 KiB and 1 MiB values at stripe size 10.
+func BenchmarkAddMulLanes(b *testing.B) {
+	for _, laneLen := range []int{410, 1640, 104858} {
+		rng := rand.New(rand.NewSource(1))
+		in := make([][]byte, 4)
+		for j := range in {
+			in[j] = make([]byte, laneLen)
+			rng.Read(in[j])
+		}
+		out := make([]byte, laneLen)
+		b.Run(fmt.Sprint(laneLen), func(b *testing.B) {
+			b.SetBytes(int64(len(in) * laneLen))
+			for i := 0; i < b.N; i++ {
+				AddMulLanes([]byte{byte(i) | 2, 7, 9, 200}, in, out)
+			}
+		})
 	}
 }

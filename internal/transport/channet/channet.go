@@ -282,7 +282,8 @@ func (nd *node) deliveryLoop() {
 // sending to each other.
 type mailbox struct {
 	mu     sync.Mutex
-	items  []wire.Envelope
+	items  []wire.Envelope // items[head:] is the queue; items[:head] is popped and zeroed
+	head   int
 	signal chan struct{}
 	closed bool
 }
@@ -298,6 +299,13 @@ func (mb *mailbox) push(env wire.Envelope) bool {
 		mb.mu.Unlock()
 		return false
 	}
+	if mb.head > len(mb.items)/2 && len(mb.items) == cap(mb.items) {
+		// Full, and mostly popped slots (a queue that stays busy never
+		// rewinds in pop): slide it down rather than grow the array.
+		n := copy(mb.items, mb.items[mb.head:])
+		clear(mb.items[n:])
+		mb.items, mb.head = mb.items[:n], 0
+	}
 	mb.items = append(mb.items, env)
 	mb.mu.Unlock()
 	select {
@@ -312,9 +320,16 @@ func (mb *mailbox) push(env wire.Envelope) bool {
 func (mb *mailbox) pop() (wire.Envelope, bool) {
 	for {
 		mb.mu.Lock()
-		if len(mb.items) > 0 {
-			env := mb.items[0]
-			mb.items = mb.items[1:]
+		if mb.head < len(mb.items) {
+			env := mb.items[mb.head]
+			// Zero the slot, or the array pins the message (and the value
+			// or shards it carries) long after delivery -- on an idle
+			// server, forever -- and rewind once empty so push reuses the
+			// array instead of allocating behind an ever-advancing front.
+			mb.items[mb.head] = wire.Envelope{}
+			if mb.head++; mb.head == len(mb.items) {
+				mb.items, mb.head = mb.items[:0], 0
+			}
 			mb.mu.Unlock()
 			return env, true
 		}
@@ -332,8 +347,8 @@ func (mb *mailbox) pop() (wire.Envelope, bool) {
 func (mb *mailbox) close() int {
 	mb.mu.Lock()
 	mb.closed = true
-	dropped := len(mb.items)
-	mb.items = nil
+	dropped := len(mb.items) - mb.head
+	mb.items, mb.head = nil, 0
 	mb.mu.Unlock()
 	select {
 	case mb.signal <- struct{}{}:

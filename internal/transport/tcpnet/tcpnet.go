@@ -244,8 +244,10 @@ func (n *Network) Addr() string { return n.listener.Addr().String() }
 // that should be alive indicates a topology or network problem.
 func (n *Network) Dropped() uint64 { return n.dropped.Load() }
 
-// Redials returns how many times a sender re-established a connection
-// after a write failure — the "peer restarted" recovery path.
+// Redials returns how many times a sender that had been connected before
+// established a new connection — the "peer restarted" recovery path. The
+// dial is counted before anything is written on it, so a receiver that sees
+// a frame from the new connection also sees the count.
 func (n *Network) Redials() uint64 { return n.redials.Load() }
 
 // Drain waits up to timeout for every outbound queue to empty and every
@@ -540,6 +542,7 @@ type sender struct {
 	// after the frame is fully handled.
 	pending      atomic.Int64
 	noDialBefore time.Time // dial backoff deadline after a failed attempt
+	connected    bool      // a dial has succeeded before: the next one is a redial
 }
 
 // maxWriteBatch bounds how many queued frames one vectored write may
@@ -631,9 +634,7 @@ func (s *sender) write(batch []*wire.Frame, scratch net.Buffers) {
 		if err = s.writeConn(conn, batch, scratch); err != nil {
 			s.closeConn()
 			s.net.dropped.Add(uint64(len(batch)))
-			return
 		}
-		s.net.redials.Add(1)
 	}
 }
 
@@ -648,6 +649,10 @@ func (s *sender) dial() (net.Conn, error) {
 		return nil, err
 	}
 	configureConn(conn, s.net.opts.KeepAlive)
+	if s.connected {
+		s.net.redials.Add(1)
+	}
+	s.connected = true
 	s.mu.Lock()
 	s.conn = conn
 	s.mu.Unlock()
