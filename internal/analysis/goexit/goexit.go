@@ -1,5 +1,6 @@
 // Package goexit enforces that every goroutine launched in the
 // long-running subsystems — internal/gateway, internal/nodehost,
+// internal/transport (the shared actor runtime) and
 // internal/transport/tcpnet — is joinable from a shutdown path. A
 // goroutine with no join outlives Close: it races the test harness,
 // touches freed resources (pooled frames, closed stores), and turns
@@ -27,13 +28,14 @@ import (
 // Analyzer is the goexit checker.
 var Analyzer = &lint.Analyzer{
 	Name: "goexit",
-	Doc:  "every goroutine in gateway/nodehost/tcpnet must be joinable from a shutdown path",
+	Doc:  "every goroutine in gateway/nodehost/transport/tcpnet must be joinable from a shutdown path",
 	Run:  run,
 }
 
 var scoped = []string{
 	"internal/gateway",
 	"internal/nodehost",
+	"internal/transport",
 	"internal/transport/tcpnet",
 }
 

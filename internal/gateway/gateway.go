@@ -53,6 +53,14 @@
 //
 // # Capacity
 //
+// A live key costs table entries and protocol state, not goroutines: its
+// n1+n2 servers and pooled clients are processes of the shared transport,
+// which runs every registered process on a fixed set of at most 512 actor
+// goroutines per network (transport.Actors) -- no stack and no channel per
+// process, so goroutine count and idle memory do not grow with the key
+// count (TestGoroutinesIndependentOfKeyCount, the two
+// Test...PinOnlyStoredBytes).
+//
 // Groups are created lazily per key and live until their key is migrated
 // (which reaps the old group) or the gateway closes. The shared
 // transport's id space admits transport.MaxNamespaceGroups (32767)

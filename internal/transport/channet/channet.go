@@ -54,13 +54,17 @@ type Options struct {
 
 // Network is an in-memory simulated network.
 type Network struct {
-	opts Options
+	opts   Options
+	actors *transport.Actors
 
-	mu      sync.Mutex
-	rng     *rand.Rand
+	// mu guards the tables; the per-message path only reads them.
+	mu      sync.RWMutex
 	nodes   map[wire.ProcID]*node
-	crashed map[wire.ProcID]bool
+	crashed map[wire.ProcID]bool // also on each node, where send and delivery read it
 	closed  bool
+
+	rngMu sync.Mutex // rng is drawn from only under a jittered or chaos model
+	rng   *rand.Rand
 
 	// inflight counts messages from Send acceptance until the destination
 	// handler returns (or the message is discarded); WaitIdle polls it.
@@ -71,12 +75,14 @@ var _ transport.Network = (*Network)(nil)
 
 // New creates a network with the given options.
 func New(opts Options) *Network {
-	return &Network{
+	n := &Network{
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		nodes:   make(map[wire.ProcID]*node),
 		crashed: make(map[wire.ProcID]bool),
 	}
+	n.actors = transport.NewActors(func(done int) { n.inflight.Add(-int64(done)) })
+	return n
 }
 
 // Register implements transport.Network.
@@ -92,15 +98,10 @@ func (n *Network) Register(id wire.ProcID, h transport.Handler) (transport.Node,
 	if _, dup := n.nodes[id]; dup {
 		return nil, fmt.Errorf("%w: %v", ErrDuplicate, id)
 	}
-	nd := &node{
-		net:     n,
-		id:      id,
-		handler: h,
-		mb:      newMailbox(),
-		done:    make(chan struct{}),
-	}
+	nd := &node{net: n, id: id, handler: h}
+	nd.crashed.Store(n.crashed[id]) // a Crash issued before Register applies
+	nd.proc = n.actors.Attach(id, nd.handle)
 	n.nodes[id] = nd
-	go nd.deliveryLoop()
 	return nd, nil
 }
 
@@ -110,13 +111,9 @@ func (n *Network) Crash(id wire.ProcID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.crashed[id] = true
-}
-
-// Crashed reports whether the process has been crashed.
-func (n *Network) Crashed(id wire.ProcID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.crashed[id]
+	if nd, ok := n.nodes[id]; ok {
+		nd.crashed.Store(true)
+	}
 }
 
 // WaitIdle blocks until no messages are in flight (queued, delayed or being
@@ -143,42 +140,24 @@ func (n *Network) Inflight() int64 { return n.inflight.Load() }
 // discarded as their timers fire.
 func (n *Network) Close() error {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
 	n.closed = true
-	nodes := make([]*node, 0, len(n.nodes))
-	for _, nd := range n.nodes {
-		nodes = append(nodes, nd)
-	}
 	n.mu.Unlock()
-	for _, nd := range nodes {
-		nd.close()
-	}
+	n.actors.Close()
 	return nil
 }
 
-// send accepts an envelope from a registered node.
+// send accepts an envelope from a registered, live node.
 func (n *Network) send(env wire.Envelope) error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	n.mu.RLock()
+	closed, dst := n.closed, n.nodes[env.To]
+	n.mu.RUnlock()
+	if closed {
 		return ErrClosed
 	}
-	if n.crashed[env.From] {
-		// A crashed process sends nothing. This is not an error the sender
-		// can observe -- it is dead.
-		n.mu.Unlock()
-		return nil
-	}
-	dst, ok := n.nodes[env.To]
-	if !ok {
-		n.mu.Unlock()
+	if dst == nil {
 		return fmt.Errorf("%w: %v", ErrUnknown, env.To)
 	}
-	delay := n.delayLocked(env.From.Role, env.To.Role)
-	n.mu.Unlock()
+	delay := n.delay(env.From.Role, env.To.Role)
 
 	if obs := n.opts.Observer; obs != nil {
 		obs(env)
@@ -197,16 +176,17 @@ func (n *Network) send(env wire.Envelope) error {
 // deliver enqueues the envelope at its destination; if the destination is
 // gone the message is dropped and accounted.
 func (n *Network) deliver(dst *node, env wire.Envelope) {
-	if !dst.mb.push(env) {
+	if !dst.proc.Deliver(env) {
 		n.inflight.Add(-1)
 	}
 }
 
-// delayLocked samples the delivery delay. Callers hold n.mu (the rng is not
-// otherwise synchronized).
-func (n *Network) delayLocked(from, to wire.Role) time.Duration {
+// delay samples the delivery delay.
+func (n *Network) delay(from, to wire.Role) time.Duration {
 	m := n.opts.Latency
 	if m.ChaosMax > 0 {
+		n.rngMu.Lock()
+		defer n.rngMu.Unlock()
 		return time.Duration(n.rng.Int63n(int64(m.ChaosMax) + 1))
 	}
 	base := m.Class(from, to)
@@ -217,6 +197,8 @@ func (n *Network) delayLocked(from, to wire.Role) time.Duration {
 		return base
 	}
 	lo := float64(base) * (1 - m.Jitter)
+	n.rngMu.Lock()
+	defer n.rngMu.Unlock()
 	return time.Duration(lo + n.rng.Float64()*(float64(base)-lo))
 }
 
@@ -225,8 +207,8 @@ type node struct {
 	net     *Network
 	id      wire.ProcID
 	handler transport.Handler
-	mb      *mailbox
-	done    chan struct{}
+	proc    *transport.Process
+	crashed atomic.Bool
 	closed  atomic.Bool
 }
 
@@ -240,119 +222,31 @@ func (nd *node) Send(to wire.ProcID, msg wire.Message) error {
 	if nd.closed.Load() {
 		return errNodeClosed
 	}
+	if nd.crashed.Load() {
+		// A crashed process sends nothing. This is not an error the sender
+		// can observe -- it is dead.
+		return nil
+	}
 	return nd.net.send(wire.Envelope{From: nd.id, To: to, Msg: msg})
 }
 
-// Close implements transport.Node.
+// Close implements transport.Node. It returns once the handler is not
+// running and never will again; what is queued for the node is dropped.
 func (nd *node) Close() error {
-	nd.close()
-	return nil
-}
-
-func (nd *node) close() {
 	if nd.closed.Swap(true) {
-		return
+		return nil
 	}
-	dropped := nd.mb.close()
-	nd.net.inflight.Add(-int64(dropped))
-	<-nd.done
+	nd.proc.Close()
 	nd.net.mu.Lock()
 	delete(nd.net.nodes, nd.id)
 	nd.net.mu.Unlock()
+	return nil
 }
 
-// deliveryLoop drains the mailbox, invoking the handler one message at a
-// time (the actor discipline protocol code relies on).
-func (nd *node) deliveryLoop() {
-	defer close(nd.done)
-	for {
-		env, ok := nd.mb.pop()
-		if !ok {
-			return
-		}
-		if !nd.net.Crashed(nd.id) {
-			nd.handler(env)
-		}
-		nd.net.inflight.Add(-1)
+// handle is the process's entry in the actor runtime: a crashed process
+// consumes its messages without acting on them.
+func (nd *node) handle(env wire.Envelope) {
+	if !nd.crashed.Load() {
+		nd.handler(env)
 	}
-}
-
-// mailbox is an unbounded FIFO queue. Unbounded is deliberate: reliable
-// links must never exert backpressure that could deadlock two actors
-// sending to each other.
-type mailbox struct {
-	mu     sync.Mutex
-	items  []wire.Envelope // items[head:] is the queue; items[:head] is popped and zeroed
-	head   int
-	signal chan struct{}
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	return &mailbox{signal: make(chan struct{}, 1)}
-}
-
-// push appends an item; it reports false if the mailbox is closed.
-func (mb *mailbox) push(env wire.Envelope) bool {
-	mb.mu.Lock()
-	if mb.closed {
-		mb.mu.Unlock()
-		return false
-	}
-	if mb.head > len(mb.items)/2 && len(mb.items) == cap(mb.items) {
-		// Full, and mostly popped slots (a queue that stays busy never
-		// rewinds in pop): slide it down rather than grow the array.
-		n := copy(mb.items, mb.items[mb.head:])
-		clear(mb.items[n:])
-		mb.items, mb.head = mb.items[:n], 0
-	}
-	mb.items = append(mb.items, env)
-	mb.mu.Unlock()
-	select {
-	case mb.signal <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// pop blocks for the next item; ok is false once the mailbox is closed and
-// drained of the messages popped so far.
-func (mb *mailbox) pop() (wire.Envelope, bool) {
-	for {
-		mb.mu.Lock()
-		if mb.head < len(mb.items) {
-			env := mb.items[mb.head]
-			// Zero the slot, or the array pins the message (and the value
-			// or shards it carries) long after delivery -- on an idle
-			// server, forever -- and rewind once empty so push reuses the
-			// array instead of allocating behind an ever-advancing front.
-			mb.items[mb.head] = wire.Envelope{}
-			if mb.head++; mb.head == len(mb.items) {
-				mb.items, mb.head = mb.items[:0], 0
-			}
-			mb.mu.Unlock()
-			return env, true
-		}
-		if mb.closed {
-			mb.mu.Unlock()
-			return wire.Envelope{}, false
-		}
-		mb.mu.Unlock()
-		<-mb.signal
-	}
-}
-
-// close marks the mailbox closed and returns the number of queued items it
-// dropped, so the caller can reconcile the in-flight accounting.
-func (mb *mailbox) close() int {
-	mb.mu.Lock()
-	mb.closed = true
-	dropped := len(mb.items) - mb.head
-	mb.items, mb.head = nil, 0
-	mb.mu.Unlock()
-	select {
-	case mb.signal <- struct{}{}:
-	default:
-	}
-	return dropped
 }

@@ -402,55 +402,3 @@ func TestLatencyModelClass(t *testing.T) {
 		t.Error("Uniform(5) should not be zero")
 	}
 }
-
-// TestMailboxReleasesPoppedEnvelopes: a popped slot is zeroed, so the
-// backing array never pins a delivered message; FIFO order holds across the
-// rewind (queue emptied) and the slide (queue stays busy); and neither an
-// idle-then-busy nor an always-busy queue of bounded depth grows the array.
-func TestMailboxReleasesPoppedEnvelopes(t *testing.T) {
-	mb := newMailbox()
-	next, want := uint64(0), uint64(0)
-	push := func() {
-		mb.push(wire.Envelope{From: idA, To: idB, Msg: wire.QueryTag{OpID: next}})
-		next++
-	}
-	pop := func() {
-		t.Helper()
-		env, ok := mb.pop()
-		if got := env.Msg.(wire.QueryTag).OpID; !ok || got != want {
-			t.Fatalf("pop = op %d, %v; want op %d", got, ok, want)
-		}
-		want++
-		backing := mb.items[:cap(mb.items)]
-		for i, slot := range backing[:mb.head] {
-			if slot.Msg != nil {
-				t.Fatalf("popped slot %d of %d still holds %v", i, len(backing), slot.Msg)
-			}
-		}
-		for i, slot := range backing[len(mb.items):] {
-			if slot.Msg != nil {
-				t.Fatalf("free slot %d of %d still holds %v", len(mb.items)+i, len(backing), slot.Msg)
-			}
-		}
-	}
-	for round := 0; round < 100; round++ { // empties every round
-		for i := 0; i < 3; i++ {
-			push()
-		}
-		for i := 0; i < 3; i++ {
-			pop()
-		}
-	}
-	push()
-	push()
-	for round := 0; round < 1000; round++ { // depth 2..3, never empty
-		push()
-		pop()
-	}
-	if c := cap(mb.items); c > 8 {
-		t.Errorf("a queue never deeper than 3 grew its array to %d slots", c)
-	}
-	if dropped := mb.close(); dropped != 2 {
-		t.Errorf("close dropped %d items, want 2", dropped)
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/lds-storage/lds/internal/tag"
+	"github.com/lds-storage/lds/internal/transport"
 	"github.com/lds-storage/lds/internal/wire"
 )
 
@@ -415,5 +416,60 @@ func TestLocalDeliveryNeedsNoAddress(t *testing.T) {
 	case <-got:
 	case <-time.After(2 * time.Second):
 		t.Fatal("local delivery without book entry failed")
+	}
+}
+
+// TestLocalFloodBetweenHandlersDoesNotDeadlock: two locally hosted
+// processes that send to each other from their handlers must not be able to
+// wedge one another on a full queue (a bounded per-process queue did, as
+// soon as both filled).
+func TestLocalFloodBetweenHandlersDoesNotDeadlock(t *testing.T) {
+	const burst = 5000 // several times any plausible bounded queue
+	idA := wire.ProcID{Role: wire.RoleL1, Index: 0}
+	idB := wire.ProcID{Role: wire.RoleL1, Index: 1}
+	host, err := New("127.0.0.1:0", AddressBook{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	done := make(chan struct{})
+	var a, b transport.Node
+	echoes := 0
+	a, err = host.Register(idA, func(env wire.Envelope) {
+		if env.From != idB { // the kick: flood B from inside the handler
+			for i := uint64(0); i < burst; i++ {
+				if err := a.Send(idB, wire.QueryTag{OpID: i}); err != nil {
+					t.Errorf("a.Send: %v", err)
+					return
+				}
+			}
+			return
+		}
+		if echoes++; echoes == burst {
+			close(done)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = host.Register(idB, func(env wire.Envelope) {
+		if err := b.Send(idA, env.Msg); err != nil {
+			t.Errorf("b.Send: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kick, err := host.Register(wire.ProcID{Role: wire.RoleWriter, Index: 1}, func(wire.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kick.Send(idA, wire.QueryTag{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handlers flooding each other deadlocked")
 	}
 }

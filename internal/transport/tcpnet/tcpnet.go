@@ -22,9 +22,9 @@
 // blocking, exactly the crash-model semantics the protocol is proved
 // against: messages to a faulty process vanish, messages to a live one
 // are delivered. Incoming frames are routed to the destination process's
-// mailbox and handled one at a time, preserving the actor discipline the
-// protocol code relies on; torn or oversized frames drop only the
-// offending connection.
+// actor (transport.Actors: an unbounded queue, so neither a read loop nor a
+// local sender ever blocks on a slow process) and handled one at a time;
+// torn or oversized frames drop only the offending connection.
 //
 // Framing: 4-byte big-endian length, then wire.EncodeEnvelope bytes.
 package tcpnet
@@ -189,6 +189,7 @@ func FormatAddressBook(book AddressBook) string {
 type Network struct {
 	opts     Options
 	listener net.Listener
+	actors   *transport.Actors
 
 	// closeCtx aborts in-flight dials and unblocks queued sends when the
 	// network closes.
@@ -224,6 +225,7 @@ func NewNetwork(listenAddr string, opts Options) (*Network, error) {
 	n := &Network{
 		opts:     opts.withDefaults(),
 		listener: ln,
+		actors:   transport.NewActors(func(int) {}),
 		nodes:    make(map[wire.ProcID]*node),
 		senders:  make(map[string]*sender),
 		ins:      make(map[net.Conn]struct{}),
@@ -295,10 +297,8 @@ func (n *Network) Register(id wire.ProcID, h transport.Handler) (transport.Node,
 	if _, dup := n.nodes[id]; dup {
 		return nil, fmt.Errorf("%w: %v", ErrDuplicate, id)
 	}
-	nd := &node{net: n, id: id, handler: h, mb: make(chan wire.Envelope, 1024), done: make(chan struct{})}
+	nd := &node{net: n, id: id, proc: n.actors.Attach(id, h)}
 	n.nodes[id] = nd
-	n.wg.Add(1)
-	go nd.loop()
 	return nd, nil
 }
 
@@ -312,10 +312,6 @@ func (n *Network) Close() error {
 		return nil
 	}
 	n.closed = true
-	nodes := make([]*node, 0, len(n.nodes))
-	for _, nd := range n.nodes {
-		nodes = append(nodes, nd)
-	}
 	senders := make([]*sender, 0, len(n.senders))
 	for _, s := range n.senders {
 		senders = append(senders, s)
@@ -337,9 +333,7 @@ func (n *Network) Close() error {
 	for _, c := range ins {
 		c.Close()
 	}
-	for _, nd := range nodes {
-		nd.stop()
-	}
+	n.actors.Close()
 	n.wg.Wait()
 	return nil
 }
@@ -366,7 +360,7 @@ func (n *Network) send(env wire.Envelope) error {
 	}
 	if local, ok := n.nodes[env.To]; ok {
 		n.mu.Unlock()
-		local.deliver(env)
+		local.proc.Deliver(env)
 		return nil
 	}
 	n.mu.Unlock()
@@ -451,7 +445,7 @@ func (n *Network) readLoop(conn net.Conn) {
 		nd, ok := n.nodes[env.To]
 		n.mu.Unlock()
 		if ok {
-			nd.deliver(env)
+			nd.proc.Deliver(env)
 		}
 		// Frames for processes not hosted here are dropped: static topology
 		// errors, not transient conditions.
@@ -468,12 +462,9 @@ func configureConn(conn net.Conn, period time.Duration) {
 
 // node is a locally hosted process.
 type node struct {
-	net     *Network
-	id      wire.ProcID
-	handler transport.Handler
-	mb      chan wire.Envelope
-	done    chan struct{}
-	once    sync.Once
+	net  *Network
+	id   wire.ProcID
+	proc *transport.Process
 }
 
 var _ transport.Node = (*node)(nil)
@@ -490,36 +481,16 @@ func (nd *node) Send(to wire.ProcID, msg wire.Message) error {
 	return nd.net.send(wire.Envelope{From: nd.id, To: to, Msg: msg})
 }
 
-// Close implements transport.Node.
+// Close implements transport.Node. It returns once the handler is not
+// running and never will again; what is queued for the node is dropped.
 func (nd *node) Close() error {
-	nd.stop()
+	nd.proc.Close()
 	nd.net.mu.Lock()
-	delete(nd.net.nodes, nd.id)
+	if nd.net.nodes[nd.id] == nd {
+		delete(nd.net.nodes, nd.id)
+	}
 	nd.net.mu.Unlock()
 	return nil
-}
-
-func (nd *node) stop() {
-	nd.once.Do(func() { close(nd.done) })
-}
-
-func (nd *node) deliver(env wire.Envelope) {
-	select {
-	case nd.mb <- env:
-	case <-nd.done:
-	}
-}
-
-func (nd *node) loop() {
-	defer nd.net.wg.Done()
-	for {
-		select {
-		case env := <-nd.mb:
-			nd.handler(env)
-		case <-nd.done:
-			return
-		}
-	}
 }
 
 // sender owns the outbound link to one remote address: a bounded frame

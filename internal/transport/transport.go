@@ -25,6 +25,8 @@ import (
 // Handler consumes delivered messages. The transport invokes a node's
 // handler sequentially (one message at a time), which gives protocol code
 // the atomic-action semantics of the paper's I/O-automata description.
+// Nodes share goroutines (see Actors): a handler must not wait for another
+// node's handler to run.
 type Handler func(env wire.Envelope)
 
 // Node is a registered process endpoint.
@@ -35,7 +37,9 @@ type Node interface {
 	// message is committed to the link (reliable delivery); it does not mean
 	// the destination has processed it.
 	Send(to wire.ProcID, msg wire.Message) error
-	// Close unregisters the node and stops its delivery loop.
+	// Close unregisters the node and drops what is queued for it. It
+	// returns once the handler is not running and will never run again, so
+	// it must not be called from the node's own handler.
 	Close() error
 }
 

@@ -379,13 +379,6 @@ func registerControlDecoders() {
 		if m.Groups, b, err = readInt32(b); err != nil {
 			return nil, err
 		}
-		// The gauge fields were appended to the encoding later; decode
-		// them as optional (zero when absent) so a gateway restarted onto
-		// a new binary still reads pongs from not-yet-upgraded nodes —
-		// the mixed-version window the catalog restart runbook creates.
-		if len(b) == 0 {
-			return m, nil
-		}
 		if m.Servers, b, err = readInt32(b); err != nil {
 			return nil, err
 		}

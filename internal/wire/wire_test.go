@@ -170,28 +170,6 @@ func orEmpty(b []byte) []byte {
 	return b
 }
 
-// TestNodePongDecodesLegacyEncoding: the storage-gauge fields were
-// appended to NodePong later; a pong from a node running the older
-// binary (Seq + Groups only) must decode with zero gauges, not fail —
-// gateway-first restarts create exactly that mixed-version window.
-func TestNodePongDecodesLegacyEncoding(t *testing.T) {
-	legacy := []byte{byte(KindNodePong)}
-	legacy = appendUvarint(legacy, 12)
-	legacy = appendInt32(legacy, 3)
-	msg, err := Decode(legacy)
-	if err != nil {
-		t.Fatalf("Decode(legacy NodePong): %v", err)
-	}
-	pong, ok := msg.(NodePong)
-	if !ok {
-		t.Fatalf("decoded %T, want NodePong", msg)
-	}
-	want := NodePong{Seq: 12, Groups: 3}
-	if pong != want {
-		t.Errorf("decoded %+v, want %+v", pong, want)
-	}
-}
-
 func TestAllKindsRegistered(t *testing.T) {
 	seen := make(map[Kind]bool)
 	for _, m := range allMessages() {
