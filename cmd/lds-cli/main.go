@@ -67,16 +67,11 @@ func run() error {
 
 	switch *op {
 	case "write":
-		w, err := lds.NewWriter(params, int32(*client))
+		book[wire.ProcID{Role: wire.RoleWriter, Index: int32(*client)}] = net.Addr()
+		w, err := lds.RegisterWriter(net, params, int32(*client))
 		if err != nil {
 			return err
 		}
-		book[w.ID()] = net.Addr()
-		node, err := net.Register(w.ID(), w.Handle)
-		if err != nil {
-			return err
-		}
-		w.Bind(node)
 		start := time.Now()
 		tg, err := w.Write(ctx, []byte(*value))
 		if err != nil {
@@ -84,16 +79,11 @@ func run() error {
 		}
 		fmt.Printf("wrote %d bytes under tag %v in %v\n", len(*value), tg, time.Since(start).Round(time.Microsecond))
 	case "read":
-		r, err := lds.NewReader(params, int32(*client), code)
+		book[wire.ProcID{Role: wire.RoleReader, Index: int32(*client)}] = net.Addr()
+		r, err := lds.RegisterReader(net, params, int32(*client), code)
 		if err != nil {
 			return err
 		}
-		book[r.ID()] = net.Addr()
-		node, err := net.Register(r.ID(), r.Handle)
-		if err != nil {
-			return err
-		}
-		r.Bind(node)
 		start := time.Now()
 		v, tg, err := r.Read(ctx)
 		if err != nil {
@@ -103,6 +93,5 @@ func run() error {
 	default:
 		return fmt.Errorf("lds-cli: unknown -op %q, want read or write", *op)
 	}
-	_ = wire.ProcID{}
 	return nil
 }

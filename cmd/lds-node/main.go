@@ -41,6 +41,7 @@ import (
 
 	"github.com/lds-storage/lds/internal/lds"
 	"github.com/lds-storage/lds/internal/nodehost"
+	"github.com/lds-storage/lds/internal/tag"
 	"github.com/lds-storage/lds/internal/transport/tcpnet"
 	"github.com/lds-storage/lds/internal/wire"
 )
@@ -125,29 +126,14 @@ func runStatic(idStr, listen, peers string, n1, n2, f1, f2 int, initial string, 
 
 	switch id.Role {
 	case wire.RoleL1:
-		srv, err := lds.NewL1Server(params, int(id.Index), code)
-		if err != nil {
-			return err
-		}
-		node, err := net.Register(id, srv.Handle)
-		if err != nil {
-			return err
-		}
-		if err := srv.Bind(node); err != nil {
-			return err
-		}
+		_, err = lds.RegisterL1(net, params, int(id.Index), code, tag.Zero)
 	case wire.RoleL2:
-		srv, err := lds.NewL2Server(params, int(id.Index), code, []byte(initial))
-		if err != nil {
-			return err
-		}
-		node, err := net.Register(id, srv.Handle)
-		if err != nil {
-			return err
-		}
-		srv.Bind(node)
+		_, err = lds.RegisterL2(net, params, int(id.Index), code, []byte(initial), tag.Zero)
 	default:
-		return fmt.Errorf("lds-node: id %v must be an L1 or L2 server", id)
+		err = fmt.Errorf("lds-node: id %v must be an L1 or L2 server", id)
+	}
+	if err != nil {
+		return err
 	}
 
 	log.Printf("lds-node %v listening on %s (n1=%d f1=%d n2=%d f2=%d k=%d d=%d)",

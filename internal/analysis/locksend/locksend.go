@@ -1,10 +1,11 @@
 // Package locksend flags potentially-blocking operations performed while
-// holding a sync.Mutex or sync.RWMutex in the protocol packages
-// (internal/gateway, internal/lds, internal/nodehost). A channel send, a
-// net.Conn read/write, a transport Send, or one of the known blocking
-// control RPCs executed under a lock couples lock hold time to peer and
-// network latency — the repo's locking rule is copy-under-lock,
-// send-outside-lock.
+// holding a sync.Mutex or sync.RWMutex in internal/gateway, internal/nodehost
+// and internal/lds — where only the runtime adaptor holds locks, because the
+// protocol machines take none: its per-process lock must never be held across
+// a send. A channel send, a net.Conn read/write, a transport Send, the
+// adaptor's outbox flush, or one of the known blocking control RPCs executed
+// under a lock couples lock hold time to peer and network latency — the
+// repo's locking rule is copy-under-lock, send-outside-lock.
 //
 // What counts as blocking while a lock is held:
 //
@@ -12,7 +13,8 @@
 //     has no default clause (a select with default polls and cannot block);
 //   - Read/Write/ReadFrom/WriteTo on a net type (net.Conn, net.Buffers, ...);
 //   - a Send method that takes an internal/wire parameter (the transport
-//     send surface, whatever the concrete transport);
+//     send surface, whatever the concrete transport), and the lds adaptor's
+//     process.flush, which sends a step's outbox;
 //   - the gateway's at-least-once control RPCs (remoteManager.call and
 //     its wrappers) and time.Sleep.
 //
@@ -44,7 +46,7 @@ import (
 // Analyzer is the locksend checker.
 var Analyzer = &lint.Analyzer{
 	Name: "locksend",
-	Doc:  "no channel sends, conn writes, or blocking control RPCs while holding a mutex in internal/gateway, internal/lds, internal/nodehost",
+	Doc:  "no channel sends, conn writes, transport sends or blocking control RPCs while holding a mutex in internal/gateway, internal/nodehost, or the internal/lds runtime adaptor (whose outbox flush must follow its unlock)",
 	Run:  run,
 }
 
@@ -70,6 +72,7 @@ var blockingMethods = []struct {
 	{"internal/gateway", "remoteManager", "sampleStats", "control RPC"},
 	{"internal/gateway", "remoteManager", "reprovision", "control RPC"},
 	{"", "Network", "Drain", "transport drain"},
+	{"internal/lds", "process", "flush", "outbox flush"},
 }
 
 // blockingFuncs are package-level blocking functions.

@@ -9,8 +9,9 @@
 // forwards it to all n1 servers before consuming it itself. With at most f1
 // crashes, if anyone consumed then at least one relay forwarded to everyone.
 //
-// A Broadcaster is owned by a single L1 server actor and must only be used
-// from that actor's goroutine; it holds no locks.
+// A Broadcaster is part of one L1 server's state and is driven by that
+// server's steps: what it sends goes into the step's wire.Outbox. It holds no
+// locks.
 package broadcast
 
 import (
@@ -19,15 +20,11 @@ import (
 	"github.com/lds-storage/lds/internal/wire"
 )
 
-// SendFunc transmits a message to a peer; provided by the owning server.
-type SendFunc func(to wire.ProcID, msg wire.Message) error
-
 // Broadcaster runs the relay protocol for one L1 server.
 type Broadcaster struct {
 	self   wire.ProcID
 	peers  []wire.ProcID // all n1 L1 servers, including self
 	relays []wire.ProcID // the fixed relay set S_{f1+1}
-	send   SendFunc
 
 	isRelay bool
 	nextSeq uint64
@@ -45,20 +42,16 @@ type originSeen struct {
 }
 
 // New creates a broadcaster for the server self. peers must list all L1
-// servers; the relay set is the first relayCount of them (a fixed set known
-// to everyone, per the paper).
-func New(self wire.ProcID, peers []wire.ProcID, relayCount int, send SendFunc) (*Broadcaster, error) {
+// servers and is kept, not copied; the relay set is the first relayCount of
+// them (a fixed set known to everyone, per the paper).
+func New(self wire.ProcID, peers []wire.ProcID, relayCount int) (*Broadcaster, error) {
 	if relayCount < 1 || relayCount > len(peers) {
 		return nil, fmt.Errorf("broadcast: relay count %d out of range (1..%d)", relayCount, len(peers))
 	}
-	if send == nil {
-		return nil, fmt.Errorf("broadcast: nil send function")
-	}
 	b := &Broadcaster{
 		self:   self,
-		peers:  append([]wire.ProcID(nil), peers...),
-		relays: append([]wire.ProcID(nil), peers[:relayCount]...),
-		send:   send,
+		peers:  peers,
+		relays: peers[:relayCount],
 		seen:   make(map[wire.ProcID]*originSeen),
 	}
 	for _, r := range b.relays {
@@ -72,16 +65,12 @@ func New(self wire.ProcID, peers []wire.ProcID, relayCount int, send SendFunc) (
 // Broadcast initiates a broadcast of inner: the origin sends it to the f1+1
 // relay servers (possibly including itself; the copy then loops back through
 // the network like any other message).
-func (b *Broadcaster) Broadcast(inner wire.Message) error {
+func (b *Broadcaster) Broadcast(inner wire.Message, out *wire.Outbox) {
 	b.nextSeq++
 	msg := wire.Broadcast{Origin: b.self, Seq: b.nextSeq, Inner: inner}
-	var firstErr error
 	for _, r := range b.relays {
-		if err := b.send(r, msg); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		out.Send(r, msg)
 	}
-	return firstErr
 }
 
 // Handle processes an incoming wire.Broadcast. It returns the inner message
@@ -89,7 +78,7 @@ func (b *Broadcaster) Broadcast(inner wire.Message) error {
 // return consume=false. When this server is a relay seeing the instance for
 // the first time, it forwards to all peers before consuming (the ordering
 // the primitive's guarantee depends on).
-func (b *Broadcaster) Handle(msg wire.Broadcast) (inner wire.Message, consume bool) {
+func (b *Broadcaster) Handle(msg wire.Broadcast, out *wire.Outbox) (inner wire.Message, consume bool) {
 	o := b.seen[msg.Origin]
 	if o == nil {
 		o = &originSeen{ahead: make(map[uint64]struct{})}
@@ -108,9 +97,7 @@ func (b *Broadcaster) Handle(msg wire.Broadcast) (inner wire.Message, consume bo
 	}
 	if b.isRelay {
 		for _, p := range b.peers {
-			// Best effort per peer: a failed send to one peer must not stop
-			// the relay to the others (crashed peers are unreachable anyway).
-			_ = b.send(p, msg)
+			out.Send(p, msg)
 		}
 	}
 	return msg.Inner, true

@@ -15,53 +15,35 @@ func ids(n int) []wire.ProcID {
 	return out
 }
 
-// sentMsg records one send.
-type sentMsg struct {
-	to  wire.ProcID
-	msg wire.Message
-}
-
-func recordingSend(log *[]sentMsg) SendFunc {
-	return func(to wire.ProcID, msg wire.Message) error {
-		*log = append(*log, sentMsg{to: to, msg: msg})
-		return nil
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	peers := ids(5)
-	if _, err := New(peers[0], peers, 0, func(wire.ProcID, wire.Message) error { return nil }); err == nil {
+	if _, err := New(peers[0], peers, 0); err == nil {
 		t.Error("relayCount 0 should fail")
 	}
-	if _, err := New(peers[0], peers, 6, func(wire.ProcID, wire.Message) error { return nil }); err == nil {
+	if _, err := New(peers[0], peers, 6); err == nil {
 		t.Error("relayCount > len(peers) should fail")
-	}
-	if _, err := New(peers[0], peers, 2, nil); err == nil {
-		t.Error("nil send should fail")
 	}
 }
 
 func TestBroadcastSendsToRelaySetOnly(t *testing.T) {
 	peers := ids(5)
-	var log []sentMsg
-	b, err := New(peers[4], peers, 2, recordingSend(&log))
+	b, err := New(peers[4], peers, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inner := wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}
-	if err := b.Broadcast(inner); err != nil {
-		t.Fatal(err)
+	var out wire.Outbox
+	b.Broadcast(inner, &out)
+	if len(out.Msgs) != 2 {
+		t.Fatalf("broadcast sent %d messages, want 2 (the relay set)", len(out.Msgs))
 	}
-	if len(log) != 2 {
-		t.Fatalf("broadcast sent %d messages, want 2 (the relay set)", len(log))
-	}
-	for i, s := range log {
-		if s.to != peers[i] {
-			t.Errorf("send %d went to %v, want relay %v", i, s.to, peers[i])
+	for i, s := range out.Msgs {
+		if s.To != peers[i] {
+			t.Errorf("send %d went to %v, want relay %v", i, s.To, peers[i])
 		}
-		bm, ok := s.msg.(wire.Broadcast)
+		bm, ok := s.Msg.(wire.Broadcast)
 		if !ok {
-			t.Fatalf("send %d is %T, want wire.Broadcast", i, s.msg)
+			t.Fatalf("send %d is %T, want wire.Broadcast", i, s.Msg)
 		}
 		if bm.Origin != peers[4] || bm.Inner != inner {
 			t.Errorf("broadcast fields: %+v", bm)
@@ -71,60 +53,60 @@ func TestBroadcastSendsToRelaySetOnly(t *testing.T) {
 
 func TestRelayForwardsToAllPeersOnFirstReception(t *testing.T) {
 	peers := ids(4)
-	var log []sentMsg
 	// peers[0] is in the relay set (first 2).
-	b, err := New(peers[0], peers, 2, recordingSend(&log))
+	b, err := New(peers[0], peers, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := wire.Broadcast{Origin: peers[3], Seq: 9, Inner: wire.CommitTag{Tag: tag.Tag{Z: 2, W: 1}}}
 
-	inner, consume := b.Handle(msg)
+	var out wire.Outbox
+	inner, consume := b.Handle(msg, &out)
 	if !consume {
 		t.Fatal("first reception must be consumed")
 	}
 	if inner.(wire.CommitTag).Tag.Z != 2 {
 		t.Error("inner message corrupted")
 	}
-	if len(log) != 4 {
-		t.Fatalf("relay forwarded %d messages, want all 4 peers", len(log))
+	if len(out.Msgs) != 4 {
+		t.Fatalf("relay forwarded %d messages, want all 4 peers", len(out.Msgs))
 	}
 
 	// Second copy (from the other relay): no consumption, no re-relay.
-	log = nil
-	if _, consume := b.Handle(msg); consume {
+	out.Reset()
+	if _, consume := b.Handle(msg, &out); consume {
 		t.Error("duplicate reception must not be consumed")
 	}
-	if len(log) != 0 {
-		t.Errorf("duplicate reception caused %d forwards, want 0", len(log))
+	if len(out.Msgs) != 0 {
+		t.Errorf("duplicate reception caused %d forwards, want 0", len(out.Msgs))
 	}
 }
 
 func TestNonRelayDoesNotForward(t *testing.T) {
 	peers := ids(4)
-	var log []sentMsg
-	b, err := New(peers[3], peers, 2, recordingSend(&log))
+	b, err := New(peers[3], peers, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := wire.Broadcast{Origin: peers[0], Seq: 1, Inner: wire.CommitTag{}}
-	if _, consume := b.Handle(msg); !consume {
+	var out wire.Outbox
+	if _, consume := b.Handle(msg, &out); !consume {
 		t.Fatal("first reception must be consumed")
 	}
-	if len(log) != 0 {
-		t.Errorf("non-relay forwarded %d messages, want 0", len(log))
+	if len(out.Msgs) != 0 {
+		t.Errorf("non-relay forwarded %d messages, want 0", len(out.Msgs))
 	}
 }
 
 func TestDistinctInstancesConsumedSeparately(t *testing.T) {
 	peers := ids(3)
-	var log []sentMsg
-	b, _ := New(peers[2], peers, 1, recordingSend(&log))
+	b, _ := New(peers[2], peers, 1)
 	m1 := wire.Broadcast{Origin: peers[0], Seq: 1, Inner: wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}}
 	m2 := wire.Broadcast{Origin: peers[0], Seq: 2, Inner: wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}}
 	m3 := wire.Broadcast{Origin: peers[1], Seq: 1, Inner: wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}}
+	var out wire.Outbox
 	for i, m := range []wire.Broadcast{m1, m2, m3} {
-		if _, consume := b.Handle(m); !consume {
+		if _, consume := b.Handle(m, &out); !consume {
 			t.Errorf("instance %d not consumed", i)
 		}
 	}
@@ -133,34 +115,41 @@ func TestDistinctInstancesConsumedSeparately(t *testing.T) {
 	}
 }
 
-func TestEveryServerConsumesExactlyOnce(t *testing.T) {
-	// Simulate the full primitive synchronously over 5 servers with relay
-	// set of size 2: deliver every send immediately and count consumptions.
-	const n = 5
+// runBroadcast drives n broadcasters as one synchronous system: it starts a
+// broadcast at origin and delivers every queued envelope, skipping crashed
+// destinations, until none is left. It returns how often each server
+// consumed the instance.
+func runBroadcast(t *testing.T, n, relays, origin int, crashed map[int32]bool) []int {
+	t.Helper()
 	peers := ids(n)
 	bs := make([]*Broadcaster, n)
-	consumed := make([]int, n)
-	var deliver func(to wire.ProcID, msg wire.Message) error
 	for i := range bs {
-		b, err := New(peers[i], peers, 2, func(to wire.ProcID, msg wire.Message) error {
-			return deliver(to, msg)
-		})
+		b, err := New(peers[i], peers, relays)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bs[i] = b
 	}
-	deliver = func(to wire.ProcID, msg wire.Message) error {
-		bm := msg.(wire.Broadcast)
-		if _, ok := bs[to.Index].Handle(bm); ok {
-			consumed[to.Index]++
+	consumed := make([]int, n)
+	var out wire.Outbox
+	bs[origin].Broadcast(wire.CommitTag{Tag: tag.Tag{Z: 5, W: 2}}, &out)
+	for len(out.Msgs) > 0 {
+		env := out.Msgs[0]
+		out.Msgs = out.Msgs[1:]
+		if crashed[env.To.Index] {
+			continue
 		}
-		return nil
+		if _, ok := bs[env.To.Index].Handle(env.Msg.(wire.Broadcast), &out); ok {
+			consumed[env.To.Index]++
+		}
 	}
-	if err := bs[3].Broadcast(wire.CommitTag{Tag: tag.Tag{Z: 5, W: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range consumed {
+	return consumed
+}
+
+func TestEveryServerConsumesExactlyOnce(t *testing.T) {
+	// Simulate the full primitive synchronously over 5 servers with relay
+	// set of size 2: deliver every send and count consumptions.
+	for i, c := range runBroadcast(t, 5, 2, 3, nil) {
 		if c != 1 {
 			t.Errorf("server %d consumed %d times, want exactly 1", i, c)
 		}
@@ -170,35 +159,8 @@ func TestEveryServerConsumesExactlyOnce(t *testing.T) {
 func TestRelayCrashTolerance(t *testing.T) {
 	// If one relay is crashed but the other alive, everyone still consumes:
 	// the reason the relay set has f1+1 members.
-	const n = 5
-	peers := ids(n)
-	crashed := map[int32]bool{0: true} // relay 0 dead
-	bs := make([]*Broadcaster, n)
-	consumed := make([]int, n)
-	var deliver func(to wire.ProcID, msg wire.Message) error
-	for i := range bs {
-		b, err := New(peers[i], peers, 2, func(to wire.ProcID, msg wire.Message) error {
-			return deliver(to, msg)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs[i] = b
-	}
-	deliver = func(to wire.ProcID, msg wire.Message) error {
-		if crashed[to.Index] {
-			return nil
-		}
-		bm := msg.(wire.Broadcast)
-		if _, ok := bs[to.Index].Handle(bm); ok {
-			consumed[to.Index]++
-		}
-		return nil
-	}
-	if err := bs[4].Broadcast(wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < n; i++ {
+	consumed := runBroadcast(t, 5, 2, 4, map[int32]bool{0: true}) // relay 0 dead
+	for i := 1; i < len(consumed); i++ {
 		if consumed[i] != 1 {
 			t.Errorf("server %d consumed %d times, want 1 despite relay crash", i, consumed[i])
 		}
@@ -211,12 +173,13 @@ func TestRelayCrashTolerance(t *testing.T) {
 // consumed exactly once, and only the window is remembered.
 func TestDedupStateStaysBounded(t *testing.T) {
 	peers := ids(3)
-	b, _ := New(peers[2], peers, 1, func(wire.ProcID, wire.Message) error { return nil })
+	b, _ := New(peers[2], peers, 1)
 	const total, window = 10000, 8
 	consumed := 0
+	var out wire.Outbox
 	deliver := func(seq uint64) {
 		for range 2 { // every instance arrives twice (two relays)
-			if _, consume := b.Handle(wire.Broadcast{Origin: peers[0], Seq: seq, Inner: wire.CommitTag{}}); consume {
+			if _, consume := b.Handle(wire.Broadcast{Origin: peers[0], Seq: seq, Inner: wire.CommitTag{}}, &out); consume {
 				consumed++
 			}
 		}

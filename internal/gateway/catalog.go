@@ -224,7 +224,7 @@ func (g *Gateway) restoreFromCatalog(st catalog.State) (*RestoreInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gateway: restore %q: %w", key, err)
 		}
-		obj, err := newObject(grp, o.NS, g.cfg.PoolSize, sh.observe)
+		obj, err := newObject(grp, o.NS, g.cfg.PoolSize)
 		if err != nil {
 			// Detach, never Close: Close would retire the group — catalog
 			// record and node-held servers both — turning a transient

@@ -1245,7 +1245,7 @@ func (f *fleet) adoptDurable(peerID int32, claims map[int32]uint64) (map[int32]*
 		if err != nil {
 			return nil, nil, fmt.Errorf("gateway: adopt %q: %w", ao.key, err)
 		}
-		obj, err := newObject(grp, ao.obj.NS, g.cfg.PoolSize, sh.observe)
+		obj, err := newObject(grp, ao.obj.NS, g.cfg.PoolSize)
 		if err != nil {
 			grp.Detach()
 			return nil, nil, fmt.Errorf("gateway: adopt %q: %w", ao.key, err)

@@ -683,7 +683,7 @@ func (g *Gateway) createObject(ctx context.Context, key string, sh *shard) (*obj
 	if err != nil {
 		return nil, false, err
 	}
-	obj, err := newObject(grp, ns, g.cfg.PoolSize, sh.observe)
+	obj, err := newObject(grp, ns, g.cfg.PoolSize)
 	if err != nil {
 		grp.Close()
 		g.recycleNamespace(ns)
@@ -828,7 +828,9 @@ func (g *Gateway) putLocal(ctx context.Context, key string, value []byte) (tag.T
 			return tag.Tag{}, g.opErr(err)
 		}
 		obj.ops.Add(1)
+		start := time.Now()
 		t, err := w.Write(ctx, value)
+		sh.observe(true, time.Since(start), len(value), err)
 		sh.release()
 		obj.putWriter(w)
 		return t, g.opErr(err)
@@ -874,7 +876,9 @@ func (g *Gateway) getLocal(ctx context.Context, key string) ([]byte, tag.Tag, er
 			return nil, tag.Tag{}, g.opErr(err)
 		}
 		obj.ops.Add(1)
+		start := time.Now()
 		v, t, err := r.Read(ctx)
+		sh.observe(false, time.Since(start), len(v), err)
 		sh.release()
 		obj.putReader(r)
 		return v, t, g.opErr(err)

@@ -547,11 +547,11 @@ func TestObserveErrorAccounting(t *testing.T) {
 	defer g.Close()
 	sh := g.shardList()[0]
 
-	sh.observe(lds.OpRead, 5*time.Millisecond, 100, nil)
-	sh.observe(lds.OpRead, 15*time.Millisecond, 300, nil)
-	sh.observe(lds.OpRead, 90*time.Millisecond, 0, errors.New("boom"))
-	sh.observe(lds.OpWrite, 10*time.Millisecond, 200, nil)
-	sh.observe(lds.OpWrite, 400*time.Millisecond, 0, errors.New("boom"))
+	sh.observe(false, 5*time.Millisecond, 100, nil)
+	sh.observe(false, 15*time.Millisecond, 300, nil)
+	sh.observe(false, 90*time.Millisecond, 0, errors.New("boom"))
+	sh.observe(true, 10*time.Millisecond, 200, nil)
+	sh.observe(true, 400*time.Millisecond, 0, errors.New("boom"))
 
 	s := sh.snapshot()
 	if s.Reads != 2 || s.ReadErrors != 1 || s.Writes != 1 || s.WriteErrors != 1 {

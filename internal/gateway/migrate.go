@@ -126,7 +126,7 @@ func (g *Gateway) migrateKey(ctx context.Context, key string, to int, drain bool
 		obj.restore(writers, readers)
 		return fmt.Errorf("gateway: migrate %q: %w", key, err)
 	}
-	newObj, err := newObject(grp, ns, g.cfg.PoolSize, toSh.observe)
+	newObj, err := newObject(grp, ns, g.cfg.PoolSize)
 	if err != nil {
 		grp.Close()
 		g.recycleNamespace(ns)

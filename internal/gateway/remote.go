@@ -58,13 +58,13 @@ type remoteManager struct {
 	// by the fleet layer at start so the resolver can route peer endpoints
 	// (control indices at or below peerCtlBase). Nil outside fleet mode.
 	peerResolver func(id int32) (string, bool)
-	seq     uint64
-	gen     uint64 // group-incarnation allocator; never reused, unlike namespaces
-	pending map[uint64]chan wire.Message
-	groups  map[int32]*remoteGroupInfo // live remote groups by namespace
-	nextCID int32                      // rolling client-id allocator
-	cids    map[int32]struct{}         // client ids currently bound to live pooled clients
-	closed  bool
+	seq          uint64
+	gen          uint64 // group-incarnation allocator; never reused, unlike namespaces
+	pending      map[uint64]chan wire.Message
+	groups       map[int32]*remoteGroupInfo // live remote groups by namespace
+	nextCID      int32                      // rolling client-id allocator
+	cids         map[int32]struct{}         // client ids currently bound to live pooled clients
+	closed       bool
 }
 
 // remoteGroupInfo is what the manager remembers about one live remote
@@ -516,17 +516,11 @@ func (r *remoteGroup) Writer(wid int32) (*core.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := core.NewWriter(r.mgr.params, cid)
+	w, err := core.RegisterWriter(r.view, r.mgr.params, cid)
 	if err != nil {
 		r.mgr.releaseClientIDs([]int32{cid})
 		return nil, err
 	}
-	node, err := r.view.Register(w.ID(), w.Handle)
-	if err != nil {
-		r.mgr.releaseClientIDs([]int32{cid})
-		return nil, err
-	}
-	w.Bind(node)
 	r.writers[wid] = w
 	r.cids = append(r.cids, cid)
 	return w, nil
@@ -543,17 +537,11 @@ func (r *remoteGroup) Reader(rid int32) (*core.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd, err := core.NewReader(r.mgr.params, cid, r.mgr.code)
+	rd, err := core.RegisterReader(r.view, r.mgr.params, cid, r.mgr.code)
 	if err != nil {
 		r.mgr.releaseClientIDs([]int32{cid})
 		return nil, err
 	}
-	node, err := r.view.Register(rd.ID(), rd.Handle)
-	if err != nil {
-		r.mgr.releaseClientIDs([]int32{cid})
-		return nil, err
-	}
-	rd.Bind(node)
 	r.readers[rid] = rd
 	r.cids = append(r.cids, cid)
 	return rd, nil

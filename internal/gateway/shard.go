@@ -80,28 +80,24 @@ func (s *shard) acquire(ctx context.Context) error {
 
 func (s *shard) release() { <-s.sem }
 
-// observe is the OpObserver shared by all of the shard's pooled clients.
-// Failed operations increment only their error counter: adding their
-// (zeroed) payload and wall-clock time to the totals would dilute the
-// exact per-shard load signal and skew the mean-latency derivations.
-func (s *shard) observe(op core.OpKind, d time.Duration, payloadBytes int, err error) {
-	switch op {
-	case core.OpRead:
-		if err != nil {
-			s.stats.readErrors.Add(1)
-			return
-		}
-		s.stats.reads.Add(1)
-		s.stats.readBytes.Add(uint64(payloadBytes))
-		s.stats.readLatency.Add(int64(d))
-	case core.OpWrite:
-		if err != nil {
-			s.stats.writeErrors.Add(1)
-			return
-		}
+// observe credits one write (or else read) to the shard's counters. Failed
+// operations increment only their error counter: adding their payload and
+// wall-clock time to the totals would dilute the exact per-shard load signal
+// and skew the mean-latency derivations.
+func (s *shard) observe(write bool, d time.Duration, payloadBytes int, err error) {
+	switch {
+	case write && err != nil:
+		s.stats.writeErrors.Add(1)
+	case write:
 		s.stats.writes.Add(1)
 		s.stats.writeBytes.Add(uint64(payloadBytes))
 		s.stats.writeLatency.Add(int64(d))
+	case err != nil:
+		s.stats.readErrors.Add(1)
+	default:
+		s.stats.reads.Add(1)
+		s.stats.readBytes.Add(uint64(payloadBytes))
+		s.stats.readLatency.Add(int64(d))
 	}
 }
 
@@ -232,7 +228,7 @@ type object struct {
 	retired atomic.Bool
 }
 
-func newObject(grp group, ns int32, poolSize int, obs core.OpObserver) (*object, error) {
+func newObject(grp group, ns int32, poolSize int) (*object, error) {
 	obj := &object{
 		grp:     grp,
 		ns:      ns,
@@ -246,13 +242,11 @@ func newObject(grp group, ns int32, poolSize int, obs core.OpObserver) (*object,
 		if err != nil {
 			return nil, err
 		}
-		w.SetObserver(obs)
 		obj.writers <- w
 		r, err := grp.Reader(int32(i))
 		if err != nil {
 			return nil, err
 		}
-		r.SetObserver(obs)
 		obj.readers <- r
 	}
 	return obj, nil

@@ -2,50 +2,13 @@ package lds
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/lds-storage/lds/internal/erasure"
 	"github.com/lds-storage/lds/internal/tag"
-	"github.com/lds-storage/lds/internal/transport"
 	"github.com/lds-storage/lds/internal/wire"
 )
-
-// ErrNoNode is returned when a client operation starts before Bind.
-var ErrNoNode = errors.New("lds: client not bound to a transport node")
-
-// OpKind identifies the kind of a completed client operation for
-// instrumentation.
-type OpKind uint8
-
-// Client operation kinds.
-const (
-	OpWrite OpKind = iota + 1
-	OpRead
-)
-
-// String returns "write" or "read".
-func (k OpKind) String() string {
-	switch k {
-	case OpWrite:
-		return "write"
-	case OpRead:
-		return "read"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(k))
-	}
-}
-
-// OpObserver receives one callback per completed client operation: the
-// kind, its wall-clock duration, the value bytes moved between application
-// and store (0 on failure), and the operation's error, if any. Observers
-// are how pooling front-ends such as internal/gateway account per-shard
-// load without wrapping every call site. The callback runs on the
-// operation's goroutine after the operation finishes; keep it cheap.
-type OpObserver func(op OpKind, d time.Duration, payloadBytes int, err error)
 
 // respSet tracks which servers have been counted in the current client
 // phase without per-phase allocation: stamp[i] == seq means server i is
@@ -81,241 +44,159 @@ func (r *respSet) add(i int32) bool {
 
 func (r *respSet) count() int { return r.n }
 
-// clientCore is the machinery shared by Writer and Reader: a mailbox fed by
-// the transport handler and a per-client operation sequence. Clients are
-// well-formed (one operation at a time, paper Section II-a), so a single
-// response channel suffices; responses from superseded operations are
-// filtered by OpID. phase is the quorum-membership scratch reused by every
-// sequential client phase (pooled clients in the gateway recycle it
-// automatically on checkout).
-type clientCore struct {
+// phase is where a client operation stands.
+type phase uint8
+
+const (
+	idle phase = iota
+	getTag
+	putData
+	getCommTag
+	getData
+	putTag
+	done
+)
+
+var phaseNames = [...]string{"idle", "get-tag", "put-data", "get-commited-tag", "get-data", "put-tag", "done"}
+
+// opCore is what WriteOp and ReadOp share: the client's view of L1, the
+// phase, and the per-client op-id sequence. Every phase mints a fresh op id,
+// so responses to an earlier phase or operation of the same client never
+// count toward the current one. quorum is the reused membership scratch of
+// the phase in flight. L1 servers drop a reader's get-data or put-tag older
+// than its registration as a late copy, so a machine taking over a client id
+// must start its sequence above every op id its predecessors minted.
+type opCore struct {
 	params Params
-	id     wire.ProcID
-	node   transport.Node
-	inbox  chan wire.Envelope
-	opSeq  uint64
-	obs    OpObserver
-	phase  respSet
-
-	// What Handle admits, set by the operation's goroutine and read by the
-	// transport's: the op id of the phase being collected (0 between
-	// operations) and, in a put-data phase, the tag being written.
-	mu      sync.Mutex
-	awaitOp uint64
-	awaitTw tag.Tag
+	l1     []wire.ProcID // all L1 servers, built once
+	seq    uint64
+	opID   uint64
+	phase  phase
+	quorum respSet
 }
 
-func newClientCore(params Params, id wire.ProcID) clientCore {
-	return clientCore{
-		params: params,
-		id:     id,
-		// Handle admits only answers to the phase in flight, so the inbox
-		// holds at most that phase's responses (a server may answer a
-		// get-data twice) and the previous phase's stragglers: under 4*n1
-		// envelopes even if collect never runs.
-		inbox: make(chan wire.Envelope, 4*(params.N1+1)),
+// enter opens phase p: a fresh op id and an empty quorum.
+func (c *opCore) enter(p phase) uint64 {
+	c.phase = p
+	c.seq++
+	c.opID = c.seq
+	c.quorum.reset(c.params.N1)
+	return c.opID
+}
+
+// sendAll queues msg for every L1 server.
+func (c *opCore) sendAll(msg wire.Message, out *wire.Outbox) {
+	for _, id := range c.l1 {
+		out.Send(id, msg)
 	}
 }
 
-// Handle is the transport handler. It runs on the transport's delivery
-// goroutine, which WaitIdle and Close wait for, so it never blocks: a
-// response that does not answer the phase in flight is dropped (a client
-// that finished its operation keeps receiving late and relayed responses,
-// and nothing drains the inbox then), and so is one that finds the inbox
-// full.
-func (c *clientCore) Handle(env wire.Envelope) {
-	c.mu.Lock()
-	op, tw := c.awaitOp, c.awaitTw
-	c.mu.Unlock()
-	var answers bool
-	switch m := env.Msg.(type) {
-	case wire.QueryTagResp:
-		answers = m.OpID == op
-	case wire.PutDataResp:
-		// The broadcast-threshold ack carries no op id; the tag names the
-		// write on both ack paths.
-		answers = m.Tag == tw
-	case wire.QueryCommTagResp:
-		answers = m.OpID == op
-	case wire.QueryDataResp:
-		answers = m.OpID == op
-	case wire.PutTagResp:
-		answers = m.OpID == op
-	}
-	if op == 0 || !answers {
-		return
-	}
-	select {
-	case c.inbox <- env:
-	default:
-	}
+// reached reports whether the phase in flight has heard from f1+k
+// distinct servers.
+func (c *opCore) reached() bool { return c.quorum.count() >= c.params.WriteQuorum() }
+
+// Phase names the phase the operation is in ("idle" before the first
+// Start, "done" once it has completed).
+func (c *opCore) Phase() string { return phaseNames[c.phase] }
+
+// Done reports whether the operation started last has completed.
+func (c *opCore) Done() bool { return c.phase == done }
+
+// WriteOp is a writer's state machine (paper, Fig. 1 left): Start begins one
+// write, Step consumes the L1 servers' answers, and once Done the write's
+// tag is Tag. One WriteOp serves all of a writer's operations, one at a
+// time (the paper's well-formedness), so its op ids never repeat.
+type WriteOp struct {
+	opCore
+	wid   int32
+	value []byte
+	tw    tag.Tag // the max tag get-tag has seen, then the tag written
 }
 
-// await opens the next phase: it mints the phase's op id and makes Handle
-// admit answers to it, and to nothing else. tw is the tag a put-data phase
-// writes, the zero tag in every other phase.
-func (c *clientCore) await(tw tag.Tag) uint64 {
-	c.opSeq++
-	c.mu.Lock()
-	c.awaitOp, c.awaitTw = c.opSeq, tw
-	c.mu.Unlock()
-	return c.opSeq
-}
-
-// Bind attaches the transport node.
-func (c *clientCore) Bind(node transport.Node) { c.node = node }
-
-// ID returns the client's process id.
-func (c *clientCore) ID() wire.ProcID { return c.id }
-
-// observe closes the operation (Handle drops everything from here on) and
-// reports it to the observer, if one is set.
-func (c *clientCore) observe(op OpKind, start time.Time, payloadBytes int, err error) {
-	c.mu.Lock()
-	c.awaitOp = 0
-	c.mu.Unlock()
-	if c.obs == nil {
-		return
-	}
-	if err != nil {
-		payloadBytes = 0
-	}
-	c.obs(op, time.Since(start), payloadBytes, err)
-}
-
-// sendAllL1 fans a message out to every L1 server.
-func (c *clientCore) sendAllL1(msg wire.Message) error {
-	if c.node == nil {
-		return ErrNoNode
-	}
-	var firstErr error
-	for _, id := range c.params.L1IDs() {
-		if err := c.node.Send(id, msg); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// collect delivers responses to visit until it returns done=true or the
-// context expires. Responses are whatever the servers send to this client;
-// visit must filter by operation id.
-func (c *clientCore) collect(ctx context.Context, visit func(env wire.Envelope) (done bool)) error {
-	for {
-		select {
-		case env := <-c.inbox:
-			if visit(env) {
-				return nil
-			}
-		case <-ctx.Done():
-			return fmt.Errorf("lds: %s operation: %w", c.id, ctx.Err())
-		}
-	}
-}
-
-// Writer is an LDS write client (paper, Fig. 1 left).
-type Writer struct {
-	core clientCore
-	wid  int32
-}
-
-// NewWriter creates a writer with the given positive writer id; ids order
-// concurrent writes with equal z components, so they must be unique.
-func NewWriter(params Params, wid int32) (*Writer, error) {
+// NewWriteOp creates the machine of the writer with the given positive id;
+// ids order concurrent writes with equal z components, so they must be
+// unique. Its op ids follow seq.
+func NewWriteOp(params Params, wid int32, seq uint64) (*WriteOp, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if wid <= 0 {
 		return nil, fmt.Errorf("lds: writer id %d, want positive", wid)
 	}
-	return &Writer{
-		core: newClientCore(params, wire.ProcID{Role: wire.RoleWriter, Index: wid}),
-		wid:  wid,
-	}, nil
+	return &WriteOp{opCore: opCore{params: params, l1: params.L1IDs(), seq: seq}, wid: wid}, nil
 }
 
-// ID returns the writer's process id.
-func (w *Writer) ID() wire.ProcID { return w.core.ID() }
-
-// Bind attaches the transport node.
-func (w *Writer) Bind(node transport.Node) { w.core.Bind(node) }
-
-// Handle is the transport handler.
-func (w *Writer) Handle(env wire.Envelope) { w.core.Handle(env) }
-
-// SetObserver installs a per-operation instrumentation hook; nil removes
-// it. Not safe to call concurrently with Write.
-func (w *Writer) SetObserver(obs OpObserver) { w.core.obs = obs }
-
-// Write performs one write operation and returns the tag it was written
-// under. The operation completes after f1+k L1 servers acknowledge; the
-// offload to L2 continues asynchronously and never delays the writer.
-func (w *Writer) Write(ctx context.Context, value []byte) (tag.Tag, error) {
-	start := time.Now()
-	t, err := w.write(ctx, value)
-	w.core.observe(OpWrite, start, len(value), err)
-	return t, err
-}
-
-func (w *Writer) write(ctx context.Context, value []byte) (tag.Tag, error) {
+// Start begins a write of value, which L1 servers keep by reference: the
+// caller must not modify it afterwards. It abandons any operation still in
+// flight.
+func (o *WriteOp) Start(value []byte, out *wire.Outbox) {
 	// Phase 1: get-tag -- discover the maximum tag from f1+k servers.
-	opGet := w.core.await(tag.Tag{})
-	if err := w.core.sendAllL1(wire.QueryTag{OpID: opGet}); err != nil {
-		return tag.Tag{}, err
-	}
-	var maxTag tag.Tag
-	w.core.phase.reset(w.core.params.N1)
-	err := w.core.collect(ctx, func(env wire.Envelope) bool {
-		m, ok := env.Msg.(wire.QueryTagResp)
-		if !ok || m.OpID != opGet || !w.core.phase.add(env.From.Index) {
-			return false
-		}
-		maxTag = tag.Max(maxTag, m.Tag)
-		return w.core.phase.count() >= w.core.params.WriteQuorum()
-	})
-	if err != nil {
-		return tag.Tag{}, fmt.Errorf("get-tag: %w", err)
-	}
+	o.value, o.tw = value, tag.Tag{}
+	o.sendAll(wire.QueryTag{OpID: o.enter(getTag)}, out)
+}
 
-	// Phase 2: put-data -- write (tw, v) and await f1+k acknowledgments.
-	// The caller may reuse value once Write returns, but on channet the L1
-	// servers keep the PutData slice itself (and encode it for L2 well after
-	// the f1+k acks that end this operation), so they get one private copy.
-	tw := maxTag.Next(w.wid)
-	opPut := w.core.await(tw)
-	if err := w.core.sendAllL1(wire.PutData{OpID: opPut, Tag: tw, Value: bytes.Clone(value)}); err != nil {
-		return tag.Tag{}, err
-	}
-	w.core.phase.reset(w.core.params.N1)
-	err = w.core.collect(ctx, func(env wire.Envelope) bool {
+// Tag returns the tag the completed write was written under.
+func (o *WriteOp) Tag() tag.Tag { return o.tw }
+
+// Step consumes one message from process from and queues the messages the
+// action sends in out.
+func (o *WriteOp) Step(from wire.ProcID, msg wire.Message, out *wire.Outbox) {
+	switch m := msg.(type) {
+	case wire.QueryTagResp:
+		if o.phase != getTag || m.OpID != o.opID || !o.quorum.add(from.Index) {
+			return
+		}
+		o.tw = tag.Max(o.tw, m.Tag)
+		if !o.reached() {
+			return
+		}
+		// Phase 2: put-data -- write (tw, v) and await f1+k acknowledgments.
+		o.tw = o.tw.Next(o.wid)
+		o.sendAll(wire.PutData{OpID: o.enter(putData), Tag: o.tw, Value: o.value}, out)
+		o.value = nil
+	case wire.PutDataResp:
 		// ACKs may arrive via the direct path (carrying OpID) or via the
 		// broadcast-threshold path (OpID 0); the tag identifies the write.
-		m, ok := env.Msg.(wire.PutDataResp)
-		if !ok || m.Tag != tw || !w.core.phase.add(env.From.Index) {
-			return false
+		if o.phase == putData && m.Tag == o.tw && o.quorum.add(from.Index) && o.reached() {
+			o.phase = done
 		}
-		return w.core.phase.count() >= w.core.params.WriteQuorum()
-	})
-	if err != nil {
-		return tag.Tag{}, fmt.Errorf("put-data: %w", err)
 	}
-	return tw, nil
 }
 
-// Reader is an LDS read client (paper, Fig. 1 right). values, coded and
-// csFree are the get-data phase's collection state, reused across
-// operations (maps are cleared, codedSets recycled through the free
-// list) so a read allocates only what escapes it: the decoded value.
-type Reader struct {
-	core   clientCore
-	code   erasure.Regenerating
-	values map[tag.Tag][]byte
-	coded  map[tag.Tag]*codedSet
-	csFree []*codedSet
+// ReadOp is a reader's state machine (paper, Fig. 1 right): Start begins one
+// read, Step consumes the L1 servers' answers, and once Done, Result returns
+// the value. Decoding the value from coded elements is left to Result, so
+// that whoever drives the steps does not pay for it. One ReadOp serves all
+// of a reader's operations, one at a time, and reuses its slices, so a read
+// allocates only what escapes it: the decoded value.
+type ReadOp struct {
+	opCore
+	code    erasure.Regenerating
+	treq    tag.Tag
+	answers []answer // the get-data phase's answers worth keeping
+
+	// The get-data outcome, kept through put-tag for Result: the tag and
+	// either a value an L1 server served (not ours to hand out) or the
+	// coded elements to decode.
+	readTag   tag.Tag
+	readValue []byte
+	shards    []erasure.Shard
+	valueLen  int
 }
 
-// NewReader creates a reader with the given positive reader id.
-func NewReader(params Params, rid int32, code erasure.Regenerating) (*Reader, error) {
+// answer is a value an L1 server served, or server from's coded element,
+// for a tag of at least treq.
+type answer struct {
+	tag      tag.Tag
+	from     int32
+	coded    bool
+	data     []byte
+	valueLen int
+}
+
+// NewReadOp creates the machine of the reader with the given positive id.
+// Its op ids follow seq.
+func NewReadOp(params Params, rid int32, code erasure.Regenerating, seq uint64) (*ReadOp, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -325,209 +206,129 @@ func NewReader(params Params, rid int32, code erasure.Regenerating) (*Reader, er
 	if code == nil {
 		return nil, errors.New("lds: reader needs the code to decode coded elements")
 	}
-	return &Reader{
-		core:   newClientCore(params, wire.ProcID{Role: wire.RoleReader, Index: rid}),
-		code:   code,
-		values: make(map[tag.Tag][]byte),
-		coded:  make(map[tag.Tag]*codedSet),
-	}, nil
+	return &ReadOp{opCore: opCore{params: params, l1: params.L1IDs(), seq: seq}, code: code}, nil
 }
 
-// ID returns the reader's process id.
-func (r *Reader) ID() wire.ProcID { return r.core.ID() }
-
-// Bind attaches the transport node.
-func (r *Reader) Bind(node transport.Node) { r.core.Bind(node) }
-
-// Handle is the transport handler.
-func (r *Reader) Handle(env wire.Envelope) { r.core.Handle(env) }
-
-// SetObserver installs a per-operation instrumentation hook; nil removes
-// it. Not safe to call concurrently with Read.
-func (r *Reader) SetObserver(obs OpObserver) { r.core.obs = obs }
-
-// codedSet accumulates coded elements for one tag during get-data.
-type codedSet struct {
-	shards   []erasure.Shard
-	seen     respSet
-	valueLen int
-}
-
-// takeCodedSet checks a reset codedSet out of the reader's free list.
-func (r *Reader) takeCodedSet() *codedSet {
-	var cs *codedSet
-	if n := len(r.csFree); n > 0 {
-		cs = r.csFree[n-1]
-		r.csFree[n-1] = nil
-		r.csFree = r.csFree[:n-1]
-	} else {
-		cs = &codedSet{}
-	}
-	cs.shards = cs.shards[:0]
-	cs.seen.reset(r.core.params.N1)
-	cs.valueLen = 0
-	return cs
-}
-
-// resetGetData clears the get-data collection state, recycling codedSets.
-// It runs as the read ends, so a pooled reader idle between operations pins
-// none of the up to n1 coded elements and L1 values its last read collected.
-func (r *Reader) resetGetData() {
-	clear(r.values)
-	for t, cs := range r.coded {
-		for i := range cs.shards {
-			cs.shards[i].Data = nil
-		}
-		r.csFree = append(r.csFree, cs)
-		delete(r.coded, t)
-	}
-}
-
-// Read performs one read operation, returning the value and its tag.
-func (r *Reader) Read(ctx context.Context) ([]byte, tag.Tag, error) {
-	start := time.Now()
-	value, t, err := r.read(ctx)
-	r.core.observe(OpRead, start, len(value), err)
-	return value, t, err
-}
-
-func (r *Reader) read(ctx context.Context) ([]byte, tag.Tag, error) {
-	quorum := r.core.params.WriteQuorum()
-
+// Start begins a read. It abandons any operation still in flight.
+func (o *ReadOp) Start(out *wire.Outbox) {
+	o.release()
+	o.treq = tag.Tag{}
 	// Phase 1: get-commited-tag -- treq is the max committed tag of f1+k
 	// servers; the read must return a value at least this fresh.
-	opQ := r.core.await(tag.Tag{})
-	if err := r.core.sendAllL1(wire.QueryCommTag{OpID: opQ}); err != nil {
-		return nil, tag.Tag{}, err
-	}
-	var treq tag.Tag
-	r.core.phase.reset(r.core.params.N1)
-	err := r.core.collect(ctx, func(env wire.Envelope) bool {
-		m, ok := env.Msg.(wire.QueryCommTagResp)
-		if !ok || m.OpID != opQ || !r.core.phase.add(env.From.Index) {
-			return false
-		}
-		treq = tag.Max(treq, m.Tag)
-		return r.core.phase.count() >= quorum
-	})
-	if err != nil {
-		return nil, tag.Tag{}, fmt.Errorf("get-commited-tag: %w", err)
-	}
+	o.sendAll(wire.QueryCommTag{OpID: o.enter(getCommTag)}, out)
+}
 
-	// Phase 2: get-data -- await responses from f1+k distinct servers such
-	// that a (tag, value) pair is available or k coded elements share a
-	// tag. Servers may respond more than once (a (bot, bot) regeneration
-	// failure can be followed by a value served off the commit path), so
-	// collection is per-server with the best data retained.
-	opG := r.core.await(tag.Tag{})
-	if err := r.core.sendAllL1(wire.QueryData{OpID: opG, Req: treq}); err != nil {
-		return nil, tag.Tag{}, err
+// Step consumes one message from process from and queues the messages the
+// action sends in out.
+func (o *ReadOp) Step(from wire.ProcID, msg wire.Message, out *wire.Outbox) {
+	switch m := msg.(type) {
+	case wire.QueryCommTagResp:
+		if o.phase != getCommTag || m.OpID != o.opID || !o.quorum.add(from.Index) {
+			return
+		}
+		o.treq = tag.Max(o.treq, m.Tag)
+		if o.reached() {
+			// Phase 2: get-data -- await responses from f1+k distinct
+			// servers such that a (tag, value) pair is available or k coded
+			// elements share a tag.
+			o.sendAll(wire.QueryData{OpID: o.enter(getData), Req: o.treq}, out)
+		}
+	case wire.QueryDataResp:
+		if o.phase == getData && m.OpID == o.opID {
+			o.onData(from, m, out)
+		}
+	case wire.PutTagResp:
+		if o.phase == putTag && m.OpID == o.opID && o.quorum.add(from.Index) && o.reached() {
+			o.phase = done
+		}
 	}
-	defer r.resetGetData()
-	r.core.phase.reset(r.core.params.N1) // distinct responders (any class)
-	var (
-		readTag    tag.Tag
-		readValue  []byte
-		haveResult bool
-	)
-	err = r.core.collect(ctx, func(env wire.Envelope) bool {
-		m, ok := env.Msg.(wire.QueryDataResp)
-		if !ok || m.OpID != opG {
-			return false
-		}
-		r.core.phase.add(env.From.Index)
-		switch m.Class {
-		case wire.PayloadValue:
-			if !m.Tag.Less(treq) {
-				r.values[m.Tag] = m.Data
-			}
-		case wire.PayloadCoded:
-			if !m.Tag.Less(treq) {
-				cs := r.coded[m.Tag]
-				if cs == nil {
-					cs = r.takeCodedSet()
-					r.coded[m.Tag] = cs
-				}
-				if cs.seen.add(env.From.Index) {
-					cs.valueLen = int(m.ValueLen)
-					cs.shards = append(cs.shards, erasure.Shard{
-						Index: int(env.From.Index), // L1 code index is the server index
-						Data:  m.Data,
-					})
-				}
-			}
-		case wire.PayloadNone:
-			// A failed regeneration still counts toward the f1+k distinct
-			// responders; the server will answer again when it can.
-		}
-		if r.core.phase.count() < quorum {
-			return false
-		}
-		// Candidate with the highest tag wins; prefer a direct value over
-		// decoding when tags tie.
-		var (
-			bestTag   tag.Tag
-			bestValue []byte
-			bestCoded *codedSet
-			found     bool
-		)
-		for t, v := range r.values {
-			if !found || bestTag.Less(t) {
-				bestTag, bestValue, bestCoded, found = t, v, nil, true
-			}
-		}
-		for t, cs := range r.coded {
-			if len(cs.shards) < r.core.params.K {
-				continue
-			}
-			if !found || bestTag.Less(t) {
-				bestTag, bestValue, bestCoded, found = t, nil, cs, true
-			}
-		}
-		if !found {
-			return false
-		}
-		if bestCoded != nil {
-			v, err := r.code.Decode(bestCoded.valueLen, bestCoded.shards)
-			if err != nil {
-				// A decode failure cannot happen with k distinct correct
-				// shards; treat as not-yet-complete so liveness is preserved
-				// by further responses.
-				return false
-			}
-			bestValue = v
-		} else {
-			// The value escapes to the application, and on channet m.Data
-			// is the server's own list-entry slice: hand out a copy.
-			bestValue = bytes.Clone(bestValue)
-		}
-		readTag, readValue, haveResult = bestTag, bestValue, true
-		return true
-	})
-	if err != nil {
-		return nil, tag.Tag{}, fmt.Errorf("get-data: %w", err)
-	}
-	if !haveResult {
-		return nil, tag.Tag{}, errors.New("lds: get-data completed without a result")
-	}
+}
 
+// onData collects one get-data answer. Servers may respond more than once
+// (a (bot, bot) regeneration failure can be followed by a value served off
+// the commit path), so every answer is kept, a server's coded element once
+// per tag, and a failed regeneration (PayloadNone) still counts toward the
+// f1+k distinct responders: the server will answer again when it can.
+func (o *ReadOp) onData(from wire.ProcID, m wire.QueryDataResp, out *wire.Outbox) {
+	o.quorum.add(from.Index)
+	coded := m.Class == wire.PayloadCoded
+	if (coded || m.Class == wire.PayloadValue) && !m.Tag.Less(o.treq) {
+		if _, dup := o.count(m.Tag, coded, from.Index); !dup {
+			o.answers = append(o.answers, answer{m.Tag, from.Index, coded, m.Data, int(m.ValueLen)})
+		}
+	}
+	if !o.reached() {
+		return
+	}
+	// Candidate with the highest tag wins; prefer a direct value over
+	// decoding when tags tie.
+	best := -1
+	for i, a := range o.answers {
+		if n, _ := o.count(a.tag, true, -1); a.coded && n < o.params.K {
+			continue
+		}
+		if best < 0 || o.answers[best].tag.Less(a.tag) || a.tag == o.answers[best].tag && !a.coded {
+			best = i
+		}
+	}
+	if best < 0 {
+		return
+	}
+	b := o.answers[best]
+	o.readTag, o.readValue, o.valueLen = b.tag, b.data, b.valueLen
+	if b.coded {
+		o.readValue = nil
+		for _, a := range o.answers {
+			if a.coded && a.tag == b.tag {
+				o.shards = append(o.shards, erasure.Shard{Index: int(a.from), Data: a.data}) // L1 code index is the server index
+			}
+		}
+	}
+	// Unpin what was not chosen: a reader idle between operations holds
+	// none of the up to n1 coded elements and values it collected.
+	clear(o.answers)
+	o.answers = o.answers[:0]
 	// Phase 3: put-tag -- write back the tag (not the value: that is what
 	// keeps the read cost at Theta(1) without concurrency) so that f1+k
 	// servers commit at least tr before the read returns.
-	opP := r.core.await(tag.Tag{})
-	if err := r.core.sendAllL1(wire.PutTag{OpID: opP, Tag: readTag}); err != nil {
-		return nil, tag.Tag{}, err
-	}
-	r.core.phase.reset(r.core.params.N1)
-	err = r.core.collect(ctx, func(env wire.Envelope) bool {
-		m, ok := env.Msg.(wire.PutTagResp)
-		if !ok || m.OpID != opP || !r.core.phase.add(env.From.Index) {
-			return false
+	o.sendAll(wire.PutTag{OpID: o.enter(putTag), Tag: o.readTag}, out)
+}
+
+// count returns how many kept answers are for tag t and of t's class
+// (coded or value), and whether server from gave one of them.
+func (o *ReadOp) count(t tag.Tag, coded bool, from int32) (n int, dup bool) {
+	for _, a := range o.answers {
+		if a.tag == t && a.coded == coded {
+			n++
+			dup = dup || a.from == from
 		}
-		return r.core.phase.count() >= quorum
-	})
-	if err != nil {
-		return nil, tag.Tag{}, fmt.Errorf("put-tag: %w", err)
 	}
-	return readValue, readTag, nil
+	return n, dup
+}
+
+// Result returns the value and tag of the completed read. It decodes when
+// the read chose coded elements, so it runs on the caller, and it must be
+// called once per operation, after Done and before the next Start; it leaves
+// the machine holding none of the read's data.
+func (o *ReadOp) Result() ([]byte, tag.Tag, error) {
+	defer o.release()
+	if len(o.shards) == 0 {
+		// The value escapes to the application, and on the simulated
+		// network it is the server's own list-entry slice: hand out a copy.
+		return bytes.Clone(o.readValue), o.readTag, nil
+	}
+	v, err := o.code.Decode(o.valueLen, o.shards)
+	if err != nil {
+		// k distinct shards of one tag always decode; failing here means a
+		// server sent a malformed element.
+		return nil, tag.Tag{}, fmt.Errorf("lds: decode %v: %w", o.readTag, err)
+	}
+	return v, o.readTag, nil
+}
+
+// release drops every received value and element the machine still holds.
+func (o *ReadOp) release() {
+	clear(o.answers)
+	clear(o.shards)
+	o.answers, o.shards, o.readValue = o.answers[:0], o.shards[:0], nil
 }

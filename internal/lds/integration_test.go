@@ -294,33 +294,21 @@ func TestLivenessWithBothLayerCrashes(t *testing.T) {
 }
 
 func TestCrashMidWriteStillCompletes(t *testing.T) {
-	// Crash an L1 server while traffic is in flight under chaos delays;
-	// later operations must still terminate.
-	ctx := testCtx(t)
-	c := newCluster(t, sim.Config{
-		Params:  sim.MustParams(4, 5, 1, 1),
-		Latency: transport.LatencyModel{ChaosMax: 2 * time.Millisecond},
-		Seed:    11,
-	})
-	w, _ := c.Writer(1)
-	r, _ := c.Reader(1)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := w.Write(ctx, []byte("racing with a crash"))
-		done <- err
-	}()
-	time.Sleep(500 * time.Microsecond)
-	c.CrashL1(3)
-	if err := <-done; err != nil {
-		t.Fatalf("Write racing crash: %v", err)
-	}
-	got, _, err := r.Read(ctx)
-	if err != nil {
-		t.Fatalf("Read after crash: %v", err)
-	}
-	if string(got) != "racing with a crash" {
-		t.Errorf("Read = %q", got)
+	// Crash an L1 server partway through one of its steps, at a seeded step
+	// of a write; the write and a later read must still terminate, and the
+	// read must return the write.
+	p := sim.MustParams(4, 5, 1, 1)
+	for seed := int64(0); seed < 50 && !t.Failed(); seed++ {
+		c := newStepCluster(t, p, seed)
+		c.writer(p, 1, 1)
+		c.crashAt[wire.ProcID{Role: wire.RoleL1, Index: 3}] = c.rng.Intn(60)
+		c.run()
+		c.reader(p, 1, 1)
+		c.run()
+		c.check()
+		if w, r := c.ops[0], c.ops[1]; r.Value != w.Value {
+			t.Errorf("seed %d: read %q after the write of %q", seed, r.Value, w.Value)
+		}
 	}
 }
 
@@ -487,7 +475,7 @@ func TestOutstandingReadersDrainAfterReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < c.Params().N1; i++ {
-		if got := c.L1(i).OutstandingReaders(); got != 0 {
+		if got := c.L1(i).Bookkeeping().Readers; got != 0 {
 			t.Errorf("L1 server %d still has %d registered readers", i, got)
 		}
 	}

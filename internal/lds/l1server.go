@@ -2,12 +2,10 @@ package lds
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/lds-storage/lds/internal/broadcast"
 	"github.com/lds-storage/lds/internal/erasure"
 	"github.com/lds-storage/lds/internal/tag"
-	"github.com/lds-storage/lds/internal/transport"
 	"github.com/lds-storage/lds/internal/wire"
 )
 
@@ -29,17 +27,10 @@ type gammaEntry struct {
 	opID uint64
 }
 
-// tagHelpers accumulates the helper data received for one tag during an
-// internal regenerate-from-L2 operation (part of the key-value set K[r]).
-type tagHelpers struct {
-	helpers  []erasure.Helper
-	valueLen int
-}
-
 // regenState is the per-reader regeneration bookkeeping: K[r] plus
 // readCounter[r], bound to the reader's operation id so stragglers from an
 // earlier operation of the same reader cannot corrupt a later one.
-// States are recycled through L1Server.regenFree, so the maps inside are
+// States are recycled through L1Server.regenFree, so the slices inside are
 // long-lived and cleared between uses rather than reallocated.
 type regenState struct {
 	opID uint64
@@ -47,8 +38,11 @@ type regenState struct {
 	// permits duplication, and a duplicated helper must neither count
 	// twice toward the n2-f2 quorum nor appear twice in a helper set
 	// handed to Regenerate.
-	seen   respSet
-	perTag map[tag.Tag]*tagHelpers
+	seen respSet
+	// helpers[i] arrived for tags[i], a value valueLens[i] bytes long.
+	helpers   []erasure.Helper
+	tags      []tag.Tag
+	valueLens []int
 }
 
 // offloadItem is one queued unit of write-to-L2 work: a committed tag and
@@ -59,9 +53,8 @@ type offloadItem struct {
 }
 
 // L1Server is one edge-layer server s_j implementing the protocol of the
-// paper's Fig. 2. It is an actor: Handle is invoked sequentially by the
-// transport, and each invocation corresponds to one atomic action of the
-// I/O-automata description.
+// paper's Fig. 2. It is a state machine: each Step is one atomic action of
+// the I/O-automata description, and steps must not overlap.
 //
 // # Bounded bookkeeping
 //
@@ -89,17 +82,8 @@ type L1Server struct {
 	index  int // j in [0, n1); also the server's code symbol index
 	id     wire.ProcID
 	code   erasure.Regenerating
-
-	// bound is the transport attachment published by Bind. Real transports
-	// (tcpnet) start delivering to Handle from their own goroutine as soon
-	// as the server is registered, which may race with Bind in the booting
-	// goroutine -- so Bind publishes through an atomic and Handle caches the
-	// load into the plain fields below (safe: transports invoke Handle
-	// sequentially from a single goroutine). Messages arriving before Bind
-	// are dropped, which the lossy-channel model already permits.
-	bound atomic.Pointer[l1Binding]
-	node  transport.Node
-	bcast *broadcast.Broadcaster
+	l2     []wire.ProcID // all L2 servers, built once
+	bcast  *broadcast.Broadcaster
 
 	// State variables of Fig. 2.
 	list          map[tag.Tag]*listEntry     // L, tag -> value or bot
@@ -123,44 +107,34 @@ type L1Server struct {
 	inflightElems   int
 	offloadHigh     tag.Tag
 
-	// Per-server reusable scratch. None of it crosses the transport: the
-	// coded shards and batch element slices that do travel (and that the
-	// simulated transport hands to L2 by reference) are always freshly
-	// allocated; only the bookkeeping around them is recycled.
+	// Per-server reusable scratch. None of it is ever sent: the coded
+	// shards and batch element slices that do travel (and that the simulated
+	// network hands to L2 by reference) are always freshly allocated; only
+	// the bookkeeping around them is recycled.
 	l2Idx     []int                // code indices n1..n1+n2-1, fixed at boot
 	perServer [][]wire.CodeElem    // drainOffload's outer headers (inner slices stay fresh)
 	ackFree   []map[int32]struct{} // cleared ack-set maps awaiting reuse
 	regenFree []*regenState        // cleared regeneration states awaiting reuse
-	thFree    []*tagHelpers        // cleared helper accumulators awaiting reuse
-
-	// offloadDepth gauges the pipeline occupancy (queued + in-flight
-	// elements); atomic so samplers can read it live.
-	offloadDepth atomic.Int64
 
 	// tempBytes tracks the bytes of actual values held in L (the paper's
-	// temporary storage cost); atomic so samplers can read it live.
-	tempBytes atomic.Int64
+	// temporary storage cost).
+	tempBytes int64
 
 	// violations counts "cannot happen" states; tests assert it stays 0.
-	violations atomic.Int64
+	violations int64
 }
 
-// NewL1Server creates the server with the initial list {(t0, bot)}.
-func NewL1Server(params Params, index int, code erasure.Regenerating) (*L1Server, error) {
-	return NewL1ServerSeeded(params, index, code, tag.Zero)
-}
-
-// NewL1ServerSeeded creates the server booted from a snapshot tag instead
-// of t0: the list starts at {(seed, bot)} with the committed tag already at
-// seed. This is exactly the quiescent state an established server reaches
-// once the seed tag's value has been offloaded to L2 and garbage-collected,
-// so a group whose L2 layer is seeded with the snapshot value at the same
-// tag (NewL2ServerSeeded) behaves indistinguishably from one that executed
-// a write of that value: get-tag answers seed (the next write strictly
-// exceeds it), and reads regenerate the snapshot value from L2. The hook is
-// what lets the gateway migrate a key between groups without breaking
-// per-key atomicity.
-func NewL1ServerSeeded(params Params, index int, code erasure.Regenerating, seed tag.Tag) (*L1Server, error) {
+// NewL1Server creates the server with the list {(seed, bot)} and the
+// committed tag at seed. With seed = tag.Zero that is the paper's initial
+// state {(t0, bot)}. Any other seed boots the server from a snapshot: it is
+// exactly the quiescent state an established server reaches once the seed
+// tag's value has been offloaded to L2 and garbage-collected, so a group
+// whose L2 layer is seeded with the snapshot value at the same tag
+// (NewL2Server) behaves indistinguishably from one that executed a write of
+// that value: get-tag answers seed (the next write strictly exceeds it), and
+// reads regenerate the snapshot value from L2. The hook is what lets the
+// gateway migrate a key between groups without breaking per-key atomicity.
+func NewL1Server(params Params, index int, code erasure.Regenerating, seed tag.Tag) (*L1Server, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,6 +146,7 @@ func NewL1ServerSeeded(params Params, index int, code erasure.Regenerating, seed
 		index:         index,
 		id:            wire.ProcID{Role: wire.RoleL1, Index: int32(index)},
 		code:          code,
+		l2:            params.L2IDs(),
 		list:          map[tag.Tag]*listEntry{seed: {}},
 		maxListTag:    seed,
 		tc:            seed,
@@ -186,53 +161,36 @@ func NewL1ServerSeeded(params Params, index int, code erasure.Regenerating, seed
 	for i := range s.l2Idx {
 		s.l2Idx[i] = params.L2CodeIndex(i)
 	}
+	bcast, err := broadcast.New(s.id, params.L1IDs(), params.RelayCount())
+	if err != nil {
+		return nil, err
+	}
+	s.bcast = bcast
 	return s, nil
 }
 
 // ID returns the server's process id.
 func (s *L1Server) ID() wire.ProcID { return s.id }
 
-// l1Binding bundles the node and broadcaster so Bind can publish both in
-// one atomic store (see the bound field).
-type l1Binding struct {
-	node  transport.Node
-	bcast *broadcast.Broadcaster
-}
-
-// Bind attaches the transport node and builds the broadcast primitive; it
-// must be called before traffic flows.
-func (s *L1Server) Bind(node transport.Node) error {
-	b, err := broadcast.New(s.id, s.params.L1IDs(), s.params.RelayCount(), node.Send)
-	if err != nil {
-		return err
-	}
-	s.bound.Store(&l1Binding{node: node, bcast: b})
-	return nil
-}
-
-// CommittedTag returns tc; test/diagnostic accessor (call only when the
-// server is quiescent).
+// CommittedTag returns tc; test/diagnostic accessor.
 func (s *L1Server) CommittedTag() tag.Tag { return s.tc }
 
 // TemporaryBytes returns the value bytes currently held in the list L, the
-// server's contribution to temporary storage cost. Safe to call
-// concurrently with traffic.
-func (s *L1Server) TemporaryBytes() int64 { return s.tempBytes.Load() }
+// server's contribution to temporary storage cost.
+func (s *L1Server) TemporaryBytes() int64 { return s.tempBytes }
 
 // OffloadQueueDepth returns the occupancy of the L2 offload pipeline:
-// queued elements plus elements of the batch currently in flight. Safe to
-// call concurrently with traffic.
-func (s *L1Server) OffloadQueueDepth() int64 { return s.offloadDepth.Load() }
+// queued elements plus elements of the batch currently in flight.
+func (s *L1Server) OffloadQueueDepth() int64 {
+	return int64(len(s.offloadQueue) + s.inflightElems)
+}
 
 // Violations returns the count of internal invariant violations (must be 0).
-func (s *L1Server) Violations() int64 { return s.violations.Load() }
-
-// OutstandingReaders returns |Gamma|; diagnostic accessor for quiescent use.
-func (s *L1Server) OutstandingReaders() int { return len(s.gamma) }
+func (s *L1Server) Violations() int64 { return s.violations }
 
 // L1Bookkeeping is a point-in-time census of the server's per-tag and
 // per-reader maps; soak tests assert every field stays bounded under
-// sustained load. Quiescent use only.
+// sustained load.
 type L1Bookkeeping struct {
 	List           int // |L|
 	CommitCounters int // tags with a live broadcast counter
@@ -247,7 +205,7 @@ func (b L1Bookkeeping) Total() int {
 	return b.List + b.CommitCounters + b.OffloadAcks + b.OffloadQueue + b.Readers + b.Regenerations
 }
 
-// Bookkeeping returns the current census (quiescent use only).
+// Bookkeeping returns the current census.
 func (s *L1Server) Bookkeeping() L1Bookkeeping {
 	return L1Bookkeeping{
 		List:           len(s.list),
@@ -259,36 +217,30 @@ func (s *L1Server) Bookkeeping() L1Bookkeeping {
 	}
 }
 
-// Handle dispatches one incoming message; it is the transport handler.
-func (s *L1Server) Handle(env wire.Envelope) {
-	if s.node == nil {
-		b := s.bound.Load()
-		if b == nil {
-			return // not bound yet; the transport model permits loss
-		}
-		s.node, s.bcast = b.node, b.bcast
-	}
-	switch m := env.Msg.(type) {
+// Step consumes one message from process from and queues the messages the
+// action sends in out.
+func (s *L1Server) Step(from wire.ProcID, msg wire.Message, out *wire.Outbox) {
+	switch m := msg.(type) {
 	case wire.QueryTag:
-		s.onQueryTag(env.From, m)
+		s.onQueryTag(from, m, out)
 	case wire.PutData:
-		s.onPutData(env.From, m)
+		s.onPutData(from, m, out)
 	case wire.Broadcast:
-		s.onBroadcast(m)
+		s.onBroadcast(m, out)
 	case wire.QueryCommTag:
-		s.onQueryCommTag(env.From, m)
+		s.onQueryCommTag(from, m, out)
 	case wire.QueryData:
-		s.onQueryData(env.From, m)
+		s.onQueryData(from, m, out)
 	case wire.PutTag:
-		s.onPutTag(env.From, m)
+		s.onPutTag(from, m, out)
 	case wire.AckCodeElem:
-		s.creditAck(env.From, m.Tag)
+		s.creditAck(from, m.Tag, out)
 	case wire.AckCodeElemBatch:
 		for _, t := range m.Tags {
-			s.creditAck(env.From, t)
+			s.creditAck(from, t, out)
 		}
 	case wire.SendHelperElem:
-		s.onSendHelperElem(env.From, m)
+		s.onSendHelperElem(from, m, out)
 	default:
 		// Ignore unknown traffic.
 	}
@@ -298,144 +250,150 @@ func (s *L1Server) Handle(env wire.Envelope) {
 // maximum is monotone and survives pruning: entries are only ever deleted
 // below tc, and tc itself stays in L, so the cache always equals the live
 // maximum.
-func (s *L1Server) onQueryTag(from wire.ProcID, m wire.QueryTag) {
-	s.send(from, wire.QueryTagResp{OpID: m.OpID, Tag: s.maxListTag})
+func (s *L1Server) onQueryTag(from wire.ProcID, m wire.QueryTag, out *wire.Outbox) {
+	out.Send(from, wire.QueryTagResp{OpID: m.OpID, Tag: s.maxListTag})
 }
 
 // onPutData is put-data-resp (Fig. 2 lines 5-10): broadcast COMMIT-TAG
 // first, then either add the pair to L (tin > tc) or acknowledge
 // immediately (the value is already superseded).
-func (s *L1Server) onPutData(from wire.ProcID, m wire.PutData) {
-	if s.bcast != nil {
-		_ = s.bcast.Broadcast(wire.CommitTag{Tag: m.Tag})
-	}
+func (s *L1Server) onPutData(from wire.ProcID, m wire.PutData, out *wire.Outbox) {
+	s.bcast.Broadcast(wire.CommitTag{Tag: m.Tag}, out)
 	if s.tc.Less(m.Tag) {
 		e := s.ensureEntry(m.Tag)
 		if !e.hasValue {
 			e.value = m.Value
 			e.hasValue = true
-			s.tempBytes.Add(int64(len(m.Value)))
+			s.tempBytes += int64(len(m.Value))
 		}
 		// The commit counter may already have crossed the threshold if the
 		// broadcasts outran this PUT-DATA; re-check so the ACK and the
 		// commit are never lost.
-		s.maybeAckAndCommit(m.Tag)
+		s.maybeAckAndCommit(m.Tag, out)
 	} else {
-		s.send(from, wire.PutDataResp{OpID: m.OpID, Tag: m.Tag})
+		out.Send(from, wire.PutDataResp{OpID: m.OpID, Tag: m.Tag})
 	}
 }
 
 // onBroadcast feeds the relay/dedup primitive; each COMMIT-TAG instance is
 // consumed exactly once via broadcast-resp.
-func (s *L1Server) onBroadcast(m wire.Broadcast) {
-	inner, consume := s.bcast.Handle(m)
+func (s *L1Server) onBroadcast(m wire.Broadcast, out *wire.Outbox) {
+	inner, consume := s.bcast.Handle(m, out)
 	if !consume {
 		return
 	}
 	ct, ok := inner.(wire.CommitTag)
 	if !ok {
-		s.violations.Add(1)
+		s.violations++
 		return
 	}
-	s.onCommitTag(ct.Tag)
+	s.onCommitTag(ct.Tag, out)
 }
 
 // onCommitTag is broadcast-resp (Fig. 2 lines 11-19). Broadcast instances
 // for tags at or below tc are dropped without counting: their ack and
 // commit duties were discharged when tc passed them (see pruneSuperseded),
 // and counting them would regrow the pruned counter without bound.
-func (s *L1Server) onCommitTag(t tag.Tag) {
+func (s *L1Server) onCommitTag(t tag.Tag, out *wire.Outbox) {
 	if !s.tc.Less(t) {
 		return
 	}
 	s.commitCounter[t]++
-	s.maybeAckAndCommit(t)
+	s.maybeAckAndCommit(t, out)
 }
 
 // maybeAckAndCommit performs the threshold steps of broadcast-resp: once
 // (t,*) is in L and commitCounter[t] >= f1+k, acknowledge the writer, and
 // if t exceeds the committed tag, commit it -- serving registered readers,
 // pruning superseded bookkeeping and offloading the value to L2.
-func (s *L1Server) maybeAckAndCommit(t tag.Tag) {
+func (s *L1Server) maybeAckAndCommit(t tag.Tag, out *wire.Outbox) {
 	e, inList := s.list[t]
 	if !inList || s.commitCounter[t] < s.params.WriteQuorum() {
 		return
 	}
-	s.ackWriter(t, e)
+	s.ackWriter(t, e, out)
 	if !s.tc.Less(t) {
 		return
 	}
 	if !e.hasValue {
 		// The paper proves (tin, vin) is still in L whenever tin > tc holds
 		// here; reaching this branch would falsify that argument.
-		s.violations.Add(1)
+		s.violations++
 		return
 	}
 	s.tc = t
-	s.serveGamma(t, e)
-	s.pruneSuperseded()
-	s.offload(t, e)
+	s.serveGamma(t, e, out)
+	s.pruneSuperseded(out)
+	s.offload(t, e, out)
 }
 
 // ackWriter sends the PUT-DATA acknowledgment for t once. The server only
 // ever calls it with tc >= t about to hold (commit) or already holding
 // (supersession), matching the condition under which put-data-resp acks a
 // stale write immediately.
-func (s *L1Server) ackWriter(t tag.Tag, e *listEntry) {
+func (s *L1Server) ackWriter(t tag.Tag, e *listEntry, out *wire.Outbox) {
 	if e.acked {
 		return
 	}
 	e.acked = true
-	s.send(wire.ProcID{Role: wire.RoleWriter, Index: t.W}, wire.PutDataResp{Tag: t})
+	out.Send(wire.ProcID{Role: wire.RoleWriter, Index: t.W}, wire.PutDataResp{Tag: t})
 }
 
 // onQueryCommTag is get-commited-tag-resp: reply with tc.
-func (s *L1Server) onQueryCommTag(from wire.ProcID, m wire.QueryCommTag) {
-	s.send(from, wire.QueryCommTagResp{OpID: m.OpID, Tag: s.tc})
+func (s *L1Server) onQueryCommTag(from wire.ProcID, m wire.QueryCommTag, out *wire.Outbox) {
+	out.Send(from, wire.QueryCommTagResp{OpID: m.OpID, Tag: s.tc})
 }
 
 // onQueryData is get-data-resp (Fig. 2 lines 30-38): serve from the list if
 // possible, otherwise register the reader and regenerate from L2.
-func (s *L1Server) onQueryData(from wire.ProcID, m wire.QueryData) {
+func (s *L1Server) onQueryData(from wire.ProcID, m wire.QueryData, out *wire.Outbox) {
 	if e, ok := s.list[m.Req]; ok && e.hasValue {
-		s.sendValue(from, m.OpID, m.Req, e)
+		sendValue(from, m.OpID, m.Req, e, out)
 		return
 	}
 	if m.Req.Less(s.tc) {
 		if e, ok := s.list[s.tc]; ok && e.hasValue {
-			s.sendValue(from, m.OpID, s.tc, e)
+			sendValue(from, m.OpID, s.tc, e, out)
 			return
 		}
 	}
+	if g, ok := s.gamma[from]; ok && m.OpID < g.opID {
+		return // a late copy of an earlier get-data must not displace this one
+	}
 	s.gamma[from] = gammaEntry{treq: m.Req, opID: m.OpID}
-	s.startRegenerate(from, m.OpID)
+	s.startRegenerate(from, m.OpID, out)
 }
 
 // onPutTag is put-tag-resp (Fig. 2 lines 52-66): unregister the reader,
 // adopt the written-back tag, serve any readers that the new committed tag
-// satisfies, and prune superseded bookkeeping.
-func (s *L1Server) onPutTag(from wire.ProcID, m wire.PutTag) {
-	delete(s.gamma, from)
-	s.releaseRegen(from)
+// satisfies, and prune superseded bookkeeping. A reader id's op ids grow (see
+// opCore), so only a registration older than the put-tag is its own: links
+// are not FIFO, and a put-tag arriving after the reader's next get-data must
+// not cancel that one, or this server never answers it.
+func (s *L1Server) onPutTag(from wire.ProcID, m wire.PutTag, out *wire.Outbox) {
+	if g, ok := s.gamma[from]; ok && g.opID < m.OpID {
+		delete(s.gamma, from)
+		s.releaseRegen(from)
+	}
 	if s.tc.Less(m.Tag) {
 		s.tc = m.Tag
 		if e, ok := s.list[m.Tag]; ok && e.hasValue {
-			s.serveGamma(m.Tag, e)
+			s.serveGamma(m.Tag, e, out)
 			// Late COMMIT-TAG broadcasts for m.Tag are ignored from now on
 			// (tc has reached it), so the writer ack they would have
 			// triggered is discharged here; tc >= m.Tag makes it safe.
-			s.ackWriter(m.Tag, e)
-			s.pruneSuperseded()
-			s.offload(m.Tag, e)
+			s.ackWriter(m.Tag, e, out)
+			s.pruneSuperseded(out)
+			s.offload(m.Tag, e, out)
 		} else {
 			s.ensureEntry(m.Tag) // add (tc, bot): the tag is now known here
 			if tbar, ebar, ok := s.maxValueBelow(m.Tag); ok {
-				s.serveGamma(tbar, ebar)
+				s.serveGamma(tbar, ebar, out)
 			}
-			s.pruneSuperseded()
+			s.pruneSuperseded(out)
 		}
 	}
-	s.send(from, wire.PutTagResp{OpID: m.OpID})
+	out.Send(from, wire.PutTagResp{OpID: m.OpID})
 }
 
 // creditAck is write-to-L2-complete (Fig. 2 lines 24-27), hardened: acks
@@ -445,7 +403,7 @@ func (s *L1Server) onPutTag(from wire.ProcID, m wire.PutTag) {
 // its value is durable in L2: the temporary copy is garbage-collected and
 // the tag's ack state pruned. Completion of the in-flight batch (quorum on
 // its highest tag) releases the next batch.
-func (s *L1Server) creditAck(from wire.ProcID, t tag.Tag) {
+func (s *L1Server) creditAck(from wire.ProcID, t tag.Tag, out *wire.Outbox) {
 	if from.Role != wire.RoleL2 || from.Index < 0 || int(from.Index) >= s.params.N2 {
 		return // not a valid L2 sender
 	}
@@ -466,14 +424,13 @@ func (s *L1Server) creditAck(from wire.ProcID, t tag.Tag) {
 			s.putAckSet(s.inflightAcks)
 			s.inflightAcks = nil
 			s.inflightElems = 0
-			s.updateOffloadDepth()
-			s.drainOffload()
+			s.drainOffload(out)
 		}
 	}
 }
 
 // onSendHelperElem is regenerate-from-L2-complete (Fig. 2 lines 42-51).
-func (s *L1Server) onSendHelperElem(from wire.ProcID, m wire.SendHelperElem) {
+func (s *L1Server) onSendHelperElem(from wire.ProcID, m wire.SendHelperElem, out *wire.Outbox) {
 	st := s.regen[m.Reader]
 	if st == nil || st.opID != m.OpID {
 		return // stale helper from a finished or superseded regeneration
@@ -481,16 +438,9 @@ func (s *L1Server) onSendHelperElem(from wire.ProcID, m wire.SendHelperElem) {
 	if !st.seen.add(from.Index) {
 		return // duplicated delivery (the model permits duplication)
 	}
-	th := st.perTag[m.Tag]
-	if th == nil {
-		th = s.takeTagHelpers()
-		st.perTag[m.Tag] = th
-	}
-	th.helpers = append(th.helpers, erasure.Helper{
-		Index: s.params.L2CodeIndex(int(from.Index)),
-		Data:  m.Helper,
-	})
-	th.valueLen = int(m.ValueLen)
+	st.helpers = append(st.helpers, erasure.Helper{Index: s.params.L2CodeIndex(int(from.Index)), Data: m.Helper})
+	st.tags = append(st.tags, m.Tag)
+	st.valueLens = append(st.valueLens, int(m.ValueLen))
 	if st.seen.count() < s.params.L2Quorum() {
 		return
 	}
@@ -501,36 +451,34 @@ func (s *L1Server) onSendHelperElem(from wire.ProcID, m wire.SendHelperElem) {
 	if !registered || g.opID != m.OpID {
 		return // served via Gamma in the meantime
 	}
-	bestTag, bestHelpers := s.bestRegenerable(st)
-	if bestHelpers == nil || bestTag.Less(g.treq) {
+	bestTag, valueLen, helpers := s.bestRegenerable(st)
+	if helpers == nil || bestTag.Less(g.treq) {
 		// Regeneration failed, or only an outdated tag was regenerable:
 		// answer (bot, bot); the reader keeps waiting on other servers and
 		// this server keeps the reader registered (paper, Section III-C).
-		s.send(m.Reader, wire.QueryDataResp{OpID: m.OpID, Class: wire.PayloadNone})
+		out.Send(m.Reader, wire.QueryDataResp{OpID: m.OpID, Class: wire.PayloadNone})
 		return
 	}
-	coded, err := s.code.Regenerate(s.index, bestHelpers.helpers)
+	coded, err := s.code.Regenerate(s.index, helpers)
 	if err != nil {
-		s.violations.Add(1)
-		s.send(m.Reader, wire.QueryDataResp{OpID: m.OpID, Class: wire.PayloadNone})
+		s.violations++
+		out.Send(m.Reader, wire.QueryDataResp{OpID: m.OpID, Class: wire.PayloadNone})
 		return
 	}
-	s.send(m.Reader, wire.QueryDataResp{
+	out.Send(m.Reader, wire.QueryDataResp{
 		OpID:     m.OpID,
 		Class:    wire.PayloadCoded,
 		Tag:      bestTag,
 		Data:     coded,
-		ValueLen: int32(bestHelpers.valueLen),
+		ValueLen: int32(valueLen),
 	})
 }
 
 // --- per-server scratch recycling -------------------------------------------
 //
 // The helpers below keep steady-state operation handling allocation-free:
-// the small maps and states that earlier versions made per operation are
-// cleared and shelved on free lists instead. Everything recycled here is
-// private to the server actor; nothing that crosses the transport (coded
-// shards, batch element slices, helper data) is ever recycled.
+// small maps and states are cleared and shelved on free lists. Nothing that
+// is ever sent (coded shards, batch element slices, helper data) is.
 
 // takeAckSet returns an empty per-tag ack set, reusing a cleared one when
 // available.
@@ -561,41 +509,22 @@ func (s *L1Server) takeRegenState(opID uint64) *regenState {
 		s.regenFree[n-1] = nil
 		s.regenFree = s.regenFree[:n-1]
 	} else {
-		st = &regenState{perTag: make(map[tag.Tag]*tagHelpers)}
+		st = &regenState{}
 	}
 	st.opID = opID
 	st.seen.reset(s.params.N2)
 	return st
 }
 
-// putRegenState recycles st and its helper accumulators, dropping every
-// reference to received helper data so the shelved scratch cannot pin it.
+// putRegenState recycles st, dropping every reference to received helper
+// data so the shelved scratch cannot pin it.
 func (s *L1Server) putRegenState(st *regenState) {
 	if st == nil {
 		return
 	}
-	for t, th := range st.perTag {
-		for i := range th.helpers {
-			th.helpers[i].Data = nil
-		}
-		th.helpers = th.helpers[:0]
-		th.valueLen = 0
-		s.thFree = append(s.thFree, th)
-		delete(st.perTag, t)
-	}
+	clear(st.helpers)
+	st.helpers, st.tags, st.valueLens = st.helpers[:0], st.tags[:0], st.valueLens[:0]
 	s.regenFree = append(s.regenFree, st)
-}
-
-// takeTagHelpers returns an empty helper accumulator, reusing one when
-// available.
-func (s *L1Server) takeTagHelpers() *tagHelpers {
-	if n := len(s.thFree); n > 0 {
-		th := s.thFree[n-1]
-		s.thFree[n-1] = nil
-		s.thFree = s.thFree[:n-1]
-		return th
-	}
-	return &tagHelpers{}
 }
 
 // releaseRegen unregisters and recycles the regeneration state of reader r,
@@ -613,7 +542,7 @@ func (s *L1Server) releaseRegen(r wire.ProcID) {
 // Initiation is idempotent: tags at or below the highest ever offloaded
 // are already covered (directly, or by supersession under the L2
 // replace-if-newer rule).
-func (s *L1Server) offload(t tag.Tag, e *listEntry) {
+func (s *L1Server) offload(t tag.Tag, e *listEntry, out *wire.Outbox) {
 	if !s.offloadHigh.Less(t) {
 		return
 	}
@@ -621,12 +550,12 @@ func (s *L1Server) offload(t tag.Tag, e *listEntry) {
 	if s.params.Offload == OffloadUnbatched {
 		shards, err := s.encodeL2(e.value)
 		if err != nil {
-			s.violations.Add(1)
+			s.violations++
 			return
 		}
 		s.offloads[t] = s.takeAckSet()
-		for i, id := range s.params.L2IDs() {
-			s.send(id, wire.WriteCodeElem{Tag: t, Coded: shards[i], ValueLen: int32(len(e.value))})
+		for i, id := range s.l2 {
+			out.Send(id, wire.WriteCodeElem{Tag: t, Coded: shards[i], ValueLen: int32(len(e.value))})
 		}
 		return
 	}
@@ -636,15 +565,14 @@ func (s *L1Server) offload(t tag.Tag, e *listEntry) {
 		// discard them on arrival, so they never travel at all.
 		s.offloadQueue = append(s.offloadQueue[:0:0], s.offloadQueue[over:]...)
 	}
-	s.updateOffloadDepth()
-	s.drainOffload()
+	s.drainOffload(out)
 }
 
 // drainOffload sends the queued offload work as one batch round: every
 // queued element, encoded under C2, travels to each L2 server in a single
 // WriteCodeElemBatch. At most one round is in flight; the next drain is
 // triggered by the round's ack quorum (creditAck).
-func (s *L1Server) drainOffload() {
+func (s *L1Server) drainOffload(out *wire.Outbox) {
 	if s.offloadInflight || len(s.offloadQueue) == 0 {
 		return
 	}
@@ -652,7 +580,7 @@ func (s *L1Server) drainOffload() {
 	s.offloadQueue = nil
 	// Reuse the outer header slice only (all nil between rounds): the inner
 	// element slices travel to L2 inside WriteCodeElemBatch messages (by
-	// reference on the simulated transport) and may still be in flight past
+	// reference on the simulated network) and may still be in flight past
 	// the ack quorum, so they must be freshly allocated every round.
 	perServer := s.perServer
 	elems := 0
@@ -660,7 +588,7 @@ func (s *L1Server) drainOffload() {
 	for _, it := range batch {
 		shards, err := s.encodeL2(it.value)
 		if err != nil {
-			s.violations.Add(1)
+			s.violations++
 			continue
 		}
 		s.offloads[it.t] = s.takeAckSet()
@@ -675,59 +603,65 @@ func (s *L1Server) drainOffload() {
 		elems++
 	}
 	if elems == 0 {
-		s.updateOffloadDepth()
 		return
 	}
 	s.offloadInflight = true
 	s.inflightTag = highest
 	s.inflightAcks = s.takeAckSet()
 	s.inflightElems = elems
-	s.updateOffloadDepth()
-	for i, id := range s.params.L2IDs() {
-		s.send(id, wire.WriteCodeElemBatch{Elems: perServer[i]})
+	for i, id := range s.l2 {
+		out.Send(id, wire.WriteCodeElemBatch{Elems: perServer[i]})
 		perServer[i] = nil // sent: holding it would pin the round's n2 shards until the next offload
 	}
 }
 
-// updateOffloadDepth refreshes the pipeline occupancy gauge.
-func (s *L1Server) updateOffloadDepth() {
-	s.offloadDepth.Store(int64(len(s.offloadQueue) + s.inflightElems))
-}
-
 // startRegenerate initiates regenerate-from-L2(r): query all L2 servers for
 // helper data toward this server's own coded element c_j.
-func (s *L1Server) startRegenerate(r wire.ProcID, opID uint64) {
+func (s *L1Server) startRegenerate(r wire.ProcID, opID uint64, out *wire.Outbox) {
 	s.putRegenState(s.regen[r]) // supersede any previous attempt by r
 	s.regen[r] = s.takeRegenState(opID)
-	for _, id := range s.params.L2IDs() {
-		s.send(id, wire.QueryCodeElem{Reader: r, OpID: opID})
+	for _, id := range s.l2 {
+		out.Send(id, wire.QueryCodeElem{Reader: r, OpID: opID})
 	}
 }
 
 // bestRegenerable returns the highest tag for which at least d helpers
-// arrived, or ok=false if no tag is regenerable.
-func (s *L1Server) bestRegenerable(st *regenState) (tag.Tag, *tagHelpers) {
-	var (
-		best    tag.Tag
-		helpers *tagHelpers
-	)
-	for t, th := range st.perTag {
-		if len(th.helpers) >= s.params.D && (helpers == nil || best.Less(t)) {
-			best = t
-			helpers = th
+// arrived, with its value length and those helpers (moved to the front of
+// st.helpers), or nil helpers if no tag is regenerable.
+func (s *L1Server) bestRegenerable(st *regenState) (best tag.Tag, valueLen int, helpers []erasure.Helper) {
+	found := false
+	for i, t := range st.tags {
+		n := 0
+		for _, u := range st.tags {
+			if u == t {
+				n++
+			}
+		}
+		if n >= s.params.D && (!found || best.Less(t)) {
+			best, valueLen, found = t, st.valueLens[i], true
 		}
 	}
-	return best, helpers
+	if !found {
+		return best, 0, nil
+	}
+	n := 0
+	for i, t := range st.tags {
+		if t == best {
+			st.helpers[n] = st.helpers[i]
+			n++
+		}
+	}
+	return best, valueLen, st.helpers[:n]
 }
 
 // serveGamma sends (t, v) to every registered reader whose requested tag is
 // at most t, and unregisters them (Fig. 2 line 17).
-func (s *L1Server) serveGamma(t tag.Tag, e *listEntry) {
+func (s *L1Server) serveGamma(t tag.Tag, e *listEntry, out *wire.Outbox) {
 	for r, g := range s.gamma {
 		if t.Less(g.treq) {
 			continue
 		}
-		s.sendValue(r, g.opID, t, e)
+		sendValue(r, g.opID, t, e, out)
 		delete(s.gamma, r)
 		s.releaseRegen(r)
 	}
@@ -749,14 +683,14 @@ func (s *L1Server) serveGamma(t tag.Tag, e *listEntry) {
 // The maxListTag cache stays exact under pruning: only tags below tc are
 // deleted, tc remains in the list, and the cache is monotone, so it always
 // names a live entry.
-func (s *L1Server) pruneSuperseded() {
+func (s *L1Server) pruneSuperseded(out *wire.Outbox) {
 	for t, e := range s.list {
 		if !t.Less(s.tc) {
 			continue
 		}
 		if e.hasValue {
 			s.dropValue(e)
-			s.ackWriter(t, e)
+			s.ackWriter(t, e, out)
 		}
 		delete(s.list, t)
 	}
@@ -802,7 +736,7 @@ func (s *L1Server) ensureEntry(t tag.Tag) *listEntry {
 
 // dropValue clears an entry's value (tag stays, value becomes bot).
 func (s *L1Server) dropValue(e *listEntry) {
-	s.tempBytes.Add(-int64(len(e.value)))
+	s.tempBytes -= int64(len(e.value))
 	e.value = nil
 	e.hasValue = false
 }
@@ -814,19 +748,12 @@ func (s *L1Server) encodeL2(value []byte) ([][]byte, error) {
 }
 
 // sendValue answers a reader with a (tag, value) pair.
-func (s *L1Server) sendValue(to wire.ProcID, opID uint64, t tag.Tag, e *listEntry) {
-	s.send(to, wire.QueryDataResp{
+func sendValue(to wire.ProcID, opID uint64, t tag.Tag, e *listEntry, out *wire.Outbox) {
+	out.Send(to, wire.QueryDataResp{
 		OpID:     opID,
 		Class:    wire.PayloadValue,
 		Tag:      t,
 		Data:     e.value,
 		ValueLen: int32(len(e.value)),
 	})
-}
-
-func (s *L1Server) send(to wire.ProcID, msg wire.Message) {
-	if s.node == nil {
-		return
-	}
-	_ = s.node.Send(to, msg)
 }

@@ -5,33 +5,14 @@ import (
 
 	"github.com/lds-storage/lds/internal/erasure"
 	"github.com/lds-storage/lds/internal/tag"
-	"github.com/lds-storage/lds/internal/transport"
 	"github.com/lds-storage/lds/internal/wire"
 )
 
-// fakeNode is a transport.Node that records sends, for driving server
-// actions directly and asserting on the exact messages they emit.
-type fakeNode struct {
-	id   wire.ProcID
-	sent []wire.Envelope
-}
-
-var _ transport.Node = (*fakeNode)(nil)
-
-func (f *fakeNode) ID() wire.ProcID { return f.id }
-
-func (f *fakeNode) Send(to wire.ProcID, msg wire.Message) error {
-	f.sent = append(f.sent, wire.Envelope{From: f.id, To: to, Msg: msg})
-	return nil
-}
-
-func (f *fakeNode) Close() error { return nil }
-
-// take returns and clears the recorded sends.
-func (f *fakeNode) take() []wire.Envelope {
-	out := f.sent
-	f.sent = nil
-	return out
+// take returns what the steps so far queued in out, and empties it.
+func take(out *wire.Outbox) []wire.Envelope {
+	envs := append([]wire.Envelope(nil), out.Msgs...)
+	out.Reset()
+	return envs
 }
 
 // ofKind filters envelopes by message kind.
@@ -45,36 +26,20 @@ func ofKind(envs []wire.Envelope, k wire.Kind) []wire.Envelope {
 	return out
 }
 
-// newTestServer builds an L1 server with index 0 on a fake node.
-func newTestServer(t *testing.T) (*L1Server, *fakeNode, Params) {
+// newTestServer builds an L1 server with index 0 and the outbox its steps
+// are driven with.
+func newTestServer(t *testing.T) (*L1Server, *wire.Outbox, Params) {
 	t.Helper()
-	p := MustTestParams(t, 4, 5, 1, 1) // k=2, d=3, quorum f1+k=3
-	code, err := p.NewCode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewL1Server(p, 0, code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := &fakeNode{id: s.ID()}
-	if err := s.Bind(fn); err != nil {
-		t.Fatal(err)
-	}
-	return s, fn, p
+	return newTestServerMode(t, OffloadBatched)
 }
 
 // commit drives the server's commit counter to the write quorum for tag tg
 // by delivering distinct-origin broadcasts. Each origin broadcasts each tag
 // once, so the per-origin sequence number is the tag's z component.
-func commit(t *testing.T, s *L1Server, p Params, tg tag.Tag) {
+func commit(t *testing.T, s *L1Server, out *wire.Outbox, p Params, tg tag.Tag) {
 	t.Helper()
 	for origin := 0; origin < p.WriteQuorum(); origin++ {
-		s.Handle(wire.Envelope{
-			From: wire.ProcID{Role: wire.RoleL1, Index: int32(origin)},
-			To:   s.ID(),
-			Msg:  wire.Broadcast{Origin: wire.ProcID{Role: wire.RoleL1, Index: int32(origin)}, Seq: tg.Z, Inner: wire.CommitTag{Tag: tg}},
-		})
+		s.Step(wire.ProcID{Role: wire.RoleL1, Index: int32(origin)}, wire.Broadcast{Origin: wire.ProcID{Role: wire.RoleL1, Index: int32(origin)}, Seq: tg.Z, Inner: wire.CommitTag{Tag: tg}}, out)
 	}
 }
 
@@ -96,21 +61,21 @@ func batchElems(envs []wire.Envelope) []wire.CodeElem {
 // ackRound answers every WriteCodeElemBatch in envs the way its L2
 // destination would: one AckCodeElemBatch carrying the batch's tags,
 // delivered back into the server.
-func ackRound(s *L1Server, envs []wire.Envelope) {
+func ackRound(s *L1Server, out *wire.Outbox, envs []wire.Envelope) {
 	for _, e := range ofKind(envs, wire.KindWriteCodeElemBatch) {
 		b := e.Msg.(wire.WriteCodeElemBatch)
 		tags := make([]tag.Tag, len(b.Elems))
 		for i, el := range b.Elems {
 			tags[i] = el.Tag
 		}
-		s.Handle(wire.Envelope{From: e.To, To: s.ID(), Msg: wire.AckCodeElemBatch{Tags: tags}})
+		s.Step(e.To, wire.AckCodeElemBatch{Tags: tags}, out)
 	}
 }
 
 func TestL1QueryTagReturnsMaxListTag(t *testing.T) {
-	s, fn, _ := newTestServer(t)
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.QueryTag{OpID: 1}})
-	resp := ofKind(fn.take(), wire.KindQueryTagResp)
+	s, out, _ := newTestServer(t)
+	s.Step(writer1, wire.QueryTag{OpID: 1}, out)
+	resp := ofKind(take(out), wire.KindQueryTagResp)
 	if len(resp) != 1 {
 		t.Fatalf("got %d responses", len(resp))
 	}
@@ -120,20 +85,20 @@ func TestL1QueryTagReturnsMaxListTag(t *testing.T) {
 
 	// After put-data of (1,1), the max rises even before commit.
 	tg := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 2, Tag: tg, Value: []byte("x")}})
-	fn.take()
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.QueryTag{OpID: 3}})
-	resp = ofKind(fn.take(), wire.KindQueryTagResp)
+	s.Step(writer1, wire.PutData{OpID: 2, Tag: tg, Value: []byte("x")}, out)
+	take(out)
+	s.Step(writer1, wire.QueryTag{OpID: 3}, out)
+	resp = ofKind(take(out), wire.KindQueryTagResp)
 	if got := resp[0].Msg.(wire.QueryTagResp).Tag; got != tg {
 		t.Errorf("max tag = %v, want %v", got, tg)
 	}
 }
 
 func TestL1PutDataBroadcastsBeforeAnything(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	tg := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: tg, Value: []byte("v")}})
-	bcasts := ofKind(fn.take(), wire.KindBroadcast)
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: tg, Value: []byte("v")}, out)
+	bcasts := ofKind(take(out), wire.KindBroadcast)
 	if len(bcasts) != p.RelayCount() {
 		t.Fatalf("broadcast to %d relays, want f1+1 = %d", len(bcasts), p.RelayCount())
 	}
@@ -144,18 +109,17 @@ func TestL1PutDataBroadcastsBeforeAnything(t *testing.T) {
 }
 
 func TestL1StalePutDataAckedImmediately(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	// Commit (2,1) so tc = (2,1).
 	newer := tag.Tag{Z: 2, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: newer, Value: []byte("new")}})
-	commit(t, s, p, newer)
-	fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: newer, Value: []byte("new")}, out)
+	commit(t, s, out, p, newer)
+	take(out)
 
 	// A put-data with an older tag is acknowledged without being stored.
 	old := tag.Tag{Z: 1, W: 9}
-	s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleWriter, Index: 9}, To: s.ID(),
-		Msg: wire.PutData{OpID: 5, Tag: old, Value: []byte("old")}})
-	envs := fn.take()
+	s.Step(wire.ProcID{Role: wire.RoleWriter, Index: 9}, wire.PutData{OpID: 5, Tag: old, Value: []byte("old")}, out)
+	envs := take(out)
 	acks := ofKind(envs, wire.KindPutDataResp)
 	if len(acks) != 1 {
 		t.Fatalf("got %d acks, want immediate ack", len(acks))
@@ -169,21 +133,21 @@ func TestL1StalePutDataAckedImmediately(t *testing.T) {
 }
 
 func TestL1CommitTriggersAckGCAndWriteToL2(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	t1 := tag.Tag{Z: 1, W: 1}
 	t2 := tag.Tag{Z: 2, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: t1, Value: []byte("one")}})
-	commit(t, s, p, t1)
-	round1 := fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: t1, Value: []byte("one")}, out)
+	commit(t, s, out, p, t1)
+	round1 := take(out)
 	// Committing t1 drains the offload queue: one batch per L2 server,
 	// each carrying t1's coded element.
 	if got := len(ofKind(round1, wire.KindWriteCodeElemBatch)); got != p.N2 {
 		t.Fatalf("first commit sent %d batches, want n2 = %d", got, p.N2)
 	}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 2, Tag: t2, Value: []byte("two")}})
-	envs := fn.take()
-	commit(t, s, p, t2)
-	envs = append(envs, fn.take()...)
+	s.Step(writer1, wire.PutData{OpID: 2, Tag: t2, Value: []byte("two")}, out)
+	envs := take(out)
+	commit(t, s, out, p, t2)
+	envs = append(envs, take(out)...)
 
 	acks := ofKind(envs, wire.KindPutDataResp)
 	if len(acks) != 1 {
@@ -204,8 +168,8 @@ func TestL1CommitTriggersAckGCAndWriteToL2(t *testing.T) {
 		t.Errorf("tc = %v, want %v", s.CommittedTag(), t2)
 	}
 	// Acking t1's round releases t2's batch.
-	ackRound(s, round1)
-	round2 := fn.take()
+	ackRound(s, out, round1)
+	round2 := take(out)
 	elems := batchElems(round2)
 	if len(ofKind(round2, wire.KindWriteCodeElemBatch)) != p.N2 || len(elems) != p.N2 {
 		t.Fatalf("completing round 1 sent %d elements in %d batches, want %d batches of 1",
@@ -220,14 +184,14 @@ func TestL1CommitCountBeforePutDataStillAcks(t *testing.T) {
 	// All f1+k broadcasts may arrive before the PUT-DATA itself under
 	// asynchrony plus the server's own broadcast echo; the ack and commit
 	// must still fire when the data lands.
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	tg := tag.Tag{Z: 1, W: 1}
-	commit(t, s, p, tg) // counter reaches quorum; (t, *) not in L yet
-	if len(ofKind(fn.take(), wire.KindPutDataResp)) != 0 {
+	commit(t, s, out, p, tg) // counter reaches quorum; (t, *) not in L yet
+	if len(ofKind(take(out), wire.KindPutDataResp)) != 0 {
 		t.Fatal("ack sent before the data arrived")
 	}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: tg, Value: []byte("late")}})
-	envs := fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: tg, Value: []byte("late")}, out)
+	envs := take(out)
 	if len(ofKind(envs, wire.KindPutDataResp)) != 1 {
 		t.Fatal("late put-data did not trigger the ack")
 	}
@@ -240,18 +204,17 @@ func TestL1CommitCountBeforePutDataStillAcks(t *testing.T) {
 }
 
 func TestL1WriteToL2CompletionGarbageCollects(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	tg := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: tg, Value: []byte("data")}})
-	commit(t, s, p, tg)
-	fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: tg, Value: []byte("data")}, out)
+	commit(t, s, out, p, tg)
+	take(out)
 	if s.TemporaryBytes() == 0 {
 		t.Fatal("value should be in temporary storage while offloading")
 	}
 	// n2 - f2 acknowledgments complete the internal write.
 	for i := 0; i < p.L2Quorum(); i++ {
-		s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, To: s.ID(),
-			Msg: wire.AckCodeElem{Tag: tg}})
+		s.Step(wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, wire.AckCodeElem{Tag: tg}, out)
 	}
 	if s.TemporaryBytes() != 0 {
 		t.Errorf("temporary bytes = %d after write-to-L2 completed, want 0", s.TemporaryBytes())
@@ -264,10 +227,9 @@ func TestL1WriteToL2CompletionGarbageCollects(t *testing.T) {
 }
 
 func TestL1StrayAckCodeElemIgnored(t *testing.T) {
-	s, _, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	for i := 0; i < p.N2; i++ {
-		s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, To: s.ID(),
-			Msg: wire.AckCodeElem{Tag: tag.Tag{Z: 9, W: 9}}})
+		s.Step(wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, wire.AckCodeElem{Tag: tag.Tag{Z: 9, W: 9}}, out)
 	}
 	if v := s.Violations(); v != 0 {
 		t.Errorf("stray acks caused %d violations", v)
@@ -275,15 +237,15 @@ func TestL1StrayAckCodeElemIgnored(t *testing.T) {
 }
 
 func TestL1QueryDataServedFromList(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	tg := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: tg, Value: []byte("hot")}})
-	commit(t, s, p, tg)
-	fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: tg, Value: []byte("hot")}, out)
+	commit(t, s, out, p, tg)
+	take(out)
 
 	// Requested tag present with value: served directly.
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 7, Req: tg}})
-	resps := ofKind(fn.take(), wire.KindQueryDataResp)
+	s.Step(reader1, wire.QueryData{OpID: 7, Req: tg}, out)
+	resps := ofKind(take(out), wire.KindQueryDataResp)
 	if len(resps) != 1 {
 		t.Fatalf("got %d responses", len(resps))
 	}
@@ -291,20 +253,20 @@ func TestL1QueryDataServedFromList(t *testing.T) {
 	if r.Class != wire.PayloadValue || string(r.Data) != "hot" || r.Tag != tg {
 		t.Errorf("response = %+v", r)
 	}
-	if s.OutstandingReaders() != 0 {
+	if s.Bookkeeping().Readers != 0 {
 		t.Error("served reader must not be registered")
 	}
 }
 
 func TestL1QueryDataHigherCommittedServed(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	t2 := tag.Tag{Z: 2, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: t2, Value: []byte("newer")}})
-	commit(t, s, p, t2)
-	fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: t2, Value: []byte("newer")}, out)
+	commit(t, s, out, p, t2)
+	take(out)
 	// Reader asks for an older tag; tc > treq and (tc, vc) in list.
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 7, Req: tag.Tag{Z: 1, W: 1}}})
-	resps := ofKind(fn.take(), wire.KindQueryDataResp)
+	s.Step(reader1, wire.QueryData{OpID: 7, Req: tag.Tag{Z: 1, W: 1}}, out)
+	resps := ofKind(take(out), wire.KindQueryDataResp)
 	if len(resps) != 1 {
 		t.Fatalf("got %d responses", len(resps))
 	}
@@ -314,9 +276,9 @@ func TestL1QueryDataHigherCommittedServed(t *testing.T) {
 }
 
 func TestL1QueryDataRegistersAndRegenerates(t *testing.T) {
-	s, fn, p := newTestServer(t)
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 7, Req: tag.Zero}})
-	envs := fn.take()
+	s, out, p := newTestServer(t)
+	s.Step(reader1, wire.QueryData{OpID: 7, Req: tag.Zero}, out)
+	envs := take(out)
 	queries := ofKind(envs, wire.KindQueryCodeElem)
 	if len(queries) != p.N2 {
 		t.Fatalf("sent %d helper queries, want all n2 = %d", len(queries), p.N2)
@@ -324,13 +286,13 @@ func TestL1QueryDataRegistersAndRegenerates(t *testing.T) {
 	if q := queries[0].Msg.(wire.QueryCodeElem); q.Reader != reader1 || q.OpID != 7 {
 		t.Errorf("query = %+v", q)
 	}
-	if s.OutstandingReaders() != 1 {
+	if s.Bookkeeping().Readers != 1 {
 		t.Error("reader must be registered in Gamma")
 	}
 }
 
 func TestL1RegenerationSuccessAndBotPaths(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	code := s.code
 	value := []byte("regenerate me")
 	tg := tag.Tag{Z: 3, W: 1}
@@ -340,8 +302,8 @@ func TestL1RegenerationSuccessAndBotPaths(t *testing.T) {
 	}
 	_ = shards
 
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 7, Req: tag.Zero}})
-	fn.take()
+	s.Step(reader1, wire.QueryData{OpID: 7, Req: tag.Zero}, out)
+	take(out)
 
 	// Answer with L2Quorum helper responses carrying a common tag.
 	for i := 0; i < p.L2Quorum(); i++ {
@@ -353,10 +315,9 @@ func TestL1RegenerationSuccessAndBotPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, To: s.ID(),
-			Msg: wire.SendHelperElem{Reader: reader1, OpID: 7, Tag: tg, Helper: h, ValueLen: int32(len(value))}})
+		s.Step(wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, wire.SendHelperElem{Reader: reader1, OpID: 7, Tag: tg, Helper: h, ValueLen: int32(len(value))}, out)
 	}
-	resps := ofKind(fn.take(), wire.KindQueryDataResp)
+	resps := ofKind(take(out), wire.KindQueryDataResp)
 	if len(resps) != 1 {
 		t.Fatalf("got %d responses after quorum of helpers", len(resps))
 	}
@@ -372,53 +333,51 @@ func TestL1RegenerationSuccessAndBotPaths(t *testing.T) {
 		t.Error("regenerated coded element differs from direct encoding")
 	}
 	// The reader stays registered after a regeneration response.
-	if s.OutstandingReaders() != 1 {
+	if s.Bookkeeping().Readers != 1 {
 		t.Error("reader must remain registered after regeneration")
 	}
 }
 
 func TestL1RegenerationNoCommonTagSendsBot(t *testing.T) {
-	s, fn, p := newTestServer(t)
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 7, Req: tag.Zero}})
-	fn.take()
+	s, out, p := newTestServer(t)
+	s.Step(reader1, wire.QueryData{OpID: 7, Req: tag.Zero}, out)
+	take(out)
 	// Four responses with four different tags: no tag reaches d = 3.
 	for i := 0; i < p.L2Quorum(); i++ {
-		s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, To: s.ID(),
-			Msg: wire.SendHelperElem{Reader: reader1, OpID: 7, Tag: tag.Tag{Z: uint64(i + 1), W: 1}, Helper: []byte{1}, ValueLen: 1}})
+		s.Step(wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, wire.SendHelperElem{Reader: reader1, OpID: 7, Tag: tag.Tag{Z: uint64(i + 1), W: 1}, Helper: []byte{1}, ValueLen: 1}, out)
 	}
-	resps := ofKind(fn.take(), wire.KindQueryDataResp)
+	resps := ofKind(take(out), wire.KindQueryDataResp)
 	if len(resps) != 1 || resps[0].Msg.(wire.QueryDataResp).Class != wire.PayloadNone {
 		t.Fatalf("want a single (bot, bot) response, got %v", resps)
 	}
-	if s.OutstandingReaders() != 1 {
+	if s.Bookkeeping().Readers != 1 {
 		t.Error("reader must remain registered after failed regeneration")
 	}
 }
 
 func TestL1RegenerationStaleOpIgnored(t *testing.T) {
-	s, fn, p := newTestServer(t)
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 7, Req: tag.Zero}})
-	fn.take()
+	s, out, p := newTestServer(t)
+	s.Step(reader1, wire.QueryData{OpID: 7, Req: tag.Zero}, out)
+	take(out)
 	// Helpers for a previous operation id must not be counted.
 	for i := 0; i < p.L2Quorum(); i++ {
-		s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, To: s.ID(),
-			Msg: wire.SendHelperElem{Reader: reader1, OpID: 6, Tag: tag.Zero, Helper: []byte{1}, ValueLen: 0}})
+		s.Step(wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, wire.SendHelperElem{Reader: reader1, OpID: 6, Tag: tag.Zero, Helper: []byte{1}, ValueLen: 0}, out)
 	}
-	if resps := ofKind(fn.take(), wire.KindQueryDataResp); len(resps) != 0 {
+	if resps := ofKind(take(out), wire.KindQueryDataResp); len(resps) != 0 {
 		t.Fatalf("stale helpers produced %d responses", len(resps))
 	}
 }
 
 func TestL1CommitServesRegisteredReaders(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	// Register a reader waiting for anything >= t0.
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 7, Req: tag.Zero}})
-	fn.take()
+	s.Step(reader1, wire.QueryData{OpID: 7, Req: tag.Zero}, out)
+	take(out)
 	// A write commits: the registered reader gets the value directly.
 	tg := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: tg, Value: []byte("served")}})
-	commit(t, s, p, tg)
-	resps := ofKind(fn.take(), wire.KindQueryDataResp)
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: tg, Value: []byte("served")}, out)
+	commit(t, s, out, p, tg)
+	resps := ofKind(take(out), wire.KindQueryDataResp)
 	if len(resps) != 1 {
 		t.Fatalf("registered reader got %d responses", len(resps))
 	}
@@ -426,19 +385,19 @@ func TestL1CommitServesRegisteredReaders(t *testing.T) {
 	if r.Class != wire.PayloadValue || string(r.Data) != "served" || r.OpID != 7 {
 		t.Errorf("response = %+v", r)
 	}
-	if s.OutstandingReaders() != 0 {
+	if s.Bookkeeping().Readers != 0 {
 		t.Error("served reader must be unregistered")
 	}
 }
 
 func TestL1PutTagWithValueCommitsAndOffloads(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	tg := tag.Tag{Z: 1, W: 1}
 	// Value in list but not yet committed (no broadcasts consumed).
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: tg, Value: []byte("wb")}})
-	fn.take()
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.PutTag{OpID: 8, Tag: tg}})
-	envs := fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: tg, Value: []byte("wb")}, out)
+	take(out)
+	s.Step(reader1, wire.PutTag{OpID: 8, Tag: tg}, out)
+	envs := take(out)
 	if len(ofKind(envs, wire.KindPutTagResp)) != 1 {
 		t.Fatal("put-tag not acknowledged")
 	}
@@ -456,10 +415,10 @@ func TestL1PutTagWithValueCommitsAndOffloads(t *testing.T) {
 }
 
 func TestL1PutTagWithoutValueAddsBotEntry(t *testing.T) {
-	s, fn, _ := newTestServer(t)
+	s, out, _ := newTestServer(t)
 	tg := tag.Tag{Z: 5, W: 2}
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.PutTag{OpID: 8, Tag: tg}})
-	envs := fn.take()
+	s.Step(reader1, wire.PutTag{OpID: 8, Tag: tg}, out)
+	envs := take(out)
 	if len(ofKind(envs, wire.KindPutTagResp)) != 1 {
 		t.Fatal("put-tag not acknowledged")
 	}
@@ -479,19 +438,19 @@ func TestL1PutTagServesOtherReadersFromTBar(t *testing.T) {
 	// The else-branch of put-tag-resp: tc advances past the stored value,
 	// and a registered reader with a small request is served the highest
 	// remaining value below tc (t-bar) before garbage collection.
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	t1 := tag.Tag{Z: 1, W: 1}
 	// The reader registers first (t1 not yet in the list), then the value
 	// arrives without being committed.
 	reader2 := wire.ProcID{Role: wire.RoleReader, Index: 2}
-	s.Handle(wire.Envelope{From: reader2, To: s.ID(), Msg: wire.QueryData{OpID: 3, Req: t1}})
-	fn.take()
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: t1, Value: []byte("tbar")}})
-	fn.take()
+	s.Step(reader2, wire.QueryData{OpID: 3, Req: t1}, out)
+	take(out)
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: t1, Value: []byte("tbar")}, out)
+	take(out)
 	// Another reader writes back a higher tag the server has no value for.
 	t9 := tag.Tag{Z: 9, W: 3}
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.PutTag{OpID: 8, Tag: t9}})
-	envs := fn.take()
+	s.Step(reader1, wire.PutTag{OpID: 8, Tag: t9}, out)
+	envs := take(out)
 	resps := ofKind(envs, wire.KindQueryDataResp)
 	if len(resps) != 1 {
 		t.Fatalf("t-bar service produced %d responses, want 1", len(resps))
@@ -512,13 +471,13 @@ func TestL1PutTagServesOtherReadersFromTBar(t *testing.T) {
 }
 
 func TestL1ViolationsStayZeroAcrossActions(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	tg := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: tg, Value: []byte("v")}})
-	commit(t, s, p, tg)
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 2, Req: tg}})
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.PutTag{OpID: 3, Tag: tg}})
-	fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: tg, Value: []byte("v")}, out)
+	commit(t, s, out, p, tg)
+	s.Step(reader1, wire.QueryData{OpID: 2, Req: tg}, out)
+	s.Step(reader1, wire.PutTag{OpID: 3, Tag: tg}, out)
+	take(out)
 	if v := s.Violations(); v != 0 {
 		t.Errorf("violations = %d", v)
 	}
@@ -544,15 +503,15 @@ func erasePad(_ erasure.Regenerating, v []byte) []byte { return v }
 // permanent (bot, bot) that costs the read its liveness), nor appear
 // twice in the helper set handed to Regenerate.
 func TestL1RegenerationDuplicatedHelperNotDoubleCounted(t *testing.T) {
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	code := s.code
 	value := []byte("regenerate me")
 	tg := tag.Tag{Z: 3, W: 1}
 
-	s.Handle(wire.Envelope{From: reader1, To: s.ID(), Msg: wire.QueryData{OpID: 7, Req: tag.Zero}})
-	fn.take()
+	s.Step(reader1, wire.QueryData{OpID: 7, Req: tag.Zero}, out)
+	take(out)
 
-	helper := func(i int) wire.Envelope {
+	helper := func(i int) {
 		t.Helper()
 		shard, err := encodeNode(code, value, p.L2CodeIndex(i))
 		if err != nil {
@@ -562,25 +521,25 @@ func TestL1RegenerationDuplicatedHelperNotDoubleCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return wire.Envelope{From: wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, To: s.ID(),
-			Msg: wire.SendHelperElem{Reader: reader1, OpID: 7, Tag: tg, Helper: h, ValueLen: int32(len(value))}}
+		s.Step(wire.ProcID{Role: wire.RoleL2, Index: int32(i)},
+			wire.SendHelperElem{Reader: reader1, OpID: 7, Tag: tg, Helper: h, ValueLen: int32(len(value))}, out)
 	}
 
 	// Server 0's helper arrives twice (duplicated delivery), then servers
 	// 1 and 2: only three DISTINCT responders — under the L2Quorum()=4
 	// completion rule the collection must still be open.
-	s.Handle(helper(0))
-	s.Handle(helper(0))
-	s.Handle(helper(1))
-	s.Handle(helper(2))
-	if resps := ofKind(fn.take(), wire.KindQueryDataResp); len(resps) != 0 {
+	helper(0)
+	helper(0)
+	helper(1)
+	helper(2)
+	if resps := ofKind(take(out), wire.KindQueryDataResp); len(resps) != 0 {
 		t.Fatalf("responded after 3 distinct + 1 duplicated helper: %v (duplicate counted toward quorum)", resps)
 	}
 
 	// The fourth distinct responder completes the quorum; regeneration
 	// must succeed with the duplicate discarded.
-	s.Handle(helper(3))
-	resps := ofKind(fn.take(), wire.KindQueryDataResp)
+	helper(3)
+	resps := ofKind(take(out), wire.KindQueryDataResp)
 	if len(resps) != 1 {
 		t.Fatalf("got %d responses after the quorum completed, want 1", len(resps))
 	}

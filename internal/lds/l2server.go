@@ -3,12 +3,9 @@ package lds
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
-	"sync/atomic"
 
 	"github.com/lds-storage/lds/internal/erasure"
 	"github.com/lds-storage/lds/internal/tag"
-	"github.com/lds-storage/lds/internal/transport"
 	"github.com/lds-storage/lds/internal/wire"
 )
 
@@ -17,27 +14,17 @@ import (
 // replaces the stored one when its tag is higher, and helper-data queries
 // are answered from the stored element alone.
 //
-// The server is an actor: Handle must be invoked sequentially (the
-// transport guarantees this).
+// The server is a state machine: Step and the repair-plane methods below
+// (ElemStat, ElemData, HelperToward, InstallRepair, CorruptStored) are each
+// one atomic action and must not overlap.
 type L2Server struct {
 	params Params
 	index  int // i in [0, n2); code symbol index is n1 + i
 	id     wire.ProcID
 	code   erasure.Regenerating
 
-	// bound is the transport attachment published by Bind; same scheme as
-	// L1Server.bound (real transports may invoke Handle concurrently with
-	// Bind, so the handler goroutine caches the atomic load into node).
-	bound atomic.Pointer[l2Binding]
-	node  transport.Node
-
 	// State variables (t, c) plus the original value length, which decoding
 	// ultimately needs because shards are padded to whole stripes.
-	//
-	// mu guards them: the actor's Handle path runs sequentially, but the
-	// node host's control plane (scrub inventories, repair fetches and
-	// installs) reads and writes the pair concurrently with traffic.
-	mu       sync.Mutex
 	tag      tag.Tag
 	coded    []byte
 	valueLen int
@@ -46,10 +33,6 @@ type L2Server struct {
 	// the stored bytes rotted after adoption (simulated in tests by
 	// CorruptStored, which mutates coded without touching the digest).
 	storedSum uint64
-
-	// storedBytes mirrors len(coded) atomically so storage-cost samplers
-	// can read it while traffic flows.
-	storedBytes atomic.Int64
 }
 
 // elemDigest is the scrub digest over a stored coded element.
@@ -59,18 +42,14 @@ func elemDigest(coded []byte) uint64 {
 	return h.Sum64()
 }
 
-// NewL2Server creates the server with its initial state (t0, c0): the coded
-// element of the distinguished initial value v0.
-func NewL2Server(params Params, index int, code erasure.Regenerating, initialValue []byte) (*L2Server, error) {
-	return NewL2ServerSeeded(params, index, code, initialValue, tag.Zero)
-}
-
-// NewL2ServerSeeded creates the server with its stored pair already at
-// (seed, coded(value)): the state it would hold after acknowledging an
-// offload of value at the seed tag. Together with NewL1ServerSeeded this
-// boots a group from a migration snapshot — the replace-if-newer rule then
+// NewL2Server creates the server with its stored pair at (seed,
+// coded(value)). With seed = tag.Zero that is the paper's initial state
+// (t0, c0), the coded element of the distinguished initial value v0. Any
+// other seed is the state the server would hold after acknowledging an
+// offload of value at the seed tag; together with NewL1Server this boots a
+// group from a migration snapshot — the replace-if-newer rule then
 // guarantees only strictly newer writes displace the seeded element.
-func NewL2ServerSeeded(params Params, index int, code erasure.Regenerating, value []byte, seed tag.Tag) (*L2Server, error) {
+func NewL2Server(params Params, index int, code erasure.Regenerating, value []byte, seed tag.Tag) (*L2Server, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -82,56 +61,36 @@ func NewL2ServerSeeded(params Params, index int, code erasure.Regenerating, valu
 		return nil, fmt.Errorf("lds: encode initial value: %w", err)
 	}
 	s := &L2Server{
-		params:    params,
-		index:     index,
-		id:        wire.ProcID{Role: wire.RoleL2, Index: int32(index)},
-		code:      code,
-		tag:       seed,
-		coded:     c0,
-		valueLen:  len(value),
-		storedSum: elemDigest(c0),
+		params: params,
+		index:  index,
+		id:     wire.ProcID{Role: wire.RoleL2, Index: int32(index)},
+		code:   code,
 	}
-	s.storedBytes.Store(int64(len(c0)))
+	s.adopt(seed, c0, len(value))
 	return s, nil
 }
 
 // ID returns the server's process id.
 func (s *L2Server) ID() wire.ProcID { return s.id }
 
-// l2Binding wraps the node so Bind can publish it through an atomic pointer
-// (transport.Node is an interface; atomic.Pointer needs a concrete type).
-type l2Binding struct {
-	node transport.Node
-}
-
-// Bind attaches the transport node; must be called before traffic flows.
-func (s *L2Server) Bind(node transport.Node) { s.bound.Store(&l2Binding{node: node}) }
-
-// Index returns the L2 server index i in [0, n2).
-func (s *L2Server) Index() int { return s.index }
-
 // Tag returns the currently stored tag (for tests and storage accounting).
-func (s *L2Server) Tag() tag.Tag {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tag
-}
+func (s *L2Server) Tag() tag.Tag { return s.tag }
 
-// adoptLocked replaces the stored pair; s.mu held.
-func (s *L2Server) adoptLocked(t tag.Tag, coded []byte, valueLen int) {
+// StoredBytes returns the size of the stored coded element, the server's
+// contribution to permanent storage cost.
+func (s *L2Server) StoredBytes() int64 { return int64(len(s.coded)) }
+
+// adopt replaces the stored pair.
+func (s *L2Server) adopt(t tag.Tag, coded []byte, valueLen int) {
 	s.tag = t
 	s.coded = coded
 	s.valueLen = valueLen
 	s.storedSum = elemDigest(coded)
-	s.storedBytes.Store(int64(len(coded)))
 }
 
 // ElemStat reports the stored element's scrub view: tag, recorded digest,
 // sizes, and whether the stored bytes still hash to the recorded digest.
-// Safe to call concurrently with traffic.
 func (s *L2Server) ElemStat() wire.ElemStat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return wire.ElemStat{
 		Index:     int32(s.index),
 		Tag:       s.tag,
@@ -145,8 +104,6 @@ func (s *L2Server) ElemStat() wire.ElemStat {
 // ElemData returns a copy of the stored (tag, coded element, value length)
 // triple — the RS decode-reencode repair path's fetch unit.
 func (s *L2Server) ElemData() (tag.Tag, []byte, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	coded := make([]byte, len(s.coded))
 	copy(coded, s.coded)
 	return s.tag, coded, s.valueLen
@@ -158,8 +115,6 @@ func (s *L2Server) ElemData() (tag.Tag, []byte, int) {
 // MSR/MBR codes. It returns the tag and value length the helper data
 // belongs to.
 func (s *L2Server) HelperToward(failedCode int) (tag.Tag, []byte, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	helper, err := s.code.Helper(s.coded, s.params.L2CodeIndex(s.index), failedCode)
 	if err != nil {
 		return tag.Tag{}, nil, 0, err
@@ -174,12 +129,10 @@ func (s *L2Server) HelperToward(failedCode int) (tag.Tag, []byte, int, error) {
 // roll the permanent layer backwards. It reports whether the element was
 // adopted.
 func (s *L2Server) InstallRepair(t tag.Tag, coded []byte, valueLen int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if t.Less(s.tag) {
 		return false
 	}
-	s.adoptLocked(t, coded, valueLen)
+	s.adopt(t, coded, valueLen)
 	return true
 }
 
@@ -187,8 +140,6 @@ func (s *L2Server) InstallRepair(t tag.Tag, coded []byte, valueLen int) bool {
 // digest — simulated bit rot for scrub/repair tests and chaos drills. It
 // reports false when the element is empty.
 func (s *L2Server) CorruptStored() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.coded) == 0 {
 		return false
 	}
@@ -200,105 +151,68 @@ func (s *L2Server) CorruptStored() bool {
 	return true
 }
 
-// DropStored zeroes the stored element's bytes (keeping tag and digest),
-// simulating a lost or unreadable element for repair tests.
-func (s *L2Server) DropStored() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.coded = make([]byte, len(s.coded))
-}
-
-// StoredBytes returns the size of the stored coded element, the server's
-// contribution to permanent storage cost. Safe to call concurrently with
-// traffic.
-func (s *L2Server) StoredBytes() int64 { return s.storedBytes.Load() }
-
-// Handle dispatches one incoming message; it is the transport handler.
-func (s *L2Server) Handle(env wire.Envelope) {
-	if s.node == nil {
-		b := s.bound.Load()
-		if b == nil {
-			return // not bound yet; the transport model permits loss
-		}
-		s.node = b.node
-	}
-	switch m := env.Msg.(type) {
+// Step consumes one message from process from and queues the messages the
+// action sends in out. Unknown traffic is ignored, never fatal: a
+// byzantine-free model still sees stale messages from closed epochs in
+// tests.
+func (s *L2Server) Step(from wire.ProcID, msg wire.Message, out *wire.Outbox) {
+	switch m := msg.(type) {
 	case wire.WriteCodeElem:
-		s.onWriteCodeElem(env.From, m)
+		s.onWriteCodeElem(from, m, out)
 	case wire.WriteCodeElemBatch:
-		s.onWriteCodeElemBatch(env.From, m)
+		s.onWriteCodeElemBatch(from, m, out)
 	case wire.QueryCodeElem:
-		s.onQueryCodeElem(env.From, m)
-	default:
-		// Unknown traffic is ignored, never fatal: a byzantine-free model
-		// still sees stale messages from closed epochs in tests.
+		s.onQueryCodeElem(from, m, out)
 	}
 }
 
 // onWriteCodeElem is write-to-L2-resp (Fig. 3): adopt the element if its
 // tag is newer, and acknowledge either way.
-func (s *L2Server) onWriteCodeElem(from wire.ProcID, m wire.WriteCodeElem) {
-	s.mu.Lock()
+func (s *L2Server) onWriteCodeElem(from wire.ProcID, m wire.WriteCodeElem, out *wire.Outbox) {
 	if s.tag.Less(m.Tag) {
-		s.adoptLocked(m.Tag, m.Coded, int(m.ValueLen))
+		s.adopt(m.Tag, m.Coded, int(m.ValueLen))
 	}
-	s.mu.Unlock()
-	s.send(from, wire.AckCodeElem{Tag: m.Tag})
+	out.Send(from, wire.AckCodeElem{Tag: m.Tag})
 }
 
 // onWriteCodeElemBatch applies a batched offload: each element runs
 // through the same replace-if-newer rule as an individual WriteCodeElem,
 // and a single AckCodeElemBatch acknowledges every element's tag, so the
 // return path is amortized exactly like the forward path.
-func (s *L2Server) onWriteCodeElemBatch(from wire.ProcID, m wire.WriteCodeElemBatch) {
+func (s *L2Server) onWriteCodeElemBatch(from wire.ProcID, m wire.WriteCodeElemBatch, out *wire.Outbox) {
 	if len(m.Elems) == 0 {
 		return
 	}
 	tags := make([]tag.Tag, len(m.Elems))
-	s.mu.Lock()
 	for i, el := range m.Elems {
 		if s.tag.Less(el.Tag) {
-			s.adoptLocked(el.Tag, el.Coded, int(el.ValueLen))
+			s.adopt(el.Tag, el.Coded, int(el.ValueLen))
 		}
 		tags[i] = el.Tag
 	}
-	s.mu.Unlock()
-	s.send(from, wire.AckCodeElemBatch{Tags: tags})
+	out.Send(from, wire.AckCodeElemBatch{Tags: tags})
 }
 
 // onQueryCodeElem is regenerate-from-L2-resp (Fig. 3): compute the helper
 // data h_{n1+i, j} for repairing the requesting L1 server's coded element
 // c_j. The failed index j is the sender's code index; the MBR construction
 // guarantees the helper data depends only on j (paper, Section II-c).
-func (s *L2Server) onQueryCodeElem(from wire.ProcID, m wire.QueryCodeElem) {
+func (s *L2Server) onQueryCodeElem(from wire.ProcID, m wire.QueryCodeElem, out *wire.Outbox) {
 	if from.Role != wire.RoleL1 {
 		return
 	}
-	failedIdx := int(from.Index) // L1 server j's code index is j
-	s.mu.Lock()
-	t, valueLen := s.tag, s.valueLen
-	helper, err := s.code.Helper(s.coded, s.params.L2CodeIndex(s.index), failedIdx)
-	s.mu.Unlock()
+	// L1 server j's code index is j.
+	t, helper, valueLen, err := s.HelperToward(int(from.Index))
 	if err != nil {
 		// The stored element is always well-formed; an error here means a
 		// malformed request (e.g. out-of-range sender), which we drop.
 		return
 	}
-	s.send(from, wire.SendHelperElem{
+	out.Send(from, wire.SendHelperElem{
 		Reader:   m.Reader,
 		OpID:     m.OpID,
 		Tag:      t,
 		Helper:   helper,
 		ValueLen: int32(valueLen),
 	})
-}
-
-func (s *L2Server) send(to wire.ProcID, msg wire.Message) {
-	if s.node == nil {
-		return
-	}
-	// Send errors are unreportable inside an asynchronous actor; reliable
-	// links make them impossible in the simulated network and transient in
-	// TCP deployments (the protocol tolerates loss of any f2 servers).
-	_ = s.node.Send(to, msg)
 }

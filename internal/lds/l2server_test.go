@@ -9,20 +9,18 @@ import (
 	"github.com/lds-storage/lds/internal/wire"
 )
 
-func newTestL2(t *testing.T, initial []byte) (*L2Server, *fakeNode, Params) {
+func newTestL2(t *testing.T, initial []byte) (*L2Server, *wire.Outbox, Params) {
 	t.Helper()
 	p := MustTestParams(t, 4, 5, 1, 1)
 	code, err := p.NewCode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewL2Server(p, 2, code, initial)
+	s, err := NewL2Server(p, 2, code, initial, tag.Zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn := &fakeNode{id: s.ID()}
-	s.Bind(fn)
-	return s, fn, p
+	return s, &wire.Outbox{}, p
 }
 
 func TestNewL2ServerValidation(t *testing.T) {
@@ -31,10 +29,10 @@ func TestNewL2ServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewL2Server(p, -1, code, nil); err == nil {
+	if _, err := NewL2Server(p, -1, code, nil, tag.Zero); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := NewL2Server(p, 5, code, nil); err == nil {
+	if _, err := NewL2Server(p, 5, code, nil, tag.Zero); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 }
@@ -56,13 +54,12 @@ func TestL2InitialStateEncodesV0(t *testing.T) {
 }
 
 func TestL2WriteCodeElemAdoptsNewerOnly(t *testing.T) {
-	s, fn, _ := newTestL2(t, nil)
+	s, out, _ := newTestL2(t, nil)
 	l1 := wire.ProcID{Role: wire.RoleL1, Index: 0}
 
 	t2 := tag.Tag{Z: 2, W: 1}
-	s.Handle(wire.Envelope{From: l1, To: s.ID(),
-		Msg: wire.WriteCodeElem{Tag: t2, Coded: []byte{1, 2, 3}, ValueLen: 3}})
-	acks := ofKind(fn.take(), wire.KindAckCodeElem)
+	s.Step(l1, wire.WriteCodeElem{Tag: t2, Coded: []byte{1, 2, 3}, ValueLen: 3}, out)
+	acks := ofKind(take(out), wire.KindAckCodeElem)
 	if len(acks) != 1 || acks[0].Msg.(wire.AckCodeElem).Tag != t2 {
 		t.Fatalf("ack = %v", acks)
 	}
@@ -72,9 +69,8 @@ func TestL2WriteCodeElemAdoptsNewerOnly(t *testing.T) {
 
 	// An older element is acknowledged but not adopted.
 	t1 := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: l1, To: s.ID(),
-		Msg: wire.WriteCodeElem{Tag: t1, Coded: []byte{9, 9, 9, 9}, ValueLen: 4}})
-	acks = ofKind(fn.take(), wire.KindAckCodeElem)
+	s.Step(l1, wire.WriteCodeElem{Tag: t1, Coded: []byte{9, 9, 9, 9}, ValueLen: 4}, out)
+	acks = ofKind(take(out), wire.KindAckCodeElem)
 	if len(acks) != 1 || acks[0].Msg.(wire.AckCodeElem).Tag != t1 {
 		t.Fatalf("stale write not acknowledged: %v", acks)
 	}
@@ -88,14 +84,13 @@ func TestL2WriteCodeElemAdoptsNewerOnly(t *testing.T) {
 
 func TestL2QueryCodeElemReturnsHelper(t *testing.T) {
 	value := []byte("helper data source")
-	s, fn, p := newTestL2(t, value)
+	s, out, p := newTestL2(t, value)
 	code, _ := p.NewCode()
 
 	requester := wire.ProcID{Role: wire.RoleL1, Index: 1}
 	reader := wire.ProcID{Role: wire.RoleReader, Index: 3}
-	s.Handle(wire.Envelope{From: requester, To: s.ID(),
-		Msg: wire.QueryCodeElem{Reader: reader, OpID: 42}})
-	resps := ofKind(fn.take(), wire.KindSendHelperElem)
+	s.Step(requester, wire.QueryCodeElem{Reader: reader, OpID: 42}, out)
+	resps := ofKind(take(out), wire.KindSendHelperElem)
 	if len(resps) != 1 {
 		t.Fatalf("got %d helper responses", len(resps))
 	}
@@ -121,19 +116,17 @@ func TestL2QueryCodeElemReturnsHelper(t *testing.T) {
 }
 
 func TestL2QueryFromNonL1Ignored(t *testing.T) {
-	s, fn, _ := newTestL2(t, nil)
-	s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleReader, Index: 1}, To: s.ID(),
-		Msg: wire.QueryCodeElem{Reader: wire.ProcID{Role: wire.RoleReader, Index: 1}, OpID: 1}})
-	if len(fn.take()) != 0 {
+	s, out, _ := newTestL2(t, nil)
+	s.Step(wire.ProcID{Role: wire.RoleReader, Index: 1}, wire.QueryCodeElem{Reader: wire.ProcID{Role: wire.RoleReader, Index: 1}, OpID: 1}, out)
+	if len(take(out)) != 0 {
 		t.Error("helper served to a non-L1 requester")
 	}
 }
 
 func TestL2UnknownMessageIgnored(t *testing.T) {
-	s, fn, _ := newTestL2(t, nil)
-	s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleL1, Index: 0}, To: s.ID(),
-		Msg: wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}})
-	if len(fn.take()) != 0 {
+	s, out, _ := newTestL2(t, nil)
+	s.Step(wire.ProcID{Role: wire.RoleL1, Index: 0}, wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}, out)
+	if len(take(out)) != 0 {
 		t.Error("unexpected response to unknown traffic")
 	}
 }
@@ -150,15 +143,13 @@ func TestL2HelpersFromTwoServersAgree(t *testing.T) {
 	value := []byte("cross-server consistency")
 	var helpers []wire.SendHelperElem
 	for i := 0; i < p.N2; i++ {
-		s, err := NewL2Server(p, i, code, value)
+		s, err := NewL2Server(p, i, code, value, tag.Zero)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn := &fakeNode{id: s.ID()}
-		s.Bind(fn)
-		s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleL1, Index: 0}, To: s.ID(),
-			Msg: wire.QueryCodeElem{Reader: wire.ProcID{Role: wire.RoleReader, Index: 1}, OpID: 1}})
-		resp := ofKind(fn.take(), wire.KindSendHelperElem)
+		out := &wire.Outbox{}
+		s.Step(wire.ProcID{Role: wire.RoleL1, Index: 0}, wire.QueryCodeElem{Reader: wire.ProcID{Role: wire.RoleReader, Index: 1}, OpID: 1}, out)
+		resp := ofKind(take(out), wire.KindSendHelperElem)
 		if len(resp) != 1 {
 			t.Fatalf("server %d: %d responses", i, len(resp))
 		}

@@ -14,9 +14,10 @@ import (
 // tags, equivalence of batched and unbatched offload at L2, and the
 // sustained-write soak that pins every per-tag map.
 
-// testParamsMode builds the standard small geometry in the given offload
-// mode and a bound L1 server on a fake node.
-func newTestServerMode(t *testing.T, mode OffloadMode) (*L1Server, *fakeNode, Params) {
+// newTestServerMode builds the standard small geometry in the given
+// offload mode: an L1 server with index 0 and the outbox its steps are
+// driven with.
+func newTestServerMode(t *testing.T, mode OffloadMode) (*L1Server, *wire.Outbox, Params) {
 	t.Helper()
 	p := MustTestParams(t, 4, 5, 1, 1) // k=2, d=3, quorum f1+k=3, L2 quorum 4
 	p.Offload = mode
@@ -24,24 +25,20 @@ func newTestServerMode(t *testing.T, mode OffloadMode) (*L1Server, *fakeNode, Pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewL1Server(p, 0, code)
+	s, err := NewL1Server(p, 0, code, tag.Zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn := &fakeNode{id: s.ID()}
-	if err := s.Bind(fn); err != nil {
-		t.Fatal(err)
-	}
-	return s, fn, p
+	return s, &wire.Outbox{}, p
 }
 
 // ackOffloads answers every offload message in envs (batched or not) the
 // way its L2 destination would.
-func ackOffloads(s *L1Server, envs []wire.Envelope) {
-	ackRound(s, envs)
+func ackOffloads(s *L1Server, out *wire.Outbox, envs []wire.Envelope) {
+	ackRound(s, out, envs)
 	for _, e := range ofKind(envs, wire.KindWriteCodeElem) {
 		m := e.Msg.(wire.WriteCodeElem)
-		s.Handle(wire.Envelope{From: e.To, To: s.ID(), Msg: wire.AckCodeElem{Tag: m.Tag}})
+		s.Step(e.To, wire.AckCodeElem{Tag: m.Tag}, out)
 	}
 }
 
@@ -49,15 +46,15 @@ func TestL1AckCountsDistinctSendersOnly(t *testing.T) {
 	// Regression test for the ack double-counting bug: L2Quorum raw ack
 	// messages from a single L2 server must not count as a quorum of
 	// durable copies.
-	s, fn, p := newTestServer(t)
+	s, out, p := newTestServer(t)
 	tg := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: writer1, To: s.ID(), Msg: wire.PutData{OpID: 1, Tag: tg, Value: []byte("dup")}})
-	commit(t, s, p, tg)
-	fn.take()
+	s.Step(writer1, wire.PutData{OpID: 1, Tag: tg, Value: []byte("dup")}, out)
+	commit(t, s, out, p, tg)
+	take(out)
 
 	one := wire.ProcID{Role: wire.RoleL2, Index: 0}
 	for i := 0; i < 3*p.L2Quorum(); i++ {
-		s.Handle(wire.Envelope{From: one, To: s.ID(), Msg: wire.AckCodeElem{Tag: tg}})
+		s.Step(one, wire.AckCodeElem{Tag: tg}, out)
 	}
 	if s.TemporaryBytes() == 0 {
 		t.Fatal("duplicated acks from one sender reached the L2 quorum")
@@ -68,7 +65,7 @@ func TestL1AckCountsDistinctSendersOnly(t *testing.T) {
 		{Role: wire.RoleL2, Index: int32(p.N2)},
 		{Role: wire.RoleL2, Index: -1},
 	} {
-		s.Handle(wire.Envelope{From: from, To: s.ID(), Msg: wire.AckCodeElem{Tag: tg}})
+		s.Step(from, wire.AckCodeElem{Tag: tg}, out)
 	}
 	if s.TemporaryBytes() == 0 {
 		t.Fatal("invalid senders were credited toward the L2 quorum")
@@ -76,8 +73,7 @@ func TestL1AckCountsDistinctSendersOnly(t *testing.T) {
 	// Distinct senders complete the write: one is already credited, so
 	// L2Quorum-1 more finish it.
 	for i := 1; i < p.L2Quorum(); i++ {
-		s.Handle(wire.Envelope{From: wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, To: s.ID(),
-			Msg: wire.AckCodeElem{Tag: tg}})
+		s.Step(wire.ProcID{Role: wire.RoleL2, Index: int32(i)}, wire.AckCodeElem{Tag: tg}, out)
 	}
 	if got := s.TemporaryBytes(); got != 0 {
 		t.Fatalf("temporary bytes = %d after a distinct-sender quorum, want 0", got)
@@ -91,19 +87,18 @@ func TestL1OffloadCoalescesSupersededTags(t *testing.T) {
 	// While a batch round is in flight, further commits coalesce: the queue
 	// retains only the newest BatchCap tags, and the next round carries
 	// them in one WriteCodeElemBatch per L2 server.
-	s, fn, p := newTestServerMode(t, OffloadBatched)
+	s, out, p := newTestServerMode(t, OffloadBatched)
 	cap := p.BatchCap()
 
 	write := func(z uint64) tag.Tag {
 		tg := tag.Tag{Z: z, W: 1}
-		s.Handle(wire.Envelope{From: writer1, To: s.ID(),
-			Msg: wire.PutData{OpID: z, Tag: tg, Value: []byte(fmt.Sprintf("v%03d", z))}})
-		commit(t, s, p, tg)
+		s.Step(writer1, wire.PutData{OpID: z, Tag: tg, Value: []byte(fmt.Sprintf("v%03d", z))}, out)
+		commit(t, s, out, p, tg)
 		return tg
 	}
 
 	write(1)
-	round1 := fn.take()
+	round1 := take(out)
 	if got := len(ofKind(round1, wire.KindWriteCodeElemBatch)); got != p.N2 {
 		t.Fatalf("first commit sent %d batches, want %d", got, p.N2)
 	}
@@ -113,7 +108,7 @@ func TestL1OffloadCoalescesSupersededTags(t *testing.T) {
 	for z := 2; z <= total; z++ {
 		write(uint64(z))
 	}
-	if extra := ofKind(fn.take(), wire.KindWriteCodeElemBatch); len(extra) != 0 {
+	if extra := ofKind(take(out), wire.KindWriteCodeElemBatch); len(extra) != 0 {
 		t.Fatalf("%d batches sent while a round was in flight", len(extra))
 	}
 	if got, want := s.OffloadQueueDepth(), int64(cap+1); got != want {
@@ -122,8 +117,8 @@ func TestL1OffloadCoalescesSupersededTags(t *testing.T) {
 
 	// Completing round 1 drains the retained tail: exactly the newest
 	// BatchCap tags, in one batch per server.
-	ackRound(s, round1)
-	round2 := fn.take()
+	ackRound(s, out, round1)
+	round2 := take(out)
 	batches := ofKind(round2, wire.KindWriteCodeElemBatch)
 	if len(batches) != p.N2 {
 		t.Fatalf("drain sent %d batches, want %d", len(batches), p.N2)
@@ -139,7 +134,7 @@ func TestL1OffloadCoalescesSupersededTags(t *testing.T) {
 	}
 	// Completing round 2 empties the pipeline and garbage-collects the
 	// committed value.
-	ackRound(s, round2)
+	ackRound(s, out, round2)
 	if got := s.OffloadQueueDepth(); got != 0 {
 		t.Errorf("offload depth = %d after all rounds completed, want 0", got)
 	}
@@ -151,11 +146,10 @@ func TestL1OffloadCoalescesSupersededTags(t *testing.T) {
 	}
 }
 
-// l2Fleet is a bank of real L2 servers on fake nodes, used to pump offload
-// traffic through the genuine replace-if-newer path.
+// l2Fleet is a bank of real L2 servers, used to pump offload traffic
+// through the genuine replace-if-newer path.
 type l2Fleet struct {
 	servers []*L2Server
-	nodes   []*fakeNode
 }
 
 func newL2Fleet(t *testing.T, p Params) *l2Fleet {
@@ -166,39 +160,31 @@ func newL2Fleet(t *testing.T, p Params) *l2Fleet {
 	}
 	f := &l2Fleet{}
 	for i := 0; i < p.N2; i++ {
-		srv, err := NewL2Server(p, i, code, nil)
+		srv, err := NewL2Server(p, i, code, nil, tag.Zero)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn := &fakeNode{id: srv.ID()}
-		srv.Bind(fn)
 		f.servers = append(f.servers, srv)
-		f.nodes = append(f.nodes, fn)
 	}
 	return f
 }
 
-// pump shuttles messages between the L1 server and the fleet until no
-// traffic remains.
-func (f *l2Fleet) pump(s *L1Server, l1fn *fakeNode) {
-	for {
-		moved := false
-		for _, env := range l1fn.take() {
+// pump shuttles the L1 server's queued messages to the fleet and the
+// fleet's answers back until no traffic remains.
+func (f *l2Fleet) pump(s *L1Server, out *wire.Outbox) {
+	backs := make([]wire.Outbox, len(f.servers))
+	for len(out.Msgs) > 0 {
+		for _, env := range take(out) {
 			if env.To.Role == wire.RoleL2 && int(env.To.Index) < len(f.servers) {
-				f.servers[env.To.Index].Handle(env)
-				moved = true
+				f.servers[env.To.Index].Step(s.ID(), env.Msg, &backs[env.To.Index])
 			}
 		}
-		for _, fn := range f.nodes {
-			for _, env := range fn.take() {
+		for i := range backs {
+			for _, env := range take(&backs[i]) {
 				if env.To == s.ID() {
-					s.Handle(env)
-					moved = true
+					s.Step(f.servers[i].ID(), env.Msg, out)
 				}
 			}
-		}
-		if !moved {
-			return
 		}
 	}
 }
@@ -213,17 +199,16 @@ func TestBatchedOffloadEquivalentToUnbatched(t *testing.T) {
 	}
 	const writes = 9
 	run := func(mode OffloadMode) ([]l2State, *L1Server) {
-		s, fn, p := newTestServerMode(t, mode)
+		s, out, p := newTestServerMode(t, mode)
 		fleet := newL2Fleet(t, p)
 		for z := 1; z <= writes; z++ {
 			tg := tag.Tag{Z: uint64(z), W: 1}
-			s.Handle(wire.Envelope{From: writer1, To: s.ID(),
-				Msg: wire.PutData{OpID: uint64(z), Tag: tg, Value: []byte(fmt.Sprintf("value-%04d", z))}})
-			commit(t, s, p, tg)
+			s.Step(writer1, wire.PutData{OpID: uint64(z), Tag: tg, Value: []byte(fmt.Sprintf("value-%04d", z))}, out)
+			commit(t, s, out, p, tg)
 			// No pumping between commits: in batched mode all but the first
 			// round's tags coalesce, exercising supersession.
 		}
-		fleet.pump(s, fn)
+		fleet.pump(s, out)
 		states := make([]l2State, p.N2)
 		for i, srv := range fleet.servers {
 			states[i] = l2State{tag: srv.Tag(), bytes: srv.StoredBytes()}
@@ -264,29 +249,24 @@ func TestL1BookkeepingBoundedUnderSustainedWrites(t *testing.T) {
 	for _, mode := range []OffloadMode{OffloadBatched, OffloadUnbatched} {
 		name := map[OffloadMode]string{OffloadBatched: "batched", OffloadUnbatched: "unbatched"}[mode]
 		t.Run(name, func(t *testing.T) {
-			s, fn, p := newTestServerMode(t, mode)
+			s, out, p := newTestServerMode(t, mode)
 			value := bytes.Repeat([]byte{0xA5}, 64)
 			// The census bound: the committed tag's list entry plus a full
 			// offload pipeline (<= BatchCap queued + BatchCap in flight).
 			bound := 1 + 2*p.BatchCap()
 			for z := 1; z <= writes; z++ {
 				tg := tag.Tag{Z: uint64(z), W: 1}
-				s.Handle(wire.Envelope{From: writer1, To: s.ID(),
-					Msg: wire.PutData{OpID: uint64(z), Tag: tg, Value: value}})
+				s.Step(writer1, wire.PutData{OpID: uint64(z), Tag: tg, Value: value}, out)
 				// All n1 origins broadcast (the full system's traffic, not
 				// just the quorum), so the post-commit guard is exercised.
 				for origin := 0; origin < p.N1; origin++ {
-					s.Handle(wire.Envelope{
-						From: wire.ProcID{Role: wire.RoleL1, Index: int32(origin)},
-						To:   s.ID(),
-						Msg: wire.Broadcast{Origin: wire.ProcID{Role: wire.RoleL1, Index: int32(origin)},
-							Seq: tg.Z, Inner: wire.CommitTag{Tag: tg}},
-					})
+					s.Step(wire.ProcID{Role: wire.RoleL1, Index: int32(origin)}, wire.Broadcast{Origin: wire.ProcID{Role: wire.RoleL1, Index: int32(origin)},
+						Seq: tg.Z, Inner: wire.CommitTag{Tag: tg}}, out)
 				}
-				envs := fn.take()
+				envs := take(out)
 				// L2 acks the round twice: duplicates must change nothing.
-				ackOffloads(s, envs)
-				ackOffloads(s, envs)
+				ackOffloads(s, out, envs)
+				ackOffloads(s, out, envs)
 
 				if z%500 == 0 || z == writes {
 					bk := s.Bookkeeping()
@@ -311,12 +291,8 @@ func TestL1BookkeepingBoundedUnderSustainedWrites(t *testing.T) {
 			// Straggler broadcasts for long-superseded tags must not regrow
 			// the counters.
 			for z := 1; z <= writes; z += 100 {
-				s.Handle(wire.Envelope{
-					From: wire.ProcID{Role: wire.RoleL1, Index: 2},
-					To:   s.ID(),
-					Msg: wire.Broadcast{Origin: wire.ProcID{Role: wire.RoleL1, Index: 2},
-						Seq: uint64(writes + z), Inner: wire.CommitTag{Tag: tag.Tag{Z: uint64(z), W: 1}}},
-				})
+				s.Step(wire.ProcID{Role: wire.RoleL1, Index: 2}, wire.Broadcast{Origin: wire.ProcID{Role: wire.RoleL1, Index: 2},
+					Seq: uint64(writes + z), Inner: wire.CommitTag{Tag: tag.Tag{Z: uint64(z), W: 1}}}, out)
 			}
 			if got := len(s.commitCounter); got != 0 {
 				t.Errorf("straggler broadcasts regrew commitCounter to %d entries", got)
@@ -331,16 +307,16 @@ func TestL1BookkeepingBoundedUnderSustainedWrites(t *testing.T) {
 func TestL2BatchAppliesReplaceIfNewerPerElement(t *testing.T) {
 	// A batch mixing stale and fresh tags adopts only the freshest and
 	// acknowledges every element.
-	s, fn, _ := newTestL2(t, nil)
+	s, out, _ := newTestL2(t, nil)
 	l1 := wire.ProcID{Role: wire.RoleL1, Index: 0}
 	t2 := tag.Tag{Z: 2, W: 1}
 	t3 := tag.Tag{Z: 3, W: 1}
 	t1 := tag.Tag{Z: 1, W: 1}
-	s.Handle(wire.Envelope{From: l1, To: s.ID(), Msg: wire.WriteCodeElemBatch{Elems: []wire.CodeElem{
+	s.Step(l1, wire.WriteCodeElemBatch{Elems: []wire.CodeElem{
 		{Tag: t2, Coded: []byte{2, 2}, ValueLen: 2},
 		{Tag: t3, Coded: []byte{3, 3, 3}, ValueLen: 3},
-	}}})
-	acks := ofKind(fn.take(), wire.KindAckCodeElemBatch)
+	}}, out)
+	acks := ofKind(take(out), wire.KindAckCodeElemBatch)
 	if len(acks) != 1 {
 		t.Fatalf("got %d batch acks, want 1", len(acks))
 	}
@@ -351,18 +327,18 @@ func TestL2BatchAppliesReplaceIfNewerPerElement(t *testing.T) {
 		t.Errorf("state = (%v, %d bytes), want (%v, 3)", s.Tag(), s.StoredBytes(), t3)
 	}
 	// A later batch carrying only stale tags is acknowledged but ignored.
-	s.Handle(wire.Envelope{From: l1, To: s.ID(), Msg: wire.WriteCodeElemBatch{Elems: []wire.CodeElem{
+	s.Step(l1, wire.WriteCodeElemBatch{Elems: []wire.CodeElem{
 		{Tag: t1, Coded: []byte{1}, ValueLen: 1},
-	}}})
-	if len(ofKind(fn.take(), wire.KindAckCodeElemBatch)) != 1 {
+	}}, out)
+	if len(ofKind(take(out), wire.KindAckCodeElemBatch)) != 1 {
 		t.Error("stale batch not acknowledged")
 	}
 	if s.Tag() != t3 {
 		t.Errorf("stale batch adopted: tag = %v", s.Tag())
 	}
 	// An empty batch is dropped without an ack.
-	s.Handle(wire.Envelope{From: l1, To: s.ID(), Msg: wire.WriteCodeElemBatch{}})
-	if got := len(fn.take()); got != 0 {
+	s.Step(l1, wire.WriteCodeElemBatch{}, out)
+	if got := len(take(out)); got != 0 {
 		t.Errorf("empty batch produced %d responses", got)
 	}
 }

@@ -3,7 +3,7 @@
 // multi-writer multi-reader atomic storage service.
 //
 // The package contains the four protocol roles of the paper's Figs. 1-3:
-// Writer and Reader (clients of the edge layer L1), L1Server (the edge
+// writers and readers (clients of the edge layer L1), L1Server (the edge
 // layer: temporary storage, reader registration, and the internal
 // write-to-L2 / regenerate-from-L2 operations), and L2Server (the back-end
 // layer: one (tag, coded-element) pair per server, stored under a
@@ -12,11 +12,11 @@
 // Fault tolerance: f1 < n1/2 crashes in L1 and f2 < n2/3 crashes in L2,
 // with n1 = 2*f1 + k and n2 = 2*f2 + d for an {(n1+n2, k, d)} MBR code.
 //
-// All four roles are transport-agnostic actors bound to transport.Node
-// endpoints: the same code runs on the simulated network (internal/sim),
-// sharded behind the multi-object gateway (internal/gateway), and across
-// real processes over TCP (internal/nodehost, cmd/lds-node) — see
-// docs/ARCHITECTURE.md for the layer map.
+// The roles are plain state machines (L1Server, L2Server, WriteOp, ReadOp)
+// whose steps queue their sends in a wire.Outbox and never wait. runtime.go,
+// the one adaptor, runs them on the simulated network (internal/sim), behind
+// the gateway (internal/gateway) and over TCP (internal/nodehost); the step
+// tests run them under a seeded scheduler — see docs/ARCHITECTURE.md.
 package lds
 
 import (

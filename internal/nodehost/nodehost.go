@@ -87,10 +87,10 @@ type hostedGroup struct {
 	nodes   []wire.NodeAddr
 	clients string // gateway listener hosting the group's clients
 	servers int    // how many servers this node runs for the group
-	// l1s/l2s retain the servers so the GroupStats control RPC can sample
-	// their storage gauges (all atomics — safe to read off the actor).
-	l1s []*lds.L1Server
-	l2s []*lds.L2Server
+	// l1s/l2s retain the servers for the GroupStats and repair RPCs (both
+	// safe while traffic flows).
+	l1s []*lds.L1Proc
+	l2s []*lds.L2Proc
 }
 
 // gauges sums the group's storage gauges over this node's servers.
@@ -278,7 +278,7 @@ func (h *Host) inventory(m wire.ElemInventory) wire.ElemInventoryResp {
 }
 
 // l2of returns the hosted L2 server with the given in-group index, or nil.
-func (h *Host) l2of(group, index int32) *lds.L2Server {
+func (h *Host) l2of(group, index int32) *lds.L2Proc {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	g, ok := h.groups[group]
@@ -286,7 +286,7 @@ func (h *Host) l2of(group, index int32) *lds.L2Server {
 		return nil
 	}
 	for _, s := range g.l2s {
-		if s.Index() == int(index) {
+		if s.ID().Index == index {
 			return s
 		}
 	}
@@ -295,7 +295,7 @@ func (h *Host) l2of(group, index int32) *lds.L2Server {
 
 // L2 exposes a hosted L2 server to tests and experiments (corruption
 // injection, direct state checks); nil when this node does not host it.
-func (h *Host) L2(group, index int32) *lds.L2Server { return h.l2of(group, index) }
+func (h *Host) L2(group, index int32) *lds.L2Proc { return h.l2of(group, index) }
 
 // fetch serves one element's repair data: the whole stored element
 // (FailedIndex == FullElement) or helper data toward a failed code index.
@@ -451,22 +451,15 @@ func (h *Host) serve(m wire.GroupServe) error {
 	// end, so concurrent Host readers (Servers, the stats handlers) never
 	// observe a half-registered group.
 	var (
-		l1s []*lds.L1Server
-		l2s []*lds.L2Server
+		l1s []*lds.L1Proc
+		l2s []*lds.L2Proc
 	)
 	for i := 0; i < params.N1; i++ {
 		if AssignedNode(i, len(m.Nodes)) != myPos {
 			continue
 		}
-		srv, err := lds.NewL1ServerSeeded(params, i, code, m.Tag)
+		srv, err := lds.RegisterL1(view, params, i, code, m.Tag)
 		if err != nil {
-			return fail(err)
-		}
-		node, err := view.Register(srv.ID(), srv.Handle)
-		if err != nil {
-			return fail(err)
-		}
-		if err := srv.Bind(node); err != nil {
 			return fail(err)
 		}
 		l1s = append(l1s, srv)
@@ -475,15 +468,10 @@ func (h *Host) serve(m wire.GroupServe) error {
 		if AssignedNode(i, len(m.Nodes)) != myPos {
 			continue
 		}
-		srv, err := lds.NewL2ServerSeeded(params, i, code, m.Value, m.Tag)
+		srv, err := lds.RegisterL2(view, params, i, code, m.Value, m.Tag)
 		if err != nil {
 			return fail(err)
 		}
-		node, err := view.Register(srv.ID(), srv.Handle)
-		if err != nil {
-			return fail(err)
-		}
-		srv.Bind(node)
 		l2s = append(l2s, srv)
 	}
 	h.mu.Lock()

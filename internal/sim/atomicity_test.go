@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +14,9 @@ import (
 // runAtomicityWorkload drives concurrent writers and readers against a
 // cluster, recording every completed operation, and checks the history
 // against the paper's atomicity conditions (Theorem IV.9) plus the
-// value-based cross-check.
-func runAtomicityWorkload(t *testing.T, cfg Config, writers, readers, opsPerClient int, crash func(c *Cluster)) {
+// value-based cross-check. Crashes at seeded steps are the lds package's
+// step tests (TestAtomicityWithCrashes).
+func runAtomicityWorkload(t *testing.T, cfg Config, writers, readers, opsPerClient int) {
 	t.Helper()
 	cluster, err := New(cfg)
 	if err != nil {
@@ -75,14 +75,6 @@ func runAtomicityWorkload(t *testing.T, cfg Config, writers, readers, opsPerClie
 			}
 		}(int32(r))
 	}
-	if crash != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			time.Sleep(2 * time.Millisecond)
-			crash(cluster)
-		}()
-	}
 	wg.Wait()
 
 	if t.Failed() {
@@ -106,7 +98,7 @@ func runAtomicityWorkload(t *testing.T, cfg Config, writers, readers, opsPerClie
 func TestAtomicityQuiescentNetwork(t *testing.T) {
 	runAtomicityWorkload(t, Config{
 		Params: MustParams(4, 5, 1, 1),
-	}, 2, 2, 10, nil)
+	}, 2, 2, 10)
 }
 
 func TestAtomicityChaosNetwork(t *testing.T) {
@@ -114,7 +106,7 @@ func TestAtomicityChaosNetwork(t *testing.T) {
 		Params:  MustParams(4, 5, 1, 1),
 		Latency: transport.LatencyModel{ChaosMax: 2 * time.Millisecond},
 		Seed:    1,
-	}, 3, 3, 8, nil)
+	}, 3, 3, 8)
 }
 
 func TestAtomicityChaosManySeeds(t *testing.T) {
@@ -129,26 +121,9 @@ func TestAtomicityChaosManySeeds(t *testing.T) {
 				Params:  MustParams(4, 5, 1, 1),
 				Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
 				Seed:    seed,
-			}, 2, 3, 6, nil)
+			}, 2, 3, 6)
 		})
 	}
-}
-
-func TestAtomicityWithCrashes(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	runAtomicityWorkload(t, Config{
-		Params:  MustParams(5, 7, 2, 2),
-		Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
-		Seed:    2,
-	}, 2, 3, 8, func(c *Cluster) {
-		// Crash f1 = 2 L1 servers and f2 = 2 L2 servers mid-workload.
-		p := rng.Perm(5)
-		c.CrashL1(p[0])
-		c.CrashL1(p[1])
-		q := rng.Perm(7)
-		c.CrashL2(q[0])
-		c.CrashL2(q[1])
-	})
 }
 
 func TestAtomicityLargerCluster(t *testing.T) {
@@ -159,7 +134,7 @@ func TestAtomicityLargerCluster(t *testing.T) {
 		Params:  MustParams(10, 12, 3, 3), // k=4, d=6
 		Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
 		Seed:    4,
-	}, 3, 3, 5, nil)
+	}, 3, 3, 5)
 }
 
 func TestAtomicityManyWritersOneReader(t *testing.T) {
@@ -167,7 +142,7 @@ func TestAtomicityManyWritersOneReader(t *testing.T) {
 		Params:  MustParams(4, 5, 1, 1),
 		Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
 		Seed:    6,
-	}, 5, 1, 6, nil)
+	}, 5, 1, 6)
 }
 
 func TestAtomicityBoundedJitterNetwork(t *testing.T) {
@@ -180,5 +155,5 @@ func TestAtomicityBoundedJitterNetwork(t *testing.T) {
 			Jitter: 0.8,
 		},
 		Seed: 8,
-	}, 2, 2, 6, nil)
+	}, 2, 2, 6)
 }

@@ -59,8 +59,8 @@ type Cluster struct {
 	cfg  Config
 	net  transport.Network
 	code erasure.Regenerating
-	l1   []*lds.L1Server
-	l2   []*lds.L2Server
+	l1   []*lds.L1Proc
+	l2   []*lds.L2Proc
 
 	mu      sync.Mutex
 	writers map[int32]*lds.Writer
@@ -80,10 +80,8 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	var net transport.Network
-	if cfg.Transport != nil {
-		net = cfg.Transport
-	} else {
+	net := cfg.Transport
+	if net == nil {
 		var observer channet.Observer
 		if cfg.Accountant != nil {
 			observer = cfg.Accountant.Observe
@@ -102,34 +100,19 @@ func New(cfg Config) (*Cluster, error) {
 		readers: make(map[int32]*lds.Reader),
 	}
 	for i := 0; i < cfg.Params.N1; i++ {
-		srv, err := lds.NewL1ServerSeeded(cfg.Params, i, code, cfg.InitialTag)
+		srv, err := lds.RegisterL1(net, cfg.Params, i, code, cfg.InitialTag)
 		if err != nil {
-			net.Close()
-			return nil, err
-		}
-		node, err := net.Register(srv.ID(), srv.Handle)
-		if err != nil {
-			net.Close()
-			return nil, err
-		}
-		if err := srv.Bind(node); err != nil {
 			net.Close()
 			return nil, err
 		}
 		c.l1 = append(c.l1, srv)
 	}
 	for i := 0; i < cfg.Params.N2; i++ {
-		srv, err := lds.NewL2ServerSeeded(cfg.Params, i, code, cfg.InitialValue, cfg.InitialTag)
+		srv, err := lds.RegisterL2(net, cfg.Params, i, code, cfg.InitialValue, cfg.InitialTag)
 		if err != nil {
 			net.Close()
 			return nil, err
 		}
-		node, err := net.Register(srv.ID(), srv.Handle)
-		if err != nil {
-			net.Close()
-			return nil, err
-		}
-		srv.Bind(node)
 		c.l2 = append(c.l2, srv)
 	}
 	return c, nil
@@ -151,15 +134,10 @@ func (c *Cluster) Writer(wid int32) (*lds.Writer, error) {
 	if w, ok := c.writers[wid]; ok {
 		return w, nil
 	}
-	w, err := lds.NewWriter(c.cfg.Params, wid)
+	w, err := lds.RegisterWriter(c.net, c.cfg.Params, wid)
 	if err != nil {
 		return nil, err
 	}
-	node, err := c.net.Register(w.ID(), w.Handle)
-	if err != nil {
-		return nil, err
-	}
-	w.Bind(node)
 	c.writers[wid] = w
 	return w, nil
 }
@@ -171,15 +149,10 @@ func (c *Cluster) Reader(rid int32) (*lds.Reader, error) {
 	if r, ok := c.readers[rid]; ok {
 		return r, nil
 	}
-	r, err := lds.NewReader(c.cfg.Params, rid, c.code)
+	r, err := lds.RegisterReader(c.net, c.cfg.Params, rid, c.code)
 	if err != nil {
 		return nil, err
 	}
-	node, err := c.net.Register(r.ID(), r.Handle)
-	if err != nil {
-		return nil, err
-	}
-	r.Bind(node)
 	c.readers[rid] = r
 	return r, nil
 }
@@ -230,8 +203,7 @@ func (c *Cluster) OffloadQueueDepth() int64 {
 }
 
 // L1BookkeepingEntries sums the per-tag and per-reader bookkeeping entries
-// across all L1 servers; soak tests assert it stays bounded. Quiescent use
-// only.
+// across all L1 servers; soak tests assert it stays bounded.
 func (c *Cluster) L1BookkeepingEntries() int {
 	var total int
 	for _, s := range c.l1 {
@@ -260,11 +232,11 @@ func (c *Cluster) Violations() int64 {
 	return total
 }
 
-// L1 returns L1 server i (diagnostics; quiescent use only).
-func (c *Cluster) L1(i int) *lds.L1Server { return c.l1[i] }
+// L1 returns L1 server i (diagnostics).
+func (c *Cluster) L1(i int) *lds.L1Proc { return c.l1[i] }
 
-// L2 returns L2 server i (diagnostics; quiescent use only).
-func (c *Cluster) L2(i int) *lds.L2Server { return c.l2[i] }
+// L2 returns L2 server i (diagnostics).
+func (c *Cluster) L2(i int) *lds.L2Proc { return c.l2[i] }
 
 // Close shuts the cluster down.
 func (c *Cluster) Close() error { return c.net.Close() }

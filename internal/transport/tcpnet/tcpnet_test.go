@@ -190,49 +190,23 @@ func TestFullLDSClusterOverTCP(t *testing.T) {
 	book[wire.ProcID{Role: wire.RoleReader, Index: 1}] = hosts[2].Addr()
 
 	for i := 0; i < params.N1; i++ {
-		srv, err := lds.NewL1Server(params, i, code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := hosts[0].Register(srv.ID(), srv.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Bind(node); err != nil {
+		if _, err := lds.RegisterL1(hosts[0], params, i, code, tag.Zero); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < params.N2; i++ {
-		srv, err := lds.NewL2Server(params, i, code, nil)
-		if err != nil {
+		if _, err := lds.RegisterL2(hosts[1], params, i, code, nil, tag.Zero); err != nil {
 			t.Fatal(err)
 		}
-		node, err := hosts[1].Register(srv.ID(), srv.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Bind(node)
 	}
-
-	w, err := lds.NewWriter(params, 1)
+	w, err := lds.RegisterWriter(hosts[2], params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wnode, err := hosts[2].Register(w.ID(), w.Handle)
+	r, err := lds.RegisterReader(hosts[2], params, 1, code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Bind(wnode)
-
-	r, err := lds.NewReader(params, 1, code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnode, err := hosts[2].Register(r.ID(), r.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Bind(rnode)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

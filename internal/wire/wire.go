@@ -163,6 +163,25 @@ type Envelope struct {
 	Msg  Message
 }
 
+// Outbox collects, in order, the messages one protocol step sends. The
+// step itself performs no I/O; whatever drove it sends the envelopes (their
+// From is the stepping process) once the step has returned.
+type Outbox struct {
+	Msgs []Envelope
+}
+
+// Send queues msg for delivery to to.
+func (o *Outbox) Send(to ProcID, msg Message) {
+	o.Msgs = append(o.Msgs, Envelope{To: to, Msg: msg})
+}
+
+// Reset empties the outbox for reuse, dropping its references to the
+// messages it held.
+func (o *Outbox) Reset() {
+	clear(o.Msgs)
+	o.Msgs = o.Msgs[:0]
+}
+
 // ErrTruncated is returned when a message body is shorter than its encoding
 // requires.
 var ErrTruncated = errors.New("wire: truncated message")
