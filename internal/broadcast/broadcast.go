@@ -16,6 +16,7 @@ package broadcast
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/lds-storage/lds/internal/wire"
 )
@@ -28,17 +29,18 @@ type Broadcaster struct {
 
 	isRelay bool
 	nextSeq uint64
-	seen    map[wire.ProcID]*originSeen
+	seen    []originSeen // indexed like peers: origin peers[i]'s state at i
 }
 
 // originSeen is the dedup state for one origin's instances: every seq up to
-// floor has been seen, plus the ones in ahead. An origin numbers its
-// broadcasts consecutively from 1 and each instance reaches every live
-// server, so ahead holds only what reordering let overtake a missing seq
-// and the state stays small however many broadcasts have passed.
+// floor has been seen, plus the ones in ahead, kept sorted. An origin
+// numbers its broadcasts consecutively from 1 and each instance reaches
+// every live server, so ahead holds only what reordering let overtake a
+// missing seq; it is nil whenever nothing is out of order, and the state
+// stays small however many broadcasts have passed.
 type originSeen struct {
 	floor uint64
-	ahead map[uint64]struct{}
+	ahead []uint64
 }
 
 // New creates a broadcaster for the server self. peers must list all L1
@@ -52,7 +54,7 @@ func New(self wire.ProcID, peers []wire.ProcID, relayCount int) (*Broadcaster, e
 		self:   self,
 		peers:  peers,
 		relays: peers[:relayCount],
-		seen:   make(map[wire.ProcID]*originSeen),
+		seen:   make([]originSeen, len(peers)),
 	}
 	for _, r := range b.relays {
 		if r == self {
@@ -77,30 +79,52 @@ func (b *Broadcaster) Broadcast(inner wire.Message, out *wire.Outbox) {
 // and consume=true exactly once per broadcast instance; duplicate receptions
 // return consume=false. When this server is a relay seeing the instance for
 // the first time, it forwards to all peers before consuming (the ordering
-// the primitive's guarantee depends on).
+// the primitive's guarantee depends on). A message whose origin is not one
+// of the peers is dropped without creating any state.
 func (b *Broadcaster) Handle(msg wire.Broadcast, out *wire.Outbox) (inner wire.Message, consume bool) {
-	o := b.seen[msg.Origin]
-	if o == nil {
-		o = &originSeen{ahead: make(map[uint64]struct{})}
-		b.seen[msg.Origin] = o
-	}
-	if _, dup := o.ahead[msg.Seq]; dup || msg.Seq <= o.floor {
+	i := int(msg.Origin.Index)
+	if i < 0 || i >= len(b.peers) || b.peers[i] != msg.Origin {
 		return nil, false
 	}
-	o.ahead[msg.Seq] = struct{}{}
-	for {
-		if _, next := o.ahead[o.floor+1]; !next {
-			break
-		}
-		delete(o.ahead, o.floor+1)
-		o.floor++
+	if !b.seen[i].add(msg.Seq) {
+		return nil, false
 	}
 	if b.isRelay {
+		var fwd wire.Message = msg // boxed once for every peer
 		for _, p := range b.peers {
-			out.Send(p, msg)
+			out.Send(p, fwd)
 		}
 	}
 	return msg.Inner, true
+}
+
+// add records seq and reports whether it was new.
+func (o *originSeen) add(seq uint64) bool {
+	if seq <= o.floor {
+		return false
+	}
+	if seq > o.floor+1 {
+		at, dup := slices.BinarySearch(o.ahead, seq)
+		if dup {
+			return false
+		}
+		o.ahead = slices.Insert(o.ahead, at, seq)
+		return true
+	}
+	// seq closes the gap at floor+1: advance past it and past every
+	// instance that had overtaken it.
+	o.floor = seq
+	n := 0
+	for n < len(o.ahead) && o.ahead[n] == o.floor+1 {
+		o.floor++
+		n++
+	}
+	if n == len(o.ahead) {
+		o.ahead = nil
+	} else if n > 0 {
+		o.ahead = append(o.ahead[:0], o.ahead[n:]...)
+	}
+	return true
 }
 
 // SeenCount reports how many broadcast instances have been consumed or

@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/lds-storage/lds/internal/tag"
@@ -170,7 +171,8 @@ func TestRelayCrashTolerance(t *testing.T) {
 // TestDedupStateStaysBounded: the dedup state must not grow with the number
 // of broadcasts that have passed (it used to: one map entry per instance,
 // forever). Instances arriving out of order within a window are still each
-// consumed exactly once, and only the window is remembered.
+// consumed exactly once, and only the window is remembered: ahead stays
+// within the window, sorted, and is released once the gap closes.
 func TestDedupStateStaysBounded(t *testing.T) {
 	peers := ids(3)
 	b, _ := New(peers[2], peers, 1)
@@ -187,15 +189,91 @@ func TestDedupStateStaysBounded(t *testing.T) {
 	for base := uint64(1); base <= total; base += window {
 		for seq := base + window - 1; seq >= base; seq-- { // reversed within the window
 			deliver(seq)
-			if held := len(b.seen[peers[0]].ahead); held > window {
-				t.Fatalf("at seq %d the dedup state holds %d entries, want <= %d", seq, held, window)
+			ahead := b.seen[0].ahead
+			if len(ahead) > window {
+				t.Fatalf("at seq %d the dedup state holds %d entries, want <= %d", seq, len(ahead), window)
 			}
+			if !slices.IsSorted(ahead) {
+				t.Fatalf("at seq %d ahead is out of order: %v", seq, ahead)
+			}
+		}
+		if ahead := b.seen[0].ahead; ahead != nil {
+			t.Fatalf("after window %d closed, ahead still holds %v (cap %d), want nil", base, ahead, cap(ahead))
 		}
 	}
 	if consumed != total || b.SeenCount() != total {
 		t.Errorf("consumed %d instances, SeenCount %d, want %d each", consumed, b.SeenCount(), total)
 	}
-	if held := len(b.seen[peers[0]].ahead); held != 0 {
-		t.Errorf("with nothing missing the dedup state still holds %d entries", held)
+	if len(b.seen) != len(peers) {
+		t.Errorf("dedup state has %d origins, want one per peer (%d)", len(b.seen), len(peers))
+	}
+}
+
+// TestGapsFillInAnyOrder: a gap closed from the middle keeps what is still
+// missing, and the floor jumps over everything that had overtaken it.
+func TestGapsFillInAnyOrder(t *testing.T) {
+	peers := ids(3)
+	b, _ := New(peers[2], peers, 1)
+	var out wire.Outbox
+	consumed := 0
+	for _, seq := range []uint64{5, 3, 7, 1, 3, 2, 6, 4} { // 3 twice
+		if _, ok := b.Handle(wire.Broadcast{Origin: peers[1], Seq: seq, Inner: wire.CommitTag{}}, &out); ok {
+			consumed++
+		}
+	}
+	if consumed != 7 {
+		t.Errorf("consumed %d of 7 distinct instances", consumed)
+	}
+	if o := b.seen[1]; o.floor != 7 || o.ahead != nil {
+		t.Errorf("state after 1..7 in scrambled order: floor %d, ahead %v; want 7, nil", o.floor, o.ahead)
+	}
+	if b.SeenCount() != 7 {
+		t.Errorf("SeenCount = %d, want 7", b.SeenCount())
+	}
+}
+
+// TestBadOriginIsDropped: a broadcast whose origin is not one of the L1
+// peers is neither consumed nor relayed, and creates no dedup state.
+func TestBadOriginIsDropped(t *testing.T) {
+	peers := ids(4)
+	b, _ := New(peers[0], peers, 2) // a relay: it would forward a good one
+	for _, origin := range []wire.ProcID{
+		{Role: wire.RoleL1, Index: -1},
+		{Role: wire.RoleL1, Index: 4},
+		{Role: wire.RoleL1, Index: 1 << 16}, // another group's L1/0 on a shared network
+		{Role: wire.RoleL2, Index: 1},
+		{Role: wire.RoleWriter, Index: 0},
+	} {
+		var out wire.Outbox
+		if _, consume := b.Handle(wire.Broadcast{Origin: origin, Seq: 1, Inner: wire.CommitTag{}}, &out); consume {
+			t.Errorf("origin %v was consumed", origin)
+		}
+		if len(out.Msgs) != 0 {
+			t.Errorf("origin %v was relayed %d times", origin, len(out.Msgs))
+		}
+	}
+	if n := b.SeenCount(); n != 0 {
+		t.Errorf("bad origins left %d instances of dedup state", n)
+	}
+	if len(b.seen) != len(peers) {
+		t.Errorf("dedup state has %d origins, want %d", len(b.seen), len(peers))
+	}
+}
+
+// TestInOrderHandleDoesNotAllocate: the steady state, every instance
+// arriving in sequence, touches only the floor.
+func TestInOrderHandleDoesNotAllocate(t *testing.T) {
+	peers := ids(3)
+	b, _ := New(peers[2], peers, 1) // not a relay: no forwards to box
+	var out wire.Outbox
+	msg := wire.Broadcast{Origin: peers[0], Inner: wire.CommitTag{}} // Inner boxed once, as decode does
+	allocs := testing.AllocsPerRun(1000, func() {
+		msg.Seq++
+		if _, consume := b.Handle(msg, &out); !consume {
+			t.Fatalf("seq %d not consumed", msg.Seq)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("in-order Handle allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -225,87 +225,68 @@ func TestDialTimeoutHonorsClose(t *testing.T) {
 	}
 }
 
-// TestUnknownKindSkipsFrameKeepsConnection sends a whole, well-framed
-// message whose kind byte this binary does not know (a newer peer in a
-// mixed-version fleet), followed by a valid frame on the SAME
-// connection: the unknown frame is dropped, the connection survives and
-// the valid frame is delivered — resetting the connection would punish
-// every flow sharing it.
+// TestUnknownKindSkipsFrameKeepsConnection sends, in one burst, a valid
+// frame, a whole, well-framed message whose kind byte this binary does not
+// know (a newer peer in a mixed-version fleet) and another valid frame on
+// the SAME connection: the unknown frame is dropped, both valid frames are
+// delivered in order and the connection survives to carry more —
+// resetting the connection would punish every flow sharing it.
 func TestUnknownKindSkipsFrameKeepsConnection(t *testing.T) {
-	idB := wire.ProcID{Role: wire.RoleL1, Index: 1}
-	host, err := New("127.0.0.1:0", AddressBook{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	got := make(chan wire.Envelope, 1)
-	if _, err := host.Register(idB, func(env wire.Envelope) { got <- env }); err != nil {
-		t.Fatal(err)
-	}
-
-	valid := encodeFrame(wire.Envelope{
-		From: wire.ProcID{Role: wire.RoleL1, Index: 0},
-		To:   idB,
-		Msg:  wire.PutData{OpID: 1, Tag: tag.Tag{Z: 1, W: 1}, Value: []byte("after unknown")},
-	}).B
-	// A well-framed envelope body: the valid frame's From+To (4 bytes:
-	// two 1-byte roles with 1-byte varint indices), then an unregistered
-	// kind byte and junk.
-	unknownBody := append(append([]byte{}, valid[4:8]...), 0xEE, 0x01, 0x02)
-	unknown := make([]byte, 4+len(unknownBody))
-	binary.BigEndian.PutUint32(unknown, uint32(len(unknownBody)))
-	copy(unknown[4:], unknownBody)
-
+	host, got := receiver(t, 4)
 	conn, err := net.Dial("tcp", host.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(append(unknown, valid...)); err != nil {
+	burst := append(putFrame(1, []byte("before unknown")), unknownKindFrame(putFrame(2, nil))...)
+	burst = append(burst, putFrame(3, []byte("after unknown"))...)
+	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case env := <-got:
-		pd, okCast := env.Msg.(wire.PutData)
-		if !okCast || string(pd.Value) != "after unknown" {
-			t.Fatalf("unexpected delivery %#v", env.Msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("valid frame after an unknown-kind frame was not delivered on the same connection")
+	expectPut(t, got, []byte("before unknown"))
+	expectPut(t, got, []byte("after unknown"))
+
+	if _, err := conn.Write(putFrame(4, []byte("same connection"))); err != nil {
+		t.Fatal(err)
+	}
+	expectPut(t, got, []byte("same connection"))
+	if n := host.inbound(); n != 1 {
+		t.Errorf("%d inbound connections, want the one that carried the unknown frame", n)
 	}
 }
 
-// TestTornFrameDropsOnlyThatConnection feeds the listener a frame that
-// ends mid-body and then a fresh, whole frame on a new connection: the
-// torn connection must be discarded without wedging the network, and the
-// whole frame must still be delivered.
+// TestTornFrameDropsOnlyThatConnection feeds the listener whole frames
+// followed, in the same write, by a frame that ends mid-body, and then an
+// oversized length prefix on another connection: the frames ahead of the
+// tear are delivered, the torn and the oversized connections are discarded
+// without wedging the network, and a bystander connection opened before
+// them keeps delivering.
 func TestTornFrameDropsOnlyThatConnection(t *testing.T) {
-	idB := wire.ProcID{Role: wire.RoleL1, Index: 1}
-	host, err := New("127.0.0.1:0", AddressBook{})
+	host, got := receiver(t, 4)
+	bystander, err := net.Dial("tcp", host.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer host.Close()
-	got := make(chan wire.Envelope, 1)
-	if _, err := host.Register(idB, func(env wire.Envelope) { got <- env }); err != nil {
+	defer bystander.Close()
+	if _, err := bystander.Write(putFrame(1, []byte("bystander up"))); err != nil {
 		t.Fatal(err)
 	}
+	expectPut(t, got, []byte("bystander up"))
 
-	frame := encodeFrame(wire.Envelope{
-		From: wire.ProcID{Role: wire.RoleL1, Index: 0},
-		To:   idB,
-		Msg:  wire.PutData{OpID: 1, Tag: tag.Tag{Z: 1, W: 1}, Value: []byte("whole frame")},
-	}).B
-
-	// A frame torn mid-body: length prefix promises more than arrives.
+	// A frame torn mid-body, behind two whole ones in the same buffer: the
+	// length prefix promises more than arrives before the peer hangs up.
 	torn, err := net.Dial("tcp", host.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := torn.Write(frame[:len(frame)-3]); err != nil {
+	frame := putFrame(4, []byte("torn frame"))
+	burst := append(putFrame(2, []byte("ahead 1")), putFrame(3, []byte("ahead 2"))...)
+	if _, err := torn.Write(append(burst, frame[:len(frame)-3]...)); err != nil {
 		t.Fatal(err)
 	}
 	torn.Close()
+	expectPut(t, got, []byte("ahead 1"))
+	expectPut(t, got, []byte("ahead 2"))
 
 	// An oversized length prefix must also be rejected without allocation.
 	huge, err := net.Dial("tcp", host.Addr())
@@ -318,30 +299,29 @@ func TestTornFrameDropsOnlyThatConnection(t *testing.T) {
 	huge.Close()
 
 	select {
-	case <-got:
-		t.Fatal("torn frame was delivered")
+	case env := <-got:
+		t.Fatalf("torn frame was delivered: %#v", env.Msg)
 	case <-time.After(100 * time.Millisecond):
 	}
+	if !waitFor(t, 5*time.Second, func() bool { return host.inbound() == 1 }) {
+		t.Fatalf("%d inbound connections, want only the bystander", host.inbound())
+	}
 
-	// The network is still healthy: a whole frame on a new connection
-	// arrives.
+	// The network is still healthy: the bystander and a new connection
+	// both deliver whole frames.
+	if _, err := bystander.Write(putFrame(5, []byte("bystander still up"))); err != nil {
+		t.Fatal(err)
+	}
+	expectPut(t, got, []byte("bystander still up"))
 	ok, err := net.Dial("tcp", host.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ok.Close()
-	if _, err := ok.Write(frame); err != nil {
+	if _, err := ok.Write(putFrame(6, []byte("whole frame"))); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case env := <-got:
-		pd, okCast := env.Msg.(wire.PutData)
-		if !okCast || string(pd.Value) != "whole frame" {
-			t.Fatalf("unexpected delivery %#v", env.Msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("whole frame after a torn one was not delivered")
-	}
+	expectPut(t, got, []byte("whole frame"))
 }
 
 // TestResolverRoutesUnbookedIDs exercises the dynamic resolver: ids absent

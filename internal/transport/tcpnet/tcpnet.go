@@ -26,10 +26,18 @@
 // local sender ever blocks on a slow process) and handled one at a time;
 // torn or oversized frames drop only the offending connection.
 //
+// The read side mirrors the sender's batching: each accepted connection has
+// one read goroutine with one readBufferSize bufio.Reader, so a burst the
+// peer wrote with one writev is taken in with about one read syscall, and
+// frames are parsed out of the buffer. Each frame's body is still copied
+// into its own freshly allocated slice, which the alias decode hands to the
+// message; the read buffer itself never leaves the read loop.
+//
 // Framing: 4-byte big-endian length, then wire.EncodeEnvelope bytes.
 package tcpnet
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -48,6 +56,13 @@ import (
 
 // maxFrameSize rejects absurd frames before allocating (64 MiB).
 const maxFrameSize = 64 << 20
+
+// readBufferSize is each accepted connection's receive buffer: large enough
+// to take in a whole coalesced write from the peer's sender (up to
+// maxWriteBatch frames, mostly small metadata) with one read syscall.
+// Once a body still needs at least this many bytes, bufio reads them
+// straight into the body instead of through the buffer.
+const readBufferSize = 32 << 10
 
 // Defaults for Options knobs left zero.
 const (
@@ -424,8 +439,9 @@ func (n *Network) readLoop(conn net.Conn) {
 		delete(n.ins, conn)
 		n.mu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, readBufferSize)
 	for {
-		env, err := readFrame(conn)
+		env, err := readFrame(br)
 		if err != nil {
 			if errors.Is(err, errSkipFrame) {
 				// The frame was consumed whole but does not decode — most
@@ -691,21 +707,25 @@ func encodeFrame(env wire.Envelope) *wire.Frame {
 // on (unknown message kinds from a newer peer binary land here).
 var errSkipFrame = errors.New("tcpnet: undecodable frame")
 
-func readFrame(r io.Reader) (wire.Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame parses the next frame out of a connection's read buffer. The
+// buffer refills with whatever the socket holds, so consecutive calls on a
+// burst cost one read syscall between them, not two per frame.
+func readFrame(r *bufio.Reader) (wire.Envelope, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return wire.Envelope{}, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(hdr)
 	if size > maxFrameSize {
 		return wire.Envelope{}, fmt.Errorf("%w: %d bytes", ErrFrameSize, size)
 	}
+	r.Discard(4) // cannot fail: Peek just buffered these bytes
 	// The body buffer is fresh per frame and handed off to the decoded
 	// message wholesale (alias decode): payload fields point into it
-	// instead of being copied out one by one. It is never pooled —
-	// several message kinds retain their payloads indefinitely (see the
-	// retention rules in wire/messages.go), so recycling it would
-	// corrupt stored state.
+	// instead of being copied out one by one. It is never pooled, and never
+	// a slice of the read buffer — several message kinds retain their
+	// payloads indefinitely (see the retention rules in wire/messages.go),
+	// so recycling either would corrupt stored state.
 	body := make([]byte, size)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return wire.Envelope{}, err
