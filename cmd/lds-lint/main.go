@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lds-lint [-analyzers frameown,retention,...] [-json] [-github] [-strict] [packages]
+//	lds-lint [-analyzers retention,locksend,...] [-json] [-github] [-strict] [packages]
 //
 // With no package arguments it analyzes ./... relative to the current
 // directory. Diagnostics print one per line as file:line:col: analyzer:

@@ -1,29 +1,23 @@
 // Package dataflow computes interprocedural function summaries for the
-// lds-lint analyzers: which parameters carry a tracked resource out of
-// the caller's hands (released to a pool, handed off over a channel,
-// retained in a structure), which functions return freshly-owned pooled
-// frames, which perform a durable lease-store write, which publish
-// forward-execution state, and which goroutine bodies are joinable from
-// a shutdown path.
+// lds-lint analyzers: which functions perform a durable lease-store
+// write or validate a lease epoch, which publish forward-execution state,
+// and which goroutine bodies are joinable from a shutdown path.
 //
 // Summaries are computed bottom-up over the call graph of the whole
 // loaded package set (lint.Pass.AllPkgs) by a monotone fixpoint: every
-// summary bit only ever turns on, and parameter effects only climb the
-// Borrows < Releases < HandsOff < Retains lattice, so iteration to a
-// fixed point terminates and handles recursion and mutual recursion by
-// settling on the conservative join. Functions with no source in the
-// load (export-data-only imports) fall back to the intrinsic table
-// below; everything else unknown summarizes to the zero Summary — the
-// "no effect" bottom — which makes every analyzer on top of this layer
+// summary bit only ever turns on, so iteration to a fixed point
+// terminates and handles recursion and mutual recursion by settling on
+// the conservative join. Functions with no source in the load
+// (export-data-only imports) fall back to the intrinsic table below;
+// everything else unknown summarizes to the zero Summary — the "no
+// effect" bottom — which makes every analyzer on top of this layer
 // under-report rather than false-positive.
 //
 // Documented approximations: calls through function values, interface
 // methods and other dynamic dispatch resolve to no callee and therefore
-// no effect; a parameter returned to the caller summarizes as Borrows
-// (the caller's own tracking continues); goroutine joinability
-// propagates only through deferred calls, because a plain call that
-// happens to signal some other WaitGroup must not make a fire-and-forget
-// goroutine look joinable.
+// no effect; goroutine joinability propagates only through deferred
+// calls, because a plain call that happens to signal some other
+// WaitGroup must not make a fire-and-forget goroutine look joinable.
 package dataflow
 
 import (
@@ -35,53 +29,8 @@ import (
 	"github.com/lds-storage/lds/internal/analysis/lint"
 )
 
-// Effect is what a function does with one of its parameters, ordered by
-// severity so merging at joins is max().
-type Effect uint8
-
-const (
-	// Borrows: the parameter is used but ownership stays with the caller.
-	Borrows Effect = iota
-	// Releases: the parameter is returned to its pool (wire.PutFrame or a
-	// callee that releases it); the caller must not use it afterwards.
-	Releases
-	// HandsOff: ownership transfers (sent on a channel or passed to a
-	// callee that hands it off); the caller must neither use nor release.
-	HandsOff
-	// Retains: the function stores the parameter beyond the call (field,
-	// global, container) — for pooled buffers, an aliasing escape.
-	Retains
-)
-
-// String names the effect for diagnostics.
-func (e Effect) String() string {
-	switch e {
-	case Releases:
-		return "releases"
-	case HandsOff:
-		return "hands off"
-	case Retains:
-		return "retains"
-	default:
-		return "borrows"
-	}
-}
-
-func maxEffect(a, b Effect) Effect {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Summary is the interprocedural abstract of one function.
 type Summary struct {
-	// Params holds one Effect per declared parameter (receiver excluded).
-	Params []Effect
-	// ReturnsFresh: every return hands the caller a freshly-owned pooled
-	// frame (wire.GetFrame or a callee that ReturnsFresh); the caller owns
-	// the result and must release it.
-	ReturnsFresh bool
 	// LeaseDurable: the function performs (directly or via a callee) a
 	// lease-store mutation, which is fsync'd before it returns.
 	LeaseDurable bool
@@ -101,19 +50,12 @@ type Summary struct {
 // merge folds src into dst, reporting whether dst grew.
 func (dst *Summary) merge(src *Summary) bool {
 	changed := false
-	for i := range dst.Params {
-		if i < len(src.Params) && src.Params[i] > dst.Params[i] {
-			dst.Params[i] = src.Params[i]
-			changed = true
-		}
-	}
 	orInto := func(d *bool, s bool) {
 		if s && !*d {
 			*d = true
 			changed = true
 		}
 	}
-	orInto(&dst.ReturnsFresh, src.ReturnsFresh)
 	orInto(&dst.LeaseDurable, src.LeaseDurable)
 	orInto(&dst.EpochFence, src.EpochFence)
 	orInto(&dst.RecordsForwardDone, src.RecordsForwardDone)
@@ -126,7 +68,6 @@ func (dst *Summary) merge(src *Summary) bool {
 // body, or a function literal.
 type fn struct {
 	body *ast.BlockStmt
-	sig  *types.Signature
 	pkg  *lint.Package
 	sum  Summary
 }
@@ -221,21 +162,14 @@ func build(pkgs []*lint.Package) *Table {
 					if obj == nil {
 						return true
 					}
-					sig, _ := obj.Type().(*types.Signature)
-					f := &fn{body: x.Body, sig: sig, pkg: pkg}
-					f.sum.Params = make([]Effect, sig.Params().Len())
+					f := &fn{body: x.Body, pkg: pkg}
 					if s := intrinsic(obj); s != nil {
 						f.sum.merge(s)
 					}
 					t.byObj[obj] = f
 					order = append(order, f)
 				case *ast.FuncLit:
-					sig, _ := pkg.Info.Types[x].Type.(*types.Signature)
-					if sig == nil {
-						return true
-					}
-					f := &fn{body: x.Body, sig: sig, pkg: pkg}
-					f.sum.Params = make([]Effect, sig.Params().Len())
+					f := &fn{body: x.Body, pkg: pkg}
 					t.byLit[x] = f
 					order = append(order, f)
 				}
@@ -258,38 +192,26 @@ func build(pkgs []*lint.Package) *Table {
 	return t
 }
 
-// intrinsic is the axiomatic summary table for resource primitives whose
-// effect the analyzers must know even when only export data was loaded.
-// It matches by package-path suffix and type name so the synthetic
-// packages of test fixtures qualify exactly like the real module.
+// intrinsic is the axiomatic summary table for the methods whose effect
+// the analyzers must know even when only export data was loaded. It
+// matches by package-path suffix and type name so the synthetic packages
+// of test fixtures qualify exactly like the real module.
 func intrinsic(obj *types.Func) *Summary {
 	sig, ok := obj.Type().(*types.Signature)
-	if !ok {
+	if !ok || sig.Recv() == nil {
 		return nil
 	}
-	if recv := sig.Recv(); recv != nil {
-		if lint.IsNamed(recv.Type(), "internal/catalog", "LeaseStore") {
-			switch obj.Name() {
-			case "Claim", "Renew", "Release", "Adopt", "mutate":
-				return &Summary{LeaseDurable: true}
-			}
+	recv := sig.Recv().Type()
+	switch {
+	case lint.IsNamed(recv, "internal/catalog", "LeaseStore"):
+		switch obj.Name() {
+		case "Claim", "Renew", "Release", "Adopt", "mutate":
+			return &Summary{LeaseDurable: true}
 		}
-		if lint.IsNamed(recv.Type(), "internal/catalog", "Lease") && obj.Name() == "Held" {
-			return &Summary{EpochFence: true}
-		}
-		if lint.IsNamed(recv.Type(), "sync", "WaitGroup") && obj.Name() == "Done" {
-			return &Summary{Joins: true}
-		}
-		return nil
-	}
-	if obj.Pkg() == nil || !lint.PathHasSuffix(obj.Pkg().Path(), "internal/wire") {
-		return nil
-	}
-	switch obj.Name() {
-	case "GetFrame":
-		return &Summary{ReturnsFresh: true}
-	case "PutFrame":
-		return &Summary{Params: []Effect{Releases}}
+	case lint.IsNamed(recv, "internal/catalog", "Lease") && obj.Name() == "Held":
+		return &Summary{EpochFence: true}
+	case lint.IsNamed(recv, "sync", "WaitGroup") && obj.Name() == "Done":
+		return &Summary{Joins: true}
 	}
 	return nil
 }
@@ -298,24 +220,10 @@ func intrinsic(obj *types.Func) *Summary {
 // table. It never mutates the table; the caller merges.
 func (t *Table) summarize(f *fn) Summary {
 	info := f.pkg.Info
-	s := Summary{Params: make([]Effect, len(f.sum.Params))}
-
-	paramIdx := make(map[types.Object]int)
-	for i := 0; i < f.sig.Params().Len(); i++ {
-		paramIdx[f.sig.Params().At(i)] = i
-	}
-	paramOf := func(e ast.Expr) (int, bool) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return 0, false
-		}
-		i, ok := paramIdx[info.Uses[id]]
-		return i, ok
-	}
-
+	var s Summary
 	// Main walk: effect evidence, descending into nested literals (a
-	// closure that stores a captured parameter escapes it for the
-	// enclosing function too; nested literals also get their own entry).
+	// closure's effects are the enclosing function's too; nested literals
+	// also get their own entry).
 	ast.Inspect(f.body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
@@ -325,28 +233,11 @@ func (t *Table) summarize(f *fn) Summary {
 				s.EpochFence = s.EpochFence || cs.EpochFence
 				s.RecordsForwardDone = s.RecordsForwardDone || cs.RecordsForwardDone
 				s.SendsForwardResp = s.SendsForwardResp || cs.SendsForwardResp
-				for i, arg := range x.Args {
-					if pi, ok := paramOf(arg); ok && i < len(cs.Params) {
-						s.Params[pi] = maxEffect(s.Params[pi], cs.Params[i])
-					}
-				}
 			}
 			if isForwardRespSend(info, x) {
 				s.SendsForwardResp = true
 			}
-		case *ast.AssignStmt:
-			if len(x.Lhs) != len(x.Rhs) {
-				break
-			}
-			for i, rhs := range x.Rhs {
-				if pi, ok := paramOf(rhs); ok && escapingLHS(info, x.Lhs[i]) {
-					s.Params[pi] = maxEffect(s.Params[pi], Retains)
-				}
-			}
 		case *ast.SendStmt:
-			if pi, ok := paramOf(x.Value); ok {
-				s.Params[pi] = maxEffect(s.Params[pi], HandsOff)
-			}
 			if isType(info, x.Value, "internal/wire", "PeerForwardResp") {
 				s.SendsForwardResp = true
 			}
@@ -362,42 +253,8 @@ func (t *Table) summarize(f *fn) Summary {
 		return true
 	})
 
-	s.ReturnsFresh = t.returnsFresh(f)
 	s.Joins = t.joins(f)
 	return s
-}
-
-// returnsFresh reports whether every return of f's own body (nested
-// literals excluded — their returns are theirs) hands back the result of
-// a fresh-returning call in first position. A naked return, a returned
-// parameter, nil, or a field all make the result borrowed, not owned.
-func (t *Table) returnsFresh(f *fn) bool {
-	if f.sig.Results().Len() == 0 {
-		return false
-	}
-	info := f.pkg.Info
-	sawReturn, allFresh := false, true
-	inspectOwn(f.body, func(n ast.Node) {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || !allFresh {
-			return
-		}
-		sawReturn = true
-		if len(ret.Results) == 0 {
-			allFresh = false
-			return
-		}
-		call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
-		if !ok {
-			allFresh = false
-			return
-		}
-		cs := t.CalleeSummary(info, call)
-		if cs == nil || !cs.ReturnsFresh {
-			allFresh = false
-		}
-	})
-	return sawReturn && allFresh
 }
 
 // joins scans f's body for shutdown-joinability evidence: a WaitGroup
@@ -442,43 +299,6 @@ func (t *Table) joins(f *fn) bool {
 	}
 	ast.Inspect(f.body, visit)
 	return joins
-}
-
-// inspectOwn walks body without descending into nested function
-// literals.
-func inspectOwn(body *ast.BlockStmt, fnVisit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fnVisit(n)
-		}
-		return true
-	})
-}
-
-// escapingLHS reports whether assigning to lhs stores the value beyond
-// the function: a field, a dereference, an index of anything, or a
-// package-level variable.
-func escapingLHS(info *types.Info, lhs ast.Expr) bool {
-	switch x := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		return true
-	case *ast.IndexExpr:
-		return true
-	case *ast.StarExpr:
-		return true
-	case *ast.Ident:
-		obj := info.Defs[x]
-		if obj == nil {
-			obj = info.Uses[x]
-		}
-		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil {
-			return v.Parent() == v.Pkg().Scope()
-		}
-	}
-	return false
 }
 
 func isComparison(op token.Token) bool {

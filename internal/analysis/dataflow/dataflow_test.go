@@ -37,9 +37,19 @@ func sumOf(t *testing.T, table *Table, pkg *lint.Package, name string) *Summary 
 
 func methodSumOf(t *testing.T, table *Table, pkg *lint.Package, typeName, method string) *Summary {
 	t.Helper()
-	obj := pkg.Types.Scope().Lookup(typeName)
+	s := table.Of(methodOf(t, pkg.Types, typeName, method))
+	if s == nil {
+		t.Fatalf("no summary for %s.%s", typeName, method)
+	}
+	return s
+}
+
+// methodOf resolves a method declared on a named type of pkg.
+func methodOf(t *testing.T, pkg *types.Package, typeName, method string) *types.Func {
+	t.Helper()
+	obj := pkg.Scope().Lookup(typeName)
 	if obj == nil {
-		t.Fatalf("fixture does not declare type %s", typeName)
+		t.Fatalf("%s does not declare type %s", pkg.Path(), typeName)
 	}
 	named, ok := obj.Type().(*types.Named)
 	if !ok {
@@ -47,59 +57,11 @@ func methodSumOf(t *testing.T, table *Table, pkg *lint.Package, typeName, method
 	}
 	for i := 0; i < named.NumMethods(); i++ {
 		if m := named.Method(i); m.Name() == method {
-			s := table.Of(m)
-			if s == nil {
-				t.Fatalf("no summary for %s.%s", typeName, method)
-			}
-			return s
+			return m
 		}
 	}
 	t.Fatalf("type %s has no method %s", typeName, method)
 	return nil
-}
-
-func TestParamEffects(t *testing.T) {
-	table, pkg := loadTable(t)
-	cases := []struct {
-		fn    string
-		param int
-		want  Effect
-	}{
-		{"release", 0, Releases},
-		{"releaseVia", 0, Releases},
-		{"keepVia", 1, Retains},
-		{"handoff", 0, HandsOff},
-		{"handoff", 1, Borrows},
-		{"borrow", 0, Borrows},
-		{"passThrough", 0, Borrows},
-		{"keepInClosure", 1, Retains},
-		{"recurse", 0, Borrows},
-		{"ping", 0, Releases},
-		{"pong", 0, Releases},
-	}
-	for _, c := range cases {
-		s := sumOf(t, table, pkg, c.fn)
-		if got := s.Params[c.param]; got != c.want {
-			t.Errorf("%s param %d: got %v, want %v", c.fn, c.param, got, c.want)
-		}
-	}
-	if s := methodSumOf(t, table, pkg, "holder", "keep"); s.Params[0] != Retains {
-		t.Errorf("holder.keep param 0: got %v, want %v", s.Params[0], Retains)
-	}
-}
-
-func TestReturnsFresh(t *testing.T) {
-	table, pkg := loadTable(t)
-	for fn, want := range map[string]bool{
-		"fresh":      true,
-		"freshVia":   true,
-		"maybeFresh": false,
-		"release":    false,
-	} {
-		if got := sumOf(t, table, pkg, fn).ReturnsFresh; got != want {
-			t.Errorf("%s ReturnsFresh = %v, want %v", fn, got, want)
-		}
-	}
 }
 
 func TestLeaseBits(t *testing.T) {
@@ -107,6 +69,9 @@ func TestLeaseBits(t *testing.T) {
 	for fn, want := range map[string]bool{
 		"durable":    true,
 		"durableVia": true,
+		"ping":       true,
+		"pong":       true,
+		"recurse":    false,
 		"fenced":     false,
 	} {
 		if got := sumOf(t, table, pkg, fn).LeaseDurable; got != want {
@@ -140,17 +105,18 @@ func TestJoins(t *testing.T) {
 }
 
 // TestIntrinsics checks the axioms hold even for callees resolved purely
-// through export data (the fixture imports the real wire package).
+// through export data (the fixture imports the real catalog package).
 func TestIntrinsics(t *testing.T) {
 	table, pkg := loadTable(t)
-	wirePkg := findImport(t, pkg, "internal/wire")
-	get := wirePkg.Scope().Lookup("GetFrame")
-	if s := table.Of(get); s == nil || !s.ReturnsFresh {
-		t.Errorf("wire.GetFrame intrinsic: got %+v, want ReturnsFresh", s)
+	catalogPkg := findImport(t, pkg, "internal/catalog")
+	if s := table.Of(methodOf(t, catalogPkg, "LeaseStore", "Release")); s == nil || !s.LeaseDurable {
+		t.Errorf("catalog.LeaseStore.Release intrinsic: got %+v, want LeaseDurable", s)
 	}
-	put := wirePkg.Scope().Lookup("PutFrame")
-	if s := table.Of(put); s == nil || len(s.Params) == 0 || s.Params[0] != Releases {
-		t.Errorf("wire.PutFrame intrinsic: got %+v, want param 0 Releases", s)
+	if s := table.Of(methodOf(t, catalogPkg, "Lease", "Held")); s == nil || !s.EpochFence {
+		t.Errorf("catalog.Lease.Held intrinsic: got %+v, want EpochFence", s)
+	}
+	if s := table.Of(methodOf(t, findImport(t, pkg, "sync"), "WaitGroup", "Done")); s == nil || !s.Joins {
+		t.Errorf("sync.WaitGroup.Done intrinsic: got %+v, want Joins", s)
 	}
 }
 

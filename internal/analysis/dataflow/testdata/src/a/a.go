@@ -1,80 +1,32 @@
 // Package a is the dataflow summary fixture: small functions whose
-// summaries the test asserts exactly, importing the real wire and
-// catalog packages through export data.
+// summaries the test asserts exactly, importing the real catalog package
+// through export data.
 package a
 
 import (
 	"sync"
 
 	"github.com/lds-storage/lds/internal/catalog"
-	"github.com/lds-storage/lds/internal/wire"
 )
-
-// --- parameter effects -------------------------------------------------
-
-func release(f *wire.Frame) { wire.PutFrame(f) }
-
-func releaseVia(f *wire.Frame) { release(f) }
-
-type holder struct {
-	f  *wire.Frame
-	ch chan *wire.Frame
-}
-
-func (h *holder) keep(f *wire.Frame) { h.f = f }
-
-func keepVia(h *holder, f *wire.Frame) { h.keep(f) }
-
-func handoff(f *wire.Frame, ch chan *wire.Frame) { ch <- f }
-
-func borrow(f *wire.Frame) int { return len(f.B) }
-
-// returning a parameter keeps ownership with the caller: Borrows.
-func passThrough(f *wire.Frame) *wire.Frame { return f }
-
-// a closure that stores a captured parameter escapes it for the
-// enclosing function too.
-func keepInClosure(h *holder, f *wire.Frame) {
-	run(func() { h.f = f })
-}
-
-func run(fn func()) { fn() }
-
-// recursion settles at the conservative fixpoint: no effect beyond what
-// the body itself shows.
-func recurse(f *wire.Frame) { recurse(f) }
-
-// mutual recursion likewise, with the release visible on one side.
-func ping(f *wire.Frame, n int) {
-	if n == 0 {
-		wire.PutFrame(f)
-		return
-	}
-	pong(f, n-1)
-}
-
-func pong(f *wire.Frame, n int) { ping(f, n) }
-
-// --- fresh returns -----------------------------------------------------
-
-func fresh() *wire.Frame { return wire.GetFrame() }
-
-func freshVia() *wire.Frame { return fresh() }
-
-// one borrowed return poisons freshness: the caller cannot assume it
-// owns the result.
-func maybeFresh(f *wire.Frame) *wire.Frame {
-	if f != nil {
-		return f
-	}
-	return wire.GetFrame()
-}
 
 // --- lease durability and fences ---------------------------------------
 
 func durable(s *catalog.LeaseStore) { s.Release(0, 1, 2) }
 
 func durableVia(s *catalog.LeaseStore) { durable(s) }
+
+// mutual recursion settles at the fixpoint; plain recursion adds nothing.
+func ping(s *catalog.LeaseStore, n int) {
+	if n == 0 {
+		durable(s)
+		return
+	}
+	pong(s, n-1)
+}
+
+func pong(s *catalog.LeaseStore, n int) { ping(s, n) }
+
+func recurse(s *catalog.LeaseStore) { recurse(s) }
 
 func fenced(cur catalog.Lease, epoch uint64) bool { return cur.Epoch == epoch }
 

@@ -3,7 +3,7 @@
 // internal/transport (the shared actor runtime) and
 // internal/transport/tcpnet — is joinable from a shutdown path. A
 // goroutine with no join outlives Close: it races the test harness,
-// touches freed resources (pooled frames, closed stores), and turns
+// touches freed resources (closed connections and stores), and turns
 // clean shutdowns into flakes.
 //
 // The rule: the function a `go` statement launches must carry the

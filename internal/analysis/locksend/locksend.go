@@ -11,7 +11,7 @@
 //
 //   - a channel send statement, or any send/receive arm of a select that
 //     has no default clause (a select with default polls and cannot block);
-//   - Read/Write/ReadFrom/WriteTo on a net type (net.Conn, net.Buffers, ...);
+//   - Read/Write/ReadFrom/WriteTo on a net type (net.Conn, net.TCPConn, ...);
 //   - a Send method that takes an internal/wire parameter (the transport
 //     send surface, whatever the concrete transport), and the lds adaptor's
 //     process.flush, which sends a step's outbox;

@@ -5,7 +5,6 @@
 package analysis
 
 import (
-	"github.com/lds-storage/lds/internal/analysis/frameown"
 	"github.com/lds-storage/lds/internal/analysis/goexit"
 	"github.com/lds-storage/lds/internal/analysis/leasefence"
 	"github.com/lds-storage/lds/internal/analysis/lint"
@@ -19,7 +18,6 @@ import (
 // them.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		frameown.Analyzer,
 		retention.Analyzer,
 		locksend.Analyzer,
 		walorder.Analyzer,

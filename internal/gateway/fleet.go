@@ -215,7 +215,7 @@ type fleet struct {
 
 	// fwdWG counts in-flight executeForward goroutines; stopAndRelease
 	// waits them out (each is bounded by forwardExecTimeout) so no forward
-	// outlives Close touching the catalog or pooled frames.
+	// outlives Close touching the catalog or a closed network.
 	fwdWG sync.WaitGroup
 
 	stop chan struct{}

@@ -103,9 +103,11 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	}
 }
 
-// TestDeadPeerDoesNotBlockSend sends a burst at an address nobody listens
-// on: every Send must return promptly (frames are dropped and counted),
-// and Close must reap the sender goroutine without hanging.
+// TestDeadPeerDoesNotBlockSend sends three queues' worth of envelopes at
+// an address nobody listens on: every Send must return promptly (the
+// sender drops and counts instead of blocking), each envelope is counted
+// exactly once however the sender cut its bursts, and Close must reap the
+// sender goroutine without hanging.
 func TestDeadPeerDoesNotBlockSend(t *testing.T) {
 	idA := wire.ProcID{Role: wire.RoleL1, Index: 0}
 	idDead := wire.ProcID{Role: wire.RoleL1, Index: 1}
@@ -118,11 +120,7 @@ func TestDeadPeerDoesNotBlockSend(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	host, err := NewNetwork("127.0.0.1:0", Options{
-		Book:          AddressBook{idDead: deadAddr},
-		RedialBackoff: 10 * time.Millisecond,
-		SendQueue:     8,
-	})
+	host, err := New("127.0.0.1:0", AddressBook{idDead: deadAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +129,11 @@ func TestDeadPeerDoesNotBlockSend(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const sends = 3 * sendQueue
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 100; i++ {
+		for i := range sends {
 			// Errors are not expected: unreachable peers are crash-model
 			// drops, not Send failures.
 			if err := a.Send(idDead, wire.CommitTag{Tag: tag.Tag{Z: uint64(i), W: 1}}); err != nil {
@@ -148,8 +147,11 @@ func TestDeadPeerDoesNotBlockSend(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("sends to a dead peer blocked")
 	}
-	if !waitFor(t, 5*time.Second, func() bool { return host.Dropped() > 0 }) {
-		t.Error("drops toward the dead peer were not counted")
+	if !host.Drain(5 * time.Second) {
+		t.Fatal("the dead peer's queue did not drain")
+	}
+	if got := host.Dropped(); got != sends {
+		t.Errorf("Dropped() = %d after %d sends to a dead peer, want every envelope counted once", got, sends)
 	}
 	closed := make(chan error, 1)
 	go func() { closed <- host.Close() }()

@@ -101,8 +101,8 @@ var (
 
 // putFrame is one framed PutData from fromA to toB.
 func putFrame(opID uint64, value []byte) []byte {
-	return encodeFrame(wire.Envelope{From: fromA, To: toB,
-		Msg: wire.PutData{OpID: opID, Tag: tag.Tag{Z: opID, W: 1}, Value: value}}).B
+	return appendFrame(nil, wire.Envelope{From: fromA, To: toB,
+		Msg: wire.PutData{OpID: opID, Tag: tag.Tag{Z: opID, W: 1}, Value: value}})
 }
 
 // unknownKindFrame is a well-framed envelope whose kind byte this binary
@@ -168,8 +168,8 @@ func (n *Network) inbound() int {
 func TestReadFrameShortReads(t *testing.T) {
 	var stream []byte
 	stream = append(stream, putFrame(1, []byte("small"))...)
-	stream = append(stream, encodeFrame(wire.Envelope{From: fromA, To: toB,
-		Msg: wire.Broadcast{Origin: fromA, Seq: 3, Inner: wire.CommitTag{Tag: tag.Tag{Z: 2, W: 1}}}}).B...)
+	stream = appendFrame(stream, wire.Envelope{From: fromA, To: toB,
+		Msg: wire.Broadcast{Origin: fromA, Seq: 3, Inner: wire.CommitTag{Tag: tag.Tag{Z: 2, W: 1}}}})
 	stream = append(stream, unknownKindFrame(putFrame(2, nil))...)
 	stream = append(stream, putFrame(3, bigValue(256<<10))...)
 	stream = append(stream, putFrame(4, nil)...)

@@ -1,7 +1,7 @@
 // Package tcpnet implements the transport interfaces over real TCP
 // sockets, so the same protocol code that runs on the simulated network
-// deploys as an actual distributed system (cmd/lds-node, cmd/lds-cli,
-// and the gateway's remote TCP shards).
+// deploys as an actual distributed system (cmd/lds-node and the gateway's
+// remote TCP shards).
 //
 // Addressing is pluggable: a static AddressBook maps process ids to
 // host:port pairs, and an optional Resolver answers ids the book does not
@@ -12,13 +12,13 @@
 //
 // Each Network instance owns one listener and hosts any number of local
 // processes. Outbound traffic to each remote address is owned by a
-// dedicated sender goroutine behind a bounded queue: Send enqueues and
-// returns, so protocol actors never block on a dead peer's socket. The
-// sender dials lazily (bounded by DialTimeout and aborted by Close),
-// enables TCP keepalive as the link heartbeat, writes under a deadline,
-// and redials once immediately when a write fails — which is what
-// reconnects after a peer process restarts. While a peer stays
-// unreachable the sender drops frames (counted by Dropped) instead of
+// dedicated sender goroutine behind a bounded queue of envelopes: Send
+// enqueues and returns, so protocol actors never block on a dead peer's
+// socket. The sender dials lazily (bounded by DialTimeout and aborted by
+// Close), enables TCP keepalive as the link heartbeat, writes under a
+// deadline, and redials once immediately when a write fails — which is
+// what reconnects after a peer process restarts. While a peer stays
+// unreachable the sender drops envelopes (counted by Dropped) instead of
 // blocking, exactly the crash-model semantics the protocol is proved
 // against: messages to a faulty process vanish, messages to a live one
 // are delivered. Incoming frames are routed to the destination process's
@@ -26,12 +26,20 @@
 // local sender ever blocks on a slow process) and handled one at a time;
 // torn or oversized frames drop only the offending connection.
 //
-// The read side mirrors the sender's batching: each accepted connection has
-// one read goroutine with one readBufferSize bufio.Reader, so a burst the
-// peer wrote with one writev is taken in with about one read syscall, and
-// frames are parsed out of the buffer. Each frame's body is still copied
-// into its own freshly allocated slice, which the alias decode hands to the
-// message; the read buffer itself never leaves the read loop.
+// The two directions mirror each other, and neither shares a buffer with
+// another goroutine. A sender drains whatever is queued behind the
+// envelope it woke for, encodes the burst into one byte slice it owns
+// and reuses (up to maxWriteBatch frames or readBufferSize bytes, about
+// one read on the peer), and writes it with one Write; the kernel copies
+// on write, so the slice is free again when Write returns. Each accepted
+// connection has one read goroutine with one readBufferSize bufio.Reader,
+// so a burst is taken in with about one read syscall and frames are
+// parsed out of the buffer. Each frame's body is copied into its own
+// freshly allocated slice, which the alias decode hands to the message;
+// the read buffer itself never leaves the read loop.
+//
+// Encoding happens on the sender goroutine, after Send has returned, so a
+// message must not change once it is sent (transport.Node.Send).
 //
 // Framing: 4-byte big-endian length, then wire.EncodeEnvelope bytes.
 package tcpnet
@@ -44,8 +52,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,12 +63,22 @@ import (
 // maxFrameSize rejects absurd frames before allocating (64 MiB).
 const maxFrameSize = 64 << 20
 
-// readBufferSize is each accepted connection's receive buffer: large enough
-// to take in a whole coalesced write from the peer's sender (up to
-// maxWriteBatch frames, mostly small metadata) with one read syscall.
-// Once a body still needs at least this many bytes, bufio reads them
-// straight into the body instead of through the buffer.
+// readBufferSize is each accepted connection's receive buffer, and the
+// size at which a sender stops adding frames to a burst: one burst is
+// about one read syscall on the peer. Once a body still needs at least
+// this many bytes, bufio reads them straight into the body instead of
+// through the buffer.
 const readBufferSize = 32 << 10
+
+// maxWriteBatch bounds how many queued envelopes one burst may coalesce.
+const maxWriteBatch = 64
+
+// sendQueue is the per-destination outbound queue length; a full queue to
+// a live peer backpressures Send. At 32-byte envelopes the ring holds
+// 32 KiB per sender. The channel touches every slot as it wraps, so a
+// longer queue costs resident memory on every sender even if it never
+// fills (EXPERIMENTS.md measured 4096 slots against this one).
+const sendQueue = 1024
 
 // Defaults for Options knobs left zero.
 const (
@@ -70,7 +86,6 @@ const (
 	defaultWriteTimeout  = 10 * time.Second
 	defaultKeepAlive     = 15 * time.Second
 	defaultRedialBackoff = 250 * time.Millisecond
-	defaultSendQueue     = 4096
 )
 
 // Common errors.
@@ -101,7 +116,7 @@ type Options struct {
 	// DialTimeout bounds each outbound connection attempt; dials are also
 	// aborted by Close. <= 0 selects 5s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write, so a sender on a stalled
+	// WriteTimeout bounds each burst write, so a sender on a stalled
 	// connection fails over to a redial instead of blocking forever.
 	// <= 0 selects 10s.
 	WriteTimeout time.Duration
@@ -109,13 +124,10 @@ type Options struct {
 	// the transport's liveness heartbeat. <= 0 selects 15s.
 	KeepAlive time.Duration
 	// RedialBackoff is how long a sender waits after a failed dial before
-	// trying that address again; frames sent meanwhile are dropped (the
-	// peer is crashed as far as the protocol is concerned). <= 0 selects
-	// 250ms.
+	// trying that address again; envelopes sent meanwhile are dropped
+	// (the peer is crashed as far as the protocol is concerned). <= 0
+	// selects 250ms.
 	RedialBackoff time.Duration
-	// SendQueue is the per-destination outbound queue length; a full
-	// queue to a live peer backpressures Send. <= 0 selects 4096.
-	SendQueue int
 }
 
 func (o Options) withDefaults() Options {
@@ -131,73 +143,7 @@ func (o Options) withDefaults() Options {
 	if o.RedialBackoff <= 0 {
 		o.RedialBackoff = defaultRedialBackoff
 	}
-	if o.SendQueue <= 0 {
-		o.SendQueue = defaultSendQueue
-	}
 	return o
-}
-
-// ParseAddressBook parses "L1/0=host:port,L1/1=host:port,L2/0=host:port".
-func ParseAddressBook(s string) (AddressBook, error) {
-	book := make(AddressBook)
-	for _, entry := range strings.Split(s, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(entry, "=")
-		if !ok {
-			return nil, fmt.Errorf("tcpnet: bad peer entry %q, want id=addr", entry)
-		}
-		pid, err := ParseProcID(id)
-		if err != nil {
-			return nil, err
-		}
-		book[pid] = addr
-	}
-	if len(book) == 0 {
-		return nil, errors.New("tcpnet: empty address book")
-	}
-	return book, nil
-}
-
-// ParseProcID parses "L1/3", "L2/0", "w/1", "r/2" or "ctl/1".
-func ParseProcID(s string) (wire.ProcID, error) {
-	role, idx, ok := strings.Cut(strings.TrimSpace(s), "/")
-	if !ok {
-		return wire.ProcID{}, fmt.Errorf("tcpnet: bad process id %q, want role/index", s)
-	}
-	var r wire.Role
-	switch role {
-	case "L1", "l1":
-		r = wire.RoleL1
-	case "L2", "l2":
-		r = wire.RoleL2
-	case "w", "W":
-		r = wire.RoleWriter
-	case "r", "R":
-		r = wire.RoleReader
-	case "ctl", "CTL":
-		r = wire.RoleControl
-	default:
-		return wire.ProcID{}, fmt.Errorf("tcpnet: unknown role %q", role)
-	}
-	var n int32
-	if _, err := fmt.Sscanf(idx, "%d", &n); err != nil {
-		return wire.ProcID{}, fmt.Errorf("tcpnet: bad index %q: %w", idx, err)
-	}
-	return wire.ProcID{Role: r, Index: n}, nil
-}
-
-// FormatAddressBook renders a book back into the parseable form, sorted for
-// determinism.
-func FormatAddressBook(book AddressBook) string {
-	entries := make([]string, 0, len(book))
-	for id, addr := range book {
-		entries = append(entries, fmt.Sprintf("%s=%s", id, addr))
-	}
-	sort.Strings(entries)
-	return strings.Join(entries, ",")
 }
 
 // Network hosts local processes and connects to remote ones.
@@ -218,7 +164,7 @@ type Network struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	dropped atomic.Uint64 // frames discarded toward unreachable peers
+	dropped atomic.Uint64 // envelopes discarded toward unreachable peers
 	redials atomic.Uint64 // successful reconnects after a write failure
 }
 
@@ -254,7 +200,7 @@ func NewNetwork(listenAddr string, opts Options) (*Network, error) {
 // Addr returns the bound listen address.
 func (n *Network) Addr() string { return n.listener.Addr().String() }
 
-// Dropped returns the number of outbound frames discarded because their
+// Dropped returns the number of outbound envelopes discarded because their
 // destination was unreachable (dial failed, write failed after the redial,
 // or the peer stayed in dial backoff). Under the crash model these are
 // messages to faulty processes; a steadily climbing count against a peer
@@ -270,7 +216,7 @@ func (n *Network) Redials() uint64 { return n.redials.Load() }
 // Drain waits up to timeout for every outbound queue to empty and every
 // in-flight write to finish, returning whether it got there. It is a
 // best-effort flush for fire-and-forget control traffic ahead of Close
-// (frames to unreachable peers drain by being dropped, so a dead node
+// (envelopes to unreachable peers drain by being dropped, so a dead node
 // cannot stall it beyond its dial backoff).
 func (n *Network) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
@@ -289,9 +235,9 @@ func (n *Network) sendersIdle() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, s := range n.senders {
-		// pending covers a frame from before it is enqueued until its
-		// write returns, so there is no window where a frame is dequeued
-		// but not yet counted as in flight.
+		// pending covers an envelope from before it is enqueued until its
+		// write returns, so there is no window where one is dequeued but
+		// not yet counted as in flight.
 		if s.pending.Load() > 0 {
 			return false
 		}
@@ -388,7 +334,7 @@ func (n *Network) send(env wire.Envelope) error {
 	if err != nil {
 		return err
 	}
-	return s.enqueue(encodeFrame(env))
+	return s.enqueue(env)
 }
 
 // senderFor returns (creating if needed) the sender goroutine owning the
@@ -402,7 +348,7 @@ func (n *Network) senderFor(addr string) (*sender, error) {
 	if s, ok := n.senders[addr]; ok {
 		return s, nil
 	}
-	s := &sender{net: n, addr: addr, q: make(chan *wire.Frame, n.opts.SendQueue)}
+	s := &sender{net: n, addr: addr, q: make(chan wire.Envelope, sendQueue)}
 	n.senders[addr] = s
 	n.wg.Add(1)
 	go s.loop()
@@ -509,46 +455,39 @@ func (nd *node) Close() error {
 	return nil
 }
 
-// sender owns the outbound link to one remote address: a bounded frame
-// queue drained by a single goroutine that dials lazily, writes under a
-// deadline, redials once on write failure, and drops frames (counted)
-// while the peer is unreachable. Send callers therefore never touch a
-// socket and can never be blocked by a dead peer; Close unblocks a write
-// in progress by closing the connection out from under it.
+// sender owns the outbound link to one remote address: a bounded envelope
+// queue drained by a single goroutine that encodes, dials lazily, writes
+// under a deadline, redials once on write failure, and drops envelopes
+// (counted) while the peer is unreachable. Send callers therefore never
+// touch a socket and can never be blocked by a dead peer; Close unblocks a
+// write in progress by closing the connection out from under it.
 type sender struct {
 	net  *Network
 	addr string
-	q    chan *wire.Frame
+	q    chan wire.Envelope
 
 	mu   sync.Mutex // guards conn handoff between loop and closeConn
 	conn net.Conn
 
-	// pending counts frames accepted by enqueue whose write (or drop) has
-	// not finished yet; Drain's idleness test reads it, so it must be
-	// incremented before a frame becomes visible in q and decremented only
-	// after the frame is fully handled.
+	// pending counts envelopes accepted by enqueue whose write (or drop)
+	// has not finished yet; Drain's idleness test reads it, so it must be
+	// incremented before an envelope becomes visible in q and decremented
+	// only after it is fully handled.
 	pending      atomic.Int64
 	noDialBefore time.Time // dial backoff deadline after a failed attempt
 	connected    bool      // a dial has succeeded before: the next one is a redial
 }
 
-// maxWriteBatch bounds how many queued frames one vectored write may
-// coalesce; comfortably under the kernel's IOV_MAX.
-const maxWriteBatch = 64
-
-// enqueue commits a frame to the sender's queue, taking ownership of it
-// (the frame returns to the pool after the write or drop). It blocks only
-// when the queue is full toward a live-but-slow peer (backpressure); a
-// dead peer's queue keeps draining via drops, and Close wakes all
-// waiters.
-func (s *sender) enqueue(f *wire.Frame) error {
+// enqueue commits an envelope to the sender's queue. It blocks only when
+// the queue is full toward a live-but-slow peer (backpressure); a dead
+// peer's queue keeps draining via drops, and Close wakes all waiters.
+func (s *sender) enqueue(env wire.Envelope) error {
 	s.pending.Add(1)
 	select {
-	case s.q <- f:
+	case s.q <- env:
 		return nil
 	case <-s.net.closeCtx.Done():
 		s.pending.Add(-1)
-		wire.PutFrame(f)
 		return ErrClosed
 	}
 }
@@ -556,71 +495,90 @@ func (s *sender) enqueue(f *wire.Frame) error {
 func (s *sender) loop() {
 	defer s.net.wg.Done()
 	defer s.closeConn()
-	// The drain scratch lives on the goroutine's own stack, allocated once
-	// per sender, never in a field: a field would keep aliases to pooled
-	// frame buffers reachable after PutFrame returns them (the pool may
-	// already have handed them to another sender). lds-lint's frameown
-	// analyzer enforces this.
-	batch := make([]*wire.Frame, 0, maxWriteBatch)
-	scratch := make(net.Buffers, 0, maxWriteBatch)
+	var buf []byte // this goroutine's burst buffer, reused across bursts
 	for {
 		select {
-		case f := <-s.q:
-			// Coalesce everything already queued behind f into one
-			// vectored write: under load the queue is deep and the
-			// syscall cost amortizes across the whole batch.
-			batch = append(batch[:0], f)
-		fill:
-			for len(batch) < maxWriteBatch {
-				select {
-				case f := <-s.q:
-					batch = append(batch, f)
-				default:
-					break fill
-				}
+		case env := <-s.q:
+			// Coalesce everything already queued behind env into one
+			// write: under load the queue is deep and the syscall cost
+			// amortizes across the whole burst.
+			burst, frames := encodeBurst(buf[:0], env, s.q)
+			s.write(burst, frames)
+			s.pending.Add(-int64(frames))
+			// Keep the buffer for the next burst unless one huge message
+			// grew it: that capacity would stay pinned for the sender's
+			// lifetime.
+			buf = burst
+			if cap(buf) > 2*readBufferSize {
+				buf = nil
 			}
-			s.write(batch, scratch)
-			for i, f := range batch {
-				wire.PutFrame(f)
-				batch[i] = nil
-			}
-			s.pending.Add(-int64(len(batch)))
 		case <-s.net.closeCtx.Done():
 			return
 		}
 	}
 }
 
-// write pushes one batch of frames, establishing the connection if
-// needed. Failures drop the whole batch and count it; the peer is crashed
-// as far as the protocol is concerned until a later dial succeeds.
-func (s *sender) write(batch []*wire.Frame, scratch net.Buffers) {
+// encodeBurst appends first, then whatever is already queued on q, to buf
+// as length-prefixed frames. It stops at maxWriteBatch frames or once the
+// burst holds readBufferSize bytes, whichever comes first, and returns the
+// burst and how many envelopes it holds.
+func encodeBurst(buf []byte, first wire.Envelope, q <-chan wire.Envelope) ([]byte, int) {
+	buf = appendFrame(buf, first)
+	frames := 1
+	for frames < maxWriteBatch && len(buf) < readBufferSize {
+		select {
+		case env := <-q:
+			buf = appendFrame(buf, env)
+			frames++
+		default:
+			return buf, frames
+		}
+	}
+	return buf, frames
+}
+
+// appendFrame appends env as one frame: the 4-byte length prefix is
+// reserved up front, the envelope encoded behind it and the prefix
+// patched afterwards, so the body is encoded once and never copied.
+func appendFrame(buf []byte, env wire.Envelope) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	buf = wire.AppendEnvelope(buf, env)
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	return buf
+}
+
+// write pushes one burst of frames, establishing the connection if
+// needed. Failures drop the whole burst and count each of its envelopes;
+// the peer is crashed as far as the protocol is concerned until a later
+// dial succeeds.
+func (s *sender) write(burst []byte, frames int) {
 	conn := s.current()
 	if conn == nil {
 		if time.Now().Before(s.noDialBefore) {
-			s.net.dropped.Add(uint64(len(batch)))
+			s.net.dropped.Add(uint64(frames))
 			return
 		}
 		var err error
 		if conn, err = s.dial(); err != nil {
 			s.noDialBefore = time.Now().Add(s.net.opts.RedialBackoff)
-			s.net.dropped.Add(uint64(len(batch)))
+			s.net.dropped.Add(uint64(frames))
 			return
 		}
 		s.noDialBefore = time.Time{}
 	}
-	if err := s.writeConn(conn, batch, scratch); err != nil {
+	if err := s.writeConn(conn, burst); err != nil {
 		// One immediate redial: the remote may have restarted.
 		s.closeConn()
 		conn, err = s.dial()
 		if err != nil {
 			s.noDialBefore = time.Now().Add(s.net.opts.RedialBackoff)
-			s.net.dropped.Add(uint64(len(batch)))
+			s.net.dropped.Add(uint64(frames))
 			return
 		}
-		if err = s.writeConn(conn, batch, scratch); err != nil {
+		if err = s.writeConn(conn, burst); err != nil {
 			s.closeConn()
-			s.net.dropped.Add(uint64(len(batch)))
+			s.net.dropped.Add(uint64(frames))
 		}
 	}
 }
@@ -652,28 +610,12 @@ func (s *sender) current() net.Conn {
 	return s.conn
 }
 
-// writeConn writes one batch under the write deadline. Multi-frame
-// batches go out as a single vectored write (writev on TCP connections),
-// so each length-prefixed frame is written straight from its pooled
-// buffer without re-assembly into a contiguous block. The deadline (and
+// writeConn writes one burst under the write deadline. The deadline (and
 // closeConn closing the socket concurrently) bounds how long the sender
 // can be stuck on a stalled or dead connection.
-func (s *sender) writeConn(conn net.Conn, batch []*wire.Frame, scratch net.Buffers) error {
+func (s *sender) writeConn(conn net.Conn, burst []byte) error {
 	conn.SetWriteDeadline(time.Now().Add(s.net.opts.WriteTimeout))
-	if len(batch) == 1 {
-		_, err := conn.Write(batch[0].B)
-		return err
-	}
-	// Rebuilt per attempt: WriteTo consumes the buffer list in place.
-	bufs := scratch[:0]
-	for _, f := range batch {
-		bufs = append(bufs, f.B)
-	}
-	full := bufs
-	_, err := bufs.WriteTo(conn)
-	// Drop the buffer aliases before the caller releases the frames:
-	// scratch is reused for the next batch and must not pin this one.
-	clear(full)
+	_, err := conn.Write(burst)
 	return err
 }
 
@@ -688,18 +630,6 @@ func (s *sender) closeConn() {
 	if conn != nil {
 		conn.Close()
 	}
-}
-
-// encodeFrame encodes env once, directly into a pooled frame: 4-byte
-// length prefix reserved up front, envelope appended behind it, prefix
-// patched afterwards. No intermediate body buffer, no copy. The frame
-// returns to the pool after the sender writes it (or drops it).
-func encodeFrame(env wire.Envelope) *wire.Frame {
-	f := wire.GetFrame()
-	f.B = append(f.B, 0, 0, 0, 0)
-	f.B = wire.AppendEnvelope(f.B, env)
-	binary.BigEndian.PutUint32(f.B, uint32(len(f.B)-4))
-	return f
 }
 
 // errSkipFrame wraps a decode failure of a frame that was consumed whole:

@@ -13,59 +13,6 @@ import (
 	"github.com/lds-storage/lds/internal/wire"
 )
 
-func TestParseProcID(t *testing.T) {
-	tests := []struct {
-		give    string
-		want    wire.ProcID
-		wantErr bool
-	}{
-		{give: "L1/3", want: wire.ProcID{Role: wire.RoleL1, Index: 3}},
-		{give: "l2/0", want: wire.ProcID{Role: wire.RoleL2, Index: 0}},
-		{give: "w/1", want: wire.ProcID{Role: wire.RoleWriter, Index: 1}},
-		{give: "r/9", want: wire.ProcID{Role: wire.RoleReader, Index: 9}},
-		{give: " L1/2 ", want: wire.ProcID{Role: wire.RoleL1, Index: 2}},
-		{give: "L3/1", wantErr: true},
-		{give: "L1", wantErr: true},
-		{give: "L1/x", wantErr: true},
-	}
-	for _, tt := range tests {
-		got, err := ParseProcID(tt.give)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseProcID(%q) err = %v, wantErr %v", tt.give, err, tt.wantErr)
-			continue
-		}
-		if err == nil && got != tt.want {
-			t.Errorf("ParseProcID(%q) = %v, want %v", tt.give, got, tt.want)
-		}
-	}
-}
-
-func TestParseAndFormatAddressBook(t *testing.T) {
-	book, err := ParseAddressBook("L1/0=127.0.0.1:7000, L2/1=127.0.0.1:7001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(book) != 2 {
-		t.Fatalf("book has %d entries", len(book))
-	}
-	if got := book[wire.ProcID{Role: wire.RoleL2, Index: 1}]; got != "127.0.0.1:7001" {
-		t.Errorf("L2/1 -> %q", got)
-	}
-	round, err := ParseAddressBook(FormatAddressBook(book))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(round) != len(book) {
-		t.Error("format/parse round trip lost entries")
-	}
-	if _, err := ParseAddressBook(""); err == nil {
-		t.Error("empty book should fail")
-	}
-	if _, err := ParseAddressBook("garbage"); err == nil {
-		t.Error("malformed book should fail")
-	}
-}
-
 func TestSendBetweenHosts(t *testing.T) {
 	idA := wire.ProcID{Role: wire.RoleL1, Index: 0}
 	idB := wire.ProcID{Role: wire.RoleL1, Index: 1}

@@ -36,6 +36,11 @@ type Node interface {
 	// Send transmits msg to the destination process. A nil error means the
 	// message is committed to the link (reliable delivery); it does not mean
 	// the destination has processed it.
+	//
+	// msg, and every slice it holds, must not change after Send: a network
+	// may deliver the very value sent (channet) or encode it later on
+	// another goroutine (tcpnet's sender), so a later write would reach
+	// the receiver or race the encoder.
 	Send(to wire.ProcID, msg wire.Message) error
 	// Close unregisters the node and drops what is queued for it. It
 	// returns once the handler is not running and will never run again, so

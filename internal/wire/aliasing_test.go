@@ -63,29 +63,25 @@ func TestAliasingDecodeAliasSharesMemory(t *testing.T) {
 	}
 }
 
-// TestBufferOwnershipFramePool is the S2 scenario end to end: encode an
-// envelope into a pooled frame, decode it with the cloning decoder (as any
-// retaining consumer must), return the frame to the pool, then corrupt the
-// checked-in buffer. The in-flight decoded message must be unaffected.
-func TestBufferOwnershipFramePool(t *testing.T) {
+// TestBufferOwnershipReusedEncodeBuffer is the S2 scenario end to end:
+// encode an envelope into a buffer that is reused (as tcpnet's sender
+// reuses its burst buffer), decode it with the cloning decoder (as any
+// retaining consumer must), then overwrite the buffer, exactly what
+// encoding the next burst does. The decoded message must be unaffected.
+func TestBufferOwnershipReusedEncodeBuffer(t *testing.T) {
 	m := testPutData()
 	env := wire.Envelope{
 		From: wire.ProcID{Role: wire.RoleWriter, Index: 1},
 		To:   wire.ProcID{Role: wire.RoleL1, Index: 2},
 		Msg:  m,
 	}
-	f := wire.GetFrame()
-	f.B = wire.AppendEnvelope(f.B, env)
-	decoded, err := wire.DecodeEnvelope(f.B)
+	buf := wire.AppendEnvelope(make([]byte, 0, 512), env)
+	decoded, err := wire.DecodeEnvelope(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := f.B
-	wire.PutFrame(f)
-	// Corrupt the pooled buffer after check-in, exactly what the next
-	// sender checking the frame out will do.
-	for i := range raw {
-		raw[i] = 0xFF
+	for i := range buf {
+		buf[i] = 0xFF
 	}
 	pd, ok := decoded.Msg.(wire.PutData)
 	if !ok {
@@ -95,6 +91,6 @@ func TestBufferOwnershipFramePool(t *testing.T) {
 		t.Errorf("envelope routing corrupted: %v -> %v", decoded.From, decoded.To)
 	}
 	if !bytes.Equal(pd.Value, m.Value) {
-		t.Errorf("decoded message corrupted by pooled-frame reuse: %q", pd.Value)
+		t.Errorf("decoded message corrupted by encode-buffer reuse: %q", pd.Value)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Role identifies the kind of a process in the two-layer system.
@@ -265,29 +264,6 @@ func DecodeEnvelopeAlias(b []byte) (Envelope, error) {
 	}
 	env.Msg, err = DecodeAlias(b)
 	return env, err
-}
-
-// Frame is a pooled, reusable buffer for encoded messages. Senders
-// check one out, AppendEnvelope/AppendEncode into F.B, write the bytes,
-// and hand the frame back; the pool makes steady-state sending
-// allocation-free. A frame must never be returned while a DecodeAlias
-// result (or anything retaining its fields) still references F.B.
-type Frame struct {
-	B []byte
-}
-
-var framePool = sync.Pool{
-	New: func() any { return &Frame{B: make([]byte, 0, 512)} },
-}
-
-// GetFrame checks a zero-length frame out of the pool.
-func GetFrame() *Frame { return framePool.Get().(*Frame) }
-
-// PutFrame resets a frame and returns it to the pool. The caller
-// relinquishes F.B entirely.
-func PutFrame(f *Frame) {
-	f.B = f.B[:0]
-	framePool.Put(f)
 }
 
 type decoder func(body []byte) (Message, error)

@@ -29,11 +29,11 @@
 //
 // NewCluster builds an in-process cluster on a simulated asynchronous
 // network with configurable per-class latency bounds and crash injection;
-// the same protocol code also runs over TCP (see cmd/lds-node and
-// cmd/lds-cli), and a sharded multi-object front-end over many LDS groups
-// lives in internal/gateway (see cmd/lds-gateway). The exported surface
-// below is a facade over the internal packages; see README.md for the full
-// system inventory and EXPERIMENTS.md for the paper-reproduction results.
+// the same protocol code also runs over TCP (see cmd/lds-node), and a
+// sharded multi-object front-end over many LDS groups lives in
+// internal/gateway (see cmd/lds-gateway). The exported surface below is a
+// facade over the internal packages; see README.md for the full system
+// inventory and EXPERIMENTS.md for the paper-reproduction results.
 package lds
 
 import (
