@@ -1,38 +1,34 @@
-// Command lds-bench regenerates the paper's evaluation artefacts (Section
-// V of Konwar et al., PODC 2017) against the live implementation and prints
-// measured-vs-paper tables. The rows it emits are the ones recorded in
-// EXPERIMENTS.md.
+// Command lds-bench runs the measurements beyond the paper that are not Go
+// benchmarks; hotpath, repair and multigateway also record theirs in
+// BENCH_<name>.json in the working directory. The paper's own tables
+// (Section V of Konwar et al., PODC 2017) are the root package's
+// benchmarks: `go test -run xxx -bench . .`.
 //
 //	lds-bench -exp all
-//	lds-bench -exp write-cost,read-cost
-//	lds-bench -exp fig6
+//	lds-bench -exp rebalance,repair
+//	lds-bench -exp hotpath -baseline BENCH_hotpath.baseline.json
 //
-// Experiments: write-cost, read-cost, storage, latency, offload, rebalance,
-// tcpgateway, hotpath, fig6, msr-ablation, abd, faults, repair,
-// multigateway, all.
+// Experiments: rebalance, hotpath, repair, multigateway, all.
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"github.com/lds-storage/lds/internal/experiments"
-	"github.com/lds-storage/lds/internal/history"
 	"github.com/lds-storage/lds/internal/lds"
-	"github.com/lds-storage/lds/internal/sim"
-	"github.com/lds-storage/lds/internal/transport"
-	"github.com/lds-storage/lds/internal/workload"
 )
 
-// geometries swept by the cost experiments: the paper's regime
+// geometries swept by the repair experiment: the paper's regime
 // k = Theta(n2), d = Theta(n2) at growing scale.
 var geometries = [][4]int{ // n1, n2, f1, f2
 	{6, 8, 1, 2},
@@ -43,24 +39,21 @@ var geometries = [][4]int{ // n1, n2, f1, f2
 
 const valueSize = 4096
 
-// baselineFlag, when set, makes the hotpath experiment compare its median
-// allocs/op over three runs against the named committed baseline and exit
-// non-zero on a >10% regression; the CI benchmark-regression job runs
-// `lds-bench -exp hotpath -baseline BENCH_hotpath.baseline.json`.
-var baselineFlag *string
+// modes are the experiments lds-bench runs, in the order it runs them.
+var modes = []string{"rebalance", "hotpath", "repair", "multigateway"}
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiments: write-cost,read-cost,storage,latency,offload,rebalance,tcpgateway,hotpath,fig6,msr-ablation,abd,faults,repair,multigateway,all")
-	baselineFlag = flag.String("baseline", "", "hotpath only: baseline JSON to guard the median allocs/op of three runs against (>10% over fails)")
+	expFlag := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(modes, ",")+",all")
+	baseline := flag.String("baseline", "", "hotpath only: baseline JSON to guard the median allocs/op of three runs against (>10% over fails)")
 	flag.Parse()
-
-	want := make(map[string]bool)
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(e)] = true
+	want, err := parseModes(*expFlag, *baseline)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lds-bench:", err)
+		os.Exit(2)
 	}
-	all := want["all"]
+
 	run := func(name string, fn func() error) {
-		if !all && !want[name] {
+		if !want[name] {
 			return
 		}
 		fmt.Printf("==== %s ====\n", name)
@@ -69,21 +62,32 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	run("write-cost", writeCost)
-	run("read-cost", readCost)
-	run("storage", storage)
-	run("latency", latency)
-	run("offload", offloadBatching)
 	run("rebalance", rebalance)
-	run("tcpgateway", tcpGateway)
-	run("hotpath", hotPath)
-	run("fig6", fig6)
-	run("msr-ablation", msrAblation)
-	run("abd", abdComparison)
-	run("faults", faults)
+	run("hotpath", func() error { return hotPath(*baseline) })
 	run("repair", repairBench)
 	run("multigateway", multiGateway)
+}
+
+// parseModes returns the set of experiments -exp names. An unknown name is
+// an error, and so is a -baseline that no hotpath run would check.
+func parseModes(exp, baseline string) (map[string]bool, error) {
+	want := make(map[string]bool)
+	for _, e := range strings.Split(exp, ",") {
+		switch e = strings.TrimSpace(e); {
+		case e == "all":
+			for _, m := range modes {
+				want[m] = true
+			}
+		case slices.Contains(modes, e):
+			want[e] = true
+		default:
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", e, strings.Join(modes, ", "))
+		}
+	}
+	if baseline != "" && !want["hotpath"] {
+		return nil, errors.New("-baseline guards the hotpath experiment, which -exp does not select")
+	}
+	return want, nil
 }
 
 // multiGateway compares aggregate throughput of one fleet member against
@@ -196,95 +200,6 @@ func params(g [4]int) lds.Params {
 	return p
 }
 
-func writeCost() error {
-	fmt.Println("Lemma V.2 (write cost), normalized by value size:")
-	fmt.Printf("  %-26s %12s %12s %10s\n", "geometry", "measured", "paper", "dev")
-	for _, g := range geometries {
-		p := params(g)
-		res, err := experiments.MeasureWriteCost(p, valueSize)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  n1=%-3d n2=%-3d k=%-3d d=%-4d %12.3f %12.3f %9.2f%%\n",
-			p.N1, p.N2, p.K, p.D, res.Measured, res.Paper, 100*res.Deviation())
-	}
-	return nil
-}
-
-func readCost() error {
-	fmt.Println("Lemma V.2 (read cost), normalized by value size:")
-	fmt.Printf("  %-26s %12s %12s %14s %16s\n", "geometry", "delta=0", "paper", "delta>0", "paper worst case")
-	for _, g := range geometries {
-		p := params(g)
-		q, err := experiments.MeasureReadCost(p, valueSize, false)
-		if err != nil {
-			return err
-		}
-		c, err := experiments.MeasureReadCost(p, valueSize, true)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  n1=%-3d n2=%-3d k=%-3d d=%-4d %12.3f %12.3f %14.3f %16.3f\n",
-			p.N1, p.N2, p.K, p.D, q.Measured, q.Paper, c.Measured, c.Paper)
-	}
-	fmt.Println("  (delta=0 stays ~constant as n1 grows: the Theta(1) headline;")
-	fmt.Println("   delta>0 grows with n1: the +n1*I(delta>0) term)")
-	return nil
-}
-
-func storage() error {
-	fmt.Println("Lemma V.3 (permanent storage per object), normalized by value size:")
-	fmt.Printf("  %-26s %10s %10s %13s %8s\n", "geometry", "measured", "paper", "replication", "MSR")
-	for _, g := range geometries {
-		p := params(g)
-		res, err := experiments.MeasureStorageCost(p, valueSize, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  n1=%-3d n2=%-3d k=%-3d d=%-4d %10.3f %10.3f %13.1f %8.3f\n",
-			p.N1, p.N2, p.K, p.D, res.Measured, res.Paper, res.Replicate, res.MSR)
-	}
-	return nil
-}
-
-func latency() error {
-	p := params(geometries[0])
-	// Link delays well above the simulator's per-hop timer slip (~1ms), so
-	// the measured numbers reflect protocol round trips, as in the paper's
-	// zero-computation-time model.
-	tau0, tau1, tau2 := 20*time.Millisecond, 20*time.Millisecond, 80*time.Millisecond
-	res, err := experiments.MeasureLatency(p, tau0, tau1, tau2, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Lemma V.4 (latency bounds) at tau0=%v tau1=%v tau2=%v:\n", tau0, tau1, tau2)
-	fmt.Printf("  %-16s %12s %12s\n", "operation", "measured", "paper bound")
-	fmt.Printf("  %-16s %12v %12v\n", "write", res.WriteMax.Round(100*time.Microsecond), res.WriteBound)
-	fmt.Printf("  %-16s %12v %12v\n", "extended write", res.ExtWriteMax.Round(100*time.Microsecond), res.ExtBound)
-	fmt.Printf("  %-16s %12v %12v\n", "read", res.ReadMax.Round(100*time.Microsecond), res.ReadBound)
-	return nil
-}
-
-func offloadBatching() error {
-	p := params(geometries[0])
-	// A long L1->L2 round trip against sub-millisecond writes: the burst
-	// regime where the batched pipeline coalesces the offload tail.
-	tau1, tau2 := 500*time.Microsecond, 40*time.Millisecond
-	res, err := experiments.MeasureOffloadBatching(p, 2048, 12, tau1, tau2)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Batched vs. unbatched L2 offload, %d writes at tau1=%v tau2=%v:\n",
-		res.Writes, tau1, tau2)
-	fmt.Printf("  %-28s %12s %12s\n", "metric (per write)", "unbatched", "batched")
-	fmt.Printf("  %-28s %12.1f %12.1f\n", "L1<->L2 messages", res.Unbatched.L1L2Messages, res.Batched.L1L2Messages)
-	fmt.Printf("  %-28s %12.2f %12.2f\n", "offload payload (units)", res.Unbatched.L1L2Payload, res.Batched.L1L2Payload)
-	fmt.Printf("  %-28s %12v %12v\n", "client write latency",
-		res.Unbatched.WriteMean.Round(100*time.Microsecond), res.Batched.WriteMean.Round(100*time.Microsecond))
-	fmt.Printf("  message reduction: %.1fx\n", res.MessageReduction())
-	return nil
-}
-
 func rebalance() error {
 	churn, err := experiments.MeasureRingChurn([]int{2, 4, 8, 16}, 10000)
 	if err != nil {
@@ -315,34 +230,6 @@ func rebalance() error {
 	return nil
 }
 
-func tcpGateway() error {
-	p := params([4]int{4, 5, 1, 1})
-	const (
-		valueSize    = 2048
-		keys         = 16
-		clients      = 8
-		opsPerClient = 100
-		nodes        = 3
-	)
-	res, err := experiments.MeasureTCPGateway(p, valueSize, keys, clients, opsPerClient, nodes)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Sim vs real-TCP shard groups behind one gateway (n1=%d n2=%d, %dB values,\n", p.N1, p.N2, valueSize)
-	fmt.Printf("%d keys, %d writer+%d reader clients x %d ops, %d node processes, loopback):\n",
-		keys, clients, clients, opsPerClient, nodes)
-	fmt.Printf("  %-10s %10s %12s %12s %12s %12s\n", "backend", "ops/s", "write mean", "write p99", "read mean", "read p99")
-	row := func(pr experiments.GatewayProfile) {
-		fmt.Printf("  %-10s %10.0f %12v %12v %12v %12v\n", pr.Backend, pr.OpsPerSec,
-			pr.Write.Mean.Round(time.Microsecond), pr.Write.P99.Round(time.Microsecond),
-			pr.Read.Mean.Round(time.Microsecond), pr.Read.P99.Round(time.Microsecond))
-	}
-	row(res.Sim)
-	row(res.TCP)
-	fmt.Printf("  tcp/sim ops/s ratio: %.2f\n", res.TCP.OpsPerSec/res.Sim.OpsPerSec)
-	return nil
-}
-
 // hotPath measures heap bytes and heap objects allocated per operation on
 // both gateway backends (process-wide, covering server actors and transport
 // goroutines, not just the client call stack) and records the rows in
@@ -350,7 +237,7 @@ func tcpGateway() error {
 // each backend's median allocs/op against BENCH_hotpath.baseline.json,
 // failing on a >10% regression: one run of unchanged code spreads by about
 // that much on tcp.
-func hotPath() error {
+func hotPath(baseline string) error {
 	p := params([4]int{4, 5, 1, 1})
 	const (
 		valueSize    = 4096
@@ -360,7 +247,7 @@ func hotPath() error {
 		nodes        = 3
 	)
 	runs := 1
-	if *baselineFlag != "" {
+	if baseline != "" {
 		runs = 3
 	}
 	fmt.Printf("Hot-path allocations per operation (n1=%d n2=%d, %dB values, %d keys,\n", p.N1, p.N2, valueSize, keys)
@@ -398,16 +285,16 @@ func hotPath() error {
 		return err
 	}
 	fmt.Println("  wrote BENCH_hotpath.json")
-	if *baselineFlag == "" {
+	if baseline == "" {
 		return nil
 	}
-	raw, err := os.ReadFile(*baselineFlag)
+	raw, err := os.ReadFile(baseline)
 	if err != nil {
 		return err
 	}
 	var base experiments.HotPathResult
 	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", *baselineFlag, err)
+		return fmt.Errorf("parse baseline %s: %w", baseline, err)
 	}
 	guard := func(name string, got, limit float64) error {
 		max := limit * 1.10
@@ -425,105 +312,4 @@ func hotPath() error {
 		return err
 	}
 	return guard("tcp", res.TCP.AllocsPerOp, base.TCP.AllocsPerOp)
-}
-
-func fig6() error {
-	fmt.Println("Fig. 6 analytic, paper parameters (n1=n2=100, k=d=80, mu=10, theta=100):")
-	fmt.Printf("  %10s %14s %14s\n", "N objects", "L1 bound", "L2 storage")
-	for _, pt := range experiments.Fig6Analytic(100, 100, 80, 100, 10,
-		[]int{1_000, 10_000, 100_000, 1_000_000}) {
-		fmt.Printf("  %10d %14.0f %14.0f\n", pt.Objects, pt.L1Bound, pt.L2)
-	}
-	fmt.Println()
-	cfg := experiments.DefaultFig6Config()
-	fmt.Printf("Fig. 6 live rerun (n1=n2=%d, k=d=%d, mu=%.0f, theta=%d):\n",
-		cfg.Params.N1, cfg.Params.K, cfg.Mu, cfg.Theta)
-	fmt.Printf("  %6s %10s %10s %12s %10s %8s\n", "N", "peak L1", "L1 bound", "settled L2", "paper L2", "writes")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	pts, err := experiments.MeasureFig6(ctx, cfg, []int{2, 4, 8, 16, 32})
-	if err != nil {
-		return err
-	}
-	for _, pt := range pts {
-		fmt.Printf("  %6d %10.1f %10.1f %12.1f %10.1f %8d\n",
-			pt.Objects, pt.PeakL1, pt.L1Bound, pt.SettledL2, pt.PaperL2, pt.Writes)
-	}
-	return nil
-}
-
-func msrAblation() error {
-	p, err := lds.NewParams(12, 12, 2, 2) // symmetric: k = d = 8
-	if err != nil {
-		return err
-	}
-	res, err := experiments.MeasureMSRAblation(p, valueSize)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Remarks 1+2 (MBR vs MSR point at d=k) on n1=n2=%d, k=d=%d:\n", p.N1, p.K)
-	fmt.Printf("  %-24s %12s %12s\n", "", "measured", "paper")
-	fmt.Printf("  %-24s %12.3f %12.3f\n", "MBR read cost (delta=0)", res.MBRReadCost, res.PaperMBR)
-	fmt.Printf("  %-24s %12.3f %12.3f\n", "MSR read cost (delta=0)", res.SubReadCost, res.PaperSub)
-	fmt.Printf("  %-24s %12.3f %12s\n", "MBR/MSR storage ratio", res.StorageRatio, "<= 2")
-	return nil
-}
-
-func abdComparison() error {
-	p := params(geometries[1])
-	res, err := experiments.MeasureABDComparison(p, valueSize)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("LDS vs ABD replication (n1=%d, n2=%d, k=%d, d=%d):\n", p.N1, p.N2, p.K, p.D)
-	fmt.Printf("  %-22s %10s %10s\n", "metric", "LDS", "ABD(n1)")
-	fmt.Printf("  %-22s %10.3f %10.3f\n", "write cost", res.LDSWriteCost, res.ABDWriteCost)
-	fmt.Printf("  %-22s %10.3f %10.3f\n", "read cost (delta=0)", res.LDSReadCost, res.ABDReadCost)
-	fmt.Printf("  %-22s %10.3f %10.3f\n", "storage per object", res.LDSStorage, res.ABDStorage)
-	return nil
-}
-
-func faults() error {
-	fmt.Println("Theorems IV.8/IV.9 (liveness + atomicity) with f1 + f2 crashes under chaos delays:")
-	p, err := lds.NewParams(5, 7, 2, 2)
-	if err != nil {
-		return err
-	}
-	cluster, err := sim.New(sim.Config{
-		Params:  p,
-		Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
-		Seed:    7,
-	})
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cluster.CrashL1(0)
-		cluster.CrashL1(3)
-		cluster.CrashL2(2)
-		cluster.CrashL2(5)
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	rep := workload.Run(ctx, cluster, workload.Mix{
-		Writers: 3, Readers: 3, OpsPerClient: 10,
-		Values: workload.NewValues(1, 256),
-	})
-	for _, err := range rep.Errors {
-		return fmt.Errorf("operation failed (liveness violated): %w", err)
-	}
-	violations := history.Verify(rep.History)
-	violations = append(violations, history.VerifyUniqueValues(rep.History, "")...)
-	fmt.Printf("  %d operations completed with %d/%d L1 and %d/%d L2 servers crashed\n",
-		len(rep.History), p.F1, p.N1, p.F2, p.N2)
-	fmt.Printf("  atomicity violations: %d\n", len(violations))
-	for _, v := range violations {
-		fmt.Printf("    %v\n", v)
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("atomicity violated")
-	}
-	return nil
 }

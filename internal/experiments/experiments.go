@@ -1,9 +1,10 @@
 // Package experiments implements the paper-reproduction harness: one
 // function per table, figure or remark of the paper's evaluation (Section
 // V), each returning the measured quantity next to the paper's closed-form
-// prediction. The root bench suite (bench_test.go) and the lds-bench
-// command are thin wrappers over this package; EXPERIMENTS.md records the
-// outputs.
+// prediction, plus the measurements beyond the paper (hot path, rebalance,
+// repair, multi-gateway). Each Measure function has one command: the root
+// bench suite (bench_test.go) runs the paper's, the lds-bench command the
+// others. EXPERIMENTS.md records the outputs.
 package experiments
 
 import (
@@ -26,6 +27,15 @@ const opTimeout = 60 * time.Second
 
 // idleTimeout bounds the post-operation drain.
 const idleTimeout = 60 * time.Second
+
+// quiescentRead is the link model of every quiescent LDS read. An L1
+// server forgets a reader on its put-tag, so a put-tag that overtakes the
+// server's regeneration from L2 cancels the coded element it would have
+// sent, and the read's bill falls short by alpha/B per such server. 5 ms
+// on the client links puts every put-tag 5 ms behind the last reply the
+// reader waited for, long after every server has regenerated (L1<->L2 is
+// instant), so each read pays the paper's full count.
+var quiescentRead = transport.LatencyModel{Tau1: 5 * time.Millisecond}
 
 // CommCostResult is a measured-vs-paper communication cost.
 type CommCostResult struct {
@@ -88,7 +98,7 @@ func MeasureWriteCost(p lds.Params, valueSize int) (CommCostResult, error) {
 // (large tau2), so servers answer with full values -- the +n1 case.
 func MeasureReadCost(p lds.Params, valueSize int, concurrent bool) (CommCostResult, error) {
 	acc := cost.NewAccountant()
-	latency := transport.LatencyModel{}
+	latency := quiescentRead
 	if concurrent {
 		// A visible concurrency window: the value must still be in L1
 		// while the read runs.
@@ -315,7 +325,7 @@ func MeasureMSRAblation(p lds.Params, valueSize int) (AblationResult, error) {
 
 	measure := func(code erasure.Regenerating) (readCost, storage float64, err error) {
 		acc := cost.NewAccountant()
-		cluster, err := sim.New(sim.Config{Params: p, Accountant: acc, Code: code})
+		cluster, err := sim.New(sim.Config{Params: p, Accountant: acc, Code: code, Latency: quiescentRead})
 		if err != nil {
 			return 0, 0, err
 		}

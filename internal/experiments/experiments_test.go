@@ -204,32 +204,55 @@ func TestMeasureFig6SmallScale(t *testing.T) {
 		t.Skip("live Fig. 6 rerun skipped in -short mode")
 	}
 	cfg := DefaultFig6Config()
-	cfg.Ticks = 6
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	pts, err := MeasureFig6(ctx, cfg, []int{2, 6})
+	// Settled L2 is exactly n2 coded elements per object, however many
+	// writes ran. MeasureFig6 itself fails unless L1 drained to 0.
+	code, err := cfg.Params.NewCode()
 	if err != nil {
-		t.Fatalf("MeasureFig6: %v", err)
+		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatal("wrong point count")
+	settledL2 := func(objects int) float64 {
+		return float64(objects*cfg.Params.N2*code.ShardSize(cfg.ValueSize)) / float64(cfg.ValueSize)
 	}
-	for _, pt := range pts {
-		if pt.SettledL2 <= 0 {
-			t.Errorf("N=%d: settled L2 = %.1f, want > 0", pt.Objects, pt.SettledL2)
+	t.Run("small_system", func(t *testing.T) {
+		pts, err := MeasureFig6(ctx, cfg, []int{2, 6})
+		if err != nil {
+			t.Fatalf("MeasureFig6: %v", err)
 		}
-		if pt.PeakL1 > pt.L1Bound {
-			t.Errorf("N=%d: peak L1 %.1f exceeds Lemma V.5 bound %.1f", pt.Objects, pt.PeakL1, pt.L1Bound)
+		if len(pts) != 2 {
+			t.Fatal("wrong point count")
 		}
-		// Settled L2 equals the paper line up to stripe padding.
-		if pt.SettledL2 < pt.PaperL2*0.99 || pt.SettledL2 > pt.PaperL2*1.5 {
-			t.Errorf("N=%d: settled L2 %.1f vs paper %.1f", pt.Objects, pt.SettledL2, pt.PaperL2)
+		for _, pt := range pts {
+			if pt.Writes == 0 || pt.PeakL1 <= 0 {
+				t.Errorf("N=%d: %d writes, peak L1 %.1f; the writes should occupy temporary storage", pt.Objects, pt.Writes, pt.PeakL1)
+			}
+			if pt.PeakL1 > pt.L1Bound {
+				t.Errorf("N=%d: peak L1 %.1f exceeds Lemma V.5 bound %.1f", pt.Objects, pt.PeakL1, pt.L1Bound)
+			}
+			if want := settledL2(pt.Objects); pt.SettledL2 != want {
+				t.Errorf("N=%d: settled L2 %.4f, want %.4f", pt.Objects, pt.SettledL2, want)
+			}
+			// Settled L2 equals the paper line up to stripe padding.
+			if pt.SettledL2 < pt.PaperL2*0.99 || pt.SettledL2 > pt.PaperL2*1.5 {
+				t.Errorf("N=%d: settled L2 %.1f vs paper %.1f", pt.Objects, pt.SettledL2, pt.PaperL2)
+			}
 		}
-	}
-	// Linear growth in N: tripling objects triples settled storage.
-	if ratio := pts[1].SettledL2 / pts[0].SettledL2; ratio < 2.5 || ratio > 3.5 {
-		t.Errorf("L2 growth ratio %.2f, want ~3 for 3x objects", ratio)
-	}
+	})
+
+	// theta = 0: no writes, nothing in L1, and L2 holds v0's elements.
+	t.Run("zero_theta", func(t *testing.T) {
+		cfg := cfg
+		cfg.Theta, cfg.Ticks = 0, 2
+		pts, err := MeasureFig6(ctx, cfg, []int{2})
+		if err != nil {
+			t.Fatalf("MeasureFig6 at theta 0: %v", err)
+		}
+		if pt := pts[0]; pt.Writes != 0 || pt.PeakL1 != 0 || pt.SettledL2 != settledL2(2) {
+			t.Errorf("theta 0: %d writes, peak L1 %.1f, settled L2 %.4f; want 0, 0, %.4f",
+				pt.Writes, pt.PeakL1, pt.SettledL2, settledL2(2))
+		}
+	})
 }
 
 func TestMeasureRingChurnNearIdeal(t *testing.T) {
@@ -267,26 +290,23 @@ func TestMeasureMigrationCompletes(t *testing.T) {
 	}
 }
 
-// TestMeasureTCPGatewaySmoke keeps the sim-vs-TCP comparison runnable:
-// tiny workload, but both backends complete and produce sane profiles.
-func TestMeasureTCPGatewaySmoke(t *testing.T) {
+// TestMeasureHotPathSmoke keeps the allocation guard's sim and tcp set-up
+// and the shared mixed load runnable at a tiny geometry.
+func TestMeasureHotPathSmoke(t *testing.T) {
 	p, err := lds.NewParams(3, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureTCPGateway(p, 256, 4, 2, 4, 2)
+	res, err := MeasureHotPath(p, 256, 4, 2, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pr := range []GatewayProfile{res.Sim, res.TCP} {
+	for _, pr := range []HotPathProfile{res.Sim, res.TCP} {
 		if pr.Ops != 2*2*4 {
 			t.Errorf("%s: %d ops, want %d", pr.Backend, pr.Ops, 16)
 		}
-		if pr.OpsPerSec <= 0 {
-			t.Errorf("%s: ops/s = %f", pr.Backend, pr.OpsPerSec)
-		}
-		if pr.Read.Mean <= 0 || pr.Write.Mean <= 0 {
-			t.Errorf("%s: empty latency profile", pr.Backend)
+		if pr.OpsPerSec <= 0 || pr.AllocsPerOp <= 0 {
+			t.Errorf("%s: ops/s = %f, allocs/op = %f", pr.Backend, pr.OpsPerSec, pr.AllocsPerOp)
 		}
 	}
 }

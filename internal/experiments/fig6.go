@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/lds-storage/lds/internal/cost"
+	"github.com/lds-storage/lds/internal/gateway"
 	"github.com/lds-storage/lds/internal/lds"
-	"github.com/lds-storage/lds/internal/multiobj"
 	"github.com/lds-storage/lds/internal/transport"
 )
 
@@ -72,45 +76,122 @@ func DefaultFig6Config() Fig6Config {
 	}
 }
 
-// MeasureFig6 reruns the figure's experiment live for each object count:
-// N independent LDS instances, theta concurrent writes per tau1, storage
-// sampled throughout.
+// MeasureFig6 reruns the figure's experiment live for each object count
+// N: N independent objects behind one gateway (one shard, hence one LDS
+// group, per object), theta writes to distinct objects fired every tau1,
+// storage sampled every tau1/2, then the settled storage once every
+// offload has landed.
 func MeasureFig6(ctx context.Context, cfg Fig6Config, objectCounts []int) ([]Fig6MeasuredPoint, error) {
 	var out []Fig6MeasuredPoint
 	for _, n := range objectCounts {
-		theta := cfg.Theta
-		if theta > n {
-			theta = n
-		}
-		system, err := multiobj.New(multiobj.Config{
-			Objects: n,
-			Params:  cfg.Params,
-			Latency: transport.LatencyModel{
-				Tau0: cfg.Tau1,
-				Tau1: cfg.Tau1,
-				Tau2: time.Duration(cfg.Mu * float64(cfg.Tau1)),
-			},
-			Theta:     theta,
-			Ticks:     cfg.Ticks,
-			ValueSize: cfg.ValueSize,
-			Seed:      cfg.Seed,
-		})
+		pt, err := measureFig6Point(ctx, cfg, n)
 		if err != nil {
 			return out, err
 		}
-		res, err := system.Run(ctx)
-		system.Close()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, Fig6MeasuredPoint{
-			Objects:   n,
-			PeakL1:    res.NormalizedPeakL1(),
-			SettledL2: res.NormalizedSettledL2(),
-			L1Bound:   cost.L1StorageBoundMultiObject(theta, cfg.Params.N1, cfg.Mu),
-			PaperL2:   cost.L2StorageMultiObject(n, cfg.Params.N2, cfg.Params.K),
-			Writes:    res.WriteCount,
-		})
+		out = append(out, pt)
 	}
 	return out, nil
+}
+
+func measureFig6Point(ctx context.Context, cfg Fig6Config, n int) (Fig6MeasuredPoint, error) {
+	theta := min(cfg.Theta, n)
+	gw, err := gateway.New(gateway.Config{
+		Shards: n,
+		Params: cfg.Params,
+		Latency: transport.LatencyModel{
+			Tau0: cfg.Tau1,
+			Tau1: cfg.Tau1,
+			Tau2: time.Duration(cfg.Mu * float64(cfg.Tau1)),
+		},
+		Seed: cfg.Seed,
+		// One writer per object is all the write load needs; the per-shard cap
+		// must admit every co-located object since keys hash freely.
+		PoolSize:       1,
+		MaxOpsPerShard: n,
+		// L2 holds v0's coded elements from the start, as the paper's
+		// system model assumes.
+		InitialValue: make([]byte, cfg.ValueSize),
+	})
+	if err != nil {
+		return Fig6MeasuredPoint{}, err
+	}
+	defer gw.Close()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("object-%d", i)
+	}
+	if err := gw.Ensure(ctx, keys...); err != nil {
+		return Fig6MeasuredPoint{}, err
+	}
+
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	value := make([]byte, cfg.ValueSize)
+	rng.Read(value)
+	var (
+		peakL1   int64
+		writes   atomic.Int64
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		// busy keeps the writers well-formed: a tick whose object
+		// still has its previous write in flight forfeits that slot,
+		// theta being an upper bound.
+		busy = make([]atomic.Bool, n)
+	)
+	ticker := time.NewTicker(cfg.Tau1 / 2)
+	defer ticker.Stop()
+	for half := 1; half <= 2*cfg.Ticks; half++ {
+		select {
+		case <-ticker.C:
+		case <-ctx.Done():
+			wg.Wait()
+			return Fig6MeasuredPoint{}, ctx.Err()
+		}
+		peakL1 = max(peakL1, gw.TemporaryBytes())
+		if half%2 == 0 {
+			continue
+		}
+		// Once per tau1: fire theta writes at distinct objects.
+		for _, obj := range rng.Perm(n)[:theta] {
+			if !busy[obj].CompareAndSwap(false, true) {
+				continue
+			}
+			wg.Add(1)
+			go func(obj int) {
+				defer wg.Done()
+				defer busy[obj].Store(false)
+				if _, err := gw.Put(ctx, keys[obj], value); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
+				}
+				writes.Add(1)
+			}(obj)
+		}
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return Fig6MeasuredPoint{}, firstErr
+	}
+
+	// Every write's asynchronous tail must finish, after which all
+	// temporary storage is garbage-collected.
+	if err := gw.WaitIdle(30 * time.Second); err != nil {
+		return Fig6MeasuredPoint{}, err
+	}
+	if tmp := gw.TemporaryBytes(); tmp != 0 {
+		return Fig6MeasuredPoint{}, fmt.Errorf("N=%d: temporary storage %d bytes after settling, want 0", n, tmp)
+	}
+	unit := float64(cfg.ValueSize)
+	return Fig6MeasuredPoint{
+		Objects:   n,
+		PeakL1:    float64(peakL1) / unit,
+		SettledL2: float64(gw.PermanentBytes()) / unit,
+		L1Bound:   cost.L1StorageBoundMultiObject(theta, cfg.Params.N1, cfg.Mu),
+		PaperL2:   cost.L2StorageMultiObject(n, cfg.Params.N2, cfg.Params.K),
+		Writes:    writes.Load(),
+	}, nil
 }

@@ -13,14 +13,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/lds-storage/lds/internal/gateway"
 	"github.com/lds-storage/lds/internal/lds"
-	"github.com/lds-storage/lds/internal/nodehost"
 )
 
 // HotPathProfile is one backend's allocation-per-operation measurement.
@@ -42,10 +39,11 @@ type HotPathResult struct {
 }
 
 // MeasureHotPath profiles allocations per operation on both gateway
-// backends: clients concurrent client pairs (one writing, one reading)
-// each drive opsPerClient operations of valueSize bytes over keys keys,
-// after an untimed warmup round that fills the client pools and buffer
-// pools the way a long-running process would.
+// backends, a sim gateway and a tcp gateway whose two shards run on nodes
+// loopback node hosts: clients concurrent client pairs (one writing, one
+// reading) each drive opsPerClient operations of valueSize bytes over keys
+// keys, after an untimed warmup round that fills the client pools and
+// buffer pools the way a long-running process would.
 func MeasureHotPath(p lds.Params, valueSize, keys, clients, opsPerClient, nodes int) (*HotPathResult, error) {
 	res := &HotPathResult{ValueSize: valueSize, Keys: keys, Clients: clients}
 
@@ -61,23 +59,13 @@ func MeasureHotPath(p lds.Params, valueSize, keys, clients, opsPerClient, nodes 
 		return nil, err
 	}
 
-	hosts := make([]*nodehost.Host, nodes)
-	specs := make([]gateway.NodeSpec, nodes)
-	for i := range hosts {
-		h, err := nodehost.New("127.0.0.1:0", int32(i+1), nodehost.Options{})
-		if err != nil {
-			return nil, err
-		}
-		defer h.Close()
-		hosts[i] = h
-		specs[i] = gateway.NodeSpec{ID: h.NodeID(), Addr: h.Addr()}
+	hosts, err := startNodes(nodes)
+	if err != nil {
+		return nil, err
 	}
+	defer hosts.close()
 	tcpGW, err := gateway.New(gateway.Config{
-		Params: p, PoolSize: clients,
-		Topology: &gateway.Topology{Shards: []gateway.ShardSpec{
-			{Backend: gateway.BackendTCP, Nodes: specs},
-			{Backend: gateway.BackendTCP, Nodes: specs},
-		}},
+		Params: p, PoolSize: clients, Topology: hosts.shards(2),
 	})
 	if err != nil {
 		return nil, err
@@ -93,15 +81,9 @@ func MeasureHotPath(p lds.Params, valueSize, keys, clients, opsPerClient, nodes 
 func profileHotPath(backend string, gw *gateway.Gateway, valueSize, keys, clients, opsPerClient int) (HotPathProfile, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	keyName := func(i int) string { return fmt.Sprintf("hot-%d", i) }
-	for i := 0; i < keys; i++ {
-		if err := gw.Ensure(ctx, keyName(i)); err != nil {
-			return HotPathProfile{}, err
-		}
-	}
-	value := make([]byte, valueSize)
-	for i := range value {
-		value[i] = byte(i)
+	load, err := newMixedLoad(ctx, []*gateway.Gateway{gw}, valueSize, keys, clients)
+	if err != nil {
+		return HotPathProfile{}, err
 	}
 
 	// Warmup: fill the per-shard client pools and every sync.Pool on the
@@ -111,7 +93,7 @@ func profileHotPath(backend string, gw *gateway.Gateway, valueSize, keys, client
 	if warmup < gw.Shards()*2 {
 		warmup = gw.Shards() * 2
 	}
-	if err := driveMixed(ctx, gw, keyName, value, keys, clients, warmup); err != nil {
+	if _, err := load.run(ctx, backend, warmup); err != nil {
 		return HotPathProfile{}, err
 	}
 
@@ -121,60 +103,17 @@ func profileHotPath(backend string, gw *gateway.Gateway, valueSize, keys, client
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
-	if err := driveMixed(ctx, gw, keyName, value, keys, clients, opsPerClient); err != nil {
+	run, err := load.run(ctx, backend, opsPerClient)
+	if err != nil {
 		return HotPathProfile{}, err
 	}
-	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	ops := 2 * clients * opsPerClient
 	return HotPathProfile{
 		Backend:     backend,
-		Ops:         ops,
-		OpsPerSec:   float64(ops) / elapsed.Seconds(),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ops),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(ops),
+		Ops:         run.Ops,
+		OpsPerSec:   run.OpsPerSec,
+		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(run.Ops),
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(run.Ops),
 	}, nil
-}
-
-// driveMixed runs the mixed workload: per client pair, one goroutine
-// writes and one reads, opsPerClient operations each, striding the
-// keyspace.
-func driveMixed(ctx context.Context, gw *gateway.Gateway, keyName func(int) string, value []byte, keys, clients, opsPerClient int) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for c := 0; c < clients; c++ {
-		wg.Add(2)
-		go func(c int) {
-			defer wg.Done()
-			for op := 0; op < opsPerClient; op++ {
-				if _, err := gw.Put(ctx, keyName((c*opsPerClient+op)%keys), value); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(c)
-		go func(c int) {
-			defer wg.Done()
-			for op := 0; op < opsPerClient; op++ {
-				if _, _, err := gw.Get(ctx, keyName((c*opsPerClient+op)%keys)); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	return firstErr
 }

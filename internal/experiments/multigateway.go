@@ -16,13 +16,11 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"github.com/lds-storage/lds/internal/catalog"
 	"github.com/lds-storage/lds/internal/gateway"
 	"github.com/lds-storage/lds/internal/lds"
-	"github.com/lds-storage/lds/internal/nodehost"
 )
 
 // MultiGatewayResult compares aggregate throughput through one fleet
@@ -51,39 +49,35 @@ func (r *MultiGatewayResult) Speedup() float64 {
 // lease store, renew loop — so member count is the only variable.
 func MeasureMultiGateway(p lds.Params, valueSize, keys, clients, opsPerClient, nodes int) (*MultiGatewayResult, error) {
 	res := &MultiGatewayResult{Keys: keys, Clients: clients}
-
-	hosts := make([]*nodehost.Host, nodes)
-	specs := make([]gateway.NodeSpec, nodes)
-	for i := range hosts {
-		h, err := nodehost.New("127.0.0.1:0", int32(i+1), nodehost.Options{})
-		if err != nil {
-			return nil, err
-		}
-		defer h.Close()
-		hosts[i] = h
-		specs[i] = gateway.NodeSpec{ID: h.NodeID(), Addr: h.Addr()}
-	}
-
-	single, err := startFleet(specs, p, clients, 1)
+	hosts, err := startNodes(nodes)
 	if err != nil {
 		return nil, err
 	}
-	res.Single, err = profileFleet("fleet-1", single, valueSize, keys, clients, opsPerClient)
-	single.close()
-	if err != nil {
+	defer hosts.close()
+	if res.Single, err = profileFleet(hosts, p, 1, valueSize, keys, clients, opsPerClient); err != nil {
 		return nil, err
 	}
-
-	dual, err := startFleet(specs, p, clients, 2)
-	if err != nil {
-		return nil, err
-	}
-	res.Dual, err = profileFleet("fleet-2", dual, valueSize, keys, clients, opsPerClient)
-	dual.close()
-	if err != nil {
+	if res.Dual, err = profileFleet(hosts, p, 2, valueSize, keys, clients, opsPerClient); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// profileFleet boots a fleet of members gateways over hosts, drives the
+// mixed load through it and tears it down again.
+func profileFleet(hosts nodeHosts, p lds.Params, members, valueSize, keys, clients, opsPerClient int) (GatewayProfile, error) {
+	f, err := startFleet(hosts, p, clients, members)
+	if err != nil {
+		return GatewayProfile{}, err
+	}
+	defer f.close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	load, err := newMixedLoad(ctx, f.gws, valueSize, keys, clients)
+	if err != nil {
+		return GatewayProfile{}, err
+	}
+	return load.run(ctx, fmt.Sprintf("fleet-%d", members), opsPerClient)
 }
 
 // benchFleet is a booted fleet of gateways plus the resources they stand
@@ -109,7 +103,7 @@ func (f *benchFleet) close() {
 // startFleet boots members gateways (ids 1..members) over the given node
 // fleet with a fresh shared lease store, and waits until every shard
 // lease is held — the steady state the measurement should see.
-func startFleet(specs []gateway.NodeSpec, p lds.Params, clients, members int) (*benchFleet, error) {
+func startFleet(hosts nodeHosts, p lds.Params, clients, members int) (*benchFleet, error) {
 	f := &benchFleet{}
 	tmp := func(pattern string) (string, error) {
 		d, err := os.MkdirTemp("", pattern)
@@ -156,11 +150,7 @@ func startFleet(specs []gateway.NodeSpec, p lds.Params, clients, members int) (*
 			}
 		}
 		g, err := gateway.New(gateway.Config{
-			Params: p, PoolSize: clients, Catalog: cat,
-			Topology: &gateway.Topology{Shards: []gateway.ShardSpec{
-				{Backend: gateway.BackendTCP, Nodes: specs},
-				{Backend: gateway.BackendTCP, Nodes: specs},
-			}},
+			Params: p, PoolSize: clients, Catalog: cat, Topology: hosts.shards(2),
 			Fleet: &gateway.FleetConfig{
 				ID: id, Peers: peers, LeaseTTL: 30 * time.Second,
 				Store: store, PeerCatalog: peerCatalog,
@@ -207,96 +197,4 @@ func startFleet(specs []gateway.NodeSpec, p lds.Params, clients, members int) (*
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// profileFleet drives the workload with clients client pairs rotating
-// over the fleet's members (client c uses member c mod len) and returns
-// the aggregate profile.
-func profileFleet(backend string, f *benchFleet, valueSize, keys, clients, opsPerClient int) (GatewayProfile, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	keyName := func(i int) string { return fmt.Sprintf("bench-%d", i) }
-	// Pre-create every key's group through its owning member (Ensure is
-	// owner-gated), so group provisioning stays out of the measurement.
-	for i := 0; i < keys; i++ {
-		var err error
-		for _, g := range f.gws {
-			if err = g.Ensure(ctx, keyName(i)); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			return GatewayProfile{}, fmt.Errorf("ensure %s: %w", keyName(i), err)
-		}
-	}
-	value := make([]byte, valueSize)
-	for i := range value {
-		value[i] = byte(i)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		reads    []time.Duration
-		writes   []time.Duration
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		gw := f.gws[c%len(f.gws)]
-		wg.Add(2)
-		go func(c int, gw *gateway.Gateway) {
-			defer wg.Done()
-			samples := make([]time.Duration, 0, opsPerClient)
-			for op := 0; op < opsPerClient; op++ {
-				key := keyName((c*opsPerClient + op) % keys)
-				t0 := time.Now()
-				if _, err := gw.Put(ctx, key, value); err != nil {
-					fail(err)
-					return
-				}
-				samples = append(samples, time.Since(t0))
-			}
-			mu.Lock()
-			writes = append(writes, samples...)
-			mu.Unlock()
-		}(c, gw)
-		go func(c int, gw *gateway.Gateway) {
-			defer wg.Done()
-			samples := make([]time.Duration, 0, opsPerClient)
-			for op := 0; op < opsPerClient; op++ {
-				key := keyName((c*opsPerClient + op) % keys)
-				t0 := time.Now()
-				if _, _, err := gw.Get(ctx, key); err != nil {
-					fail(err)
-					return
-				}
-				samples = append(samples, time.Since(t0))
-			}
-			mu.Lock()
-			reads = append(reads, samples...)
-			mu.Unlock()
-		}(c, gw)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return GatewayProfile{}, firstErr
-	}
-	ops := len(reads) + len(writes)
-	return GatewayProfile{
-		Backend:   backend,
-		Ops:       ops,
-		Elapsed:   elapsed,
-		OpsPerSec: float64(ops) / elapsed.Seconds(),
-		Read:      profile(reads),
-		Write:     profile(writes),
-	}, nil
 }

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/lds-storage/lds/internal/gateway"
@@ -117,83 +116,41 @@ func MeasureMigration(p lds.Params, valueSize, opsPerPhase, migrations int) (Mig
 	ctx, cancel := context.WithTimeout(context.Background(), 2*opTimeout)
 	defer cancel()
 
-	const key = "migration-probe"
-	value := make([]byte, valueSize)
-	if _, err := gw.Put(ctx, key, value); err != nil {
-		return MigrationResult{}, err
-	}
-
-	// runPhase drives opsPerPhase reads and writes (one client of each
-	// kind) and returns their latency samples; a non-nil during runs on
-	// the driving goroutine and its error fails the phase.
-	runPhase := func(during func() error) (reads, writes []time.Duration, err error) {
-		var (
-			wg       sync.WaitGroup
-			firstErr error
-			mu       sync.Mutex
-		)
-		fail := func(e error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = e
-			}
-			mu.Unlock()
-		}
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < opsPerPhase; i++ {
-				start := time.Now()
-				if _, err := gw.Put(ctx, key, value); err != nil {
-					fail(err)
-					return
-				}
-				writes = append(writes, time.Since(start))
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < opsPerPhase; i++ {
-				start := time.Now()
-				if _, _, err := gw.Get(ctx, key); err != nil {
-					fail(err)
-					return
-				}
-				reads = append(reads, time.Since(start))
-			}
-		}()
-		if during != nil {
-			if e := during(); e != nil {
-				fail(e)
-			}
-		}
-		wg.Wait()
-		return reads, writes, firstErr
-	}
-
-	baseReads, baseWrites, err := runPhase(nil)
+	// One key, one client pair: every operation is on the migrating key.
+	load, err := newMixedLoad(ctx, []*gateway.Gateway{gw}, valueSize, 1, 1)
 	if err != nil {
 		return MigrationResult{}, err
 	}
+	base, err := load.run(ctx, gateway.BackendSim, opsPerPhase)
+	if err != nil {
+		return MigrationResult{}, err
+	}
+	key := loadKey(0)
 	performed := 0
-	migReads, migWrites, err := runPhase(func() error {
+	migrated := make(chan error, 1)
+	go func() {
 		for m := 0; m < migrations; m++ {
 			to := (gw.ShardFor(key) + 1) % gw.Shards()
 			if err := gw.MigrateKey(ctx, key, to); err != nil {
-				return fmt.Errorf("migration %d: %w", m, err)
+				migrated <- fmt.Errorf("migration %d: %w", m, err)
+				return
 			}
 			performed++
 		}
-		return nil
-	})
+		migrated <- nil
+	}()
+	during, err := load.run(ctx, gateway.BackendSim, opsPerPhase)
+	if merr := <-migrated; err == nil {
+		err = merr
+	}
 	if err != nil {
 		return MigrationResult{}, err
 	}
 	return MigrationResult{
 		Migrations:    performed,
-		BaselineRead:  profile(baseReads),
-		BaselineWrite: profile(baseWrites),
-		DuringRead:    profile(migReads),
-		DuringWrite:   profile(migWrites),
+		BaselineRead:  base.Read,
+		BaselineWrite: base.Write,
+		DuringRead:    during.Read,
+		DuringWrite:   during.Write,
 	}, nil
 }

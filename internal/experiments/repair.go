@@ -21,7 +21,6 @@ import (
 	"github.com/lds-storage/lds/internal/erasure"
 	"github.com/lds-storage/lds/internal/gateway"
 	"github.com/lds-storage/lds/internal/lds"
-	"github.com/lds-storage/lds/internal/nodehost"
 )
 
 // RepairPoint is one geometry's repair-bandwidth comparison for a single
@@ -141,24 +140,16 @@ func (r RepairLiveResult) Savings() float64 {
 func MeasureRepairLive(p lds.Params, valueSize, keys, corrupt, nodes int) (RepairLiveResult, error) {
 	out := RepairLiveResult{Params: p, ValueSize: valueSize}
 	run := func(forceNaive bool) (int64, int, error) {
-		hosts := make([]*nodehost.Host, nodes)
-		specs := make([]gateway.NodeSpec, nodes)
-		for i := range hosts {
-			h, err := nodehost.New("127.0.0.1:0", int32(i+1), nodehost.Options{})
-			if err != nil {
-				return 0, 0, err
-			}
-			defer h.Close()
-			hosts[i] = h
-			specs[i] = gateway.NodeSpec{ID: h.NodeID(), Addr: h.Addr()}
+		hosts, err := startNodes(nodes)
+		if err != nil {
+			return 0, 0, err
 		}
+		defer hosts.close()
 		gw, err := gateway.New(gateway.Config{
 			Params:   p,
 			PoolSize: 2,
 			Repair:   &gateway.RepairOptions{ForceNaive: forceNaive},
-			Topology: &gateway.Topology{
-				Shards: []gateway.ShardSpec{{Backend: gateway.BackendTCP, Nodes: specs}},
-			},
+			Topology: hosts.shards(1),
 		})
 		if err != nil {
 			return 0, 0, err

@@ -11,18 +11,29 @@ import (
 	"github.com/lds-storage/lds/internal/transport"
 )
 
+// crashed names the L1 and L2 servers a workload crashes before its first
+// operation.
+type crashed struct{ l1, l2 []int }
+
 // runAtomicityWorkload drives concurrent writers and readers against a
 // cluster, recording every completed operation, and checks the history
 // against the paper's atomicity conditions (Theorem IV.9) plus the
-// value-based cross-check. Crashes at seeded steps are the lds package's
-// step tests (TestAtomicityWithCrashes).
-func runAtomicityWorkload(t *testing.T, cfg Config, writers, readers, opsPerClient int) {
+// value-based cross-check; every operation must complete (Theorem IV.8).
+// Crashes at seeded steps are the lds package's step tests
+// (TestAtomicityWithCrashes).
+func runAtomicityWorkload(t *testing.T, cfg Config, down crashed, writers, readers, opsPerClient int) {
 	t.Helper()
 	cluster, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer cluster.Close()
+	for _, i := range down.l1 {
+		cluster.CrashL1(i)
+	}
+	for _, i := range down.l2 {
+		cluster.CrashL2(i)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -98,7 +109,7 @@ func runAtomicityWorkload(t *testing.T, cfg Config, writers, readers, opsPerClie
 func TestAtomicityQuiescentNetwork(t *testing.T) {
 	runAtomicityWorkload(t, Config{
 		Params: MustParams(4, 5, 1, 1),
-	}, 2, 2, 10)
+	}, crashed{}, 2, 2, 10)
 }
 
 func TestAtomicityChaosNetwork(t *testing.T) {
@@ -106,7 +117,7 @@ func TestAtomicityChaosNetwork(t *testing.T) {
 		Params:  MustParams(4, 5, 1, 1),
 		Latency: transport.LatencyModel{ChaosMax: 2 * time.Millisecond},
 		Seed:    1,
-	}, 3, 3, 8)
+	}, crashed{}, 3, 3, 8)
 }
 
 func TestAtomicityChaosManySeeds(t *testing.T) {
@@ -121,7 +132,7 @@ func TestAtomicityChaosManySeeds(t *testing.T) {
 				Params:  MustParams(4, 5, 1, 1),
 				Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
 				Seed:    seed,
-			}, 2, 3, 6)
+			}, crashed{}, 2, 3, 6)
 		})
 	}
 }
@@ -134,7 +145,7 @@ func TestAtomicityLargerCluster(t *testing.T) {
 		Params:  MustParams(10, 12, 3, 3), // k=4, d=6
 		Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
 		Seed:    4,
-	}, 3, 3, 5)
+	}, crashed{}, 3, 3, 5)
 }
 
 func TestAtomicityManyWritersOneReader(t *testing.T) {
@@ -142,7 +153,7 @@ func TestAtomicityManyWritersOneReader(t *testing.T) {
 		Params:  MustParams(4, 5, 1, 1),
 		Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
 		Seed:    6,
-	}, 5, 1, 6)
+	}, crashed{}, 5, 1, 6)
 }
 
 func TestAtomicityBoundedJitterNetwork(t *testing.T) {
@@ -155,5 +166,15 @@ func TestAtomicityBoundedJitterNetwork(t *testing.T) {
 			Jitter: 0.8,
 		},
 		Seed: 8,
-	}, 2, 2, 6)
+	}, crashed{}, 2, 2, 6)
+}
+
+// TestAtomicityF1F2Crashes runs the workload with the whole crash budget
+// spent: f1 L1 and f2 L2 servers down under chaos delays.
+func TestAtomicityF1F2Crashes(t *testing.T) {
+	runAtomicityWorkload(t, Config{
+		Params:  MustParams(5, 7, 2, 2),
+		Latency: transport.LatencyModel{ChaosMax: time.Millisecond},
+		Seed:    7,
+	}, crashed{l1: []int{0, 3}, l2: []int{2, 5}}, 3, 3, 10)
 }
