@@ -4,23 +4,21 @@
 //
 // Usage:
 //
-//	lds-lint [-analyzers retention,locksend,...] [-json] [-github] [-strict] [packages]
+//	lds-lint [-analyzers locksend,...] [-list] [-github] [-strict] [-timings] [packages]
 //
 // With no package arguments it analyzes ./... relative to the current
 // directory. Diagnostics print one per line as file:line:col: analyzer:
-// message, the format editors understand; -json emits a machine-readable
-// report instead, and -github additionally emits ::error workflow
-// annotations so findings surface inline on pull requests.
+// message, the format editors understand; -github additionally emits
+// ::error workflow annotations so findings surface inline on pull
+// requests.
 //
-// `//lds:ignore <analyzer> <reason>` comments suppress individual
-// findings; every suppression is counted in the run summary, and a bare
-// or unused ignore is itself a finding. Packages the loader cannot
-// analyze are reported as warnings — or, under -strict (CI), as a hard
-// error — so the lint job cannot go green by analyzing nothing.
+// There is no suppression comment: a finding is fixed, or the analyzer
+// is changed. Packages the loader cannot analyze are reported as
+// warnings — or, under -strict (CI), as a hard error — so the lint job
+// cannot go green by analyzing nothing.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,43 +29,6 @@ import (
 	"github.com/lds-storage/lds/internal/analysis"
 	"github.com/lds-storage/lds/internal/analysis/lint"
 )
-
-// report is the -json output shape. Field names are stable; CI tooling
-// parses this.
-type report struct {
-	Diagnostics []jsonDiag       `json:"diagnostics"`
-	Suppressed  []jsonSuppressed `json:"suppressed"`
-	Skipped     []lint.Skip      `json:"skipped"`
-	Timings     []jsonTiming     `json:"timings"`
-}
-
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-type jsonSuppressed struct {
-	jsonDiag
-	Reason string `json:"reason"`
-}
-
-type jsonTiming struct {
-	Analyzer string  `json:"analyzer"`
-	Millis   float64 `json:"millis"`
-}
-
-func toJSONDiag(d lint.Diagnostic) jsonDiag {
-	return jsonDiag{
-		File:     d.Pos.Filename,
-		Line:     d.Pos.Line,
-		Column:   d.Pos.Column,
-		Analyzer: d.Analyzer,
-		Message:  d.Message,
-	}
-}
 
 // githubEscape escapes a message for a workflow command value.
 func githubEscape(s string) string {
@@ -96,13 +57,12 @@ func main() {
 	var (
 		only    = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 		list    = flag.Bool("list", false, "list the available analyzers and exit")
-		asJSON  = flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
 		github  = flag.Bool("github", false, "emit GitHub Actions ::error annotations for findings")
 		strict  = flag.Bool("strict", false, "treat skipped (unanalyzable) packages as errors, not warnings")
 		timings = flag.Bool("timings", false, "print per-analyzer wall time in the run summary")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lds-lint [-analyzers a,b] [-list] [-json] [-github] [-strict] [-timings] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: lds-lint [-analyzers a,b] [-list] [-github] [-strict] [-timings] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the lds invariant analyzers over the given packages (default ./...).\n\n")
 		flag.PrintDefaults()
 	}
@@ -143,43 +103,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lds-lint: no analyzable packages matched (of %d skipped)\n", len(skips))
 		os.Exit(2)
 	}
-	raw, stats, err := lint.RunWithStats(pkgs, analyzers)
+	diags, stats, err := lint.RunWithStats(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lds-lint: %v\n", err)
 		os.Exit(2)
 	}
-	diags, suppressed, extra := lint.Suppress(pkgs, raw)
-	diags = append(diags, extra...)
-
-	if *asJSON {
-		rep := report{
-			Diagnostics: []jsonDiag{},
-			Suppressed:  []jsonSuppressed{},
-			Skipped:     skips,
-			Timings:     []jsonTiming{},
-		}
-		for _, d := range diags {
-			rep.Diagnostics = append(rep.Diagnostics, toJSONDiag(d))
-		}
-		for _, s := range suppressed {
-			rep.Suppressed = append(rep.Suppressed, jsonSuppressed{jsonDiag: toJSONDiag(s.Diag), Reason: s.Reason})
-		}
-		for _, name := range stats.Order {
-			rep.Timings = append(rep.Timings, jsonTiming{
-				Analyzer: name,
-				Millis:   float64(stats.PerAnalyzer[name]) / float64(time.Millisecond),
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "lds-lint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if *github {
 		for _, d := range diags {
@@ -192,14 +122,9 @@ func main() {
 		}
 	}
 
-	// Run summary on stderr: what ran, what was silenced, what was not
-	// analyzed at all.
-	fmt.Fprintf(os.Stderr, "lds-lint: %d package(s), %d analyzer(s), %d finding(s), %d suppression(s), %d skipped\n",
-		len(pkgs), len(analyzers), len(diags), len(suppressed), len(skips))
-	for _, s := range suppressed {
-		fmt.Fprintf(os.Stderr, "lds-lint: suppressed %s: %s: %s (reason: %s)\n",
-			s.Diag.Pos, s.Diag.Analyzer, s.Diag.Message, s.Reason)
-	}
+	// Run summary on stderr: what ran, and what was not analyzed at all.
+	fmt.Fprintf(os.Stderr, "lds-lint: %d package(s), %d analyzer(s), %d finding(s), %d skipped\n",
+		len(pkgs), len(analyzers), len(diags), len(skips))
 	for _, s := range skips {
 		fmt.Fprintf(os.Stderr, "lds-lint: warning: skipped %s: %s\n", s.Path, s.Reason)
 	}

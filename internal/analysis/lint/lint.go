@@ -12,9 +12,6 @@
 // package set (Pass.AllPkgs): interprocedural analyzers build
 // cross-package function summaries from it through
 // internal/analysis/dataflow instead of stopping at call boundaries.
-// Suppression comments (`//lds:ignore <analyzer> <reason>`, suppress.go)
-// are applied by the driver, not the fixture runner, so fixtures always
-// see the raw diagnostics.
 package lint
 
 import (
@@ -150,31 +147,6 @@ func PathHasSuffix(pkgPath, suffix string) bool {
 		return true
 	}
 	return strings.HasSuffix(pkgPath, "/"+suffix)
-}
-
-// IsPkgFunc reports whether the called function object is the named
-// package-level function of a package whose path ends in pkgSuffix.
-func IsPkgFunc(obj types.Object, pkgSuffix, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Name() != name {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return PathHasSuffix(fn.Pkg().Path(), pkgSuffix)
-}
-
-// IsBuiltinAppend reports whether call invokes the built-in append.
-// Builtins resolve through info.Uses like any identifier, to a
-// *types.Builtin object rather than a *types.Func.
-func IsBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
 }
 
 // CalleeOf resolves the object a call expression invokes, or nil for

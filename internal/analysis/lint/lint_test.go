@@ -24,7 +24,7 @@ func TestLoadRealPackage(t *testing.T) {
 	if !PathHasSuffix(pkg.Types.Path(), "internal/wire") {
 		t.Fatalf("loaded package path %q, want suffix internal/wire", pkg.Types.Path())
 	}
-	for _, name := range []string{"DecodeAlias", "AliasFields"} {
+	for _, name := range []string{"DecodeAlias", "DecodeEnvelopeAlias"} {
 		if pkg.Types.Scope().Lookup(name) == nil {
 			t.Errorf("loaded wire package does not declare %s", name)
 		}

@@ -9,18 +9,14 @@ import (
 	"github.com/lds-storage/lds/internal/analysis/leasefence"
 	"github.com/lds-storage/lds/internal/analysis/lint"
 	"github.com/lds-storage/lds/internal/analysis/locksend"
-	"github.com/lds-storage/lds/internal/analysis/retention"
 	"github.com/lds-storage/lds/internal/analysis/syncpublish"
-	"github.com/lds-storage/lds/internal/analysis/walorder"
 )
 
 // All returns every lds-lint analyzer, in the order cmd/lds-lint runs
 // them.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		retention.Analyzer,
 		locksend.Analyzer,
-		walorder.Analyzer,
 		leasefence.Analyzer,
 		syncpublish.Analyzer,
 		goexit.Analyzer,

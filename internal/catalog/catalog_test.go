@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"syscall"
 	"testing"
 
 	"github.com/lds-storage/lds/internal/tag"
@@ -284,6 +286,59 @@ func TestCompactionBoundsWAL(t *testing.T) {
 	}
 	if info.Size() > 1<<16 {
 		t.Errorf("wal is %d bytes after compaction, want small", info.Size())
+	}
+}
+
+// TestFailedSyncAppliesNothing pins Append's write-ahead order: state
+// changes only after the WAL fsync, so a reader never observes a record a
+// crash can still lose. The WAL is swapped for a pipe, which takes the
+// write but fails Sync and the rollback Truncate with EINVAL: the state
+// must stay as it was, the file must refuse later appends (its WAL tail is
+// unknown), and a reopen must replay only the durable records.
+func TestFailedSyncAppliesNothing(t *testing.T) {
+	dir := t.TempDir()
+	f, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Append(Record{Type: TypeNSAlloc, NS: 0}, Record{Type: TypeObjectSet, Key: "durable", NS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	before := f.State()
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	wal := f.wal
+	f.wal = w
+	err = f.Append(Record{Type: TypeNSAlloc, NS: 1}, Record{Type: TypeObjectSet, Key: "lost", NS: 1})
+	if !errors.Is(err, syscall.EINVAL) {
+		t.Fatalf("Append on a pipe = %v, want the fsync's EINVAL", err)
+	}
+	if got := f.State(); !reflect.DeepEqual(got, before) {
+		t.Errorf("state after a failed fsync = %+v, want unchanged %+v", got, before)
+	}
+	if err := f.Append(Record{Type: TypePlace, Key: "durable", Shard: 1}); err == nil {
+		t.Error("Append after an unrolled failure succeeded, want it refused")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+
+	g, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	st := g.State()
+	if _, ok := st.Objects["durable"]; !ok {
+		t.Error("reopen lost the durable record")
+	}
+	if _, ok := st.Objects["lost"]; ok || st.NextNS != 1 {
+		t.Errorf("reopen replayed the failed append: objects %v, next ns %d", st.Objects, st.NextNS)
 	}
 }
 

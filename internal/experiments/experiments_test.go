@@ -133,7 +133,7 @@ func TestMeasureMSRAblationShowsRemarks1And2(t *testing.T) {
 
 func TestMeasureOffloadBatchingReducesL1L2Messages(t *testing.T) {
 	// An 80ms offload round trip against ~7ms writes: several commits land
-	// during every round, overflowing the BatchCap retention, so the
+	// during every round, overflowing lds.OffloadBatchCap, so the
 	// batched pipeline must both coalesce messages and supersede tags
 	// outright. The settled L2 state is identical either way (checked by
 	// the lds-level equivalence test).

@@ -32,11 +32,11 @@ type ChurnResult struct {
 func MeasureRingChurn(shardCounts []int, sampleKeys int) ([]ChurnResult, error) {
 	out := make([]ChurnResult, 0, len(shardCounts))
 	for _, s := range shardCounts {
-		a, err := gateway.NewRing(s, 0)
+		a, err := gateway.NewRing(s)
 		if err != nil {
 			return nil, err
 		}
-		b, err := gateway.NewRing(s+1, 0)
+		b, err := gateway.NewRing(s + 1)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,7 @@ package gateway
 //
 // The durability contract has one strict rule and one reconciliation rule.
 // Strict: a remote group's incarnation (generation) is persisted before
-// any node can learn it (write-ahead in remoteManager.serveGroup), so a
+// any node can learn it (write-ahead in remoteManager.mint), so a
 // restarted gateway can never re-issue a generation some node already
 // holds for different state — the property that makes the re-adoption
 // handshake safe. Reconciliation: every other record describes an
@@ -100,6 +100,12 @@ func (g *Gateway) logRecord(recs ...catalog.Record) error {
 	}
 	return err
 }
+
+// restoreTimeout bounds the whole re-adoption handshake New runs when the
+// catalog holds live remote groups. Nodes that stay silent are skipped
+// (their groups keep serving on the surviving quorum) and reported via
+// RestoreInfo.
+const restoreTimeout = 30 * time.Second
 
 // adoptNodeTimeout bounds each node's share of the re-adoption handshake;
 // a node that stays silent past it is skipped (ReprovisionRemote finishes

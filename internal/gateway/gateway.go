@@ -73,9 +73,9 @@
 //
 // # Stats
 //
-// Every successful operation is accounted via the clients' OpObserver hook
-// into per-shard counters (ops, bytes, cumulative latency; failures count
-// only toward the error counters so the load signals stay exact), and
+// putLocal and getLocal count every operation through shard.observe into
+// per-shard counters (ops, bytes, cumulative latency; failures count only
+// toward the error counters so the load signals stay exact), and
 // Stats() adds the live temporary- and permanent-storage bytes of each
 // shard's groups plus its hottest keys — the inputs the rebalancer acts
 // on. Remote shards' storage lives in their node processes; it is sampled
@@ -142,9 +142,6 @@ type Config struct {
 	// MaxOpsPerShard bounds the operations in flight per shard across all
 	// of its keys; <= 0 selects the default (32).
 	MaxOpsPerShard int
-	// VirtualNodes is the consistent-hash points per shard; <= 0 selects
-	// the default (128).
-	VirtualNodes int
 	// Accountant, when non-nil, observes all traffic of all groups for
 	// cost measurement (sim shards only; remote traffic crosses real
 	// sockets, not the simulated network).
@@ -167,11 +164,6 @@ type Config struct {
 	// persisted generations, and Close detaches from them instead of
 	// retiring them. Nil keeps routing in memory only.
 	Catalog Catalog
-	// RestoreTimeout bounds the re-adoption handshake New runs when
-	// Catalog holds live remote groups; <= 0 selects the default (30s).
-	// Nodes that stay silent are skipped (their groups keep serving on
-	// the surviving quorum) and reported via RestoreInfo.
-	RestoreTimeout time.Duration
 	// Repair, when non-nil, configures the anti-entropy subsystem (see
 	// repair.go): scrub cadence, repair-bandwidth rate limit, and the
 	// naive-repair override for experiments. Nil disables the background
@@ -383,7 +375,7 @@ func New(cfg Config) (*Gateway, error) {
 			cfg.Shards = st.Shards
 		}
 	}
-	ring, err := NewRing(cfg.Shards, cfg.VirtualNodes)
+	ring, err := NewRing(cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +435,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.closeCtx, g.closeStop = context.WithCancel(context.Background())
 	if cfg.Repair != nil {
-		g.repairLimiter = newTokenBucket(cfg.Repair.RateBytesPerSec, cfg.Repair.BurstBytes)
+		g.repairLimiter = newTokenBucket(cfg.Repair.RateBytesPerSec)
 	}
 	if restored != nil {
 		g.route.version = restored.RingVersion
@@ -456,11 +448,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, err
 		}
 		if g.remote != nil {
-			timeout := cfg.RestoreTimeout
-			if timeout <= 0 {
-				timeout = 30 * time.Second
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), restoreTimeout)
 			info.AdoptedGroups, info.AdoptErrors = g.remote.adopt(ctx)
 			cancel()
 		}

@@ -31,11 +31,11 @@ func testKeys(n int) []string {
 }
 
 func TestRingDeterminism(t *testing.T) {
-	a, err := NewRing(4, 0)
+	a, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(4, 0)
+	b, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +46,33 @@ func TestRingDeterminism(t *testing.T) {
 	}
 }
 
+// TestRingGolden pins the key-to-shard mapping: a catalog persists
+// placements and object bindings per shard, so a ring change that moved
+// any of these keys would strand keys a restarted gateway reloads.
+func TestRingGolden(t *testing.T) {
+	keys := []string{"", "alpha", "beta", "gamma", "user-0001", "user-0002", "user-0059",
+		"key-0000", "key-0001", "key-0002", "key-0003", "key-0999", "restart-0", "a/b/c", "\x00\xff"}
+	golden := map[int][]int{
+		2: {1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0},
+		4: {1, 0, 2, 1, 1, 0, 1, 0, 0, 3, 0, 3, 2, 2, 0},
+		5: {1, 4, 4, 1, 1, 4, 1, 0, 0, 3, 0, 4, 2, 2, 0},
+	}
+	for shards, want := range golden {
+		r, err := NewRing(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, key := range keys {
+			if got := r.Shard(key); got != want[i] {
+				t.Errorf("S=%d: key %q on shard %d, want %d", shards, key, got, want[i])
+			}
+		}
+	}
+}
+
 func TestRingSpreadAndChurn(t *testing.T) {
 	keys := testKeys(4000)
-	r4, err := NewRing(4, 0)
+	r4, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +90,7 @@ func TestRingSpreadAndChurn(t *testing.T) {
 
 	// Churn: growing 4 -> 5 shards should remap roughly 1/5 of the keys,
 	// not rehash the world. Allow a generous margin over the expectation.
-	r5, err := NewRing(5, 0)
+	r5, err := NewRing(5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,7 @@ func (g *Gateway) resize(ctx context.Context, n int) error {
 	if n < 1 {
 		return fmt.Errorf("gateway: resize to %d shards, want >= 1", n)
 	}
-	newRing, err := NewRing(n, g.cfg.VirtualNodes)
+	newRing, err := NewRing(n)
 	if err != nil {
 		return err
 	}

@@ -264,7 +264,7 @@ func TestMigrationResizeOnline(t *testing.T) {
 		t.Errorf("%d keys still pinned after drain", got)
 	}
 	// Drained assignment must equal a fresh 3-shard ring's, bitwise.
-	fresh, err := NewRing(3, 0)
+	fresh, err := NewRing(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +319,11 @@ func TestMigrationRingChurnBound(t *testing.T) {
 		eps    = 0.05
 	)
 	for _, s := range []int{2, 3, 4, 8} {
-		a, err := NewRing(s, 0)
+		a, err := NewRing(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewRing(s+1, 0)
+		b, err := NewRing(s + 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,8 +49,8 @@ type remoteManager struct {
 	bootValue []byte           // Config.InitialValue, the unseeded boot state
 	nodes     map[int32]string // node id -> address (static topology)
 	// log persists routing records to the gateway's catalog; nil when the
-	// gateway has none. serveGroup uses it write-ahead: a generation is
-	// durable before any node can learn it.
+	// gateway has none. mint uses it write-ahead: a generation is durable
+	// before any node can learn it.
 	log func(...catalog.Record) error
 
 	mu sync.Mutex
@@ -59,7 +59,7 @@ type remoteManager struct {
 	// (control indices at or below peerCtlBase). Nil outside fleet mode.
 	peerResolver func(id int32) (string, bool)
 	seq          uint64
-	gen          uint64 // group-incarnation allocator; never reused, unlike namespaces
+	gen          uint64 // group-incarnation allocator, advanced only by mint; never reused, unlike namespaces
 	pending      map[uint64]chan wire.Message
 	groups       map[int32]*remoteGroupInfo // live remote groups by namespace
 	nextCID      int32                      // rolling client-id allocator
@@ -260,36 +260,9 @@ func (m *remoteManager) call(ctx context.Context, nodeID int32, build func(seq u
 // fresh incarnation and registers it with the resolver. On failure the
 // partially provisioned nodes are sent best-effort retires.
 func (m *remoteManager) serveGroup(ctx context.Context, ns int32, nodes []wire.NodeAddr, seed *groupSeed) error {
-	value, seedTag := m.bootValue, tag.Zero
-	if seed != nil {
-		value, seedTag = seed.value, seed.tag
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return ErrClosed
-	}
-	m.gen++
-	info := &remoteGroupInfo{gen: m.gen, nodes: nodes, seedValue: value, seedTag: seedTag}
-	m.mu.Unlock()
-
-	// Write-ahead: the incarnation (and the boot seed a restarted node
-	// would rebuild from) must be durable before any node can learn the
-	// gen, or a crashed-and-restarted gateway could re-issue it for
-	// different state and a node would wrongly keep stale servers. The
-	// group is deliberately not registered yet — registration would let a
-	// concurrent ReprovisionRemote serve the gen to nodes before the
-	// record lands. A logged gen whose serve never completes is just an
-	// orphan the next restore retires.
-	if m.log != nil {
-		if err := m.log(catalog.Record{
-			Type: catalog.TypeGroupServe, NS: ns, Gen: info.gen,
-			Nodes: nodes, Value: value, Tag: seedTag,
-			N1: int32(m.params.N1), N2: int32(m.params.N2),
-			F1: int32(m.params.F1), F2: int32(m.params.F2),
-		}); err != nil {
-			return fmt.Errorf("gateway: serve group %d: catalog: %w", ns, err)
-		}
+	info, err := m.mint(ns, nodes, seed)
+	if err != nil {
+		return err
 	}
 
 	// Register before provisioning: the gateway's clients may race the
@@ -312,6 +285,40 @@ func (m *remoteManager) serveGroup(ctx context.Context, ns int32, nodes []wire.N
 		}
 	}
 	return nil
+}
+
+// mint allocates a fresh incarnation of namespace ns and logs its
+// TypeGroupServe record. It is the only place the generation advances,
+// and it returns the group only once that record is durable, so a node
+// can never learn a generation a restarted gateway could re-issue for
+// different state (it would wrongly keep stale servers). Until then the
+// group is not registered either: registration would let a concurrent
+// ReprovisionRemote serve it early. A logged generation whose serve
+// never completes is an orphan the next restore retires.
+func (m *remoteManager) mint(ns int32, nodes []wire.NodeAddr, seed *groupSeed) (*remoteGroupInfo, error) {
+	info := &remoteGroupInfo{nodes: nodes, seedValue: m.bootValue, seedTag: tag.Zero}
+	if seed != nil {
+		info.seedValue, info.seedTag = seed.value, seed.tag
+	}
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil, ErrClosed
+	}
+	m.gen++
+	info.gen = m.gen
+	m.mu.Unlock()
+	if m.log != nil {
+		if err := m.log(catalog.Record{
+			Type: catalog.TypeGroupServe, NS: ns, Gen: info.gen,
+			Nodes: nodes, Value: info.seedValue, Tag: info.seedTag,
+			N1: int32(m.params.N1), N2: int32(m.params.N2),
+			F1: int32(m.params.F1), F2: int32(m.params.F2),
+		}); err != nil {
+			return nil, fmt.Errorf("gateway: serve group %d: catalog: %w", ns, err)
+		}
+	}
+	return info, nil
 }
 
 // serveNode sends one node its GroupServe for the given incarnation and

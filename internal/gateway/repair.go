@@ -37,11 +37,9 @@ type RepairOptions struct {
 	// the background loop (explicit RepairRemote calls still work).
 	Interval time.Duration
 	// RateBytesPerSec bounds repair fetch traffic (helper and full-element
-	// payloads); <= 0 means unlimited.
+	// payloads), with bursts of up to one second's worth; <= 0 means
+	// unlimited.
 	RateBytesPerSec int64
-	// BurstBytes is the token bucket's capacity; <= 0 selects one second's
-	// worth of tokens.
-	BurstBytes int64
 	// ForceNaive disables the regenerating-code helper path and repairs
 	// every element by decode-reencode from k full elements — the baseline
 	// the bandwidth experiment (experiments.MeasureRepair) compares
@@ -145,24 +143,21 @@ const maxRepairErrors = 8
 // tokenBucket is a simple byte-rate limiter for repair traffic.
 type tokenBucket struct {
 	mu     sync.Mutex
-	rate   float64 // tokens (bytes) per second
-	burst  float64
+	rate   float64 // tokens (bytes) per second, and the bucket's capacity
 	tokens float64
 	last   time.Time
 }
 
-func newTokenBucket(rate, burst int64) *tokenBucket {
+// newTokenBucket holds one second of rate; nil (no limit) when rate <= 0.
+func newTokenBucket(rate int64) *tokenBucket {
 	if rate <= 0 {
 		return nil
 	}
-	if burst <= 0 {
-		burst = rate
-	}
-	return &tokenBucket{rate: float64(rate), burst: float64(burst), tokens: float64(burst), last: time.Now()}
+	return &tokenBucket{rate: float64(rate), tokens: float64(rate), last: time.Now()}
 }
 
 // take blocks until n bytes of budget are available (tokens may briefly go
-// negative for requests larger than the burst, which throttles the
+// negative for requests larger than the bucket, which throttles the
 // *following* fetch — a single element must never deadlock the bucket).
 func (b *tokenBucket) take(ctx context.Context, n int64) error {
 	if b == nil || n <= 0 {
@@ -172,18 +167,18 @@ func (b *tokenBucket) take(ctx context.Context, n int64) error {
 		b.mu.Lock()
 		now := time.Now()
 		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
+		if b.tokens > b.rate {
+			b.tokens = b.rate
 		}
 		b.last = now
-		if b.tokens >= float64(n) || b.tokens >= b.burst {
+		if b.tokens >= float64(n) || b.tokens >= b.rate {
 			b.tokens -= float64(n)
 			b.mu.Unlock()
 			return nil
 		}
 		need := float64(n)
-		if need > b.burst {
-			need = b.burst
+		if need > b.rate {
+			need = b.rate
 		}
 		wait := time.Duration((need - b.tokens) / b.rate * float64(time.Second))
 		b.mu.Unlock()

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -271,6 +272,95 @@ func TestCatalogRestartMidMigration(t *testing.T) {
 	}
 	if groups := hosts[0].Groups(); groups != 1 {
 		t.Errorf("host hosts %d groups, want 1 (orphan must not be provisioned)", groups)
+	}
+}
+
+// serveCheckingCatalog checks the write-ahead rule at each TypeGroupServe
+// append: the group must not be served yet, so no node host holds it and
+// the gateway has not registered it. Keys are created one at a time, and
+// every host holds every group, so "no host holds it" reads as "each host
+// holds exactly the groups served before". With fail set, those appends
+// fail instead.
+type serveCheckingCatalog struct {
+	*catalog.File
+	t      *testing.T
+	hosts  []*nodehost.Host
+	g      atomic.Pointer[Gateway]
+	fail   bool
+	served int
+}
+
+var errInjectedAppend = errors.New("injected catalog failure")
+
+func (c *serveCheckingCatalog) Append(recs ...catalog.Record) error {
+	for _, r := range recs {
+		if r.Type != catalog.TypeGroupServe {
+			continue
+		}
+		for _, h := range c.hosts {
+			if n := h.Groups(); n != c.served {
+				c.t.Errorf("group %d: node %d holds %d groups at the append, want the %d served before it", r.NS, h.NodeID(), n, c.served)
+			}
+		}
+		if g := c.g.Load(); g != nil {
+			g.remote.mu.Lock()
+			_, registered := g.remote.groups[r.NS]
+			g.remote.mu.Unlock()
+			if registered {
+				c.t.Errorf("group %d registered before its GroupServe record is durable", r.NS)
+			}
+		}
+		if c.fail {
+			return errInjectedAppend
+		}
+		c.served++
+	}
+	return c.File.Append(recs...)
+}
+
+// TestCatalogServeIsWriteAhead: a remote group's incarnation is durable
+// before any node or the resolver learns it, and a failed append serves
+// it nowhere.
+func TestCatalogServeIsWriteAhead(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
+			hosts, specs := startHosts(t, 2)
+			cat := &serveCheckingCatalog{File: openCatalog(t, t.TempDir()), t: t, hosts: hosts, fail: fail}
+			g, err := New(Config{
+				Params:   testParams(t, 3, 4, 1, 1),
+				Catalog:  cat,
+				Topology: &Topology{Shards: []ShardSpec{{Backend: BackendTCP, Nodes: specs}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			cat.g.Store(g)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			const keys = 3
+			for i := range keys {
+				err := g.Ensure(ctx, fmt.Sprintf("wal-%d", i))
+				if fail != (err != nil) || fail && !errors.Is(err, errInjectedAppend) {
+					t.Fatalf("Ensure = %v with failing appends %v", err, fail)
+				}
+			}
+			want := keys
+			if fail {
+				want = 0
+			}
+			for _, h := range hosts {
+				if n := h.Groups(); n != want {
+					t.Errorf("node %d holds %d groups, want %d", h.NodeID(), n, want)
+				}
+			}
+			g.remote.mu.Lock()
+			registered := len(g.remote.groups)
+			g.remote.mu.Unlock()
+			if registered != want {
+				t.Errorf("%d groups registered, want %d", registered, want)
+			}
+		})
 	}
 }
 

@@ -6,15 +6,15 @@ import (
 	"sort"
 )
 
-// defaultVirtualNodes is the number of ring points per shard. 128 points
-// keeps the expected load imbalance across shards to roughly 10% while the
-// ring stays small enough to rebuild instantly.
-const defaultVirtualNodes = 128
+// virtualNodes is the number of ring points per shard. 128 points keeps
+// the expected load imbalance across shards to roughly 10% while the ring
+// stays small enough to rebuild instantly.
+const virtualNodes = 128
 
 // Ring assigns keys to shards by consistent hashing: each shard owns a set
 // of pseudo-random points on a 64-bit circle, and a key belongs to the
 // shard owning the first point at or after the key's hash. The assignment
-// is a pure function of (key, shard count, virtual-node count) — stable
+// is a pure function of (key, shard count) — stable
 // across processes and runs — and changing the shard count from S to S+1
 // remaps only ~1/(S+1) of the keyspace, every remapped key landing on the
 // new shard (growing only adds shard-S points, so a key's successor point
@@ -35,14 +35,10 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring over the given number of shards. virtualNodes <= 0
-// selects the default.
-func NewRing(shards, virtualNodes int) (*Ring, error) {
+// NewRing builds a ring over the given number of shards.
+func NewRing(shards int) (*Ring, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("gateway: shards = %d, want >= 1", shards)
-	}
-	if virtualNodes <= 0 {
-		virtualNodes = defaultVirtualNodes
 	}
 	r := &Ring{
 		shards: shards,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lds-storage/lds/internal/lds"
 	"github.com/lds-storage/lds/internal/sim"
 	"github.com/lds-storage/lds/internal/tag"
 	"github.com/lds-storage/lds/internal/transport"
@@ -494,9 +495,9 @@ func TestClusterBookkeepingBoundedUnderSustainedWrites(t *testing.T) {
 	value := make([]byte, 256)
 	const writes = 2000
 	p := c.Params()
-	// Per server: the committed entry plus a pipeline of <= 2*BatchCap
+	// Per server: the committed entry plus a pipeline of <= 2*OffloadBatchCap
 	// elements, plus a tag whose commit traffic is still settling.
-	bound := p.N1 * (2 + 2*p.BatchCap())
+	bound := p.N1 * (2 + 2*lds.OffloadBatchCap)
 	for i := 1; i <= writes; i++ {
 		if _, err := w.Write(ctx, value); err != nil {
 			t.Fatalf("write %d: %v", i, err)

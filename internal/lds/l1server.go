@@ -46,7 +46,7 @@ type regenState struct {
 }
 
 // offloadItem is one queued unit of write-to-L2 work: a committed tag and
-// the value to encode. The queue holds at most Params.BatchCap items.
+// the value to encode. The queue holds at most OffloadBatchCap items.
 type offloadItem struct {
 	t     tag.Tag
 	value []byte
@@ -74,7 +74,7 @@ type offloadItem struct {
 // In the default OffloadBatched mode, write-to-L2 work is queued rather
 // than fanned out synchronously: at most one batch round is in flight, and
 // commits arriving while it travels coalesce in the queue -- the queue
-// retains only the newest BatchCap tags, older pending tags being
+// retains only the newest OffloadBatchCap tags, older pending tags being
 // superseded (the L2 servers would discard them anyway). A drain sends one
 // WriteCodeElemBatch per L2 server carrying every retained element.
 type L1Server struct {
@@ -560,7 +560,7 @@ func (s *L1Server) offload(t tag.Tag, e *listEntry, out *wire.Outbox) {
 		return
 	}
 	s.offloadQueue = append(s.offloadQueue, offloadItem{t: t, value: e.value})
-	if over := len(s.offloadQueue) - s.params.BatchCap(); over > 0 {
+	if over := len(s.offloadQueue) - OffloadBatchCap; over > 0 {
 		// The oldest queued tags are superseded by the newer ones: L2 would
 		// discard them on arrival, so they never travel at all.
 		s.offloadQueue = append(s.offloadQueue[:0:0], s.offloadQueue[over:]...)

@@ -85,10 +85,10 @@ func TestL1AckCountsDistinctSendersOnly(t *testing.T) {
 
 func TestL1OffloadCoalescesSupersededTags(t *testing.T) {
 	// While a batch round is in flight, further commits coalesce: the queue
-	// retains only the newest BatchCap tags, and the next round carries
+	// retains only the newest OffloadBatchCap tags, and the next round carries
 	// them in one WriteCodeElemBatch per L2 server.
 	s, out, p := newTestServerMode(t, OffloadBatched)
-	cap := p.BatchCap()
+	cap := OffloadBatchCap
 
 	write := func(z uint64) tag.Tag {
 		tg := tag.Tag{Z: z, W: 1}
@@ -116,7 +116,7 @@ func TestL1OffloadCoalescesSupersededTags(t *testing.T) {
 	}
 
 	// Completing round 1 drains the retained tail: exactly the newest
-	// BatchCap tags, in one batch per server.
+	// OffloadBatchCap tags, in one batch per server.
 	ackRound(s, out, round1)
 	round2 := take(out)
 	batches := ofKind(round2, wire.KindWriteCodeElemBatch)
@@ -252,8 +252,8 @@ func TestL1BookkeepingBoundedUnderSustainedWrites(t *testing.T) {
 			s, out, p := newTestServerMode(t, mode)
 			value := bytes.Repeat([]byte{0xA5}, 64)
 			// The census bound: the committed tag's list entry plus a full
-			// offload pipeline (<= BatchCap queued + BatchCap in flight).
-			bound := 1 + 2*p.BatchCap()
+			// offload pipeline (<= OffloadBatchCap queued + OffloadBatchCap in flight).
+			bound := 1 + 2*OffloadBatchCap
 			for z := 1; z <= writes; z++ {
 				tg := tag.Tag{Z: uint64(z), W: 1}
 				s.Step(writer1, wire.PutData{OpID: uint64(z), Tag: tg, Value: value}, out)

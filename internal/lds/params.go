@@ -43,9 +43,10 @@ const (
 	OffloadUnbatched
 )
 
-// DefaultOffloadBatch is the per-batch element cap (and therefore the
-// offload queue's retention) selected when Params.OffloadBatch is zero.
-const DefaultOffloadBatch = 4
+// OffloadBatchCap caps the coded elements per WriteCodeElemBatch and the
+// tags the offload queue keeps: older pending tags beyond the cap are
+// superseded and never travel. OffloadUnbatched mode does not queue.
+const OffloadBatchCap = 4
 
 // Params fixes the cluster geometry and the code parameters. The paper ties
 // them together: n1 = 2*f1 + k and n2 = 2*f2 + d.
@@ -60,11 +61,6 @@ type Params struct {
 	// Offload selects the L1 -> L2 offload strategy; the zero value is the
 	// batched pipeline.
 	Offload OffloadMode
-	// OffloadBatch caps the coded elements per WriteCodeElemBatch and the
-	// tags the offload queue retains (older pending tags beyond the cap are
-	// superseded and never travel); <= 0 selects DefaultOffloadBatch.
-	// Ignored in OffloadUnbatched mode.
-	OffloadBatch int
 }
 
 // NewParams derives (k, d) from the layer sizes and fault tolerances via
@@ -103,14 +99,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("lds: unknown offload mode %d", p.Offload)
 	}
 	return nil
-}
-
-// BatchCap returns the effective per-batch element cap.
-func (p Params) BatchCap() int {
-	if p.OffloadBatch > 0 {
-		return p.OffloadBatch
-	}
-	return DefaultOffloadBatch
 }
 
 // WriteQuorum returns f1 + k, the number of L1 acknowledgments client

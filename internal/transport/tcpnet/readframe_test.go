@@ -66,7 +66,9 @@ func splitFrames(stream []byte) (envs []wire.Envelope, skipped int, oversize boo
 
 // checkReadFrames reads stream through each reader shape, with a read
 // buffer of bufSize bytes, and requires the reference reader's result from
-// all of them.
+// all of them. The envelopes are compared only after the whole stream is
+// read, so a readFrame that reused a body buffer across frames (the alias
+// decode gives each message its body for good) fails here too.
 func checkReadFrames(t *testing.T, stream []byte, bufSize int) {
 	t.Helper()
 	want, wantSkipped, wantOversize := splitFrames(stream)

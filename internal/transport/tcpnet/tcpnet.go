@@ -83,10 +83,16 @@ const sendQueue = 1024
 // Defaults for Options knobs left zero.
 const (
 	defaultDialTimeout   = 5 * time.Second
-	defaultWriteTimeout  = 10 * time.Second
-	defaultKeepAlive     = 15 * time.Second
 	defaultRedialBackoff = 250 * time.Millisecond
 )
+
+// writeTimeout bounds each burst write, so a sender on a stalled
+// connection fails over to a redial instead of blocking forever.
+const writeTimeout = 10 * time.Second
+
+// keepAlive is the TCP keepalive period applied to every connection, the
+// transport's liveness heartbeat.
+const keepAlive = 15 * time.Second
 
 // Common errors.
 var (
@@ -116,13 +122,6 @@ type Options struct {
 	// DialTimeout bounds each outbound connection attempt; dials are also
 	// aborted by Close. <= 0 selects 5s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each burst write, so a sender on a stalled
-	// connection fails over to a redial instead of blocking forever.
-	// <= 0 selects 10s.
-	WriteTimeout time.Duration
-	// KeepAlive is the TCP keepalive period applied to every connection,
-	// the transport's liveness heartbeat. <= 0 selects 15s.
-	KeepAlive time.Duration
 	// RedialBackoff is how long a sender waits after a failed dial before
 	// trying that address again; envelopes sent meanwhile are dropped
 	// (the peer is crashed as far as the protocol is concerned). <= 0
@@ -133,12 +132,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = defaultDialTimeout
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = defaultWriteTimeout
-	}
-	if o.KeepAlive <= 0 {
-		o.KeepAlive = defaultKeepAlive
 	}
 	if o.RedialBackoff <= 0 {
 		o.RedialBackoff = defaultRedialBackoff
@@ -363,7 +356,7 @@ func (n *Network) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		configureConn(conn, n.opts.KeepAlive)
+		configureConn(conn)
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
@@ -415,10 +408,10 @@ func (n *Network) readLoop(conn net.Conn) {
 }
 
 // configureConn applies the keepalive heartbeat to a connection.
-func configureConn(conn net.Conn, period time.Duration) {
+func configureConn(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetKeepAlive(true)
-		tc.SetKeepAlivePeriod(period)
+		tc.SetKeepAlivePeriod(keepAlive)
 	}
 }
 
@@ -593,7 +586,7 @@ func (s *sender) dial() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	configureConn(conn, s.net.opts.KeepAlive)
+	configureConn(conn)
 	if s.connected {
 		s.net.redials.Add(1)
 	}
@@ -614,7 +607,7 @@ func (s *sender) current() net.Conn {
 // closeConn closing the socket concurrently) bounds how long the sender
 // can be stuck on a stalled or dead connection.
 func (s *sender) writeConn(conn net.Conn, burst []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(s.net.opts.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := conn.Write(burst)
 	return err
 }
@@ -653,9 +646,8 @@ func readFrame(r *bufio.Reader) (wire.Envelope, error) {
 	// The body buffer is fresh per frame and handed off to the decoded
 	// message wholesale (alias decode): payload fields point into it
 	// instead of being copied out one by one. It is never pooled, and never
-	// a slice of the read buffer — several message kinds retain their
-	// payloads indefinitely (see the retention rules in wire/messages.go),
-	// so recycling either would corrupt stored state.
+	// a slice of the read buffer: the message owns it from here on, and
+	// servers keep some payloads for good (wire.DecodeAlias).
 	body := make([]byte, size)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return wire.Envelope{}, err

@@ -8,38 +8,12 @@ import "github.com/lds-storage/lds/internal/tag"
 // never be mistaken for another's under non-FIFO links; OpID is metadata in
 // the cost model, exactly like tags.
 //
-// # Retention rules (who may alias a decoded frame, and for how long)
-//
-// DecodeAlias/DecodeEnvelopeAlias return messages whose []byte fields
-// alias the input buffer, so the buffer's lifetime must cover the
-// consumer's retention of those fields. The authoritative, per-field
-// classification is the machine-readable table AliasFields in
-// retention.go — the retention analyzer (internal/analysis/retention)
-// and the wire tests both consume it, so it cannot drift from either the
-// message structs or the enforcement. In prose, the classes are:
-//
-//   - Indefinite retention (RetainForever): PutData.Value and
-//     SendHelperElem.Helper (the L1 server stores them in its per-tag
-//     list until offload/pruning), WriteCodeElem.Coded and CodeElem.Coded
-//     in WriteCodeElemBatch (the L2 server adopts the slice into its
-//     store and keeps it until a newer tag replaces it), and
-//     ElemRepair.Coded (L2Server.InstallRepair adopts a repaired element
-//     exactly like a written one).
-//   - Operation-scoped retention (RetainOp): QueryDataResp.Data (the
-//     reader holds values/coded elements until its quorum completes; a
-//     decoded value it returns to the application escapes the operation
-//     entirely) and ElemFetchResp.Data (a donor element lives for one
-//     repair round).
-//   - No retention: every message kind without an AliasFields entry —
-//     tags, acks, pings and counters are copied into fixed-width struct
-//     fields by the decoders, and string fields (control.go addresses)
-//     copy on conversion.
-//
-// The TCP read loop allocates a fresh body buffer per frame and never
-// recycles it, so alias-decoding there is safe for every class above.
-// Any future consumer that pools read-side buffers must restrict the
-// pooling to frames whose message kinds fall in the "no retention"
-// class, or switch those kinds to the cloning Decode.
+// Decoding without a copy (DecodeAlias, DecodeEnvelopeAlias) hands the
+// input buffer b to the decoded message: its []byte fields alias b, and
+// servers keep some of them for good (an L1 list value, an L2 element).
+// So b becomes the message's, and the caller must never modify or reuse
+// it — the decode-side twin of transport.Node.Send's rule that a sent
+// message must not change.
 
 // PayloadClass describes what a QueryDataResp carries back to a reader.
 type PayloadClass uint8

@@ -141,9 +141,7 @@ type PeerForward struct {
 	// Op is PeerOpPut or PeerOpGet.
 	Op  uint8
 	Key string
-	// Value is the put body (empty for gets). Retention: operation-scoped
-	// — the owner executes the put and the value does not outlive it (see
-	// AliasFields).
+	// Value is the put body (empty for gets).
 	Value []byte
 	// ReplyAddr is the origin gateway's peer-plane listener.
 	ReplyAddr string
@@ -172,9 +170,7 @@ type PeerForwardResp struct {
 	NotOwner bool
 	// Err is the operation's failure, empty on success.
 	Err string
-	// Value is the get result (empty for puts). Retention: operation-
-	// scoped — it is returned to the waiting client and escapes the
-	// protocol with it (see AliasFields).
+	// Value is the get result (empty for puts).
 	Value []byte
 	// Tag is the operation's linearization tag (both puts and gets).
 	Tag tag.Tag

@@ -209,12 +209,11 @@ func Decode(b []byte) (Message, error) {
 }
 
 // DecodeAlias parses a message produced by Encode without copying:
-// byte-slice fields of the returned message alias b directly. The caller
-// must not modify or recycle b for as long as the decoded message (or
-// anything that retains its fields — see the retention notes on each
-// message type in messages.go) is live. Decoders that convert to string
-// or fixed-width scalars copy by construction, so only []byte fields
-// alias.
+// byte-slice fields of the returned message alias b directly. b becomes
+// the message's: the caller must never modify or reuse it, because a
+// server may keep a decoded field for good. Decoders that convert to
+// string or fixed-width scalars copy by construction, so only []byte
+// fields alias.
 func DecodeAlias(b []byte) (Message, error) {
 	if len(b) < 1 {
 		return nil, ErrTruncated
@@ -248,9 +247,9 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 }
 
 // DecodeEnvelopeAlias is the zero-copy form of DecodeEnvelope: byte-slice
-// fields of the decoded message alias b (see DecodeAlias). The TCP read
-// loop uses it on its per-frame body buffer, which it never reuses, so
-// the alias is safe there regardless of message retention.
+// fields of the decoded message alias b, and b becomes the message's (see
+// DecodeAlias). The TCP read loop uses it on a fresh body buffer per
+// frame.
 func DecodeEnvelopeAlias(b []byte) (Envelope, error) {
 	var env Envelope
 	var err error
