@@ -20,6 +20,7 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -178,6 +179,9 @@ func HelperLane(coef *matrix.Matrix, shard []byte, helperIdx, failedIdx int) ([]
 		return nil, fmt.Errorf("%w: %d bytes, want multiple of alpha = %d", ErrShardSize, len(shard), alpha)
 	}
 	l := len(shard) / alpha
+	if j := bytes.IndexByte(coef.Row(failedIdx), 1); j >= 0 && bytes.Count(coef.Row(failedIdx), []byte{0}) == alpha-1 {
+		return bytes.Clone(shard[j*l : (j+1)*l]), nil // a unit row: the lane itself
+	}
 	lanes := make([][]byte, 0, 8) // on the stack for alpha <= 8
 	for c := 0; c < alpha; c++ {
 		lanes = append(lanes, shard[c*l:(c+1)*l])

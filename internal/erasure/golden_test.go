@@ -16,10 +16,15 @@ import (
 // goldenEncodings holds, per code, SHA-256 digests of Encode's output -- the
 // n shards in node order, each preceded by its length as four big-endian
 // bytes -- for the first bytes of rand.NewSource(20260926) at lengths
-// {0, 1, B-1, B, 4 KiB, 16 KiB+3}, B the code's stripe size. They were
-// generated at commit 7488bb2, the last one whose kernels were the log/exp
-// loops, so passing means the shard bytes themselves, not only the round
-// trip, are what that build stored and its elements still decode.
+// {0, 1, B-1, B, 4 KiB, 16 KiB+3}, B the code's stripe size. The msr and rs
+// digests were generated at commit 7488bb2, the last one whose kernels were
+// the log/exp loops, so passing means the shard bytes themselves, not only
+// the round trip, are what that build stored and its elements still decode.
+// The mbr digests were regenerated when the MBR code became systematic on
+// nodes 0..k-1 (Psi became Vandermonde * B, see package mbr): that changed
+// every node's coded bytes on purpose, and an element stored before it does
+// not decode after it (nodehost refuses such mixed builds by fingerprint).
+// The empty value still encodes to all-zero shards, so its digest stayed.
 var goldenEncodings = []struct {
 	name    string
 	build   func() (erasure.Code, error)
@@ -27,19 +32,19 @@ var goldenEncodings = []struct {
 }{
 	{"mbr(14,4,4)", func() (erasure.Code, error) { return mbr.New(erasure.Params{N: 14, K: 4, D: 4}) }, []string{
 		"33af8d6243a4a9fcf6d865d9f09404334e8c45b62135649a92e2b0d86af3568e",
-		"087bb6005ff5b271177780a780d293ed803586c0b58d65b69eab66936ef4b841",
-		"0dcdb72adee3a598227bd13b2b6cd90db4ce0aa43ecdc3400a8dd8eff047abd9",
-		"2598d49a81834b85755fa0b63f0c1afe36b5c6760f97b00c1d30c346eb45933f",
-		"8ea096a75ac4002a5e7e8184497494b4ba4fde0c75c0d81a9e619ebc3dc6d31f",
-		"db42b19c0b31ed9b481470747a13ff29084d450fd4c838e9cf031bd3b03269b3",
+		"7fce167c96d2d95755e7b06e5b50dbc0f30b3609e0944631e1d7bf863dd2fce9",
+		"8e9b4d7223aceded8216c08a32d8c1bbf328b516a526ff511f8afa4065c99c85",
+		"3ac29f6a3525b10872ebdf1b52be213d305da09504b9e67c6ad26e1c6571c915",
+		"39ed29c9f4fa12980b0e9cdf03753a12bbe21b937512a8bd57369049b9772e6d",
+		"8da987e7eebd522888d5f0b259db5f7ed8181fab93d2b11f9f223baa815820eb",
 	}},
 	{"mbr(15,5,8)", func() (erasure.Code, error) { return mbr.New(erasure.Params{N: 15, K: 5, D: 8}) }, []string{
 		"ed76067d8ff2cc99655de317cd396fbeb2dd7ec50dbefc4433dea2bc49010e83",
-		"466462df7c7999fdafdc2ed7a359b37a6f9f2c2fda2ef2662a359f5e187d431d",
-		"ccb1edaff0749e145082cbff5a040e9dca31afa4a4e45f6c40f805a9d46ac377",
-		"cdce367f2ed370c5ba4755a4fce27881c805f0d9efcc52cfb74aa4b999790370",
-		"1cd05c37ad76645b34a0c072370c5adde99510b1d8e60abf10226d491e47ad96",
-		"4f9b67b51fd254127f7d4659ef0c62837dd64a4083f96b0fff311d350775b0d3",
+		"a03fb94fd04ff9691d63c20ad7b70be46839ba663b1fad6f3052d0e6cf63a252",
+		"25617335cebbff96f96af0e69cc53447af432dc337ceb7af62501be6cc286f25",
+		"56ad65751fec9ba71d49a6f9a8b2c177b9f470ca788842d93a68ee65f00271bd",
+		"6b04d73a1310a765a1019efb3e5c905b6a0e0ed480109127fbcb264f920aebc4",
+		"e86843ce39be8d31aa341414d1ef8c18212404afa1fa2e72d2dc4dcf161234d9",
 	}},
 	{"msr(15,5)", func() (erasure.Code, error) { return msr.New(15, 5) }, []string{
 		"9c0afcfcdcd5e466af10f8245e33626b8c873f1c89d6f6e9b083662e1935f99a",

@@ -5,8 +5,14 @@
 //
 // Parameters are {(n, k, d)(alpha = d*beta, beta = 1)} per stripe, with file
 // size B = k*d - k*(k-1)/2 = k*(2d-k+1)/2 symbols. The construction encodes
-// a symmetric (d x d) message matrix M with a Vandermonde encoding matrix
-// Psi; node i stores psi_i * M.
+// a symmetric (d x d) message matrix M with Psi = [Phi | Delta]; node i
+// stores psi_i * M. Any d rows of Psi and any k of Phi must be invertible,
+// as in a Vandermonde V and in V * B for B = [[Phi_S^-1, Phi_S^-1 Delta_S],
+// [0, I]], S the nodes 0..k-1. That Psi is systematic: psi_i = [e_i | 0]
+// for i < k, so node i stores row i of M, a helper toward it is lane i of
+// the helper's shard, and Decode copies its rows. Only k rows can be unit
+// rows; LDS puts them on L1 (n1 > k), whose reads regenerate and decode,
+// not on L2, whose elements every write encodes.
 //
 // Two properties matter to the LDS algorithm:
 //
@@ -24,8 +30,11 @@ package mbr
 
 import (
 	"fmt"
+	"hash/crc64"
+	"slices"
 
 	"github.com/lds-storage/lds/internal/erasure"
+	"github.com/lds-storage/lds/internal/gf"
 	"github.com/lds-storage/lds/internal/matrix"
 )
 
@@ -34,7 +43,7 @@ import (
 type Code struct {
 	params erasure.Params
 	b      int            // stripe size B in bytes
-	psi    *matrix.Matrix // n x d encoding matrix [Phi | Delta]
+	psi    *matrix.Matrix // n x d encoding matrix [Phi | Delta], rows 0..k-1 [e_i | 0]
 	phi    *matrix.Matrix // n x k left block of psi
 	all    []int          // 0..n-1, the node list of a full Encode
 	layout []int          // message matrix M: symbol index per entry, -1 for zero
@@ -53,7 +62,24 @@ func New(p erasure.Params) (*Code, error) {
 		points[i] = byte(i)
 		all[i] = i
 	}
-	psi := matrix.Vandermonde(points, p.D)
+	// Psi = V * B; B's first k rows are [Phi_S^-1 | Phi_S^-1 Delta_S].
+	v := matrix.Vandermonde(points, p.D)
+	vs := v.SelectRows(all[:p.K])
+	inv, err := vs.ColRange(0, p.K).Inverse()
+	if err != nil {
+		return nil, err
+	}
+	b, top := matrix.Identity(p.D), inv.Mul(vs)
+	for i := 0; i < p.K; i++ {
+		copy(b.Row(i), top.Row(i))
+		copy(b.Row(i), inv.Row(i))
+	}
+	psi := v.Mul(b)
+	// psi_i[0] (i >= k) is the Lagrange basis polynomial of node 0 over S
+	// at node i, so nonzero: scaling it to 1 makes that lane a plain XOR.
+	for i := p.K; i < p.N; i++ {
+		gf.MulSlice(gf.Inv(psi.At(i, 0)), psi.Row(i), psi.Row(i))
+	}
 	return &Code{
 		params: p,
 		b:      p.K*p.D - p.K*(p.K-1)/2,
@@ -62,6 +88,13 @@ func New(p erasure.Params) (*Code, error) {
 		all:    all,
 		layout: messageLayout(p.K, p.D),
 	}, nil
+}
+
+// Fingerprint is a CRC-64 over (n, k, d) and Psi: builds whose
+// fingerprints differ store different bytes for one value.
+func (c *Code) Fingerprint() uint64 {
+	b := fmt.Appendf(nil, "mbr(%d,%d,%d) %v", c.params.N, c.params.K, c.params.D, c.psi)
+	return crc64.Checksum(b, crc64.MakeTable(crc64.ECMA))
 }
 
 // Params returns the code parameters.
@@ -166,19 +199,42 @@ func (c *Code) Regenerate(failedIdx int, helpers []erasure.Helper) ([]byte, erro
 }
 
 // Decode recovers a value of the given original length from at least k
-// shards with distinct indices. With Psi_DC = [Phi_DC | Delta_DC] the k
-// selected rows, the stacked shards equal
+// shards with distinct indices. It takes systematic shards first and copies
+// the rows of M they hold. With Psi_DC = [Phi_DC | Delta_DC] the k taken
+// rows, the stacked shards equal
 //
 //	C = Psi_DC M = [Phi_DC S + Delta_DC T^t | Phi_DC T],
 //
-// so T = Phi_DC^-1 * C_right and S = Phi_DC^-1 * (C_left - Delta_DC T^t).
-// Both products land straight in the message lanes of the returned value.
+// so the rest of T is in Phi_DC^-1 * C_right and the rest of S in
+// Phi_DC^-1 * (C_left - Delta_DC T^t), landing straight in the value.
 func (c *Code) Decode(valueLen int, shards []erasure.Shard) ([]byte, error) {
 	k, d := c.params.K, c.params.D
 	l := c.Stripes(valueLen)
-	phiDC, err := erasure.DecodeShards(c.phi, k, d*l, shards)
+	var buf [8]erasure.Shard // on the stack for up to 8 shards
+	sel, s := buf[:0], 0
+	for _, sh := range shards {
+		if sh.Index >= 0 && sh.Index < k {
+			sel, s = slices.Insert(sel, s, sh), s+1
+		} else {
+			sel = append(sel, sh)
+		}
+	}
+	sel, s = sel[:min(k, len(sel))], min(k, s)
+	phiDC, err := erasure.DecodeShards(c.phi, k, d*l, sel)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]byte, l*c.b)
+	m := erasure.Lanes(out, c.b, c.layout)
+	var held [256]bool // rows of M a systematic shard holds
+	for _, sh := range sel[:s] {
+		held[sh.Index] = true
+		for j := 0; j < d; j++ {
+			copy(m[sh.Index*d+j], sh.Data[j*l:(j+1)*l])
+		}
+	}
+	if s == k {
+		return out[:valueLen], nil
 	}
 	phiInv, err := phiDC.Inverse()
 	if err != nil {
@@ -186,27 +242,25 @@ func (c *Code) Decode(valueLen int, shards []erasure.Shard) ([]byte, error) {
 	}
 	// cw is C by columns: column j is cw[j*k:(j+1)*k], lane j of each shard.
 	cw := make([][]byte, d*k)
-	for i, sh := range shards[:k] {
+	for i, sh := range sel {
 		for j := 0; j < d; j++ {
 			cw[j*k+i] = sh.Data[j*l : (j+1)*l]
 		}
 	}
-	out := make([]byte, l*c.b)
-	m := erasure.Lanes(out, c.b, c.layout)
-	for j := k; j < d; j++ {
-		for r := 0; r < k; r++ {
+	for r := 0; r < k; r++ {
+		for j := k; j < d && !held[r]; j++ {
 			matrix.AddMulLanes(phiInv.Row(r), cw[j*k:(j+1)*k], m[r*d+j])
 		}
 	}
 	if d > k {
-		// C_left - Delta_DC T^t replaces C_left; entry (i, j) subtracts
-		// delta_i . (row j of T).
+		// C_left - Delta_DC T^t replaces C_left where S needs it; entry
+		// (i, j) subtracts delta_i . (row j of T), and delta_i = 0 for i < s.
 		left := make([]byte, k*k*l)
 		for j := 0; j < k; j++ {
-			for i := 0; i < k; i++ {
+			for i := s; i < k && !held[j]; i++ {
 				lane := left[(j*k+i)*l : (j*k+i+1)*l]
 				copy(lane, cw[j*k+i])
-				matrix.AddMulLanes(c.psi.Row(shards[i].Index)[k:], m[j*d+k:(j+1)*d], lane)
+				matrix.AddMulLanes(c.psi.Row(sel[i].Index)[k:], m[j*d+k:(j+1)*d], lane)
 				cw[j*k+i] = lane
 			}
 		}
@@ -214,7 +268,9 @@ func (c *Code) Decode(valueLen int, shards []erasure.Shard) ([]byte, error) {
 	// S is symmetric: its upper triangle is all the message holds.
 	for j := 0; j < k; j++ {
 		for r := 0; r <= j; r++ {
-			matrix.AddMulLanes(phiInv.Row(r), cw[j*k:(j+1)*k], m[r*d+j])
+			if !held[r] && !held[j] {
+				matrix.AddMulLanes(phiInv.Row(r), cw[j*k:(j+1)*k], m[r*d+j])
+			}
 		}
 	}
 	return out[:valueLen], nil

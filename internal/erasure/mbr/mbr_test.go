@@ -10,6 +10,7 @@ import (
 
 	"github.com/lds-storage/lds/internal/erasure"
 	"github.com/lds-storage/lds/internal/gf"
+	"github.com/lds-storage/lds/internal/matrix"
 )
 
 func mustNew(t *testing.T, n, k, d int) *Code {
@@ -480,6 +481,187 @@ func TestLanesArePermutedStripes(t *testing.T) {
 	}
 }
 
+// forEachSubset calls fn with every r-subset of 0..n-1, in increasing
+// order; fn must not keep the slice.
+func forEachSubset(n, r int, fn func([]int)) {
+	idx := make([]int, r)
+	var rec func(pos, from int)
+	rec = func(pos, from int) {
+		if pos == r {
+			fn(idx)
+			return
+		}
+		for i := from; i <= n-(r-pos); i++ {
+			idx[pos] = i
+			rec(pos+1, i+1)
+		}
+	}
+	rec(0, 0)
+}
+
+// checkConstruction checks the two properties the systematic code rests
+// on: (a) the rows it is asked about are invertible -- every d-subset of
+// Psi's rows and every k-subset of Phi's rows when subsets is nil,
+// otherwise the given number of random ones -- and (b) node i < k stores
+// row i of M as it is, and a helper toward it is lane i of the helper's
+// shard.
+func checkConstruction(t *testing.T, c *Code, rng *rand.Rand, subsets int) {
+	t.Helper()
+	n, k, d := c.params.N, c.params.K, c.params.D
+	geo := fmt.Sprintf("(%d,%d,%d)", n, k, d)
+	check := func(m *matrix.Matrix, rows []int, want int, what string) {
+		if got := m.Rank(); got != want {
+			t.Fatalf("%s: %s rows %v have rank %d, want %d", geo, what, rows, got, want)
+		}
+	}
+	if subsets == 0 {
+		forEachSubset(n, d, func(rows []int) { check(c.psi.SelectRows(rows), rows, d, "Psi") })
+		forEachSubset(n, k, func(rows []int) { check(c.phi.SelectRows(rows), rows, k, "Phi") })
+	}
+	for i := 0; i < subsets; i++ {
+		rows := rng.Perm(n)[:d]
+		check(c.psi.SelectRows(rows), rows, d, "Psi")
+		check(c.phi.SelectRows(rows[:k]), rows[:k], k, "Phi")
+	}
+
+	value := randValue(rng, rng.Intn(3*c.b+2))
+	shards, err := c.Encode(value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := c.Stripes(len(value))
+	msg := erasure.Lanes(value, c.b, c.layout)
+	for i := 0; i < k; i++ {
+		for col := 0; col < d; col++ {
+			want := make([]byte, l)
+			copy(want, msg[i*d+col])
+			if got := shards[i][col*l : (col+1)*l]; !bytes.Equal(got, want) {
+				t.Fatalf("%s len %d: node %d lane %d is not message lane %d", geo, len(value), i, col, c.layout[i*d+col])
+			}
+		}
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			h, err := c.Helper(shards[j], j, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(h, shards[j][i*l:(i+1)*l]) {
+				t.Fatalf("%s len %d: helper %d -> %d is not lane %d of node %d's shard", geo, len(value), j, i, i, j)
+			}
+		}
+	}
+}
+
+// TestSystematicConstruction checks the MBR code's construction
+// exhaustively at the reference benchmark's geometry and at (15, 5, 8),
+// where d > k makes Delta's fix-up matter, and by sampling at the random
+// geometries TestLanesArePermutedStripes draws.
+func TestSystematicConstruction(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	checkConstruction(t, mustNew(t, 14, 4, 4), rng, 0)
+	checkConstruction(t, mustNew(t, 15, 5, 8), rng, 0)
+	for trial := 0; trial < 100; trial++ {
+		k := 1 + rng.Intn(5)
+		d := k + rng.Intn(4)
+		checkConstruction(t, mustNew(t, d+1+rng.Intn(4), k, d), rng, 20)
+	}
+}
+
+// TestDecodeTakesSystematicShardsFirst: whatever order the shards come
+// in, and however many, the value decoded is the same -- with the
+// systematic shards offered last, among more than k, or not at all.
+func TestDecodeTakesSystematicShardsFirst(t *testing.T) {
+	for _, g := range []struct{ n, k, d int }{{14, 4, 4}, {15, 5, 8}} {
+		c := mustNew(t, g.n, g.k, g.d)
+		rng := rand.New(rand.NewSource(int64(g.d)))
+		value := randValue(rng, 5*c.b+3)
+		shards, err := c.Encode(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offer := func(nodes ...int) []erasure.Shard {
+			sel := make([]erasure.Shard, len(nodes))
+			for i, p := range nodes {
+				sel[i] = erasure.Shard{Index: p, Data: shards[p]}
+			}
+			return sel
+		}
+		k := g.k
+		var nonsys, sys []int
+		for i := g.n - 1; i >= k; i-- {
+			nonsys = append(nonsys, i)
+		}
+		for i := k - 1; i >= 0; i-- {
+			sys = append(sys, i)
+		}
+		for _, nodes := range [][]int{
+			sys,                                  // all systematic: copies only
+			append(nonsys[:k-1:k-1], sys[0]),     // one systematic, offered last
+			append(nonsys[:k+1:k+1], sys[1:]...), // systematic last, among more than k
+			append(nonsys[:1:1], sys[1:]...),     // the reader's mix: one node missing
+			nonsys[:k],                           // none systematic
+		} {
+			got, err := c.Decode(len(value), offer(nodes...))
+			if err != nil {
+				t.Fatalf("(%d,%d,%d) nodes %v: %v", g.n, k, g.d, nodes, err)
+			}
+			if !bytes.Equal(got, value) {
+				t.Fatalf("(%d,%d,%d) nodes %v: decoded value differs", g.n, k, g.d, nodes)
+			}
+		}
+	}
+}
+
+// FuzzMBR round-trips random geometries k <= d < n <= 32: a value decodes
+// from a random k-subset of its shards, and a random node regenerates from
+// d random helpers.
+func FuzzMBR(f *testing.F) {
+	f.Add(uint8(14), uint8(4), uint8(4), uint16(16<<10), int64(1))
+	f.Add(uint8(15), uint8(5), uint8(8), uint16(0), int64(2))
+	f.Add(uint8(32), uint8(31), uint8(31), uint16(1), int64(3))
+	f.Fuzz(func(t *testing.T, nb, kb, db uint8, size uint16, seed int64) {
+		n := 2 + int(nb)%31
+		d := 1 + int(db)%(n-1)
+		k := 1 + int(kb)%d
+		c := mustNew(t, n, k, d)
+		rng := rand.New(rand.NewSource(seed))
+		value := randValue(rng, int(size)%(4<<10))
+		shards, err := c.Encode(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := rng.Perm(n)
+		sel := make([]erasure.Shard, k)
+		for i, p := range perm[:k] {
+			sel[i] = erasure.Shard{Index: p, Data: shards[p]}
+		}
+		got, err := c.Decode(len(value), sel)
+		if err != nil {
+			t.Fatalf("(%d,%d,%d) Decode from %v: %v", n, k, d, perm[:k], err)
+		}
+		if !bytes.Equal(got, value) {
+			t.Fatalf("(%d,%d,%d) Decode from %v: value differs", n, k, d, perm[:k])
+		}
+		failed, helpers := perm[0], make([]erasure.Helper, d)
+		for i, h := range perm[1 : d+1] {
+			data, err := c.Helper(shards[h], h, failed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			helpers[i] = erasure.Helper{Index: h, Data: data}
+		}
+		regen, err := c.Regenerate(failed, helpers)
+		if err != nil {
+			t.Fatalf("(%d,%d,%d) Regenerate(%d): %v", n, k, d, failed, err)
+		}
+		if !bytes.Equal(regen, shards[failed]) {
+			t.Fatalf("(%d,%d,%d) Regenerate(%d) from %v: shard differs", n, k, d, failed, perm[1:d+1])
+		}
+	})
+}
+
 // The benchmarks below run at the reference benchmark's geometry -- LDS
 // (n1, n2, f1, f2) = (6, 8, 1, 2), i.e. the (14, 4, 4) code, at its 4 KiB
 // and 16 KiB value sizes and at 1 MiB (1024KiB: lanes far larger than the
@@ -531,14 +713,21 @@ func BenchmarkEncodeNodes(b *testing.B) {
 	})
 }
 
+// BenchmarkHelper helps L1 server 0, which is systematic (the helper is a
+// lane of the L2 element, copied), and L1 server k, which is not (a pass
+// over all d lanes).
 func BenchmarkHelper(b *testing.B) {
-	benchSizes(b, func(b *testing.B, c *Code, _ []byte, l2 []int, shards [][]byte) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Helper(shards[l2[0]], l2[0], 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	for _, failed := range []int{0, 4} {
+		b.Run(fmt.Sprintf("node%d", failed), func(b *testing.B) {
+			benchSizes(b, func(b *testing.B, c *Code, _ []byte, l2 []int, shards [][]byte) {
+				for i := 0; i < b.N; i++ {
+					if _, err := c.Helper(shards[l2[0]], l2[0], failed); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkRegenerate(b *testing.B) {
@@ -553,19 +742,30 @@ func BenchmarkRegenerate(b *testing.B) {
 	})
 }
 
+// BenchmarkDecode decodes from the k systematic L1 elements (copies only)
+// and from a reader's answers: f1+k = 5 of the n1 = 6 L1 servers, in
+// arrival order, one systematic server missing -- so Decode takes three
+// systematic shards and one other.
 func BenchmarkDecode(b *testing.B) {
-	benchSizes(b, func(b *testing.B, c *Code, value []byte, _ []int, shards [][]byte) {
-		l1 := make([]erasure.Shard, c.params.K)
-		for i := range l1 {
-			l1[i] = erasure.Shard{Index: i, Data: shards[i]}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Decode(len(value), l1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	for _, row := range []struct {
+		name  string
+		nodes []int
+	}{{"systematic", []int{0, 1, 2, 3}}, {"answers", []int{4, 2, 0, 5, 3}}} {
+		b.Run(row.name, func(b *testing.B) {
+			benchSizes(b, func(b *testing.B, c *Code, value []byte, _ []int, shards [][]byte) {
+				l1 := make([]erasure.Shard, len(row.nodes))
+				for i, p := range row.nodes {
+					l1[i] = erasure.Shard{Index: p, Data: shards[p]}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.Decode(len(value), l1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkEncode(b *testing.B) {

@@ -53,7 +53,7 @@ func TestFleetChaosLeaseFailover(t *testing.T) {
 		Seed: 41,
 		PerKind: map[wire.Kind]faultnet.Rule{
 			wire.KindLeaseClaim:      chaos,
-			wire.KindLeaseRenew:     chaos,
+			wire.KindLeaseRenew:      chaos,
 			wire.KindPeerForward:     chaos,
 			wire.KindPeerForwardResp: chaos,
 		},

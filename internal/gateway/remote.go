@@ -46,6 +46,7 @@ type remoteManager struct {
 	advertise string
 	params    core.Params
 	code      erasure.Regenerating
+	codeFP    uint64           // params.CodeFingerprint(), sent in every GroupServe
 	bootValue []byte           // Config.InitialValue, the unseeded boot state
 	nodes     map[int32]string // node id -> address (static topology)
 	// log persists routing records to the gateway's catalog; nil when the
@@ -101,9 +102,14 @@ type NodeStatus struct {
 // newRemoteManager boots the gateway-side transport for a topology with
 // TCP shards.
 func newRemoteManager(t *Topology, params core.Params, code erasure.Regenerating, bootValue []byte) (*remoteManager, error) {
+	codeFP, err := params.CodeFingerprint()
+	if err != nil {
+		return nil, err
+	}
 	m := &remoteManager{
 		params:    params,
 		code:      code,
+		codeFP:    codeFP,
 		bootValue: bootValue,
 		nodes:     t.nodeTable(),
 		pending:   make(map[uint64]chan wire.Message),
@@ -335,13 +341,17 @@ func (m *remoteManager) serveNode(ctx context.Context, nodeID, ns int32, info *r
 			ClientAddr: m.advertise,
 			Value:      info.seedValue,
 			Tag:        info.seedTag,
+			Code:       m.codeFP,
 		}
 	})
 	if err != nil {
 		return err
 	}
-	if sr, ok := resp.(wire.GroupServeResp); ok && sr.Err != "" {
+	switch sr, ok := resp.(wire.GroupServeResp); {
+	case ok && sr.Err != "":
 		return fmt.Errorf("gateway: node %d: %s", nodeID, sr.Err)
+	case ok && sr.Code != m.codeFP:
+		return fmt.Errorf("gateway: node %d did not confirm erasure code %016x: run one build on gateway and nodes", nodeID, m.codeFP)
 	}
 	return nil
 }

@@ -3,12 +3,16 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/lds-storage/lds/internal/history"
 	"github.com/lds-storage/lds/internal/nodehost"
+	"github.com/lds-storage/lds/internal/transport"
+	"github.com/lds-storage/lds/internal/transport/tcpnet"
+	"github.com/lds-storage/lds/internal/wire"
 )
 
 // startHosts boots n in-test node-host processes (each its own tcpnet
@@ -301,5 +305,53 @@ func TestTCPGatewayE2E(t *testing.T) {
 		for _, v := range history.VerifyUniqueValues(ops, "") {
 			t.Errorf("key %d: %v", ki, v)
 		}
+	}
+}
+
+// TestTCPShardRefusesNodeOfOtherBuild: a node that acknowledges a
+// GroupServe without echoing the gateway's code fingerprint -- one built
+// before the fingerprint existed, whose erasure code may differ -- must
+// not be served: the key's creation fails and names the reason.
+func TestTCPShardRefusesNodeOfOtherBuild(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		gateway string
+	)
+	net, err := tcpnet.NewNetwork("127.0.0.1:0", tcpnet.Options{Resolver: func(wire.ProcID) (string, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		return gateway, gateway != ""
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	var ctl transport.Node
+	ctl, err = net.Register(wire.ProcID{Role: wire.RoleControl, Index: 1}, func(env wire.Envelope) {
+		switch m := env.Msg.(type) {
+		case wire.GroupServe:
+			mu.Lock()
+			gateway = m.ClientAddr
+			mu.Unlock()
+			ctl.Send(env.From, wire.GroupServeResp{Seq: m.Seq, Group: m.Group}) // no Code echoed
+		case wire.GroupRetire:
+			ctl.Send(env.From, wire.GroupRetireResp{Seq: m.Seq, Group: m.Group})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(Config{
+		Params:   testParams(t, 3, 4, 1, 1),
+		Topology: &Topology{Shards: []ShardSpec{{Backend: BackendTCP, Nodes: []NodeSpec{{ID: 1, Addr: net.Addr()}}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := g.Put(ctx, "k", []byte("v")); err == nil || !strings.Contains(err.Error(), "did not confirm erasure code") {
+		t.Fatalf("Put on a node that echoes no code: err = %v, want a refusal naming the erasure code", err)
 	}
 }

@@ -125,6 +125,17 @@ func (p Params) NewCode() (erasure.Regenerating, error) {
 	return mbr.New(p.CodeParams())
 }
 
+// CodeFingerprint identifies the code NewCode builds. A gateway and a node
+// host serve a group together only when their fingerprints agree: builds
+// whose codes differ store and decode different bytes for one value.
+func (p Params) CodeFingerprint() (uint64, error) {
+	c, err := mbr.New(p.CodeParams())
+	if err != nil {
+		return 0, err
+	}
+	return c.Fingerprint(), nil
+}
+
 // L1IDs returns the process ids of all L1 servers, in index order. The
 // order matters: the broadcast relay set is the first f1+1 of them.
 func (p Params) L1IDs() []wire.ProcID {

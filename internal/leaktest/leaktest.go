@@ -66,8 +66,8 @@ var benign = []string{
 	"testing.Main(",
 	"testing.(*M).Run",
 	"testing.runTests",
-	"testing.(*T).Run",      // parked subtest parents
-	"testing.runFuzzTests",  // fuzz driver
+	"testing.(*T).Run",     // parked subtest parents
+	"testing.runFuzzTests", // fuzz runner
 	"testing.runFuzzing",
 	"os/signal.signal_recv", // signal handling machinery
 	"os/signal.loop",

@@ -75,8 +75,14 @@ type Host struct {
 	mu       sync.RWMutex
 	groups   map[int32]*hostedGroup
 	ctlAddrs map[wire.ProcID]string // control peers learned from handshakes
-	codes    map[lds.Params]erasure.Regenerating
+	codes    map[lds.Params]hostedCode
 	closed   bool
+}
+
+// hostedCode is the storage code for one geometry with its fingerprint.
+type hostedCode struct {
+	code erasure.Regenerating
+	fp   uint64
 }
 
 // hostedGroup is this node's slice of one namespaced LDS cluster.
@@ -116,7 +122,7 @@ func New(listen string, nodeID int32, opts Options) (*Host, error) {
 		id:       nodeID,
 		groups:   make(map[int32]*hostedGroup),
 		ctlAddrs: make(map[wire.ProcID]string),
-		codes:    make(map[lds.Params]erasure.Regenerating),
+		codes:    make(map[lds.Params]hostedCode),
 		logf:     opts.Log,
 	}
 	if h.logf == nil {
@@ -220,6 +226,8 @@ func (h *Host) handleCtl(env wire.Envelope) {
 		if err := h.serve(m); err != nil {
 			resp.Err = err.Error()
 			h.logf("nodehost %d: serve group %d: %v", h.id, m.Group, err)
+		} else {
+			resp.Code = m.Code // serve checked it is this node's code
 		}
 		h.ctl.Send(env.From, resp)
 	case wire.GroupRetire:
@@ -395,6 +403,11 @@ func (h *Host) serve(m wire.GroupServe) error {
 		h.mu.Unlock()
 		return ErrClosed
 	}
+	code, err := h.codeLocked(params, m.Group, m.Code)
+	if err != nil {
+		h.mu.Unlock()
+		return err
+	}
 	if g, ok := h.groups[m.Group]; ok {
 		if g.gen == m.Gen {
 			if g.params != params {
@@ -421,11 +434,6 @@ func (h *Host) serve(m wire.GroupServe) error {
 		h.mu.Unlock()
 		g.view.Close() // recycled namespace: replace the stale incarnation
 		h.mu.Lock()
-	}
-	code, err := h.codeLocked(params)
-	if err != nil {
-		h.mu.Unlock()
-		return err
 	}
 	// Install the registry entry before registering servers: the servers'
 	// first outbound sends need the resolver to know the group.
@@ -483,17 +491,26 @@ func (h *Host) serve(m wire.GroupServe) error {
 	return nil
 }
 
-// codeLocked returns the storage code for params, cached; h.mu held.
-func (h *Host) codeLocked(params lds.Params) (erasure.Regenerating, error) {
-	if code, ok := h.codes[params]; ok {
-		return code, nil
+// codeLocked returns the storage code for params, cached, if fp -- the
+// fingerprint group's GroupServe carries -- is its fingerprint; h.mu held.
+func (h *Host) codeLocked(params lds.Params, group int32, fp uint64) (erasure.Regenerating, error) {
+	c, ok := h.codes[params]
+	if !ok {
+		code, err := params.NewCode()
+		if err != nil {
+			return nil, err
+		}
+		own, err := params.CodeFingerprint()
+		if err != nil {
+			return nil, err
+		}
+		c = hostedCode{code, own}
+		h.codes[params] = c
 	}
-	code, err := params.NewCode()
-	if err != nil {
-		return nil, err
+	if fp != c.fp {
+		return nil, fmt.Errorf("nodehost: group %d: the gateway's erasure code %016x is not this node's %016x: run one build on gateway and nodes", group, fp, c.fp)
 	}
-	h.codes[params] = code
-	return code, nil
+	return c.code, nil
 }
 
 // retire tears down this node's servers of a group; unknown groups are a

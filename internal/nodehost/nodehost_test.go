@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lds-storage/lds/internal/lds"
 	"github.com/lds-storage/lds/internal/tag"
 	"github.com/lds-storage/lds/internal/transport/tcpnet"
 	"github.com/lds-storage/lds/internal/wire"
@@ -51,6 +52,21 @@ func (c *ctlClient) roundTrip(t *testing.T, to int32, msg wire.Message) wire.Mes
 	}
 }
 
+// codeOf returns the code fingerprint a gateway of this build sends for
+// the given geometry.
+func codeOf(t *testing.T, n1, n2, f1, f2 int) uint64 {
+	t.Helper()
+	p, err := lds.NewParams(n1, n2, f1, f2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := p.CodeFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
+
 func TestAssignedNode(t *testing.T) {
 	// 4 servers over 3 nodes: 0,1,2,0 — the documented round-robin.
 	want := []int{0, 1, 2, 0}
@@ -78,9 +94,12 @@ func TestServeRetireHandshake(t *testing.T) {
 		Nodes:      []wire.NodeAddr{{ID: 1, Addr: h.Addr()}},
 		ClientAddr: c.net.Addr(),
 		Value:      []byte("v0"),
+		Code:       codeOf(t, 3, 4, 1, 1),
 	}
 	if resp := c.roundTrip(t, 1, serve).(wire.GroupServeResp); resp.Err != "" {
 		t.Fatalf("serve: %s", resp.Err)
+	} else if resp.Code != serve.Code {
+		t.Fatalf("serve acked code %016x, want %016x echoed", resp.Code, serve.Code)
 	}
 	// Sole node of the group: it hosts all 3 L1 and all 4 L2 servers.
 	if h.Groups() != 1 || h.Servers() != 7 {
@@ -180,5 +199,47 @@ func TestServeRetireHandshake(t *testing.T) {
 	// Retiring an unknown group is idempotent.
 	if resp := c.roundTrip(t, 1, wire.GroupRetire{Seq: 7, Group: 7}).(wire.GroupRetireResp); resp.Group != 7 {
 		t.Fatalf("idempotent retire acked group %d", resp.Group)
+	}
+}
+
+// TestServeRefusesOtherCode: a gateway built with another erasure code --
+// or one that predates the fingerprint and sends none -- would pair its
+// decoder with this node's coded bytes and read wrong values. The node
+// answers with an error, echoes no code, and serves nothing, not even on
+// an incarnation it already hosts.
+func TestServeRefusesOtherCode(t *testing.T) {
+	h, err := New("127.0.0.1:0", 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	c := newCtlClient(t, h.Addr(), 1)
+	serve := wire.GroupServe{
+		Seq: 1, Group: 3, Gen: 1, N1: 3, N2: 4, F1: 1, F2: 1,
+		Nodes:      []wire.NodeAddr{{ID: 1, Addr: h.Addr()}},
+		ClientAddr: c.net.Addr(),
+		Code:       codeOf(t, 3, 4, 1, 1),
+	}
+	for i, code := range []uint64{serve.Code ^ 1, 0, codeOf(t, 3, 5, 1, 1)} {
+		bad := serve
+		bad.Seq, bad.Code = uint64(10+i), code
+		resp := c.roundTrip(t, 1, bad).(wire.GroupServeResp)
+		if resp.Err == "" || resp.Code != 0 {
+			t.Fatalf("serve with code %016x: resp %+v, want an error and no code", code, resp)
+		}
+		if h.Groups() != 0 || h.Servers() != 0 {
+			t.Fatalf("serve with code %016x: groups=%d servers=%d, want 0/0", code, h.Groups(), h.Servers())
+		}
+	}
+	if resp := c.roundTrip(t, 1, serve).(wire.GroupServeResp); resp.Err != "" || resp.Code != serve.Code {
+		t.Fatalf("serve with this node's code: %+v", resp)
+	}
+	bad := serve
+	bad.Seq, bad.Code = 20, 0
+	if resp := c.roundTrip(t, 1, bad).(wire.GroupServeResp); resp.Err == "" {
+		t.Fatal("re-serve of a hosted incarnation without a code did not fail")
+	}
+	if h.Groups() != 1 || h.Servers() != 7 {
+		t.Fatalf("after refused re-serve: groups=%d servers=%d, want the hosted 1/7 kept", h.Groups(), h.Servers())
 	}
 }

@@ -51,6 +51,11 @@ type GroupServe struct {
 	// InitialTag equivalents).
 	Value []byte
 	Tag   tag.Tag
+	// Code fingerprints the storage code the sender's clients decode with
+	// (lds.Params.CodeFingerprint). A node whose own code differs refuses
+	// the group. A sender that predates the field encodes no Code, which
+	// decodes as 0 and so is refused too.
+	Code uint64
 }
 
 // Kind implements Message.
@@ -72,7 +77,8 @@ func (m GroupServe) AppendTo(b []byte) []byte {
 	}
 	b = appendBytes(b, []byte(m.ClientAddr))
 	b = appendTag(b, m.Tag)
-	return appendBytes(b, m.Value)
+	b = appendBytes(b, m.Value)
+	return appendUvarint(b, m.Code)
 }
 
 // PayloadBytes implements Message: the seed value is data, the rest is
@@ -80,11 +86,14 @@ func (m GroupServe) AppendTo(b []byte) []byte {
 func (m GroupServe) PayloadBytes() int { return len(m.Value) }
 
 // GroupServeResp acknowledges a GroupServe; a non-empty Err reports why
-// the receiver could not host its slice of the group.
+// the receiver could not host its slice of the group. A node that serves
+// the group echoes the request's Code, which it checked against its own;
+// one that predates the check sends none (0), and the sender refuses it.
 type GroupServeResp struct {
 	Seq   uint64
 	Group int32
 	Err   string
+	Code  uint64
 }
 
 // Kind implements Message.
@@ -94,7 +103,8 @@ func (GroupServeResp) Kind() Kind { return KindGroupServeResp }
 func (m GroupServeResp) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.Seq)
 	b = appendInt32(b, m.Group)
-	return appendBytes(b, []byte(m.Err))
+	b = appendBytes(b, []byte(m.Err))
+	return appendUvarint(b, m.Code)
 }
 
 // PayloadBytes implements Message.
@@ -316,7 +326,10 @@ func registerControlDecoders() {
 		if m.Tag, b, err = readTag(b); err != nil {
 			return nil, err
 		}
-		m.Value, _, err = readBytes(b)
+		if m.Value, b, err = readBytes(b); err != nil {
+			return nil, err
+		}
+		m.Code, err = readOptionalUvarint(b)
 		return m, err
 	})
 	register(KindGroupServeResp, func(b []byte) (Message, error) {
@@ -330,8 +343,12 @@ func registerControlDecoders() {
 		if m.Group, b, err = readInt32(b); err != nil {
 			return nil, err
 		}
-		msg, _, err := readBytes(b)
+		msg, b, err := readBytes(b)
+		if err != nil {
+			return nil, err
+		}
 		m.Err = string(msg)
+		m.Code, err = readOptionalUvarint(b)
 		return m, err
 	})
 	register(KindGroupRetire, func(b []byte) (Message, error) {
@@ -439,4 +456,14 @@ func registerControlDecoders() {
 		}
 		return m, nil
 	})
+}
+
+// readOptionalUvarint reads a trailing field that older builds do not
+// send: absent, it is 0.
+func readOptionalUvarint(b []byte) (uint64, error) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	v, _, err := readUvarint(b)
+	return v, err
 }

@@ -52,11 +52,13 @@ func allMessages() []Message {
 			ClientAddr: "127.0.0.1:9000",
 			Value:      []byte("seed value"),
 			Tag:        t1,
+			Code:       0x9a3f_52c1_07e4_d86b,
 		},
 		GroupServe{Seq: 10, Group: 0, N1: 3, N2: 3, F1: 1, F2: 1,
 			Nodes: []NodeAddr{{ID: 1, Addr: "h:1"}}, ClientAddr: "h:2"},
 		GroupServeResp{Seq: 9, Group: 12},
 		GroupServeResp{Seq: 9, Group: 12, Err: "node 3 not in group"},
+		GroupServeResp{Seq: 9, Group: 12, Code: 0x9a3f_52c1_07e4_d86b},
 		GroupRetire{Seq: 11, Group: 12},
 		GroupRetireResp{Seq: 11, Group: 12},
 		NodePing{Seq: 12, ReplyAddr: "127.0.0.1:9000"},
@@ -282,6 +284,30 @@ func TestTagEncodingNegativeWriter(t *testing.T) {
 		}
 		if dec.(PutTag).Tag.W != w {
 			t.Errorf("w=%d: round trip = %d", w, dec.(PutTag).Tag.W)
+		}
+	}
+}
+
+// TestGroupServeFromOlderBuild: a GroupServe or GroupServeResp from a build
+// that predates the code fingerprint ends before the Code field. It still
+// decodes, with Code 0, so the receiver can refuse it with a reason
+// instead of dropping it as malformed.
+func TestGroupServeFromOlderBuild(t *testing.T) {
+	for _, msg := range []Message{
+		GroupServe{Seq: 1, Group: 2, N1: 3, N2: 4, F1: 1, F2: 1,
+			Nodes: []NodeAddr{{ID: 1, Addr: "h:1"}}, ClientAddr: "h:2", Value: []byte("v")},
+		GroupServeResp{Seq: 1, Group: 2, Err: "refused"},
+	} {
+		enc := Encode(msg)
+		if enc[len(enc)-1] != 0 {
+			t.Fatalf("%T: encoding does not end in a zero Code: % x", msg, enc)
+		}
+		got, err := Decode(enc[:len(enc)-1])
+		if err != nil {
+			t.Fatalf("%T without Code: %v", msg, err)
+		}
+		if !reflect.DeepEqual(got, msg) {
+			t.Fatalf("%T without Code decoded as %#v, want %#v", msg, got, msg)
 		}
 	}
 }
