@@ -475,7 +475,7 @@ func newHandler(gw *gateway.Gateway, timeout time.Duration) http.Handler {
 				RingVersion: gw.RingVersion(),
 			})
 		default:
-			plan, err := gateway.NewRebalancer(gw, gateway.PlannerConfig{}).Rebalance(ctx)
+			plan, err := gateway.NewRebalancer(gw).Rebalance(ctx)
 			if err != nil {
 				httpError(w, err)
 				return
@@ -499,10 +499,13 @@ func timeoutContext(r *http.Request, d time.Duration) (context.Context, context.
 
 // httpError maps operation failures onto status codes: timeouts (an
 // overloaded or crashed shard) read as 504, shutdown as 503, rebalance
-// contention as 409, everything else as 500.
+// contention as 409, a shard count out of range as 400, everything else
+// as 500.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, gateway.ErrShardCount):
+		code = http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		code = http.StatusGatewayTimeout
 	case errors.Is(err, gateway.ErrClosed):

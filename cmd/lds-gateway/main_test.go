@@ -133,6 +133,10 @@ func TestMigrationRebalanceEndToEnd(t *testing.T) {
 
 	// Bad target is a client error.
 	postRebalance(`{"key": "key-00", "to": 99}`, http.StatusInternalServerError)
+	// A shard count out of range is refused before anything changes (the
+	// stats below still read ring version 1 and 3 shards).
+	postRebalance(`{"shards": 2000}`, http.StatusBadRequest)
+	postRebalance(`{"shards": -1}`, http.StatusBadRequest)
 
 	// Stats expose the routing epoch and recycling gauges.
 	resp, err := http.Get(srv.URL + "/v1/stats")

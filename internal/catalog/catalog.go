@@ -1,11 +1,20 @@
 // Package catalog persists a gateway's routing plane: the append-only,
-// crash-safe record of every routing mutation a gateway performs — object
-// creation, migration swaps, ring resizes, namespace allocation and
-// recycling, and the incarnation (generation) plus boot seed of every
-// remote shard group. Replaying the catalog after a gateway restart
-// reconstructs exactly the state needed to re-adopt the node-held groups a
-// live fleet is still serving, instead of discarding them (see
-// internal/gateway and docs/ARCHITECTURE.md, "Durable routing catalog").
+// crash-safe record of the bindings a restarted gateway needs to find its
+// keyspace again — each key's group binding (namespace and owning shard),
+// the incarnation (generation) plus boot seed of every remote shard group,
+// the ring epoch, the namespaces a fleet peer adopted away (quarantine),
+// the generation floor, and executed forwarded puts. Replaying the catalog
+// after a gateway restart reconstructs exactly the state needed to re-adopt
+// the node-held groups a live fleet is still serving, instead of discarding
+// them (see internal/gateway and docs/ARCHITECTURE.md, "Durable routing
+// catalog").
+//
+// What follows from those bindings is not recorded: the gateway derives
+// its namespace allocator and its placement pins from them at restore.
+// Catalogs written before that change also hold namespace-allocation
+// (TypeNSAlloc, TypeNSRecycle) and placement (TypePlace, TypeUnplace)
+// records and snapshot fields for them; replay ignores both, so such a
+// catalog still opens and restores.
 //
 // # On-disk layout
 //
@@ -59,12 +68,15 @@ import (
 // Type discriminates catalog records.
 type Type uint8
 
-// Record types. The zero value is invalid.
+// Record types. The zero value is invalid. The numeric values are the
+// on-disk format: a type is never renumbered, and one no longer written
+// keeps its value so older catalogs replay.
 const (
-	// TypeNSAlloc records that a transport namespace was carved out of the
-	// id space (or taken off the free list).
+	// TypeNSAlloc is a legacy namespace-allocation record; it is no longer
+	// written and replay ignores it.
 	TypeNSAlloc Type = iota + 1
-	// TypeNSRecycle returns a reaped group's namespace to the free list.
+	// TypeNSRecycle is a legacy free-list record; it is no longer written
+	// and replay ignores it.
 	TypeNSRecycle
 	// TypeObjectSet binds a key to its group's namespace and owning shard;
 	// it records both first creation and the commit point of a migration
@@ -72,9 +84,11 @@ const (
 	TypeObjectSet
 	// TypeObjectDel forgets a key's group binding.
 	TypeObjectDel
-	// TypePlace pins a key's routing to a shard off the ring's assignment.
+	// TypePlace is a legacy placement-pin record; it is no longer written
+	// and replay ignores it.
 	TypePlace
-	// TypeUnplace drops a key's placement pin (the ring answers again).
+	// TypeUnplace is a legacy pin-removal record; it is no longer written
+	// and replay ignores it.
 	TypeUnplace
 	// TypeRing records the routing epoch and shard count after a ring
 	// change (resize swap or shrink truncation).
@@ -86,8 +100,7 @@ const (
 	// TypeGroupRetire forgets a remote group.
 	TypeGroupRetire
 	// TypeNSQuarantine permanently fences a namespace out of this catalog's
-	// allocator: it never joins the free list, recycle records for it are
-	// ignored, and the gateway's restore-time leak sweep skips it. A fleet
+	// allocator: the gateway's restore never derives it as free. A fleet
 	// peer writes it into a dead gateway's catalog when it adopts that
 	// namespace's group during lease failover, so the original owner —
 	// restarted later — can never recycle or re-issue an id whose group the
@@ -146,12 +159,12 @@ func (t Type) String() string {
 // Type; unused fields stay zero and are omitted from the encoding.
 type Record struct {
 	Type Type `json:"t"`
-	// Key names the object for TypeObjectSet/Del and TypePlace/Unplace.
+	// Key names the object for TypeObjectSet/Del.
 	Key string `json:"key,omitempty"`
-	// NS is the transport namespace for namespace, object and group
+	// NS is the transport namespace for object, group and quarantine
 	// records.
 	NS int32 `json:"ns,omitempty"`
-	// Shard is the owning shard for TypeObjectSet and TypePlace.
+	// Shard is the owning shard for TypeObjectSet and TypeForwardDone.
 	Shard int `json:"shard,omitempty"`
 	// Version and Shards carry the routing epoch for TypeRing.
 	Version int `json:"version,omitempty"`
@@ -211,11 +224,6 @@ type State struct {
 	// TypeRing record).
 	RingVersion int `json:"ring_version"`
 	Shards      int `json:"shards"`
-	// NextNS and FreeNS reconstruct the namespace allocator.
-	NextNS int32   `json:"next_ns"`
-	FreeNS []int32 `json:"free_ns,omitempty"`
-	// Placement holds the keys routed off the ring's assignment.
-	Placement map[string]int `json:"placement,omitempty"`
 	// Objects maps each live key to its group binding.
 	Objects map[string]Object `json:"objects,omitempty"`
 	// Groups maps each live remote group's namespace to its re-adoption
@@ -227,7 +235,7 @@ type State struct {
 	NextGen uint64 `json:"next_gen"`
 	// Quarantine lists namespaces fenced out of the allocator for good
 	// (TypeNSQuarantine): adopted away by a fleet peer during failover,
-	// they are never free, never recycled and never swept.
+	// they are never free.
 	Quarantine []int32 `json:"quarantine,omitempty"`
 	// Forwards is the duplicate-suppression record of executed forwarded
 	// puts, by origin gateway then sequence number, capped at
@@ -245,21 +253,15 @@ const MaxForwardsPerOrigin = 1024
 // newState returns an empty state with allocated maps.
 func newState() State {
 	return State{
-		Placement: make(map[string]int),
-		Objects:   make(map[string]Object),
-		Groups:    make(map[int32]Group),
+		Objects: make(map[string]Object),
+		Groups:  make(map[int32]Group),
 	}
 }
 
 // clone deep-copies the state.
 func (s *State) clone() State {
 	out := *s
-	out.FreeNS = append([]int32(nil), s.FreeNS...)
 	out.Quarantine = append([]int32(nil), s.Quarantine...)
-	out.Placement = make(map[string]int, len(s.Placement))
-	for k, v := range s.Placement {
-		out.Placement[k] = v
-	}
 	out.Objects = make(map[string]Object, len(s.Objects))
 	for k, v := range s.Objects {
 		out.Objects[k] = v
@@ -285,39 +287,24 @@ func (s *State) clone() State {
 }
 
 // normalize re-establishes invariants after loading a snapshot produced by
-// an older writer or edited by hand: nil maps become empty, the free list
-// is deduplicated and clipped to [0, NextNS).
+// an older writer or edited by hand: nil maps become empty, and the
+// quarantine list drops negative and duplicate entries.
 func (s *State) normalize() {
-	if s.Placement == nil {
-		s.Placement = make(map[string]int)
-	}
 	if s.Objects == nil {
 		s.Objects = make(map[string]Object)
 	}
 	if s.Groups == nil {
 		s.Groups = make(map[int32]Group)
 	}
-	quar := make(map[int32]bool, len(s.Quarantine))
+	seen := make(map[int32]bool, len(s.Quarantine))
 	q := s.Quarantine[:0]
 	for _, ns := range s.Quarantine {
-		if ns >= 0 && !quar[ns] {
-			quar[ns] = true
+		if ns >= 0 && !seen[ns] {
+			seen[ns] = true
 			q = append(q, ns)
-			if ns >= s.NextNS {
-				s.NextNS = ns + 1
-			}
 		}
 	}
 	s.Quarantine = q
-	seen := make(map[int32]bool, len(s.FreeNS))
-	free := s.FreeNS[:0]
-	for _, ns := range s.FreeNS {
-		if ns >= 0 && ns < s.NextNS && !seen[ns] && !quar[ns] {
-			seen[ns] = true
-			free = append(free, ns)
-		}
-	}
-	s.FreeNS = free
 }
 
 // Quarantined reports whether ns was fenced out of this catalog's
@@ -331,70 +318,29 @@ func (s *State) Quarantined(ns int32) bool {
 	return false
 }
 
-// noteAllocated folds "namespace ns is in use" into the allocator view:
-// the high-water mark covers it and it leaves the free list. Called for
-// NSAlloc and also for records that imply the allocation (a group or
-// object bound to ns), so an NSAlloc lost to a tolerated append failure
-// can never lead to re-issuing a namespace a live group still holds.
-func (s *State) noteAllocated(ns int32) {
-	if ns >= s.NextNS {
-		s.NextNS = ns + 1
-	}
-	for i, free := range s.FreeNS {
-		if free == ns {
-			s.FreeNS = append(s.FreeNS[:i], s.FreeNS[i+1:]...)
-			break
-		}
-	}
-}
-
 // apply folds one record into the state. Records are self-contained and
 // idempotent enough that replaying a prefix of the log always yields a
-// state the gateway's restore path can reconcile.
+// state the gateway's restore path can reconcile. The legacy types
+// (TypeNSAlloc, TypeNSRecycle, TypePlace, TypeUnplace) fall through as
+// no-ops.
 func (s *State) apply(r Record) {
 	switch r.Type {
-	case TypeNSAlloc:
-		s.noteAllocated(r.NS)
-	case TypeNSRecycle:
-		// Recycling implies the namespace was allocated: cover it with the
-		// high-water mark even if the NSAlloc record was lost to a
-		// tolerated append failure, or the allocator would hand the
-		// namespace out twice (once off the free list, once at s.NextNS).
-		if r.NS >= s.NextNS {
-			s.NextNS = r.NS + 1
-		}
-		if s.Quarantined(r.NS) {
-			return // adopted away: the id is the adopter's now, never free here
-		}
-		for _, ns := range s.FreeNS {
-			if ns == r.NS {
-				return // already free: a replayed duplicate
-			}
-		}
-		s.FreeNS = append(s.FreeNS, r.NS)
 	case TypeObjectSet:
 		s.Objects[r.Key] = Object{NS: r.NS, Shard: r.Shard}
-		s.noteAllocated(r.NS)
 	case TypeObjectDel:
 		delete(s.Objects, r.Key)
-	case TypePlace:
-		s.Placement[r.Key] = r.Shard
-	case TypeUnplace:
-		delete(s.Placement, r.Key)
 	case TypeRing:
 		s.RingVersion = r.Version
 		s.Shards = r.Shards
 	case TypeGroupServe:
 		s.Groups[r.NS] = Group{Gen: r.Gen, Nodes: r.Nodes, Value: r.Value, Tag: r.Tag,
 			N1: r.N1, N2: r.N2, F1: r.F1, F2: r.F2}
-		s.noteAllocated(r.NS)
 		if r.Gen >= s.NextGen {
 			s.NextGen = r.Gen + 1
 		}
 	case TypeGroupRetire:
 		delete(s.Groups, r.NS)
 	case TypeNSQuarantine:
-		s.noteAllocated(r.NS) // covers the id and pulls it off the free list
 		if !s.Quarantined(r.NS) {
 			s.Quarantine = append(s.Quarantine, r.NS)
 		}

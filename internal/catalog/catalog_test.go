@@ -62,17 +62,11 @@ func TestRoundTrip(t *testing.T) {
 		if st.RingVersion != 0 || st.Shards != 2 {
 			t.Errorf("ring = (v%d, %d shards), want (v0, 2)", st.RingVersion, st.Shards)
 		}
-		if st.NextNS != 2 || len(st.FreeNS) != 0 {
-			t.Errorf("ns allocator = (next %d, free %v), want (2, none)", st.NextNS, st.FreeNS)
-		}
 		if got := st.Objects["alpha"]; got != (Object{NS: 0, Shard: 1}) {
 			t.Errorf("alpha = %+v, want {NS:0 Shard:1}", got)
 		}
 		if got := st.Objects["beta"]; got != (Object{NS: 1, Shard: 0}) {
 			t.Errorf("beta = %+v, want {NS:1 Shard:0}", got)
-		}
-		if got := st.Placement["alpha"]; got != 1 {
-			t.Errorf("placement[alpha] = %d, want 1", got)
 		}
 		g := st.Groups[1]
 		if g.Gen != 2 || string(g.Value) != "snap" || g.Tag != (tag.Tag{Z: 7, W: 1}) {
@@ -192,21 +186,15 @@ func TestRecycleThenRealloc(t *testing.T) {
 	if g := st.Groups[0]; g.Gen != 3 || string(g.Value) != "fresh" {
 		t.Errorf("group 0 = gen %d value %q, want the gen-3 successor", g.Gen, g.Value)
 	}
-	if len(st.FreeNS) != 0 {
-		t.Errorf("free list = %v, want empty (0 was re-allocated)", st.FreeNS)
-	}
-	if st.NextNS != 2 {
-		t.Errorf("NextNS = %d, want 2", st.NextNS)
-	}
 	if st.NextGen != 4 {
 		t.Errorf("NextGen = %d, want 4 (no persisted gen may be re-issued)", st.NextGen)
 	}
 }
 
-// TestImpliedAllocation: a TypeNSAlloc lost to a tolerated append
-// failure must not let the allocator re-issue a namespace that later
-// durable records show is in use — group and object records imply the
-// allocation.
+// TestImpliedAllocation: the bindings alone carry a namespace's use. With
+// the allocation records lost (or never written), the object and group
+// records still name every namespace in use, which is what the gateway
+// derives its allocator from; legacy allocation records change nothing.
 func TestImpliedAllocation(t *testing.T) {
 	f := open(t)
 	nodes := []wire.NodeAddr{{ID: 1, Addr: "127.0.0.1:7101"}}
@@ -222,26 +210,20 @@ func TestImpliedAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := reopen(t, f).State()
-	if st.NextNS != 8 {
-		t.Errorf("NextNS = %d, want 8 (implied by the bound namespaces)", st.NextNS)
+	if st.Objects["a"].NS != 5 || st.Objects["b"].NS != 3 {
+		t.Errorf("objects = %v, want a on 5 and b on 3", st.Objects)
 	}
-	if len(st.FreeNS) != 0 {
-		t.Errorf("FreeNS = %v, want empty (3 was re-bound)", st.FreeNS)
+	if _, ok := st.Groups[7]; !ok {
+		t.Errorf("groups = %v, want group 7", st.Groups)
 	}
 
-	// A recycle whose NSAlloc record was lost also implies the
-	// allocation: the namespace may sit on the free list, but the
-	// high-water mark must cover it or it would be issued twice.
+	// A lone legacy recycle record leaves the state as empty as it was.
 	g := open(t)
 	if err := g.Append(Record{Type: TypeNSRecycle, NS: 9}); err != nil {
 		t.Fatal(err)
 	}
-	st = g.State()
-	if st.NextNS != 10 {
-		t.Errorf("NextNS = %d after orphan recycle of 9, want 10", st.NextNS)
-	}
-	if len(st.FreeNS) != 1 || st.FreeNS[0] != 9 {
-		t.Errorf("FreeNS = %v, want [9]", st.FreeNS)
+	if st, empty := g.State(), newState(); !reflect.DeepEqual(st, empty) {
+		t.Errorf("state after a legacy recycle = %+v, want empty", st)
 	}
 }
 
@@ -257,8 +239,8 @@ func TestObjectDelAndUnplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := reopen(t, f).State()
-	if len(st.Objects) != 0 || len(st.Placement) != 0 {
-		t.Errorf("state = objects %v placement %v, want both empty", st.Objects, st.Placement)
+	if len(st.Objects) != 0 {
+		t.Errorf("objects = %v, want empty", st.Objects)
 	}
 }
 
@@ -267,7 +249,7 @@ func TestObjectDelAndUnplace(t *testing.T) {
 func TestCompactionBoundsWAL(t *testing.T) {
 	f := open(t)
 	for i := 0; i < compactThreshold+10; i++ {
-		if err := f.Append(Record{Type: TypePlace, Key: "k", Shard: i % 7}); err != nil {
+		if err := f.Append(Record{Type: TypeObjectSet, Key: "k", Shard: i % 7}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,8 +259,8 @@ func TestCompactionBoundsWAL(t *testing.T) {
 	if n >= compactThreshold {
 		t.Errorf("walRecords = %d after threshold crossing, want < %d", n, compactThreshold)
 	}
-	if got := f.State().Placement["k"]; got != (compactThreshold+9)%7 {
-		t.Errorf("placement[k] = %d, want %d", got, (compactThreshold+9)%7)
+	if got := f.State().Objects["k"].Shard; got != (compactThreshold+9)%7 {
+		t.Errorf("objects[k].Shard = %d, want %d", got, (compactThreshold+9)%7)
 	}
 	info, err := os.Stat(filepath.Join(f.dir, walName))
 	if err != nil {
@@ -337,8 +319,8 @@ func TestFailedSyncAppliesNothing(t *testing.T) {
 	if _, ok := st.Objects["durable"]; !ok {
 		t.Error("reopen lost the durable record")
 	}
-	if _, ok := st.Objects["lost"]; ok || st.NextNS != 1 {
-		t.Errorf("reopen replayed the failed append: objects %v, next ns %d", st.Objects, st.NextNS)
+	if _, ok := st.Objects["lost"]; ok {
+		t.Errorf("reopen replayed the failed append: objects %v", st.Objects)
 	}
 }
 
@@ -372,7 +354,7 @@ func TestMissingSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Append(Record{Type: TypeNSAlloc, NS: 0}); err != nil {
+	if err := f.Append(Record{Type: TypeObjectSet, Key: "k", NS: 4}); err != nil {
 		t.Fatal(err)
 	}
 	f.wal.Close() // abandon without Close: snapshot holds the compacted open-state only
@@ -384,14 +366,14 @@ func TestMissingSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if st := g.State(); st.NextNS != 1 {
-		t.Errorf("NextNS = %d, want 1 (replayed from WAL alone)", st.NextNS)
+	if st := g.State(); st.Objects["k"].NS != 4 {
+		t.Errorf("objects = %v, want k on 4 (replayed from WAL alone)", st.Objects)
 	}
 }
 
-// TestQuarantineAndGenFloor: the failover-adoption records. A quarantined
-// namespace must never rejoin the free list (even through a later recycle
-// record), and a gen floor must pull NextGen up without ever lowering it.
+// TestQuarantineAndGenFloor: the failover-adoption records. A quarantine
+// survives a later (legacy) recycle record, and a gen floor must pull
+// NextGen up without ever lowering it.
 func TestQuarantineAndGenFloor(t *testing.T) {
 	f := open(t)
 	nodes := []wire.NodeAddr{{ID: 1, Addr: "127.0.0.1:7101"}}
@@ -414,14 +396,8 @@ func TestQuarantineAndGenFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := reopen(t, f).State()
-	if len(st.FreeNS) != 0 {
-		t.Errorf("FreeNS = %v, want empty (0 is quarantined)", st.FreeNS)
-	}
 	if !st.Quarantined(0) {
 		t.Error("namespace 0 not quarantined after replay")
-	}
-	if st.NextNS != 1 {
-		t.Errorf("NextNS = %d, want 1 (quarantine keeps the id covered)", st.NextNS)
 	}
 	if st.NextGen != 9 {
 		t.Errorf("NextGen = %d, want 9 (the floor)", st.NextGen)
@@ -432,8 +408,8 @@ func TestQuarantineAndGenFloor(t *testing.T) {
 }
 
 // TestQuarantineSnapshotRoundTrip: quarantine must survive compaction
-// (the snapshot) and normalize must keep the free list disjoint from it
-// even for hand-edited snapshots.
+// (the snapshot), and normalize must deduplicate it even for hand-edited
+// snapshots.
 func TestQuarantineSnapshotRoundTrip(t *testing.T) {
 	f := open(t)
 	if err := f.Append(
@@ -451,13 +427,65 @@ func TestQuarantineSnapshotRoundTrip(t *testing.T) {
 		t.Error("quarantine lost across compaction")
 	}
 
-	// normalize: a free list entry that is also quarantined is dropped.
-	s := State{NextNS: 4, FreeNS: []int32{2, 3}, Quarantine: []int32{3, 3}}
+	s := State{Quarantine: []int32{3, 3}}
 	s.normalize()
-	if len(s.FreeNS) != 1 || s.FreeNS[0] != 2 {
-		t.Errorf("normalized FreeNS = %v, want [2]", s.FreeNS)
-	}
 	if len(s.Quarantine) != 1 || s.Quarantine[0] != 3 {
 		t.Errorf("normalized Quarantine = %v, want [3]", s.Quarantine)
+	}
+}
+
+// TestTypeValuesGolden pins the numeric value of every record type: the
+// values are the on-disk format, so a renumbered or reordered constant
+// would make every existing catalog replay as different records.
+func TestTypeValuesGolden(t *testing.T) {
+	for typ, want := range map[Type]uint8{
+		TypeNSAlloc:      1,
+		TypeNSRecycle:    2,
+		TypeObjectSet:    3,
+		TypeObjectDel:    4,
+		TypePlace:        5,
+		TypeUnplace:      6,
+		TypeRing:         7,
+		TypeGroupServe:   8,
+		TypeGroupRetire:  9,
+		TypeNSQuarantine: 10,
+		TypeGenFloor:     11,
+		TypeForwardDone:  12,
+	} {
+		if uint8(typ) != want {
+			t.Errorf("%v = %d, want %d", typ, uint8(typ), want)
+		}
+	}
+}
+
+// TestLegacyRecordsReplayAsNoOps: namespace-allocation and placement
+// records from older catalogs, in the WAL or as snapshot fields, open
+// cleanly and change nothing.
+func TestLegacyRecordsReplayAsNoOps(t *testing.T) {
+	dir := t.TempDir()
+	snap := `{"ring_version": 2, "shards": 3, "next_ns": 9, "free_ns": [4, 6],
+		"placement": {"k": 2}, "objects": {"k": {"ns": 1, "shard": 2}}, "next_gen": 5}`
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var wal []byte
+	for _, payload := range []string{
+		`{"t":1,"ns":9}`, `{"t":2,"ns":1}`, `{"t":5,"key":"k","shard":0}`, `{"t":6,"key":"k"}`,
+	} {
+		wal = appendFrame(wal, []byte(payload), true)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := newState()
+	want.RingVersion, want.Shards, want.NextGen = 2, 3, 5
+	want.Objects["k"] = Object{NS: 1, Shard: 2}
+	if got := f.State(); !reflect.DeepEqual(got, want) {
+		t.Errorf("state = %+v, want %+v", got, want)
 	}
 }

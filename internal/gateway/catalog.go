@@ -12,11 +12,15 @@ package gateway
 // holds for different state — the property that makes the re-adoption
 // handshake safe. Reconciliation: every other record describes an
 // in-memory transition, and restore repairs whatever a crash tore apart:
-// a provisioned group with no key bound to it is retired, a key bound to
-// a group that no longer exists restarts fresh, placement pins are
-// realigned to object bindings (the ObjectSet record is a migration's
-// commit point), and namespaces leaked between allocation and use return
-// to the free list.
+// a provisioned group with no key bound to it is retired, and a key bound
+// to a group that no longer exists restarts fresh.
+//
+// The catalog records bindings, not what follows from them. Placement
+// pins and the namespace allocator are derived at restore: a key is pinned
+// exactly when its ObjectSet binding (a creation's or migration's commit
+// point) names a shard the ring does not, and the allocator resumes one
+// past the highest namespace a binding, group or quarantine names, with
+// every unheld namespace below that free (deriveNamespaces).
 
 import (
 	"context"
@@ -146,28 +150,6 @@ func (g *Gateway) restoreFromCatalog(st catalog.State) (*RestoreInfo, error) {
 	// fsync for the whole reconciliation instead of one per record.
 	var recs []catalog.Record
 
-	// Namespace allocator. A fleet member cannot trust the global NextNS:
-	// adopted groups raise it into other members' slices (noteAllocated
-	// runs for every GroupServe/ObjectSet), and resuming there would mint
-	// namespaces a live peer owns. It rescans its own slice instead;
-	// namespaces allocated but never used are re-minted, which is safe
-	// because node state only ever exists under a durable GroupServe.
-	if g.fleet != nil {
-		g.ns.next = g.fleet.restoreNext(&st)
-	} else {
-		g.ns.next = st.NextNS
-	}
-	g.ns.free = append([]int32(nil), st.FreeNS...)
-
-	// Placement pins; pins onto shards that no longer exist are dropped.
-	for key, sh := range st.Placement {
-		if sh >= 0 && sh < shardCount {
-			g.route.placement[key] = sh
-		} else {
-			recs = append(recs, catalog.Record{Type: catalog.TypeUnplace, Key: key})
-		}
-	}
-
 	// Remote-group registry and the incarnation allocator. NextGen is one
 	// past every persisted generation, so generations never repeat across
 	// restarts — the invariant the same-gen re-adoption relies on.
@@ -214,15 +196,10 @@ func (g *Gateway) restoreFromCatalog(st catalog.State) (*RestoreInfo, error) {
 				// shard): same refusal rationale as above.
 				return nil, fmt.Errorf("gateway: catalog binds key %q to node-held group %d on shard %d, which the configured topology cannot adopt; refusing to drop recoverable state (restore the original topology, or migrate the key before reconfiguring)", key, o.NS, o.Shard)
 			}
+			// A dropped key is not pinned: its group held nothing that
+			// survived, so it reverts to the ring.
 			info.Dropped++
 			recs = append(recs, catalog.Record{Type: catalog.TypeObjectDel, Key: key})
-			// A dropped key's pin must go with it: the group it pinned the
-			// key to no longer holds anything, so the key reverts to the
-			// ring (its namespace returns via the leak sweep below).
-			if _, pinned := g.route.placement[key]; pinned {
-				delete(g.route.placement, key)
-				recs = append(recs, catalog.Record{Type: catalog.TypeUnplace, Key: key})
-			}
 			continue
 		}
 		sh := g.route.shards[o.Shard]
@@ -242,13 +219,7 @@ func (g *Gateway) restoreFromCatalog(st catalog.State) (*RestoreInfo, error) {
 		}
 		sh.objects[key] = obj
 		boundNS[o.NS] = true
-		// The ObjectSet record is the commit point of creations and
-		// migration swaps; realign the pin with it (a crash can separate
-		// the two records, object first). Corrections join the batch, and
-		// an already-correct pin writes nothing — off-ring keys are the
-		// common case after any resize, and a record per key would mean
-		// an fsync per key at boot.
-		recs = append(recs, g.placeRecsLocked(key, o.Shard)...)
+		g.placeLocked(key, o.Shard)
 		info.Objects++
 	}
 
@@ -279,41 +250,46 @@ func (g *Gateway) restoreFromCatalog(st catalog.State) (*RestoreInfo, error) {
 		}
 	}
 
-	// Leak sweep: every namespace below the high-water mark is either on
-	// the free list, bound to a live object, or held by a live remote
-	// group; anything else leaked in a crash window and is recycled. This
-	// also frees the namespaces of dropped objects and retired orphans.
-	live := make(map[int32]bool, len(boundNS))
-	for ns := range boundNS {
-		live[ns] = true
-	}
-	if g.remote != nil {
-		g.remote.mu.Lock()
-		for ns := range g.remote.groups {
-			live[ns] = true
-		}
-		g.remote.mu.Unlock()
-	}
-	free := make(map[int32]bool, len(g.ns.free))
-	for _, ns := range g.ns.free {
-		free[ns] = true
-	}
-	// The sweep covers this gateway's own allocation range (its fleet
-	// slice, or everything when single); quarantined namespaces were
-	// adopted away by a fleet peer and are the adopter's now — recycling
-	// one would hand out an id whose group another gateway serves.
-	sweepLo := int32(0)
-	if g.fleet != nil {
-		sweepLo = g.fleet.nsLo
-	}
-	for ns := sweepLo; ns < g.ns.next; ns++ {
-		if !free[ns] && !live[ns] && !st.Quarantined(ns) {
-			g.ns.free = append(g.ns.free, ns)
-			recs = append(recs, catalog.Record{Type: catalog.TypeNSRecycle, NS: ns})
-		}
-	}
+	// Namespace allocator, derived over this gateway's own range. Every
+	// group still registered is bound, so the namespaces of dropped keys
+	// and retired orphans come out free.
+	lo, hi := g.nsRange()
+	g.ns.next, g.ns.free = deriveNamespaces(&st, lo, hi, boundNS)
 	g.logRecord(recs...)
 	return info, nil
+}
+
+// deriveNamespaces rebuilds a namespace allocator over [lo, hi) from a
+// replayed catalog state. next is one past the highest in-range namespace
+// an object, a group or a quarantine record names (lo when none does);
+// free lists every in-range namespace below next that live does not hold
+// and that is not quarantined. A namespace that no record names is safe to
+// hand out again: node-side state only ever exists under a durable
+// GroupServe, and generations never repeat.
+func deriveNamespaces(st *catalog.State, lo, hi int32, live map[int32]bool) (next int32, free []int32) {
+	next = lo
+	bump := func(ns int32) {
+		if ns >= lo && ns < hi && ns >= next {
+			next = ns + 1
+		}
+	}
+	quarantined := make(map[int32]bool, len(st.Quarantine))
+	for _, ns := range st.Quarantine {
+		quarantined[ns] = true
+		bump(ns)
+	}
+	for ns := range st.Groups {
+		bump(ns)
+	}
+	for _, o := range st.Objects {
+		bump(o.NS)
+	}
+	for ns := lo; ns < next; ns++ {
+		if !live[ns] && !quarantined[ns] {
+			free = append(free, ns)
+		}
+	}
+	return next, free
 }
 
 // adopt re-serves every live remote group to its nodes under the

@@ -78,7 +78,9 @@ package gateway
 // [0, transport.MaxNamespaceGroups), sized by fleet rank. Adopted
 // namespaces come from the dead peer's slice; they are quarantined in the
 // peer's catalog, owned by the adopter's catalog from then on, and the
-// adopter's allocator never mints from that slice itself.
+// adopter's allocator never mints from that slice itself. A restarted
+// member derives its allocator over its own slice only (deriveNamespaces),
+// so adopted bindings outside it never move its resume point.
 
 import (
 	"context"
@@ -319,35 +321,6 @@ func (f *fleet) rankOf(id int32) int {
 // splits the keyspace evenly without coordination.
 func (f *fleet) preferredOwner(s int32) int32 {
 	return f.ids[int(s)%len(f.ids)]
-}
-
-// restoreNext computes the namespace allocator's resume point within this
-// member's slice. The catalog's global NextNS cannot be used directly: an
-// adopted group raises it into another member's slice, and resuming there
-// would mint namespaces a live peer owns. Namespaces this member allocated
-// but that reach no surviving record are simply re-minted — safe, because
-// a generation (and therefore any node-side state) is only ever issued
-// under a namespace with a durable GroupServe record.
-func (f *fleet) restoreNext(st *catalog.State) int32 {
-	next := f.nsLo
-	bump := func(ns int32) {
-		if ns >= f.nsLo && ns < f.nsHi && ns >= next {
-			next = ns + 1
-		}
-	}
-	for _, ns := range st.FreeNS {
-		bump(ns)
-	}
-	for _, ns := range st.Quarantine {
-		bump(ns)
-	}
-	for ns := range st.Groups {
-		bump(ns)
-	}
-	for _, o := range st.Objects {
-		bump(o.NS)
-	}
-	return next
 }
 
 // start registers the peer-plane endpoint, performs the boot claims and
@@ -1184,9 +1157,6 @@ func (f *fleet) adoptDurable(peerID int32, claims map[int32]uint64) (map[int32]*
 	}
 	for _, ao := range objs {
 		ownRecs = append(ownRecs, catalog.Record{Type: catalog.TypeObjectSet, Key: ao.key, NS: ao.obj.NS, Shard: ao.obj.Shard})
-		if sh, pinned := st.Placement[ao.key]; pinned {
-			ownRecs = append(ownRecs, catalog.Record{Type: catalog.TypePlace, Key: ao.key, Shard: sh})
-		}
 	}
 	// Forward-execution records ride along: a put the dead peer executed
 	// whose response never reached its origin will be retransmitted — to
@@ -1258,11 +1228,11 @@ func (f *fleet) adoptDurable(peerID int32, claims map[int32]uint64) (map[int32]*
 		}
 		sh.objects[ao.key] = obj
 		sh.mu.Unlock()
-		if pin, pinned := st.Placement[ao.key]; pinned {
-			g.route.mu.Lock()
-			g.route.placement[ao.key] = pin
-			g.route.mu.Unlock()
-		}
+		// Pinned exactly when the binding's shard is not the ring's, as
+		// restore derives it.
+		g.route.mu.Lock()
+		g.placeLocked(ao.key, ao.obj.Shard)
+		g.route.mu.Unlock()
 	}
 
 	// Data-ownership transfer: with the records durable in our catalog
@@ -1308,9 +1278,6 @@ func (f *fleet) adoptDurable(peerID int32, claims map[int32]uint64) (map[int32]*
 			continue
 		}
 		peerRecs = append(peerRecs, catalog.Record{Type: catalog.TypeObjectDel, Key: ao.key})
-		if _, pinned := st.Placement[ao.key]; pinned {
-			peerRecs = append(peerRecs, catalog.Record{Type: catalog.TypeUnplace, Key: ao.key})
-		}
 	}
 	for key, sh := range lost {
 		if adopted[int32(sh)] {

@@ -114,23 +114,30 @@ func TestFleetNamespacePartition(t *testing.T) {
 	}
 }
 
-// TestFleetRestoreNext checks the range-local allocator rescan: adopted
-// out-of-slice namespaces pollute the catalog's global NextNS, and the
-// fleet restore must ignore them while covering every in-slice use.
+// TestFleetRestoreNext checks the allocator derivation over a fleet
+// member's slice: bindings outside [100, 200) — an adopted group at 4999, a
+// quarantine at 10 — are ignored, and every in-slice use is covered.
 func TestFleetRestoreNext(t *testing.T) {
-	f := &fleet{nsLo: 100, nsHi: 200}
 	st := &catalog.State{
-		NextNS:     5000, // polluted by an adopted group at ns 4999
-		FreeNS:     []int32{110, 250},
 		Quarantine: []int32{120, 10},
 		Objects:    map[string]catalog.Object{"k": {NS: 130}, "out": {NS: 4999}},
 		Groups:     map[int32]catalog.Group{130: {}, 105: {}, 4999: {}},
 	}
-	if next := f.restoreNext(st); next != 131 {
-		t.Errorf("restoreNext = %d, want 131 (one past the highest in-slice use)", next)
+	live := map[int32]bool{130: true, 105: true, 4999: true}
+	next, free := deriveNamespaces(st, 100, 200, live)
+	if next != 131 {
+		t.Errorf("next = %d, want 131 (one past the highest in-slice use)", next)
 	}
-	if next := f.restoreNext(&catalog.State{}); next != 100 {
-		t.Errorf("restoreNext(empty) = %d, want the slice floor 100", next)
+	for _, ns := range free {
+		if ns < 100 || ns >= 131 || live[ns] || ns == 120 {
+			t.Errorf("free list %v holds %d: out of slice, bound or quarantined", free, ns)
+		}
+	}
+	if len(free) != 31-3 {
+		t.Errorf("free list has %d namespaces, want the 28 unused ones in [100, 131)", len(free))
+	}
+	if next, free := deriveNamespaces(&catalog.State{}, 100, 200, nil); next != 100 || len(free) != 0 {
+		t.Errorf("empty state: next %d, free %v; want the slice floor 100 and nothing free", next, free)
 	}
 }
 

@@ -51,6 +51,17 @@
 // time. A Rebalancer (rebalance.go) plans hot-key moves from the Stats()
 // snapshot.
 //
+// # Durable routing
+//
+// With a Config.Catalog the gateway logs the bindings a restart needs and
+// nothing that follows from them: a key's ObjectSet (its group's
+// namespace and shard, the commit point of a creation or migration), each
+// remote group's GroupServe, and ring changes. Placement pins and the
+// namespace allocator stay in memory; New derives them from the bindings
+// (a key is pinned exactly when its binding names a shard the ring does
+// not), so creating a tcp key costs two fsync'd records and a Resize one
+// ring record at any key count (see catalog.go).
+//
 // # Capacity
 //
 // A live key costs table entries and protocol state, not goroutines: its
@@ -156,13 +167,14 @@ type Config struct {
 	// be left 0 to adopt the topology's count). Nil keeps every shard on
 	// the sim backend.
 	Topology *Topology
-	// Catalog, when non-nil, persists the routing plane (key→shard
-	// placement, object→group bindings, namespace allocation, ring epoch,
-	// remote-group incarnations and boot seeds) so a restarted gateway
-	// resumes the same keyspace: New reloads the catalog, re-adopts the
-	// remote groups still held by live node processes under their
-	// persisted generations, and Close detaches from them instead of
-	// retiring them. Nil keeps routing in memory only.
+	// Catalog, when non-nil, persists the routing plane's bindings
+	// (object→group bindings with their shards, ring epoch, remote-group
+	// incarnations and boot seeds) so a restarted gateway resumes the same
+	// keyspace: New reloads the catalog, derives the namespace allocator
+	// and placement pins from the bindings, re-adopts the remote groups
+	// still held by live node processes under their persisted
+	// generations, and Close detaches from them instead of retiring them.
+	// Nil keeps routing in memory only.
 	Catalog Catalog
 	// Repair, when non-nil, configures the anti-entropy subsystem (see
 	// repair.go): scrub cadence, repair-bandwidth rate limit, and the
@@ -296,9 +308,10 @@ type Gateway struct {
 		shards   []*shard
 	}
 
-	// ns allocates process-id namespaces for groups. Reaped groups return
-	// theirs to the free list, so the transport.MaxNamespaceGroups cap
-	// counts live groups, not lifetime keys.
+	// ns allocates process-id namespaces for groups from this gateway's
+	// range (nsRange). Reaped groups return theirs to the free list, so
+	// the cap counts live groups, not lifetime keys. It is memory-only:
+	// a restarted gateway derives it from the catalog's bindings.
 	ns struct {
 		mu   sync.Mutex
 		next int32
@@ -424,7 +437,6 @@ func New(cfg Config) (*Gateway, error) {
 			}
 			return nil, err
 		}
-		g.ns.next = g.fleet.nsLo
 	}
 	g.route.ring = ring
 	g.route.placement = make(map[string]int)
@@ -452,7 +464,7 @@ func New(cfg Config) (*Gateway, error) {
 			info.AdoptedGroups, info.AdoptErrors = g.remote.adopt(ctx)
 			cancel()
 		}
-		if info.Objects+info.Dropped+info.Orphans+info.AdoptedGroups > 0 || len(restored.Placement) > 0 {
+		if info.Objects+info.Dropped+info.Orphans+info.AdoptedGroups > 0 {
 			g.restoreInfo = info
 		}
 		// Pin the resumed routing shape so a catalog created before this
@@ -576,26 +588,32 @@ func (g *Gateway) opErr(err error) error {
 	return err
 }
 
+// nsRange is the namespace range this gateway allocates from: its fleet
+// slice, or the whole id space for a single gateway.
+func (g *Gateway) nsRange() (lo, hi int32) {
+	if g.fleet != nil {
+		return g.fleet.nsLo, g.fleet.nsHi
+	}
+	return 0, transport.MaxNamespaceGroups
+}
+
 // nextNamespace allocates a process-id namespace for a new group,
-// preferring recycled ones. The allocation is logged so a restarted
-// gateway resumes the allocator where it stopped (a namespace that never
-// reaches an object or group record is swept back to the free list by the
-// restore reconciliation).
+// preferring recycled ones. Nothing is logged: the group's GroupServe or
+// ObjectSet record is what makes the namespace's use durable, and a
+// restarted gateway derives its allocator from those (catalog.go).
 func (g *Gateway) nextNamespace() (int32, error) {
 	g.ns.mu.Lock()
 	defer g.ns.mu.Unlock()
 	if n := len(g.ns.free); n > 0 {
 		ns := g.ns.free[n-1]
 		g.ns.free = g.ns.free[:n-1]
-		g.logRecord(catalog.Record{Type: catalog.TypeNSAlloc, NS: ns})
 		return ns, nil
 	}
-	if g.ns.next >= transport.MaxNamespaceGroups {
-		return 0, fmt.Errorf("gateway: %d live groups exhaust the namespace space", transport.MaxNamespaceGroups)
+	if lo, hi := g.nsRange(); g.ns.next >= hi {
+		return 0, fmt.Errorf("gateway: live groups exhaust the namespaces [%d, %d)", lo, hi)
 	}
 	ns := g.ns.next
 	g.ns.next++
-	g.logRecord(catalog.Record{Type: catalog.TypeNSAlloc, NS: ns})
 	return ns, nil
 }
 
@@ -603,7 +621,6 @@ func (g *Gateway) nextNamespace() (int32, error) {
 func (g *Gateway) recycleNamespace(ns int32) {
 	g.ns.mu.Lock()
 	g.ns.free = append(g.ns.free, ns)
-	g.logRecord(catalog.Record{Type: catalog.TypeNSRecycle, NS: ns})
 	g.ns.mu.Unlock()
 }
 
@@ -713,12 +730,9 @@ func (g *Gateway) install(key string, sh *shard, obj *object) (winner bool, exis
 		obj.grp.CrashL2(i)
 	}
 	sh.objects[key] = obj
-	// The ObjectSet record is the creation's commit point; any placement
-	// correction rides the same single-fsync batch (and restore realigns
-	// the pin with the ObjectSet if a torn tail splits them).
-	recs := append([]catalog.Record{{Type: catalog.TypeObjectSet, Key: key, NS: obj.ns, Shard: sh.index}},
-		g.placeRecsLocked(key, sh.index)...)
-	g.logRecord(recs...)
+	// The ObjectSet record is the creation's commit point; a restarted
+	// gateway derives the key's pin from it.
+	g.logRecord(catalog.Record{Type: catalog.TypeObjectSet, Key: key, NS: obj.ns, Shard: sh.index})
 	return true, nil
 }
 

@@ -39,8 +39,10 @@ var (
 //     namespace returns to the free list for a later group to reuse.
 //
 // Migrating a key that has no group yet just repoints its placement; the
-// group is created at the destination on first use. Migrating a key onto
-// the shard it already lives on is a no-op.
+// group is created at the destination on first use. That pin lives in
+// memory only: with no binding to derive it from, a restarted gateway
+// routes the key by the ring again (it holds no data to lose). Migrating a
+// key onto the shard it already lives on is a no-op.
 //
 // Concurrent migrations of one key serialize (the loser gets
 // ErrMigrating); concurrent migrations of distinct keys proceed
@@ -161,14 +163,12 @@ func (g *Gateway) migrateKey(ctx context.Context, key string, to int, drain bool
 	delete(fromSh.objects, key)
 	fromSh.mu.Unlock()
 	// The ObjectSet record is the migration's durable commit point: once
-	// it lands, a restart resumes the key on the successor group. The pin
-	// change rides the same batch (one fsync); should a torn tail lose
-	// the trailing Place record anyway, restore realigns the pin with the
-	// ObjectSet. Until the batch lands, a restart resumes the key on the
-	// old group, which is still intact.
-	recs := append([]catalog.Record{{Type: catalog.TypeObjectSet, Key: key, NS: newObj.ns, Shard: to}},
-		g.placeRecsLocked(key, to)...)
-	g.logRecord(recs...)
+	// it lands, a restart resumes the key on the successor group, pinned
+	// there if the ring disagrees (restore derives pins from bindings).
+	// Until it lands, a restart resumes the key on the old group, which is
+	// still intact.
+	g.placeLocked(key, to)
+	g.logRecord(catalog.Record{Type: catalog.TypeObjectSet, Key: key, NS: newObj.ns, Shard: to})
 	g.route.mu.Unlock()
 
 	// Reap: retire before releasing the quiesced clients, so a parked
@@ -181,31 +181,15 @@ func (g *Gateway) migrateKey(ctx context.Context, key string, to int, drain bool
 	return nil
 }
 
-// placeLocked records that key now lives on shard sh, dropping the entry
-// when the ring already says so; callers hold route.mu. The change is
-// logged to the catalog so a restarted gateway routes the key the same
-// way.
+// placeLocked records that key now lives on shard sh, dropping the pin
+// when the ring already says so; callers hold route.mu. Pins are memory
+// only: a restarted gateway derives them from the ObjectSet bindings.
 func (g *Gateway) placeLocked(key string, sh int) {
-	g.logRecord(g.placeRecsLocked(key, sh)...)
-}
-
-// placeRecsLocked applies the placement change and returns the catalog
-// records describing it (none when nothing changed), so callers with
-// several records to persist can batch them into one fsync'd Append;
-// callers hold route.mu.
-func (g *Gateway) placeRecsLocked(key string, sh int) []catalog.Record {
 	if g.route.ring.Shard(key) == sh {
-		if _, pinned := g.route.placement[key]; pinned {
-			delete(g.route.placement, key)
-			return []catalog.Record{{Type: catalog.TypeUnplace, Key: key}}
-		}
-		return nil
+		delete(g.route.placement, key)
+	} else {
+		g.route.placement[key] = sh
 	}
-	if cur, pinned := g.route.placement[key]; pinned && cur == sh {
-		return nil
-	}
-	g.route.placement[key] = sh
-	return []catalog.Record{{Type: catalog.TypePlace, Key: key, Shard: sh}}
 }
 
 // Resize changes the shard count to n online. The ring swap is immediate
@@ -233,9 +217,6 @@ func (g *Gateway) Resize(ctx context.Context, n int) error {
 }
 
 func (g *Gateway) resize(ctx context.Context, n int) error {
-	if n < 1 {
-		return fmt.Errorf("gateway: resize to %d shards, want >= 1", n)
-	}
 	newRing, err := NewRing(n)
 	if err != nil {
 		return err
@@ -256,16 +237,13 @@ func (g *Gateway) resize(ctx context.Context, n int) error {
 	if n != old {
 		// Materialize the outgoing ring's answer for every live key: the
 		// old ring keeps answering for them (as pins) while they drain.
-		// The pins and the ring swap land in the catalog as one batch —
-		// a crash replays either the whole swap or none of it (modulo a
-		// torn tail, which restore reconciles from the object bindings).
-		var recs []catalog.Record
+		// Only the ring swap is logged: after a restart, every key whose
+		// binding the new ring disagrees with is pinned again by restore.
 		for _, sh := range g.route.shards {
 			sh.mu.Lock()
 			for key := range sh.objects {
 				if _, ok := g.route.placement[key]; !ok {
 					g.route.placement[key] = sh.index
-					recs = append(recs, catalog.Record{Type: catalog.TypePlace, Key: key, Shard: sh.index})
 				}
 			}
 			sh.mu.Unlock()
@@ -280,8 +258,7 @@ func (g *Gateway) resize(ctx context.Context, n int) error {
 		// still the old count until the drain empties the doomed tail, so
 		// a restart mid-drain rebuilds every shard the pinned keys still
 		// reference (and a later Resize resumes the drain).
-		recs = append(recs, catalog.Record{Type: catalog.TypeRing, Version: g.route.version, Shards: len(g.route.shards)})
-		g.logRecord(recs...)
+		g.logRecord(catalog.Record{Type: catalog.TypeRing, Version: g.route.version, Shards: len(g.route.shards)})
 	}
 	// The drain list: every pinned key not already at its ring home.
 	// (With n == old this turns Resize into a pure drain of leftover pins

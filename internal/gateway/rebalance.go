@@ -30,32 +30,17 @@ type Plan struct {
 	Moves []Move `json:"moves"`
 }
 
-// PlannerConfig tunes the rebalancing policy.
-type PlannerConfig struct {
-	// ImbalanceRatio triggers planning: moves are proposed while the
+// The rebalancing policy.
+const (
+	// imbalanceRatio triggers planning: moves are proposed while the
 	// hottest shard's load exceeds this multiple of the mean shard load.
-	// <= 1 selects the default (1.5).
-	ImbalanceRatio float64
-	// MaxMoves caps the moves per plan; <= 0 selects the default (4).
-	MaxMoves int
-}
-
-func (c PlannerConfig) ratio() float64 {
-	if c.ImbalanceRatio <= 1 {
-		return 1.5
-	}
-	return c.ImbalanceRatio
-}
-
-func (c PlannerConfig) maxMoves() int {
-	if c.MaxMoves <= 0 {
-		return 4
-	}
-	return c.MaxMoves
-}
+	imbalanceRatio = 1.5
+	// maxMoves caps the moves per plan.
+	maxMoves = 4
+)
 
 // PlanMoves computes hot-key spread moves from a per-shard stats
-// snapshot: while some shard's load exceeds ImbalanceRatio × the mean,
+// snapshot: while some shard's load exceeds imbalanceRatio × the mean,
 // its hottest keys move to the currently coldest shard, each move's
 // effect projected onto the loads before the next pick. The function is
 // pure — it never touches a gateway — so policies are unit-testable on
@@ -65,7 +50,7 @@ func (c PlannerConfig) maxMoves() int {
 // entire load is one key still sheds it to the coldest shard unless it
 // holds no other key (moving the sole key would only relocate the
 // hotspot, not shrink it).
-func PlanMoves(stats []ShardStats, cfg PlannerConfig) []Move {
+func PlanMoves(stats []ShardStats) []Move {
 	if len(stats) < 2 {
 		return nil
 	}
@@ -88,9 +73,9 @@ func PlanMoves(stats []ShardStats, cfg PlannerConfig) []Move {
 	}
 
 	var moves []Move
-	for len(moves) < cfg.maxMoves() {
+	for len(moves) < maxMoves {
 		hot, cold := hottest(load), coldest(load)
-		if hot == cold || load[hot] <= cfg.ratio()*mean {
+		if hot == cold || load[hot] <= imbalanceRatio*mean {
 			break
 		}
 		if keysLeft[hot] <= 1 {
@@ -133,13 +118,12 @@ func coldest(load []float64) int {
 
 // Rebalancer plans and executes hot-key spreads against one gateway.
 type Rebalancer struct {
-	gw  *Gateway
-	cfg PlannerConfig
+	gw *Gateway
 }
 
-// NewRebalancer wraps gw with the given policy.
-func NewRebalancer(gw *Gateway, cfg PlannerConfig) *Rebalancer {
-	return &Rebalancer{gw: gw, cfg: cfg}
+// NewRebalancer wraps gw.
+func NewRebalancer(gw *Gateway) *Rebalancer {
+	return &Rebalancer{gw: gw}
 }
 
 // Plan snapshots the gateway's stats and computes the moves it would
@@ -147,7 +131,7 @@ func NewRebalancer(gw *Gateway, cfg PlannerConfig) *Rebalancer {
 func (r *Rebalancer) Plan() Plan {
 	return Plan{
 		RingVersion: r.gw.RingVersion(),
-		Moves:       PlanMoves(r.gw.Stats(), r.cfg),
+		Moves:       PlanMoves(r.gw.Stats()),
 	}
 }
 

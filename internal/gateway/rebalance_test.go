@@ -21,7 +21,7 @@ func TestPlanMovesBalanced(t *testing.T) {
 		ShardStats{Reads: 110, Keys: 3, TopKeys: []KeyLoad{{Key: "b", Ops: 40}}},
 		ShardStats{Reads: 90, Keys: 3, TopKeys: []KeyLoad{{Key: "c", Ops: 40}}},
 	)
-	if moves := PlanMoves(stats, PlannerConfig{}); len(moves) != 0 {
+	if moves := PlanMoves(stats); len(moves) != 0 {
 		t.Fatalf("balanced shards produced moves: %+v", moves)
 	}
 }
@@ -34,7 +34,7 @@ func TestPlanMovesHotShard(t *testing.T) {
 		ShardStats{Reads: 50, Keys: 2, TopKeys: []KeyLoad{{Key: "x", Ops: 30}}},
 		ShardStats{Reads: 40, Keys: 2, TopKeys: []KeyLoad{{Key: "y", Ops: 25}}},
 	)
-	moves := PlanMoves(stats, PlannerConfig{})
+	moves := PlanMoves(stats)
 	if len(moves) == 0 {
 		t.Fatal("hot shard produced no moves")
 	}
@@ -63,7 +63,7 @@ func TestPlanMovesSoleKeyStaysPut(t *testing.T) {
 		ShardStats{Reads: 900, Keys: 1, TopKeys: []KeyLoad{{Key: "hot", Ops: 900}}},
 		ShardStats{Reads: 50, Keys: 2, TopKeys: []KeyLoad{{Key: "x", Ops: 30}}},
 	)
-	if moves := PlanMoves(stats, PlannerConfig{}); len(moves) != 0 {
+	if moves := PlanMoves(stats); len(moves) != 0 {
 		t.Fatalf("sole-key shard produced moves: %+v", moves)
 	}
 }
@@ -76,8 +76,8 @@ func TestPlanMovesCap(t *testing.T) {
 		}},
 		ShardStats{Reads: 10, Keys: 1},
 	)
-	if moves := PlanMoves(stats, PlannerConfig{MaxMoves: 2}); len(moves) != 2 {
-		t.Fatalf("MaxMoves=2 planned %d moves", len(moves))
+	if moves := PlanMoves(stats); len(moves) != maxMoves {
+		t.Fatalf("six hot keys planned %d moves, want the cap %d", len(moves), maxMoves)
 	}
 }
 
@@ -110,7 +110,7 @@ func TestRebalancerEndToEnd(t *testing.T) {
 		}
 	}
 
-	r := NewRebalancer(g, PlannerConfig{ImbalanceRatio: 1.2})
+	r := NewRebalancer(g)
 	plan := r.Plan()
 	if len(plan.Moves) == 0 {
 		t.Fatalf("no moves planned from skewed stats: %+v", g.Stats())

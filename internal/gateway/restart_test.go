@@ -164,6 +164,10 @@ func TestCatalogRestartPreservesRemoteState(t *testing.T) {
 			if info.AdoptedGroups != len(values) {
 				t.Errorf("adopted %d groups, want %d", info.AdoptedGroups, len(values))
 			}
+			// The migrated key's pin is derived from its ObjectSet binding.
+			if got := g2.ShardFor(migrated); got != dest {
+				t.Errorf("ShardFor(%q) = %d after restart, want the migration's destination %d", migrated, got, dest)
+			}
 			// The healthy nodes must keep their state: a matching generation
 			// re-adopts without a single rebuild.
 			if got := serves.Load(); got != servesBefore {

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -10,6 +11,20 @@ import (
 // the expected load imbalance across shards to roughly 10% while the ring
 // stays small enough to rebuild instantly.
 const virtualNodes = 128
+
+// maxShards bounds the shard count a ring accepts. A shard count reaches
+// NewRing from -shards, from POST /v1/rebalance and from the catalog's
+// Ring record, and NewRing formats and sorts virtualNodes points per shard
+// before anything else looks at it; a Resize then builds that many shards
+// and logs the count, so every later boot pays for it again. 1024 shards
+// is 131,072 ring points (about 2 MiB, built in well under a second),
+// hundreds of times the shard counts the gateway is deployed and measured
+// at, while a typo such as 10000000 fails at once instead of allocating
+// gigabytes.
+const maxShards = 1024
+
+// ErrShardCount reports a shard count outside [1, maxShards].
+var ErrShardCount = errors.New("gateway: shard count out of range")
 
 // Ring assigns keys to shards by consistent hashing: each shard owns a set
 // of pseudo-random points on a 64-bit circle, and a key belongs to the
@@ -35,10 +50,11 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring over the given number of shards.
+// NewRing builds a ring over the given number of shards, which must lie
+// in [1, maxShards].
 func NewRing(shards int) (*Ring, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("gateway: shards = %d, want >= 1", shards)
+	if shards < 1 || shards > maxShards {
+		return nil, fmt.Errorf("%w: %d, want 1..%d", ErrShardCount, shards, maxShards)
 	}
 	r := &Ring{
 		shards: shards,
