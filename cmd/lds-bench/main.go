@@ -1,5 +1,5 @@
 // Command lds-bench runs the measurements beyond the paper that are not Go
-// benchmarks; hotpath, repair and multigateway also record theirs in
+// benchmarks; hotpath and repair also record theirs in
 // BENCH_<name>.json in the working directory. The paper's own tables
 // (Section V of Konwar et al., PODC 2017) are the root package's
 // benchmarks: `go test -run xxx -bench . .`.
@@ -8,7 +8,7 @@
 //	lds-bench -exp rebalance,repair
 //	lds-bench -exp hotpath -baseline BENCH_hotpath.baseline.json
 //
-// Experiments: rebalance, hotpath, repair, multigateway, all.
+// Experiments: rebalance, hotpath, repair, all.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -40,7 +39,7 @@ var geometries = [][4]int{ // n1, n2, f1, f2
 const valueSize = 4096
 
 // modes are the experiments lds-bench runs, in the order it runs them.
-var modes = []string{"rebalance", "hotpath", "repair", "multigateway"}
+var modes = []string{"rebalance", "hotpath", "repair"}
 
 func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(modes, ",")+",all")
@@ -65,7 +64,6 @@ func main() {
 	run("rebalance", rebalance)
 	run("hotpath", func() error { return hotPath(*baseline) })
 	run("repair", repairBench)
-	run("multigateway", multiGateway)
 }
 
 // parseModes returns the set of experiments -exp names. An unknown name is
@@ -88,56 +86,6 @@ func parseModes(exp, baseline string) (map[string]bool, error) {
 		return nil, errors.New("-baseline guards the hotpath experiment, which -exp does not select")
 	}
 	return want, nil
-}
-
-// multiGateway compares aggregate throughput of one fleet member against
-// two members splitting the same shards over the same node fleet, and
-// records the rows in BENCH_multigateway.json. On a multi-core host the
-// two-member column should win by >= 1.6x (each member runs its shards'
-// coding and framing on its own cores); on a single core the fleet can
-// only reshuffle the same CPU between members, so the ratio hovers
-// around 1x and the JSON note says so.
-func multiGateway() error {
-	p := params([4]int{4, 5, 1, 1})
-	const (
-		valueSize    = 2048
-		keys         = 16
-		clients      = 8
-		opsPerClient = 100
-		nodes        = 3
-	)
-	res, err := experiments.MeasureMultiGateway(p, valueSize, keys, clients, opsPerClient, nodes)
-	if err != nil {
-		return err
-	}
-	cores := runtime.NumCPU()
-	if cores < 2 {
-		res.Note = fmt.Sprintf("measured on %d CPU core(s): members contend for the same core, so the dual/single ratio understates multi-core scaling", cores)
-	}
-	fmt.Printf("Aggregate ops/s through one vs two fleet members (n1=%d n2=%d, %dB values,\n", p.N1, p.N2, valueSize)
-	fmt.Printf("%d keys, %d writer+%d reader clients x %d ops rotating over the members,\n", keys, clients, clients, opsPerClient)
-	fmt.Printf("%d node processes, loopback, %d CPU cores):\n", nodes, cores)
-	fmt.Printf("  %-10s %10s %12s %12s %12s %12s\n", "fleet", "ops/s", "write mean", "write p99", "read mean", "read p99")
-	row := func(pr experiments.GatewayProfile) {
-		fmt.Printf("  %-10s %10.0f %12v %12v %12v %12v\n", pr.Backend, pr.OpsPerSec,
-			pr.Write.Mean.Round(time.Microsecond), pr.Write.P99.Round(time.Microsecond),
-			pr.Read.Mean.Round(time.Microsecond), pr.Read.P99.Round(time.Microsecond))
-	}
-	row(res.Single)
-	row(res.Dual)
-	fmt.Printf("  dual/single ops/s ratio: %.2f\n", res.Speedup())
-	if res.Note != "" {
-		fmt.Printf("  note: %s\n", res.Note)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_multigateway.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("  wrote BENCH_multigateway.json")
-	return nil
 }
 
 // repairBench compares the repair bandwidth of the regenerating helper

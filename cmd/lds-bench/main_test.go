@@ -18,6 +18,7 @@ func TestParseModes(t *testing.T) {
 		{"hotpth", "", nil},
 		{"", "", nil},
 		{"write-cost", "", nil},
+		{"multigateway", "", nil},
 		{"repair", "BENCH_hotpath.baseline.json", nil},
 	} {
 		got, err := parseModes(tc.exp, tc.baseline)

@@ -17,19 +17,10 @@
 // catalog, re-adopts the groups its node fleet still holds under their
 // persisted generations (healthy nodes keep their state; no boot-seed
 // reset), and resumes serving the same keyspace. Without -catalog a
-// restart abandons the keyspace, as before.
-//
-// With -lease-dir and -peer the gateway joins a multi-gateway fleet:
-// members split the shards by per-shard leases in the shared lease store,
-// a gateway receiving a key it does not own forwards the operation to the
-// owner instead of erroring, and when a member dies its leases expire and
-// a survivor claims its shards, adopts its catalog and absorbs its
-// traffic — clients can keep every gateway's URL in rotation. Fleet mode
-// requires -catalog, an all-tcp -topology and the same node fleet on
-// every member; see docs/OPERATIONS.md for the full runbook.
-//
-//	lds-gateway -listen :8080 -topology a.json -catalog /lds/cat-a \
-//	    -gateway-id 1 -peer '2=127.0.0.1:9001=/lds/cat-b' -lease-dir /lds/leases
+// restart abandons the keyspace, as before. One gateway fronts a node
+// fleet; its availability comes from a supervisor restarting it on its
+// catalog (docs/OPERATIONS.md has the recipe and the measured restart
+// time).
 //
 //	curl -X PUT --data-binary 'hello' localhost:8080/v1/kv/greeting
 //	curl localhost:8080/v1/kv/greeting
@@ -66,9 +57,6 @@
 //	                     its bandwidth
 //	POST /v1/reprovision re-serve every live remote group; run it after
 //	                     restarting a node process (see docs/OPERATIONS.md)
-//	GET  /v1/leases      fleet mode only: the shared lease table — per
-//	                     shard owner, epoch, expiry and whether this
-//	                     gateway serves it locally (404 otherwise)
 //
 // Without -topology the binary is a self-contained demonstrator and
 // load-test target; with it, the same front door drives a real multi-
@@ -88,8 +76,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -125,13 +111,7 @@ func run() error {
 
 		repairEvery = flag.Duration("repair-interval", 0, "background anti-entropy period for tcp shards (0 = manual via POST /v1/repair)")
 		repairRate  = flag.Int64("repair-rate", 0, "repair bandwidth budget in bytes/sec (0 = unlimited)")
-
-		gatewayID = flag.Int("gateway-id", 0, "this gateway's fleet id (multi-gateway deployments; unique, non-negative)")
-		leaseTTL  = flag.Duration("lease-ttl", 3*time.Second, "shard lease term in fleet mode; a dead member's shards fail over within about one term")
-		leaseDir  = flag.String("lease-dir", "", "shared lease-store directory; setting it (with -peer) runs this gateway as a fleet member")
-		peers     peerFlags
 	)
-	flag.Var(&peers, "peer", "fleet peer as id=addr=catalog-dir (repeatable); addr is the peer's topology listener, catalog-dir its -catalog")
 	flag.Parse()
 
 	params, err := lds.NewParams(*n1, *n2, *f1, *f2)
@@ -167,34 +147,6 @@ func run() error {
 		defer cat.Close()
 		cfg.Catalog = cat
 	}
-	if *leaseDir != "" || len(peers) > 0 {
-		// Fleet mode: every member needs the shared lease store, a durable
-		// catalog of its own (peers adopt it on failover) and an all-tcp
-		// topology; gateway.New enforces the topology rule.
-		if *leaseDir == "" {
-			return errors.New("fleet mode (-peer) requires -lease-dir")
-		}
-		if *catPath == "" {
-			return errors.New("fleet mode requires -catalog (a peer adopts it when this gateway dies)")
-		}
-		store, err := catalog.OpenLeaseStore(*leaseDir)
-		if err != nil {
-			return err
-		}
-		peerCats := make(map[int32]string, len(peers))
-		specs := make([]gateway.PeerSpec, len(peers))
-		for i, p := range peers {
-			specs[i] = gateway.PeerSpec{ID: p.id, Addr: p.addr}
-			peerCats[p.id] = p.catalogDir
-		}
-		cfg.Fleet = &gateway.FleetConfig{
-			ID:          int32(*gatewayID),
-			Peers:       specs,
-			LeaseTTL:    *leaseTTL,
-			Store:       store,
-			PeerCatalog: func(id int32) string { return peerCats[id] },
-		}
-	}
 	gw, err := gateway.New(cfg)
 	if err != nil {
 		return err
@@ -206,21 +158,6 @@ func run() error {
 		for _, e := range info.AdoptErrors {
 			log.Printf("lds-gateway: re-adoption incomplete (%s); run POST /v1/reprovision once the node returns", e)
 		}
-	}
-
-	if cfg.Fleet != nil {
-		info, err := gw.FleetLeases()
-		if err != nil {
-			return err
-		}
-		held := 0
-		for _, l := range info.Leases {
-			if l.Local {
-				held++
-			}
-		}
-		log.Printf("lds-gateway: fleet member %d (peers %v): holding %d/%d shard leases, ttl %s",
-			info.ID, info.Peers, held, len(info.Leases), *leaseTTL)
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -248,39 +185,6 @@ func run() error {
 		log.Print("lds-gateway: shutting down")
 		return srv.Close()
 	}
-}
-
-// peerFlags collects repeated -peer flags, each "id=addr=catalog-dir".
-type peerFlags []peerFlag
-
-type peerFlag struct {
-	id         int32
-	addr       string
-	catalogDir string
-}
-
-func (p *peerFlags) String() string {
-	parts := make([]string, len(*p))
-	for i, f := range *p {
-		parts[i] = fmt.Sprintf("%d=%s=%s", f.id, f.addr, f.catalogDir)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (p *peerFlags) Set(s string) error {
-	parts := strings.SplitN(s, "=", 3)
-	if len(parts) != 3 {
-		return fmt.Errorf("peer %q: want id=addr=catalog-dir", s)
-	}
-	id, err := strconv.ParseInt(parts[0], 10, 32)
-	if err != nil {
-		return fmt.Errorf("peer %q: bad id: %v", s, err)
-	}
-	if parts[2] == "" {
-		return fmt.Errorf("peer %q: empty catalog-dir (failover adopts it)", s)
-	}
-	*p = append(*p, peerFlag{id: int32(id), addr: parts[1], catalogDir: parts[2]})
-	return nil
 }
 
 // statsResponse is the /v1/stats payload.
@@ -395,14 +299,6 @@ func newHandler(gw *gateway.Gateway, timeout time.Duration) http.Handler {
 		}
 		writeJSON(w, resp)
 	})
-	mux.HandleFunc("GET /v1/leases", func(w http.ResponseWriter, r *http.Request) {
-		info, err := gw.FleetLeases()
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, info)
-	})
 	mux.HandleFunc("GET /v1/nodes", func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := timeoutContext(r, timeout)
 		defer cancel()
@@ -499,8 +395,8 @@ func timeoutContext(r *http.Request, d time.Duration) (context.Context, context.
 
 // httpError maps operation failures onto status codes: timeouts (an
 // overloaded or crashed shard) read as 504, shutdown as 503, rebalance
-// contention as 409, a shard count out of range as 400, everything else
-// as 500.
+// contention as 409, a shard count out of range as 400, a node operation
+// on a gateway without tcp shards as 404, everything else as 500.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
@@ -512,10 +408,8 @@ func httpError(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, gateway.ErrMigrating) || errors.Is(err, gateway.ErrResizing):
 		code = http.StatusConflict
-	case errors.Is(err, gateway.ErrNoTopology) || errors.Is(err, gateway.ErrNoFleet):
+	case errors.Is(err, gateway.ErrNoTopology):
 		code = http.StatusNotFound
-	case errors.Is(err, gateway.ErrFleetStatic):
-		code = http.StatusConflict
 	}
 	http.Error(w, err.Error(), code)
 }

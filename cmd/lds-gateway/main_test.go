@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -313,6 +316,35 @@ func TestNodesEndpointWithoutTopology(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /v1/nodes without topology: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRemovedFleetFlags: the multi-gateway fleet's flags are gone, and
+// each one now stops the binary at parse time with a non-zero exit
+// instead of being silently ignored.
+func TestRemovedFleetFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping child-process test (needs go build)")
+	}
+	for _, args := range [][]string{
+		{"-peer", "2=127.0.0.1:9001=/tmp/cat-b"},
+		{"-lease-dir", t.TempDir()},
+		{"-gateway-id", "1"},
+		{"-lease-ttl", "3s"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, gwBin, append([]string{"-listen", "127.0.0.1:0"}, args...)...)
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || ctx.Err() != nil {
+				t.Fatalf("lds-gateway %s: err %v (ctx %v), want exit status 2 at parse time; output:\n%s", args[0], err, ctx.Err(), out)
+			}
+			if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+				t.Errorf("lds-gateway %s printed %q, want it to contain %q", args[0], out, want)
+			}
+		})
 	}
 }
 

@@ -117,8 +117,8 @@ func checkWants(t TB, diags []Diagnostic, wants []*want) {
 
 // LoadFixture type-checks the fixture tree under srcDir: each directory
 // holding .go files is one package whose import path is its srcDir-
-// relative path. Exported so summary-layer tests (internal/analysis/
-// dataflow) can build controlled call graphs without a real analyzer.
+// relative path. Exported so summary tests (goexit's TestJoins) can build
+// controlled call graphs without running the analyzer.
 func LoadFixture(srcDir string) ([]*Package, error) {
 	dirs, err := fixtureDirs(srcDir)
 	if err != nil {

@@ -9,9 +9,9 @@
 // (fixture.go) driven by `// want "regexp"` comments.
 //
 // Analyzers report per package, but a Pass carries the whole loaded
-// package set (Pass.AllPkgs): interprocedural analyzers build
-// cross-package function summaries from it through
-// internal/analysis/dataflow instead of stopping at call boundaries.
+// package set (Pass.AllPkgs): an interprocedural analyzer (goexit) builds
+// cross-package function summaries from it instead of stopping at call
+// boundaries.
 package lint
 
 import (
@@ -44,8 +44,8 @@ type Pass struct {
 	Info     *types.Info
 
 	// AllPkgs is the complete package set of this Run, in load order.
-	// Function-local analyzers ignore it; interprocedural ones hand it to
-	// dataflow.For, which memoizes one summary table per Run.
+	// Function-local analyzers ignore it; an interprocedural one builds
+	// its summaries over it, memoized once per Run.
 	AllPkgs []*Package
 
 	diags *[]Diagnostic
@@ -77,8 +77,8 @@ func (d Diagnostic) String() string {
 // instead of the month CI gets slow.
 type Stats struct {
 	// PerAnalyzer is the cumulative wall time each analyzer spent across
-	// all packages (the first interprocedural analyzer to run also pays
-	// for building the shared summary table).
+	// all packages (an interprocedural analyzer's first package also pays
+	// for building its summary table).
 	PerAnalyzer map[string]time.Duration
 	// Order lists analyzer names in run order.
 	Order []string

@@ -6,10 +6,8 @@ package analysis
 
 import (
 	"github.com/lds-storage/lds/internal/analysis/goexit"
-	"github.com/lds-storage/lds/internal/analysis/leasefence"
 	"github.com/lds-storage/lds/internal/analysis/lint"
 	"github.com/lds-storage/lds/internal/analysis/locksend"
-	"github.com/lds-storage/lds/internal/analysis/syncpublish"
 )
 
 // All returns every lds-lint analyzer, in the order cmd/lds-lint runs
@@ -17,8 +15,6 @@ import (
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		locksend.Analyzer,
-		leasefence.Analyzer,
-		syncpublish.Analyzer,
 		goexit.Analyzer,
 	}
 }

@@ -2,19 +2,21 @@
 // crash-safe record of the bindings a restarted gateway needs to find its
 // keyspace again — each key's group binding (namespace and owning shard),
 // the incarnation (generation) plus boot seed of every remote shard group,
-// the ring epoch, the namespaces a fleet peer adopted away (quarantine),
-// the generation floor, and executed forwarded puts. Replaying the catalog
-// after a gateway restart reconstructs exactly the state needed to re-adopt
-// the node-held groups a live fleet is still serving, instead of discarding
-// them (see internal/gateway and docs/ARCHITECTURE.md, "Durable routing
-// catalog").
+// the ring epoch, fenced namespaces (quarantine) and the generation
+// floor. Replaying the catalog after a gateway restart reconstructs exactly
+// the state needed to re-adopt the node-held groups a live node fleet is
+// still serving, instead of discarding them (see internal/gateway and
+// docs/ARCHITECTURE.md, "Durable routing catalog").
 //
 // What follows from those bindings is not recorded: the gateway derives
 // its namespace allocator and its placement pins from them at restore.
 // Catalogs written before that change also hold namespace-allocation
 // (TypeNSAlloc, TypeNSRecycle) and placement (TypePlace, TypeUnplace)
 // records and snapshot fields for them; replay ignores both, so such a
-// catalog still opens and restores.
+// catalog still opens and restores. So does a catalog written by a member
+// of the former multi-gateway fleet: its executed-forward records
+// (TypeForwardDone) and snapshot field replay as no-ops, while its
+// quarantine and generation-floor records keep their effect.
 //
 // # On-disk layout
 //
@@ -100,26 +102,19 @@ const (
 	// TypeGroupRetire forgets a remote group.
 	TypeGroupRetire
 	// TypeNSQuarantine permanently fences a namespace out of this catalog's
-	// allocator: the gateway's restore never derives it as free. A fleet
-	// peer writes it into a dead gateway's catalog when it adopts that
-	// namespace's group during lease failover, so the original owner —
-	// restarted later — can never recycle or re-issue an id whose group the
-	// adopter now serves (see docs/ARCHITECTURE.md, "Shard ownership").
+	// allocator: the gateway's restore never derives it as free. It is no
+	// longer written; the former multi-gateway fleet wrote it into a dead
+	// member's catalog when a peer adopted that namespace's group, and node
+	// hosts may still hold the group, so replay keeps the fence.
 	TypeNSQuarantine
-	// TypeGenFloor raises NextGen to at least Gen. A failover adopter logs
-	// it into its own catalog before re-serving a dead peer's groups: their
-	// generations came from the peer's counter, and without the floor the
-	// adopter (or its own restart) could re-issue a generation some node
-	// still holds for different state.
+	// TypeGenFloor raises NextGen to at least Gen. It is no longer written;
+	// a former fleet member logged it before re-serving a dead peer's
+	// groups under generations from the peer's counter, and node hosts may
+	// still hold those, so replay keeps the floor: no generation a node
+	// might hold is ever re-issued.
 	TypeGenFloor
-	// TypeForwardDone records that a forwarded put from a fleet peer
-	// (identified by Origin and its sequence number Seq) was executed here
-	// under Tag, on shard Shard. Logged write-ahead of the forward
-	// response, it survives both a gateway restart and — transferred by
-	// failover adoption — the gateway's death, so a retransmitted forward
-	// replays the recorded tag at the successor instead of re-applying the
-	// put (a re-applied put would mint a second, later tag for the same
-	// write: a phantom). Kept per origin up to a cap; see State.Forwards.
+	// TypeForwardDone is a legacy record of a put forwarded between fleet
+	// members; it is no longer written and replay ignores it.
 	TypeForwardDone
 )
 
@@ -164,7 +159,7 @@ type Record struct {
 	// NS is the transport namespace for object, group and quarantine
 	// records.
 	NS int32 `json:"ns,omitempty"`
-	// Shard is the owning shard for TypeObjectSet and TypeForwardDone.
+	// Shard is the owning shard for TypeObjectSet.
 	Shard int `json:"shard,omitempty"`
 	// Version and Shards carry the routing epoch for TypeRing.
 	Version int `json:"version,omitempty"`
@@ -181,19 +176,6 @@ type Record struct {
 	N2    int32           `json:"n2,omitempty"`
 	F1    int32           `json:"f1,omitempty"`
 	F2    int32           `json:"f2,omitempty"`
-	// Origin and Seq identify a forwarded operation for TypeForwardDone:
-	// the fleet id of the gateway the operation entered at, and that
-	// gateway's sequence number for it.
-	Origin int32  `json:"origin,omitempty"`
-	Seq    uint64 `json:"seq,omitempty"`
-}
-
-// ForwardExec is one executed forwarded put in the materialized state:
-// the tag the write committed under and the shard it landed on (the
-// filter failover adoption transfers records by).
-type ForwardExec struct {
-	Shard int     `json:"shard"`
-	Tag   tag.Tag `json:"tag"`
 }
 
 // Object is a key's group binding in the materialized state.
@@ -234,21 +216,9 @@ type State struct {
 	// generation a node might hold is ever re-issued.
 	NextGen uint64 `json:"next_gen"`
 	// Quarantine lists namespaces fenced out of the allocator for good
-	// (TypeNSQuarantine): adopted away by a fleet peer during failover,
-	// they are never free.
+	// (TypeNSQuarantine): they are never free.
 	Quarantine []int32 `json:"quarantine,omitempty"`
-	// Forwards is the duplicate-suppression record of executed forwarded
-	// puts, by origin gateway then sequence number, capped at
-	// MaxForwardsPerOrigin newest entries per origin (origins number their
-	// forwards from a boot-time clock seed, so higher seq means newer).
-	Forwards map[int32]map[uint64]ForwardExec `json:"forwards,omitempty"`
 }
-
-// MaxForwardsPerOrigin bounds State.Forwards per origin gateway: enough to
-// cover every forward an origin can have in flight or retransmitting, so
-// dropping the oldest entries past it never forgets a forward whose origin
-// might still retransmit.
-const MaxForwardsPerOrigin = 1024
 
 // newState returns an empty state with allocated maps.
 func newState() State {
@@ -272,16 +242,6 @@ func (s *State) clone() State {
 		g.Nodes = append([]wire.NodeAddr(nil), v.Nodes...)
 		g.Value = append([]byte(nil), v.Value...)
 		out.Groups[k] = g
-	}
-	if s.Forwards != nil {
-		out.Forwards = make(map[int32]map[uint64]ForwardExec, len(s.Forwards))
-		for origin, per := range s.Forwards {
-			cp := make(map[uint64]ForwardExec, len(per))
-			for seq, ex := range per {
-				cp[seq] = ex
-			}
-			out.Forwards[origin] = cp
-		}
 	}
 	return out
 }
@@ -321,8 +281,8 @@ func (s *State) Quarantined(ns int32) bool {
 // apply folds one record into the state. Records are self-contained and
 // idempotent enough that replaying a prefix of the log always yields a
 // state the gateway's restore path can reconcile. The legacy types
-// (TypeNSAlloc, TypeNSRecycle, TypePlace, TypeUnplace) fall through as
-// no-ops.
+// (TypeNSAlloc, TypeNSRecycle, TypePlace, TypeUnplace, TypeForwardDone)
+// fall through as no-ops.
 func (s *State) apply(r Record) {
 	switch r.Type {
 	case TypeObjectSet:
@@ -347,25 +307,6 @@ func (s *State) apply(r Record) {
 	case TypeGenFloor:
 		if r.Gen > s.NextGen {
 			s.NextGen = r.Gen
-		}
-	case TypeForwardDone:
-		if s.Forwards == nil {
-			s.Forwards = make(map[int32]map[uint64]ForwardExec)
-		}
-		per := s.Forwards[r.Origin]
-		if per == nil {
-			per = make(map[uint64]ForwardExec)
-			s.Forwards[r.Origin] = per
-		}
-		per[r.Seq] = ForwardExec{Shard: r.Shard, Tag: r.Tag}
-		for len(per) > MaxForwardsPerOrigin {
-			oldest := r.Seq
-			for seq := range per {
-				if seq < oldest {
-					oldest = seq
-				}
-			}
-			delete(per, oldest)
 		}
 	}
 }
@@ -484,37 +425,22 @@ func acquireLock(dir string) (*os.File, error) {
 // found. Replay cannot fail: the first bad frame silently ends the log
 // (the crash model's torn tail), which is why there is no error result.
 func decodeWAL(data []byte) (records []Record) {
-	for _, payload := range decodeFrames(data) {
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return records // undecodable frame: torn tail
-		}
-		records = append(records, r)
-	}
-	return records
-}
-
-// decodeFrames splits CRC-framed WAL data into payloads, stopping at the
-// first torn or corrupt frame (the crash model's torn tail). Shared by
-// the routing WAL above and the lease store's log (lease.go).
-func decodeFrames(data []byte) (payloads [][]byte) {
 	off := 0
-	for {
-		if len(data)-off < 8 {
-			return payloads // torn or absent header: end of log
-		}
+	for len(data)-off >= 8 {
 		size := binary.LittleEndian.Uint32(data[off:])
 		sum := binary.LittleEndian.Uint32(data[off+4:])
 		if size > uint32(len(data)-off-8) {
-			return payloads // torn payload
+			return records // torn payload
 		}
 		payload := data[off+8 : off+8+int(size)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return payloads // corrupt frame: treat as torn tail
+		var r Record
+		if crc32.ChecksumIEEE(payload) != sum || json.Unmarshal(payload, &r) != nil {
+			return records // corrupt or undecodable frame: torn tail
 		}
-		payloads = append(payloads, payload)
+		records = append(records, r)
 		off += 8 + int(size)
 	}
+	return records // torn or absent header: end of log
 }
 
 // encodeFrame appends one CRC frame ([len][crc32][payload]) to buf.

@@ -434,26 +434,34 @@ func TestQuarantineSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTypeValuesGolden pins the numeric value of every record type: the
-// values are the on-disk format, so a renumbered or reordered constant
-// would make every existing catalog replay as different records.
+// TestTypeValuesGolden pins the numeric value and name of every record
+// type: the values are the on-disk format, so a renumbered or reordered
+// constant would make every existing catalog replay as different records.
+// That includes the types only the former multi-gateway fleet wrote
+// (ns-quarantine, gen-floor, forward-done); its lease records lived in a
+// separate lease store and never had a catalog type, so 13 stays unused.
 func TestTypeValuesGolden(t *testing.T) {
-	for typ, want := range map[Type]uint8{
-		TypeNSAlloc:      1,
-		TypeNSRecycle:    2,
-		TypeObjectSet:    3,
-		TypeObjectDel:    4,
-		TypePlace:        5,
-		TypeUnplace:      6,
-		TypeRing:         7,
-		TypeGroupServe:   8,
-		TypeGroupRetire:  9,
-		TypeNSQuarantine: 10,
-		TypeGenFloor:     11,
-		TypeForwardDone:  12,
+	for _, c := range []struct {
+		typ   Type
+		value uint8
+		name  string
+	}{
+		{TypeNSAlloc, 1, "ns-alloc"},
+		{TypeNSRecycle, 2, "ns-recycle"},
+		{TypeObjectSet, 3, "object-set"},
+		{TypeObjectDel, 4, "object-del"},
+		{TypePlace, 5, "place"},
+		{TypeUnplace, 6, "unplace"},
+		{TypeRing, 7, "ring"},
+		{TypeGroupServe, 8, "group-serve"},
+		{TypeGroupRetire, 9, "group-retire"},
+		{TypeNSQuarantine, 10, "ns-quarantine"},
+		{TypeGenFloor, 11, "gen-floor"},
+		{TypeForwardDone, 12, "forward-done"},
+		{Type(13), 13, "type(13)"},
 	} {
-		if uint8(typ) != want {
-			t.Errorf("%v = %d, want %d", typ, uint8(typ), want)
+		if uint8(c.typ) != c.value || c.typ.String() != c.name {
+			t.Errorf("%v = %d, want %s = %d", c.typ, uint8(c.typ), c.name, c.value)
 		}
 	}
 }

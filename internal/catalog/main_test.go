@@ -6,7 +6,6 @@ import (
 	"github.com/lds-storage/lds/internal/leaktest"
 )
 
-// The catalog suite spawns no goroutines of its own, but the lease store
-// is exercised concurrently from many handles; the leak check proves no
-// worker (or stray flock holder) outlives its test.
+// The catalog suite spawns no goroutines of its own; the leak check
+// proves none outlives its test.
 func TestMain(m *testing.M) { leaktest.VerifyTestMain(m) }

@@ -2,7 +2,7 @@
 // function per table, figure or remark of the paper's evaluation (Section
 // V), each returning the measured quantity next to the paper's closed-form
 // prediction, plus the measurements beyond the paper (hot path, rebalance,
-// repair, multi-gateway). Each Measure function has one command: the root
+// repair). Each Measure function has one command: the root
 // bench suite (bench_test.go) runs the paper's, the lds-bench command the
 // others. EXPERIMENTS.md records the outputs.
 package experiments

@@ -81,7 +81,7 @@ func MeasureHotPath(p lds.Params, valueSize, keys, clients, opsPerClient, nodes 
 func profileHotPath(backend string, gw *gateway.Gateway, valueSize, keys, clients, opsPerClient int) (HotPathProfile, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	load, err := newMixedLoad(ctx, []*gateway.Gateway{gw}, valueSize, keys, clients)
+	load, err := newMixedLoad(ctx, gw, valueSize, keys, clients)
 	if err != nil {
 		return HotPathProfile{}, err
 	}

@@ -10,7 +10,7 @@ import (
 	"github.com/lds-storage/lds/internal/nodehost"
 )
 
-// GatewayProfile is one closed-loop run through one or more gateways.
+// GatewayProfile is one closed-loop run through a gateway.
 type GatewayProfile struct {
 	Backend   string
 	Ops       int
@@ -22,27 +22,19 @@ type GatewayProfile struct {
 
 // mixedLoad is the closed-loop workload every gateway experiment drives:
 // clients client pairs, one writing and one reading, each striding a
-// keyspace of keys keys back to back. Client c uses gateway c mod
-// len(gws), as clients of a load-balanced deployment would.
+// keyspace of keys keys back to back.
 type mixedLoad struct {
-	gws     []*gateway.Gateway
+	gw      *gateway.Gateway
 	value   []byte
 	keys    int
 	clients int
 }
 
-// newMixedLoad creates every key of the workload through the first
-// gateway that accepts it (a fleet member only creates the keys of shards
-// it owns), so key provisioning stays out of every measured run.
-func newMixedLoad(ctx context.Context, gws []*gateway.Gateway, valueSize, keys, clients int) (*mixedLoad, error) {
+// newMixedLoad creates every key of the workload up front, so key
+// provisioning stays out of every measured run.
+func newMixedLoad(ctx context.Context, gw *gateway.Gateway, valueSize, keys, clients int) (*mixedLoad, error) {
 	for i := 0; i < keys; i++ {
-		var err error
-		for _, g := range gws {
-			if err = g.Ensure(ctx, loadKey(i)); err == nil {
-				break
-			}
-		}
-		if err != nil {
+		if err := gw.Ensure(ctx, loadKey(i)); err != nil {
 			return nil, fmt.Errorf("ensure %s: %w", loadKey(i), err)
 		}
 	}
@@ -50,7 +42,7 @@ func newMixedLoad(ctx context.Context, gws []*gateway.Gateway, valueSize, keys, 
 	for i := range value {
 		value[i] = byte(i)
 	}
-	return &mixedLoad{gws: gws, value: value, keys: keys, clients: clients}, nil
+	return &mixedLoad{gw: gw, value: value, keys: keys, clients: clients}, nil
 }
 
 func loadKey(i int) string { return fmt.Sprintf("hot-%d", i) }
@@ -74,8 +66,8 @@ func (l *mixedLoad) run(ctx context.Context, backend string, opsPerClient int) (
 		mu.Unlock()
 	}
 	start := time.Now()
+	gw := l.gw
 	for c := 0; c < l.clients; c++ {
-		gw := l.gws[c%len(l.gws)]
 		wg.Add(2)
 		go func(c int) {
 			defer wg.Done()

@@ -117,7 +117,7 @@ func MeasureMigration(p lds.Params, valueSize, opsPerPhase, migrations int) (Mig
 	defer cancel()
 
 	// One key, one client pair: every operation is on the migrating key.
-	load, err := newMixedLoad(ctx, []*gateway.Gateway{gw}, valueSize, 1, 1)
+	load, err := newMixedLoad(ctx, gw, valueSize, 1, 1)
 	if err != nil {
 		return MigrationResult{}, err
 	}

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/lds-storage/lds/internal/catalog"
+	"github.com/lds-storage/lds/internal/transport"
 )
 
 // Catalog is the durable routing catalog a gateway persists its routing
@@ -213,7 +214,7 @@ func (g *Gateway) restoreFromCatalog(st catalog.State) (*RestoreInfo, error) {
 			// record and node-held servers both — turning a transient
 			// failure into permanent loss of a recoverable key. Detach
 			// releases only this process's half; the failed New leaves the
-			// catalog and fleet exactly as found for the retried restart.
+			// catalog and node fleet exactly as found for the retried restart.
 			grp.Detach()
 			return nil, fmt.Errorf("gateway: restore %q: %w", key, err)
 		}
@@ -250,26 +251,23 @@ func (g *Gateway) restoreFromCatalog(st catalog.State) (*RestoreInfo, error) {
 		}
 	}
 
-	// Namespace allocator, derived over this gateway's own range. Every
-	// group still registered is bound, so the namespaces of dropped keys
-	// and retired orphans come out free.
-	lo, hi := g.nsRange()
-	g.ns.next, g.ns.free = deriveNamespaces(&st, lo, hi, boundNS)
+	// Namespace allocator. Every group still registered is bound, so the
+	// namespaces of dropped keys and retired orphans come out free.
+	g.ns.next, g.ns.free = deriveNamespaces(&st, boundNS)
 	g.logRecord(recs...)
 	return info, nil
 }
 
-// deriveNamespaces rebuilds a namespace allocator over [lo, hi) from a
-// replayed catalog state. next is one past the highest in-range namespace
-// an object, a group or a quarantine record names (lo when none does);
-// free lists every in-range namespace below next that live does not hold
-// and that is not quarantined. A namespace that no record names is safe to
-// hand out again: node-side state only ever exists under a durable
-// GroupServe, and generations never repeat.
-func deriveNamespaces(st *catalog.State, lo, hi int32, live map[int32]bool) (next int32, free []int32) {
-	next = lo
+// deriveNamespaces rebuilds the namespace allocator from a replayed
+// catalog state. next is one past the highest namespace an object, a group
+// or a quarantine record names (0 when none does); free lists every
+// namespace below next that live does not hold and that is not
+// quarantined. A namespace that no record names is safe to hand out again:
+// node-side state only ever exists under a durable GroupServe, and
+// generations never repeat.
+func deriveNamespaces(st *catalog.State, live map[int32]bool) (next int32, free []int32) {
 	bump := func(ns int32) {
-		if ns >= lo && ns < hi && ns >= next {
+		if ns >= 0 && ns < transport.MaxNamespaceGroups && ns >= next {
 			next = ns + 1
 		}
 	}
@@ -284,7 +282,7 @@ func deriveNamespaces(st *catalog.State, lo, hi int32, live map[int32]bool) (nex
 	for _, o := range st.Objects {
 		bump(o.NS)
 	}
-	for ns := lo; ns < next; ns++ {
+	for ns := int32(0); ns < next; ns++ {
 		if !live[ns] && !quarantined[ns] {
 			free = append(free, ns)
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/lds-storage/lds/internal/catalog"
+	"github.com/lds-storage/lds/internal/nodehost"
 	"github.com/lds-storage/lds/internal/wire"
 )
 
@@ -271,6 +272,111 @@ func TestCatalogLegacyFixture(t *testing.T) {
 		}
 		if st.Quarantined(ns) {
 			t.Errorf("namespace %d is free but quarantined", ns)
+		}
+	}
+}
+
+// TestCatalogFleetMemberFixture restores, as one gateway, a catalog
+// written by a member of the former multi-gateway fleet
+// (testdata/fleet-member-catalog, see its README). Its executed-forward
+// records replay as no-ops; every bound key reads back through the shard
+// its binding names; the generation floor it logged when it adopted a
+// peer's shard still bounds the next minted generation; and the namespace
+// a peer adopted away stays out of the allocator.
+func TestCatalogFleetMemberFixture(t *testing.T) {
+	src := filepath.Join("testdata", "fleet-member-catalog")
+	var want struct {
+		Bound       map[string]int `json:"bound"`
+		GenFloor    uint64         `json:"gen_floor"`
+		MaxGroupGen uint64         `json:"max_group_gen"`
+		Quarantine  []int32        `json:"quarantine"`
+	}
+	data, err := os.ReadFile(filepath.Join(src, "expect.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot", "wal"} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := openCatalog(t, dir)
+	st := cat.State()
+	if len(st.Objects) != len(want.Bound) {
+		t.Fatalf("replayed %d bindings %v, want the %d of expect.json", len(st.Objects), st.Objects, len(want.Bound))
+	}
+	var maxGen uint64
+	for _, grp := range st.Groups {
+		maxGen = max(maxGen, grp.Gen)
+	}
+	if maxGen != want.MaxGroupGen || st.NextGen < want.GenFloor || want.GenFloor <= maxGen+1 {
+		t.Fatalf("replayed NextGen %d over groups up to generation %d, want the floor %d above both",
+			st.NextGen, maxGen, want.GenFloor)
+	}
+	if q := slices.Sorted(slices.Values(st.Quarantine)); !slices.Equal(q, want.Quarantine) {
+		t.Fatalf("replayed quarantine %v, want %v", q, want.Quarantine)
+	}
+
+	// Fresh node hosts with the ids and addresses the fixture was written
+	// against: the catalog records each group's node addresses.
+	specs := make([]NodeSpec, 3)
+	for i := range specs {
+		h, err := nodehost.New(fmt.Sprintf("127.0.0.1:%d", 27101+i), int32(i+1), nodehost.Options{})
+		if err != nil {
+			t.Fatalf("node host %d on the fixture's address: %v", i+1, err)
+		}
+		t.Cleanup(func() { h.Close() })
+		specs[i] = NodeSpec{ID: h.NodeID(), Addr: h.Addr()}
+	}
+	shards := make([]ShardSpec, 4)
+	for i := range shards {
+		shards[i] = ShardSpec{Backend: BackendTCP, Nodes: specs}
+	}
+	g, err := New(Config{
+		Params:   testParams(t, 3, 4, 1, 1),
+		Catalog:  cat,
+		Topology: &Topology{Shards: shards},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if info := g.RestoreInfo(); info == nil || info.Objects != len(want.Bound) || info.Dropped != 0 {
+		t.Errorf("RestoreInfo = %+v, want %d restored objects and none dropped", info, len(want.Bound))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for key, sh := range want.Bound {
+		if got := g.ShardFor(key); got != sh {
+			t.Errorf("ShardFor(%q) = %d, want its bound shard %d", key, got, sh)
+		}
+		if _, _, err := g.Get(ctx, key); err != nil {
+			t.Errorf("get %q: %v", key, err)
+		}
+	}
+
+	if _, err := g.Put(ctx, "after-fleet", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	after := cat.State()
+	if gen := after.Groups[after.Objects["after-fleet"].NS].Gen; gen < want.GenFloor {
+		t.Errorf("new group minted generation %d, below the floor %d", gen, want.GenFloor)
+	}
+	g.ns.mu.Lock()
+	next, free := g.ns.next, slices.Clone(g.ns.free)
+	g.ns.mu.Unlock()
+	for _, q := range want.Quarantine {
+		if q >= next || slices.Contains(free, q) {
+			t.Errorf("quarantined namespace %d is allocatable (next %d, free list holds it: %v)",
+				q, next, slices.Contains(free, q))
 		}
 	}
 }

@@ -181,13 +181,6 @@ type Config struct {
 	// naive-repair override for experiments. Nil disables the background
 	// loop but explicit ScrubRemote/RepairRemote calls always work.
 	Repair *RepairOptions
-	// Fleet, when non-nil, makes this gateway one member of a multi-gateway
-	// fleet fronting one node fleet: shard ownership is partitioned by
-	// leases in the shared store, operations on shards owned elsewhere are
-	// forwarded to the owner, and a member that stops renewing fails over
-	// to a survivor (see fleet.go). Requires Catalog and an all-tcp
-	// Topology; keyspace reshaping (Resize, MigrateKey) is disabled.
-	Fleet *FleetConfig
 }
 
 // group is the backend-agnostic surface of one key's LDS cluster: pooled
@@ -275,9 +268,6 @@ type Gateway struct {
 	// topology has TCP shards, it owns the gateway's tcpnet listener, the
 	// provisioning control plane and the remote-group registry.
 	remote *remoteManager
-	// fleet is the multi-gateway runtime (leases, forwarding, failover);
-	// non-nil iff Config.Fleet was set.
-	fleet *fleet
 
 	// route is the key→shard control plane. Its lock orders strictly
 	// before any shard's lock (route.mu → shard.mu); nothing takes
@@ -308,10 +298,11 @@ type Gateway struct {
 		shards   []*shard
 	}
 
-	// ns allocates process-id namespaces for groups from this gateway's
-	// range (nsRange). Reaped groups return theirs to the free list, so
-	// the cap counts live groups, not lifetime keys. It is memory-only:
-	// a restarted gateway derives it from the catalog's bindings.
+	// ns allocates process-id namespaces for groups from the whole id
+	// space, [0, transport.MaxNamespaceGroups). Reaped groups return
+	// theirs to the free list, so the cap counts live groups, not lifetime
+	// keys. It is memory-only: a restarted gateway derives it from the
+	// catalog's bindings.
 	ns struct {
 		mu   sync.Mutex
 		next int32
@@ -425,19 +416,6 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.remote.log = g.logRecord
 	}
-	if cfg.Fleet != nil {
-		// Built (and validated) before the restore so the namespace
-		// allocator can be confined to this member's slice; started at the
-		// end of New, once the restored state it would adopt into exists.
-		g.fleet, err = newFleet(g, *cfg.Fleet)
-		if err != nil {
-			g.net.Close()
-			if g.remote != nil {
-				g.remote.close()
-			}
-			return nil, err
-		}
-	}
 	g.route.ring = ring
 	g.route.placement = make(map[string]int)
 	g.route.migrating = make(map[string]bool)
@@ -474,15 +452,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Repair != nil && cfg.Repair.Interval > 0 && g.remote != nil {
 		g.repairStopped = make(chan struct{})
 		go g.repairLoop(cfg.Repair.Interval)
-	}
-	if g.fleet != nil {
-		if err := g.fleet.start(); err != nil {
-			// The fleet never ran; tear the rest down through the normal
-			// close path (detaching, since fleet mode implies a catalog).
-			g.fleet = nil
-			g.Close()
-			return nil, err
-		}
 	}
 	return g, nil
 }
@@ -588,15 +557,6 @@ func (g *Gateway) opErr(err error) error {
 	return err
 }
 
-// nsRange is the namespace range this gateway allocates from: its fleet
-// slice, or the whole id space for a single gateway.
-func (g *Gateway) nsRange() (lo, hi int32) {
-	if g.fleet != nil {
-		return g.fleet.nsLo, g.fleet.nsHi
-	}
-	return 0, transport.MaxNamespaceGroups
-}
-
 // nextNamespace allocates a process-id namespace for a new group,
 // preferring recycled ones. Nothing is logged: the group's GroupServe or
 // ObjectSet record is what makes the namespace's use durable, and a
@@ -609,8 +569,8 @@ func (g *Gateway) nextNamespace() (int32, error) {
 		g.ns.free = g.ns.free[:n-1]
 		return ns, nil
 	}
-	if lo, hi := g.nsRange(); g.ns.next >= hi {
-		return 0, fmt.Errorf("gateway: live groups exhaust the namespaces [%d, %d)", lo, hi)
+	if g.ns.next >= transport.MaxNamespaceGroups {
+		return 0, fmt.Errorf("gateway: live groups exhaust the %d namespaces", transport.MaxNamespaceGroups)
 	}
 	ns := g.ns.next
 	g.ns.next++
@@ -749,13 +709,6 @@ func (g *Gateway) Ensure(ctx context.Context, keys ...string) error {
 	ctx, cancel := g.opContext(ctx)
 	defer cancel()
 	for _, key := range keys {
-		if f := g.fleet; f != nil {
-			if sh := g.ShardFor(key); !f.owns(sh) {
-				// Ensure is an owner-side provisioning step, not a client
-				// operation; creating the group here would race the owner's.
-				return fmt.Errorf("gateway: ensure %q: shard %d is leased to another fleet gateway", key, sh)
-			}
-		}
 		for {
 			if err := ctx.Err(); err != nil {
 				return g.opErr(fmt.Errorf("gateway: ensure %q: %w", key, err))
@@ -782,21 +735,8 @@ func (g *Gateway) Ensure(ctx context.Context, keys ...string) error {
 	return nil
 }
 
-// Put writes value under key and returns the tag of the write. On a fleet
-// member the operation runs locally only if this gateway holds the key's
-// shard lease; otherwise it is forwarded to the owner (see fleet.go), so
-// every fleet member is a full front door for the whole keyspace. value
-// is the caller's again once Put returns: the store keeps its own copy.
-func (g *Gateway) Put(ctx context.Context, key string, value []byte) (tag.Tag, error) {
-	if f := g.fleet; f != nil {
-		if sh := g.ShardFor(key); !f.owns(sh) {
-			return g.forwardPut(ctx, key, sh, value)
-		}
-	}
-	return g.putLocal(ctx, key, value)
-}
-
-// putLocal executes a write on this gateway's own groups.
+// Put writes value under key and returns the tag of the write. value is
+// the caller's again once Put returns: the store keeps its own copy.
 //
 // Ordering matters here: the key's pooled client is checked out before
 // the shard's semaphore token, so an operation parked behind a hot key's
@@ -805,7 +745,7 @@ func (g *Gateway) Put(ctx context.Context, key string, value []byte) (tag.Tag, e
 // shard siblings. A client checked out of a retired pool (the key's group
 // was migrated away between lookup and checkout) is returned and the
 // lookup retried against the key's new home.
-func (g *Gateway) putLocal(ctx context.Context, key string, value []byte) (tag.Tag, error) {
+func (g *Gateway) Put(ctx context.Context, key string, value []byte) (tag.Tag, error) {
 	if err := g.beginOp(); err != nil {
 		return tag.Tag{}, err
 	}
@@ -840,20 +780,9 @@ func (g *Gateway) putLocal(ctx context.Context, key string, value []byte) (tag.T
 }
 
 // Get reads the value stored under key and the tag it was written under.
-// Fleet routing as in Put: non-owned shards are forwarded to the owner.
 // The returned value is the caller's: it shares no storage with the store.
+// Pool-before-semaphore ordering and retired-pool retry as in Put.
 func (g *Gateway) Get(ctx context.Context, key string) ([]byte, tag.Tag, error) {
-	if f := g.fleet; f != nil {
-		if sh := g.ShardFor(key); !f.owns(sh) {
-			return g.forwardGet(ctx, key, sh)
-		}
-	}
-	return g.getLocal(ctx, key)
-}
-
-// getLocal executes a read on this gateway's own groups.
-// Pool-before-semaphore ordering and retired-pool retry as in putLocal.
-func (g *Gateway) getLocal(ctx context.Context, key string) ([]byte, tag.Tag, error) {
 	if err := g.beginOp(); err != nil {
 		return nil, tag.Tag{}, err
 	}
@@ -952,12 +881,6 @@ func (g *Gateway) Close() error {
 	g.closeStop()
 	if g.repairStopped != nil {
 		<-g.repairStopped // the background repair loop is off the transport
-	}
-	if g.fleet != nil {
-		// Stop renewing and (on a graceful stop) release the leases, so a
-		// surviving peer claims the shards without waiting out the TTL.
-		// In-flight forwards were unblocked by closeStop above.
-		g.fleet.stopAndRelease()
 	}
 	g.inflight.Wait()
 	detach := g.cfg.Catalog != nil

@@ -49,9 +49,6 @@ var (
 // independently. While a Resize drain is running, MigrateKey returns
 // ErrResizing.
 func (g *Gateway) MigrateKey(ctx context.Context, key string, to int) error {
-	if g.fleet != nil {
-		return ErrFleetStatic
-	}
 	if err := g.beginOp(); err != nil {
 		return err
 	}
@@ -204,9 +201,6 @@ func (g *Gateway) placeLocked(key string, sh int) {
 // un-drained keys simply remain pinned to their old shards and keep
 // serving — and a later Resize to the same shard count resumes the drain.
 func (g *Gateway) Resize(ctx context.Context, n int) error {
-	if g.fleet != nil {
-		return ErrFleetStatic
-	}
 	if err := g.beginOp(); err != nil {
 		return err
 	}

@@ -54,18 +54,14 @@ type remoteManager struct {
 	// before any node can learn it.
 	log func(...catalog.Record) error
 
-	mu sync.Mutex
-	// peerResolver maps a fleet gateway id to its peer-plane address; set
-	// by the fleet layer at start so the resolver can route peer endpoints
-	// (control indices at or below peerCtlBase). Nil outside fleet mode.
-	peerResolver func(id int32) (string, bool)
-	seq          uint64
-	gen          uint64 // group-incarnation allocator, advanced only by mint; never reused, unlike namespaces
-	pending      map[uint64]chan wire.Message
-	groups       map[int32]*remoteGroupInfo // live remote groups by namespace
-	nextCID      int32                      // rolling client-id allocator
-	cids         map[int32]struct{}         // client ids currently bound to live pooled clients
-	closed       bool
+	mu      sync.Mutex
+	seq     uint64
+	gen     uint64 // group-incarnation allocator, advanced only by mint; never reused, unlike namespaces
+	pending map[uint64]chan wire.Message
+	groups  map[int32]*remoteGroupInfo // live remote groups by namespace
+	nextCID int32                      // rolling client-id allocator
+	cids    map[int32]struct{}         // client ids currently bound to live pooled clients
+	closed  bool
 }
 
 // remoteGroupInfo is what the manager remembers about one live remote
@@ -149,30 +145,12 @@ func (m *remoteManager) close() error {
 	return m.net.Close()
 }
 
-// setPeerResolver installs the fleet layer's gateway-id → address lookup
-// for peer-plane endpoints.
-func (m *remoteManager) setPeerResolver(r func(id int32) (string, bool)) {
-	m.mu.Lock()
-	m.peerResolver = r
-	m.mu.Unlock()
-}
-
 // resolve maps ids onto the live topology: control endpoints via the
 // static node table, namespaced L1/L2 servers via their group's placement.
 // Client ids are never resolved — the gateway hosts all clients locally,
 // and the transport's local short-circuit reaches them first.
 func (m *remoteManager) resolve(id wire.ProcID) (string, bool) {
 	if id.Role == wire.RoleControl {
-		if id.Index <= peerCtlBase {
-			// A fleet peer's endpoint; the mapping is its own inverse.
-			m.mu.Lock()
-			pr := m.peerResolver
-			m.mu.Unlock()
-			if pr == nil {
-				return "", false
-			}
-			return pr(peerCtlBase - id.Index)
-		}
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		addr, ok := m.nodes[id.Index]

@@ -125,15 +125,6 @@ const (
 	KindElemFetchResp
 	KindElemRepair
 	KindElemRepairResp
-
-	// Gateway fleet peer plane (gateway <-> gateway lease announcements
-	// and request forwarding; see peer.go). Appended last, as above.
-	KindLeaseClaim
-	KindLeaseClaimResp
-	KindLeaseRenew
-	KindLeaseRenewResp
-	KindPeerForward
-	KindPeerForwardResp
 )
 
 // Message is the interface all protocol messages implement.

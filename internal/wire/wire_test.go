@@ -90,16 +90,6 @@ func allMessages() []Message {
 			Coded: []byte{9, 8, 7}, ReplyAddr: "127.0.0.1:9000"},
 		ElemRepairResp{Seq: 20, Group: 12, Index: 2, Installed: true},
 		ElemRepairResp{Seq: 21, Group: 12, Index: 2, Installed: false, Err: "element not hosted"},
-		LeaseClaim{Seq: 22, Shard: 3, Owner: 1, Epoch: 5, Expiry: 1e18, ReplyAddr: "127.0.0.1:9100"},
-		LeaseClaimResp{Seq: 22, Shard: 3},
-		LeaseRenew{Seq: 23, Shard: 3, Owner: 1, Epoch: 5, Expiry: 2e18, ReplyAddr: "127.0.0.1:9100"},
-		LeaseRenewResp{Seq: 23, Shard: 3},
-		PeerForward{Seq: 24, Op: PeerOpPut, Key: "greeting", Value: []byte("hello"), ReplyAddr: "127.0.0.1:9100"},
-		PeerForward{Seq: 25, Op: PeerOpGet, Key: "greeting", ReplyAddr: "127.0.0.1:9100"},
-		PeerForwardResp{Seq: 24, Tag: t1},
-		PeerForwardResp{Seq: 25, Value: []byte("hello"), Tag: t1},
-		PeerForwardResp{Seq: 26, NotOwner: true},
-		PeerForwardResp{Seq: 27, Err: "operation timed out"},
 	}
 }
 
@@ -153,12 +143,6 @@ func normalize(m Message) Message {
 		return v
 	case ElemRepair:
 		v.Coded = orEmpty(v.Coded)
-		return v
-	case PeerForward:
-		v.Value = orEmpty(v.Value)
-		return v
-	case PeerForwardResp:
-		v.Value = orEmpty(v.Value)
 		return v
 	default:
 		return m
