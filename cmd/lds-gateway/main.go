@@ -49,14 +49,16 @@
 //	                     groups, control-plane RTT
 //	GET  /v1/scrub       sweep every node-held L2 element and report
 //	                     missing/stale/corrupt counts per group (read-only)
-//	POST /v1/repair      run one anti-entropy pass: re-serve lost group
-//	                     slices, regenerate bad elements (helper path when
+//	POST /v1/repair      run one anti-entropy pass: reconcile each node
+//	                     (re-serve lost group slices), regenerate bad elements (helper path when
 //	                     d donors are up, decode-reencode fallback at k),
 //	                     and return the full RepairReport; -repair-interval
 //	                     runs the same pass on a timer, -repair-rate caps
 //	                     its bandwidth
-//	POST /v1/reprovision re-serve every live remote group; run it after
-//	                     restarting a node process (see docs/OPERATIONS.md)
+//	POST /v1/reprovision reconcile each node: one request lists the groups
+//	                     it holds, and it is served the ones it lacks; run
+//	                     it after restarting a node process (see
+//	                     docs/OPERATIONS.md)
 //
 // Without -topology the binary is a self-contained demonstrator and
 // load-test target; with it, the same front door drives a real multi-
@@ -153,10 +155,10 @@ func run() error {
 	}
 	defer gw.Close()
 	if info := gw.RestoreInfo(); info != nil {
-		log.Printf("lds-gateway: catalog restored %d keys (%d dropped, %d orphans retired); re-adopted %d node-held groups",
+		log.Printf("lds-gateway: catalog restored %d keys (%d dropped, %d orphans retired); reconciled %d node-held groups",
 			info.Objects, info.Dropped, info.Orphans, info.AdoptedGroups)
 		for _, e := range info.AdoptErrors {
-			log.Printf("lds-gateway: re-adoption incomplete (%s); run POST /v1/reprovision once the node returns", e)
+			log.Printf("lds-gateway: reconcile incomplete (%s); run POST /v1/reprovision once the node returns", e)
 		}
 	}
 

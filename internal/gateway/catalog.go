@@ -9,9 +9,10 @@ package gateway
 // Strict: a remote group's incarnation (generation) is persisted before
 // any node can learn it (write-ahead in remoteManager.mint), so a
 // restarted gateway can never re-issue a generation some node already
-// holds for different state — the property that makes the re-adoption
-// handshake safe. Reconciliation: every other record describes an
-// in-memory transition, and restore repairs whatever a crash tore apart:
+// holds for different state — the property that lets the per-node
+// reconcile keep every group a node holds at its persisted generation.
+// Reconciliation: every other record describes an in-memory transition,
+// and restore repairs whatever a crash tore apart:
 // a provisioned group with no key bound to it is retired, and a key bound
 // to a group that no longer exists restarts fresh.
 //
@@ -23,7 +24,6 @@ package gateway
 // every unheld namespace below that free (deriveNamespaces).
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -56,12 +56,14 @@ type RestoreInfo struct {
 	// Orphans is the number of provisioned-but-unbound remote groups
 	// (a crash between provisioning and key installation) retired.
 	Orphans int
-	// AdoptedGroups is the number of remote groups re-served to their
-	// nodes under their persisted generations.
+	// AdoptedGroups is the number of remote groups that, after the
+	// per-node reconcile, run under their persisted generations on every
+	// one of their nodes.
 	AdoptedGroups int
-	// AdoptErrors lists the nodes the re-adoption handshake could not
-	// reach; their groups keep serving on the surviving quorum, and
-	// ReprovisionRemote completes the job once the nodes return.
+	// AdoptErrors lists, one line each, the nodes the reconcile could not
+	// bring in line: silent, or running another erasure code. Their groups
+	// keep serving on the surviving quorum, and ReprovisionRemote
+	// completes the job once the nodes return.
 	AdoptErrors []string
 }
 
@@ -106,16 +108,12 @@ func (g *Gateway) logRecord(recs ...catalog.Record) error {
 	return err
 }
 
-// restoreTimeout bounds the whole re-adoption handshake New runs when the
-// catalog holds live remote groups. Nodes that stay silent are skipped
-// (their groups keep serving on the surviving quorum) and reported via
-// RestoreInfo.
+// restoreTimeout bounds the whole reconcile New runs when the catalog
+// holds live remote groups. Each request in it is bounded by nodeTimeout:
+// a node that stays silent past one is skipped (ReprovisionRemote
+// finishes the job later), its groups keep serving on the surviving
+// quorum, and RestoreInfo reports it.
 const restoreTimeout = 30 * time.Second
-
-// adoptNodeTimeout bounds each node's share of the re-adoption handshake;
-// a node that stays silent past it is skipped (ReprovisionRemote finishes
-// the job later) so one dead node cannot stall the whole restore.
-const adoptNodeTimeout = 2 * time.Second
 
 // restoreFromCatalog rebuilds the routing plane from a persisted state.
 // It runs inside New, before any operation can start, so it mutates the
@@ -158,12 +156,13 @@ func (g *Gateway) restoreFromCatalog(st catalog.State) (*RestoreInfo, error) {
 		g.remote.mu.Lock()
 		g.remote.gen = st.NextGen
 		for ns, grp := range st.Groups {
-			g.remote.groups[ns] = &remoteGroupInfo{
-				gen:       grp.Gen,
-				nodes:     grp.Nodes,
-				seedValue: grp.Value,
-				seedTag:   grp.Tag,
+			// The addresses a GroupServe record holds are ignored: groups
+			// name nodes by id, and the topology says where they live.
+			info := &remoteGroupInfo{gen: grp.Gen, seedValue: grp.Value, seedTag: grp.Tag}
+			for _, n := range grp.Nodes {
+				info.nodes = append(info.nodes, n.ID)
 			}
+			g.remote.groups[ns] = info
 		}
 		g.remote.mu.Unlock()
 	}
@@ -288,56 +287,4 @@ func deriveNamespaces(st *catalog.State, live map[int32]bool) (next int32, free 
 		}
 	}
 	return next, free
-}
-
-// adopt re-serves every live remote group to its nodes under the
-// persisted generation — the re-adoption handshake. A node still hosting
-// the generation keeps its servers and state (it merely learns the
-// restarted gateway's addresses); a node that restarted while the gateway
-// was down rebuilds at the group's boot seed, exactly as ReprovisionRemote
-// would. Nodes that stay silent are skipped after one timeout each and
-// reported; their groups keep serving on the surviving quorum.
-func (m *remoteManager) adopt(ctx context.Context) (groups int, errs []string) {
-	m.mu.Lock()
-	type entry struct {
-		ns   int32
-		info *remoteGroupInfo
-	}
-	entries := make([]entry, 0, len(m.groups))
-	for ns, info := range m.groups {
-		entries = append(entries, entry{ns, info})
-	}
-	m.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ns < entries[j].ns })
-
-	dead := make(map[int32]bool)
-	for _, e := range entries {
-		adopted := true
-		for _, n := range e.info.nodes {
-			if dead[n.ID] {
-				adopted = false
-				continue
-			}
-			nctx, cancel := context.WithTimeout(ctx, adoptNodeTimeout)
-			err := m.serveNode(nctx, n.ID, e.ns, e.info)
-			timedOut := nctx.Err() != nil
-			cancel()
-			if err != nil {
-				// Only a silent node is blacklisted for the rest of the
-				// sweep — its remaining groups would each burn the same
-				// timeout. An application-level refusal (a GroupServeResp
-				// carrying an error) proves the node is alive, and its
-				// other groups must still be offered their re-serve.
-				if timedOut {
-					dead[n.ID] = true
-				}
-				adopted = false
-				errs = append(errs, fmt.Sprintf("node %d: %v", n.ID, err))
-			}
-		}
-		if adopted {
-			groups++
-		}
-	}
-	return groups, errs
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/lds-storage/lds/internal/catalog"
-	"github.com/lds-storage/lds/internal/nodehost"
 	"github.com/lds-storage/lds/internal/wire"
 )
 
@@ -325,17 +324,10 @@ func TestCatalogFleetMemberFixture(t *testing.T) {
 		t.Fatalf("replayed quarantine %v, want %v", q, want.Quarantine)
 	}
 
-	// Fresh node hosts with the ids and addresses the fixture was written
-	// against: the catalog records each group's node addresses.
-	specs := make([]NodeSpec, 3)
-	for i := range specs {
-		h, err := nodehost.New(fmt.Sprintf("127.0.0.1:%d", 27101+i), int32(i+1), nodehost.Options{})
-		if err != nil {
-			t.Fatalf("node host %d on the fixture's address: %v", i+1, err)
-		}
-		t.Cleanup(func() { h.Close() })
-		specs[i] = NodeSpec{ID: h.NodeID(), Addr: h.Addr()}
-	}
+	// Fresh node hosts with the ids the fixture was written against, on
+	// new ports: the catalog's node addresses are ignored, the topology
+	// says where each id lives.
+	_, specs := startHosts(t, 3)
 	shards := make([]ShardSpec, 4)
 	for i := range shards {
 		shards[i] = ShardSpec{Backend: BackendTCP, Nodes: specs}

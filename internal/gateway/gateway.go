@@ -84,7 +84,7 @@
 //
 // # Stats
 //
-// putLocal and getLocal count every operation through shard.observe into
+// Put and Get count every operation through shard.observe into
 // per-shard counters (ops, bytes, cumulative latency; failures count only
 // toward the error counters so the load signals stay exact), and
 // Stats() adds the live temporary- and permanent-storage bytes of each
@@ -99,7 +99,8 @@
 // On tcp shards the paper's crash model maps onto process reality:
 // tcpnet drops traffic toward an unreachable node, so operations ride the
 // (f1, f2) quorum slack while a node is down, and a restarted (empty)
-// node is restored by ReprovisionRemote — safe as long as concurrently
+// node is restored by ReprovisionRemote, whose per-node reconcile re-serves
+// exactly the groups the node lost — safe as long as concurrently
 // restarted nodes host at most f1 L1 and f2 L2 servers of any group. See
 // docs/ARCHITECTURE.md for the full story and docs/OPERATIONS.md for the
 // runbooks.
@@ -109,7 +110,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -242,7 +244,7 @@ func (b simBackend) newGroup(_ context.Context, ns int32, seed *groupSeed) (grou
 // provisioned through the manager's registration handshake.
 type tcpBackend struct {
 	mgr   *remoteManager
-	nodes []wire.NodeAddr
+	nodes []int32 // node ids in assignment order
 }
 
 func (b tcpBackend) name() string { return BackendTCP }
@@ -276,11 +278,6 @@ type Gateway struct {
 		mu      sync.RWMutex
 		version int   // bumped by every ring change
 		ring    *Ring // current ring; answers keys with no placement entry
-		// prev is the ring the current one replaced; non-nil exactly while
-		// a Resize drain is in progress. Its answers live on as the
-		// placement entries materialized at the swap, so un-drained keys
-		// keep being served where the old ring put them.
-		prev *Ring
 		// placement pins keys whose group lives (or must be created) off
 		// the current ring's assignment: un-drained keys mid-resize and
 		// hot keys spread by the rebalancer. Keys absent here follow the
@@ -439,8 +436,12 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		if g.remote != nil {
 			ctx, cancel := context.WithTimeout(context.Background(), restoreTimeout)
-			info.AdoptedGroups, info.AdoptErrors = g.remote.adopt(ctx)
+			adopted, _, errs := g.remote.reconcile(ctx)
 			cancel()
+			info.AdoptedGroups = adopted
+			for _, err := range errs {
+				info.AdoptErrors = append(info.AdoptErrors, err.Error())
+			}
 		}
 		if info.Objects+info.Dropped+info.Orphans+info.AdoptedGroups > 0 {
 			g.restoreInfo = info
@@ -461,7 +462,7 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) backendFor(i int) backend {
 	if g.cfg.Topology != nil && i < len(g.cfg.Topology.Shards) {
 		if spec := g.cfg.Topology.Shards[i]; spec.Backend == BackendTCP {
-			return tcpBackend{mgr: g.remote, nodes: nodeAddrs(spec.Nodes)}
+			return tcpBackend{mgr: g.remote, nodes: nodeIDs(spec.Nodes)}
 		}
 	}
 	return simBackend{g: g}
@@ -487,7 +488,7 @@ func (g *Gateway) RingVersion() int {
 func (g *Gateway) Resizing() bool {
 	g.route.mu.RLock()
 	defer g.route.mu.RUnlock()
-	return g.route.resizing || g.route.prev != nil
+	return g.route.resizing
 }
 
 // PinnedKeys returns the number of keys currently routed off the ring's
@@ -920,9 +921,9 @@ func (g *Gateway) buildGroup(ctx context.Context, be backend, seed *groupSeed) (
 
 // ProbeRemoteNodes health-checks every node process of the topology over
 // the control plane and reports per-node status. It returns ErrNoTopology
-// on a gateway without TCP shards. Probes run with a short per-node
-// deadline derived from ctx, so one dead node does not stall the sweep
-// beyond its share.
+// on a gateway without TCP shards. The probes run concurrently, each with
+// a short deadline derived from ctx, so one dead node does not stall the
+// sweep beyond its share.
 func (g *Gateway) ProbeRemoteNodes(ctx context.Context) ([]NodeStatus, error) {
 	if g.remote == nil {
 		return nil, ErrNoTopology
@@ -933,38 +934,21 @@ func (g *Gateway) ProbeRemoteNodes(ctx context.Context) ([]NodeStatus, error) {
 	defer g.endOp()
 	ctx, cancel := g.opContext(ctx)
 	defer cancel()
-	// Snapshot ids and addresses together under the lock: the sweep must
-	// not read the node table unlocked afterwards, or the locking
-	// discipline breaks the first time the topology becomes dynamic.
-	type nodeEntry struct {
-		id   int32
-		addr string
-	}
-	g.remote.mu.Lock()
-	entries := make([]nodeEntry, 0, len(g.remote.nodes))
-	for id, addr := range g.remote.nodes {
-		entries = append(entries, nodeEntry{id, addr})
-	}
-	g.remote.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	out := make([]NodeStatus, 0, len(entries))
-	for _, e := range entries {
-		st := NodeStatus{ID: e.id, Addr: e.addr}
-		probeCtx, probeCancel := context.WithTimeout(ctx, 2*time.Second)
+	m := g.remote
+	ids := slices.Sorted(maps.Keys(m.nodes))
+	out := make([]NodeStatus, len(ids))
+	eachNode(ctx, ids, func(ctx context.Context, i int, id int32) {
+		out[i] = NodeStatus{ID: id, Addr: m.nodes[id]}
 		start := time.Now()
-		pong, err := g.remote.ping(probeCtx, e.id)
-		probeCancel()
+		pong, err := request[wire.NodePong](ctx, m, id, func(seq uint64) wire.Message {
+			return wire.NodePing{Seq: seq, ReplyAddr: m.advertise}
+		})
 		if err == nil {
-			st.Alive = true
-			st.Groups = pong.Groups
-			st.Servers = pong.Servers
-			st.TemporaryBytes = pong.TemporaryBytes
-			st.PermanentBytes = pong.PermanentBytes
-			st.OffloadQueueDepth = pong.OffloadQueueDepth
-			st.RTT = time.Since(start)
+			out[i] = NodeStatus{ID: id, Addr: m.nodes[id], Alive: true, Groups: pong.Groups, Servers: pong.Servers,
+				TemporaryBytes: pong.TemporaryBytes, PermanentBytes: pong.PermanentBytes,
+				OffloadQueueDepth: pong.OffloadQueueDepth, RTT: time.Since(start)}
 		}
-		out = append(out, st)
-	}
+	})
 	return out, g.opErr(ctx.Err())
 }
 
@@ -1003,28 +987,19 @@ func (g *Gateway) SyncRemoteStats(ctx context.Context) error {
 	ctx, cancel := g.opContext(ctx)
 	defer cancel()
 
-	targets := make(map[int32]*remoteGroup)
-	for _, sh := range g.shardList() {
-		sh.mu.Lock()
-		for _, obj := range sh.objects {
-			if rg, ok := obj.grp.(*remoteGroup); ok {
-				targets[rg.ns] = rg
-			}
-		}
-		sh.mu.Unlock()
-	}
+	targets := g.remoteTargets()
 	if len(targets) == 0 {
 		return nil
 	}
 	return g.opErr(g.remote.sampleStats(ctx, targets))
 }
 
-// ReprovisionRemote re-serves every live remote group to its node
-// processes. Serving is idempotent where the group still runs; a node
-// that restarted (and so reports hosting nothing) rebuilds its servers at
-// each group's boot seed and rejoins its quorums. Call it after
-// restarting a node — the runbook step that returns the cluster to full
-// fault tolerance.
+// ReprovisionRemote reconciles every node that hosts a live remote group:
+// one request per node lists the groups it holds, and the node is served
+// exactly the groups it lacks. A node that restarted (and so holds
+// nothing) rebuilds its servers at each group's boot seed and rejoins its
+// quorums. Call it after restarting a node — the runbook step that returns
+// the cluster to full fault tolerance.
 func (g *Gateway) ReprovisionRemote(ctx context.Context) error {
 	if g.remote == nil {
 		return ErrNoTopology
@@ -1035,5 +1010,8 @@ func (g *Gateway) ReprovisionRemote(ctx context.Context) error {
 	defer g.endOp()
 	ctx, cancel := g.opContext(ctx)
 	defer cancel()
-	return g.opErr(g.remote.reprovision(ctx))
+	if _, _, errs := g.remote.reconcile(ctx); len(errs) > 0 {
+		return g.opErr(fmt.Errorf("gateway: reprovision: %w", errors.Join(errs...)))
+	}
+	return g.opErr(ctx.Err())
 }

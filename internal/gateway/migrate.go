@@ -245,7 +245,6 @@ func (g *Gateway) resize(ctx context.Context, n int) error {
 		for len(g.route.shards) < n {
 			g.route.shards = append(g.route.shards, newShard(g, len(g.route.shards), g.backendFor(len(g.route.shards))))
 		}
-		g.route.prev = g.route.ring
 		g.route.ring = newRing
 		g.route.version++
 		// The record carries the live shard count — for a shrink that is
@@ -299,7 +298,6 @@ func (g *Gateway) resize(ctx context.Context, n int) error {
 		g.route.shards = g.route.shards[:n:n]
 		g.logRecord(catalog.Record{Type: catalog.TypeRing, Version: g.route.version, Shards: n})
 	}
-	g.route.prev = nil
 	g.route.mu.Unlock()
 	return firstErr
 }

@@ -1,10 +1,12 @@
 package gateway
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +41,8 @@ var ErrNoTopology = errors.New("gateway: no remote topology configured")
 // need: the tcpnet listener hosting client endpoints and the control
 // endpoint, the resolver mapping namespaced ids onto node processes, the
 // provisioning RPCs, and the registry of live remote groups (which doubles
-// as the reprovisioning source after a node restart).
+// as the source reconcile re-serves from after a node restart). Groups
+// name their nodes by id; the one address table is the topology's.
 type remoteManager struct {
 	net       *tcpnet.Network
 	ctl       transport.Node
@@ -48,7 +51,7 @@ type remoteManager struct {
 	code      erasure.Regenerating
 	codeFP    uint64           // params.CodeFingerprint(), sent in every GroupServe
 	bootValue []byte           // Config.InitialValue, the unseeded boot state
-	nodes     map[int32]string // node id -> address (static topology)
+	nodes     map[int32]string // node id -> address (static topology; never mutated, read without mu)
 	// log persists routing records to the gateway's catalog; nil when the
 	// gateway has none. mint uses it write-ahead: a generation is durable
 	// before any node can learn it.
@@ -65,11 +68,11 @@ type remoteManager struct {
 }
 
 // remoteGroupInfo is what the manager remembers about one live remote
-// group: enough to resolve its server addresses and to re-serve it (same
+// group: enough to resolve its servers and to re-serve it (same
 // incarnation, same boot seed) after a node restart.
 type remoteGroupInfo struct {
-	gen       uint64 // the incarnation carried by every serve of this group
-	nodes     []wire.NodeAddr
+	gen       uint64  // the incarnation carried by every serve of this group
+	nodes     []int32 // node ids in assignment order
 	seedValue []byte
 	seedTag   tag.Tag
 }
@@ -145,29 +148,37 @@ func (m *remoteManager) close() error {
 	return m.net.Close()
 }
 
-// resolve maps ids onto the live topology: control endpoints via the
-// static node table, namespaced L1/L2 servers via their group's placement.
+// resolve maps ids onto the topology: control endpoints by node id,
+// namespaced L1/L2 servers by their group's placement onto node ids.
 // Client ids are never resolved — the gateway hosts all clients locally,
 // and the transport's local short-circuit reaches them first.
 func (m *remoteManager) resolve(id wire.ProcID) (string, bool) {
-	if id.Role == wire.RoleControl {
+	node := id.Index
+	switch id.Role {
+	case wire.RoleControl:
+	case wire.RoleL1, wire.RoleL2:
 		m.mu.Lock()
-		defer m.mu.Unlock()
-		addr, ok := m.nodes[id.Index]
-		return addr, ok
-	}
-	if id.Role != wire.RoleL1 && id.Role != wire.RoleL2 {
+		info, ok := m.groups[id.Index/transport.NamespaceStride]
+		m.mu.Unlock()
+		if !ok {
+			return "", false
+		}
+		node = info.nodes[nodehost.AssignedNode(int(id.Index%transport.NamespaceStride), len(info.nodes))]
+	default:
 		return "", false
 	}
-	ns := id.Index / transport.NamespaceStride
-	local := int(id.Index % transport.NamespaceStride)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	info, ok := m.groups[ns]
-	if !ok {
-		return "", false
+	addr, ok := m.nodes[node]
+	return addr, ok
+}
+
+// nodeAddrs pairs node ids with their topology addresses, the form
+// GroupServe and the reconcile request carry.
+func (m *remoteManager) nodeAddrs(ids []int32) []wire.NodeAddr {
+	out := make([]wire.NodeAddr, len(ids))
+	for i, id := range ids {
+		out[i] = wire.NodeAddr{ID: id, Addr: m.nodes[id]}
 	}
-	return info.nodes[nodehost.AssignedNode(local, len(info.nodes))].Addr, true
+	return out
 }
 
 // handleCtl completes pending RPCs from provisioning responses.
@@ -200,6 +211,40 @@ func (m *remoteManager) handleCtl(env wire.Envelope) {
 		default: // duplicate response of a retried request
 		}
 	}
+}
+
+// request performs one control RPC (see call) and checks that the node
+// answered with a T.
+func request[T wire.Message](ctx context.Context, m *remoteManager, nodeID int32, build func(seq uint64) wire.Message) (T, error) {
+	resp, err := m.call(ctx, nodeID, build)
+	t, ok := resp.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("gateway: node %d: unexpected response %T", nodeID, resp)
+	}
+	return t, err
+}
+
+// nodeTimeout bounds each node's share of a sweep over the fleet, and
+// each request reconcile sends.
+const nodeTimeout = 2 * time.Second
+
+// eachNode runs fn once for every node id, all concurrently (the ids come
+// from the topology, so there are few), each with a context bounded by
+// nodeTimeout, and waits for them. A sweep so costs about one nodeTimeout
+// however many nodes are down: the degraded fleets operators sweep to
+// diagnose must not make the sweep itself crawl.
+func eachNode(ctx context.Context, ids []int32, fn func(ctx context.Context, i int, id int32)) {
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nctx, cancel := context.WithTimeout(ctx, nodeTimeout)
+			defer cancel()
+			fn(nctx, i, id)
+		}()
+	}
+	wg.Wait()
 }
 
 // call performs one at-least-once control RPC against a node: build
@@ -243,7 +288,7 @@ func (m *remoteManager) call(ctx context.Context, nodeID int32, build func(seq u
 // serveGroup provisions namespace ns across a shard group's nodes under a
 // fresh incarnation and registers it with the resolver. On failure the
 // partially provisioned nodes are sent best-effort retires.
-func (m *remoteManager) serveGroup(ctx context.Context, ns int32, nodes []wire.NodeAddr, seed *groupSeed) error {
+func (m *remoteManager) serveGroup(ctx context.Context, ns int32, nodes []int32, seed *groupSeed) error {
 	info, err := m.mint(ns, nodes, seed)
 	if err != nil {
 		return err
@@ -262,8 +307,8 @@ func (m *remoteManager) serveGroup(ctx context.Context, ns int32, nodes []wire.N
 	m.groups[ns] = info
 	m.mu.Unlock()
 
-	for _, n := range nodes {
-		if err := m.serveNode(ctx, n.ID, ns, info); err != nil {
+	for _, id := range nodes {
+		if err := m.serveNode(ctx, id, ns, info); err != nil {
 			m.retireGroup(ns)
 			return fmt.Errorf("gateway: serve group %d: %w", ns, err)
 		}
@@ -279,7 +324,7 @@ func (m *remoteManager) serveGroup(ctx context.Context, ns int32, nodes []wire.N
 // group is not registered either: registration would let a concurrent
 // ReprovisionRemote serve it early. A logged generation whose serve
 // never completes is an orphan the next restore retires.
-func (m *remoteManager) mint(ns int32, nodes []wire.NodeAddr, seed *groupSeed) (*remoteGroupInfo, error) {
+func (m *remoteManager) mint(ns int32, nodes []int32, seed *groupSeed) (*remoteGroupInfo, error) {
 	info := &remoteGroupInfo{nodes: nodes, seedValue: m.bootValue, seedTag: tag.Zero}
 	if seed != nil {
 		info.seedValue, info.seedTag = seed.value, seed.tag
@@ -295,7 +340,7 @@ func (m *remoteManager) mint(ns int32, nodes []wire.NodeAddr, seed *groupSeed) (
 	if m.log != nil {
 		if err := m.log(catalog.Record{
 			Type: catalog.TypeGroupServe, NS: ns, Gen: info.gen,
-			Nodes: nodes, Value: info.seedValue, Tag: info.seedTag,
+			Nodes: m.nodeAddrs(nodes), Value: info.seedValue, Tag: info.seedTag,
 			N1: int32(m.params.N1), N2: int32(m.params.N2),
 			F1: int32(m.params.F1), F2: int32(m.params.F2),
 		}); err != nil {
@@ -315,7 +360,7 @@ func (m *remoteManager) serveNode(ctx context.Context, nodeID, ns int32, info *r
 			Gen:   info.gen,
 			N1:    int32(m.params.N1), N2: int32(m.params.N2),
 			F1: int32(m.params.F1), F2: int32(m.params.F2),
-			Nodes:      info.nodes,
+			Nodes:      m.nodeAddrs(info.nodes),
 			ClientAddr: m.advertise,
 			Value:      info.seedValue,
 			Tag:        info.seedTag,
@@ -354,14 +399,21 @@ func (m *remoteManager) retireGroup(ns int32) {
 }
 
 // fireRetire sends unacknowledged GroupRetire frames for ns to nodes.
-func (m *remoteManager) fireRetire(ns int32, nodes []wire.NodeAddr) {
+func (m *remoteManager) fireRetire(ns int32, nodes []int32) {
 	m.mu.Lock()
 	m.seq++
 	seq := m.seq
 	m.mu.Unlock()
-	for _, n := range nodes {
-		m.ctl.Send(wire.ProcID{Role: wire.RoleControl, Index: n.ID}, wire.GroupRetire{Seq: seq, Group: ns})
+	for _, id := range nodes {
+		m.ctl.Send(wire.ProcID{Role: wire.RoleControl, Index: id}, wire.GroupRetire{Seq: seq, Group: ns})
 	}
+}
+
+// live reports whether info is still the registered incarnation of ns.
+func (m *remoteManager) live(ns int32, info *remoteGroupInfo) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.groups[ns] == info
 }
 
 // clientID allocates a process id for one pooled client and marks it
@@ -399,65 +451,98 @@ func (m *remoteManager) releaseClientIDs(ids []int32) {
 	m.mu.Unlock()
 }
 
-// ping probes one node's control endpoint.
-func (m *remoteManager) ping(ctx context.Context, nodeID int32) (wire.NodePong, error) {
-	resp, err := m.call(ctx, nodeID, func(seq uint64) wire.Message {
-		return wire.NodePing{Seq: seq, ReplyAddr: m.advertise}
-	})
-	if err != nil {
-		return wire.NodePong{}, err
-	}
-	pong, ok := resp.(wire.NodePong)
-	if !ok {
-		return wire.NodePong{}, fmt.Errorf("gateway: node %d: unexpected response %T", nodeID, resp)
-	}
-	return pong, nil
-}
-
-// reprovision re-serves every live remote group to its nodes. Serving is
-// idempotent on nodes that still host the group; nodes that lost it (a
-// restart) rebuild their servers at the group's boot seed. That loses the
-// restarted node's protocol state — acceptable within the paper's fault
+// reconcile brings every node that hosts a live remote group in line with
+// the registry, all nodes concurrently. Each node gets one reconcile
+// request — a bulk GroupStats carrying the code fingerprint and the
+// topology — whose answer lists the (namespace, generation) pairs it
+// hosts, then one GroupServe for each of its groups it lacks or holds
+// under another generation. A node that kept its groups keeps their state
+// and learns the current addresses; one that lost them (a restart)
+// rebuilds at each group's boot seed — safe within the paper's fault
 // budget (at most f1 L1 / f2 L2 servers of any group per concurrently
-// restarted node), because every committed write is held by a quorum of
-// the surviving servers.
-func (m *remoteManager) reprovision(ctx context.Context) error {
+// restarted node), as a quorum of survivors holds every committed write.
+// An older node answers without generations: gen 0 is never minted, so
+// all its groups are re-served.
+//
+// It returns how many groups now run at their generation on all their
+// nodes, how many GroupServes it sent, and one error per node it could
+// not bring in line. A node's first failure ends its part. A node that
+// holds groups at their generation but does not echo the code fingerprint
+// runs another code: it is reported and sent nothing.
+func (m *remoteManager) reconcile(ctx context.Context) (adopted, served int, errs []error) {
 	m.mu.Lock()
-	type entry struct {
-		ns   int32
-		info *remoteGroupInfo
-	}
-	entries := make([]entry, 0, len(m.groups))
-	for ns, info := range m.groups {
-		entries = append(entries, entry{ns, info})
-	}
+	groups := maps.Clone(m.groups)
 	m.mu.Unlock()
-	var firstErr error
-	for _, e := range entries {
-		// A group retired since the snapshot (migration reap, Close) must
-		// not be resurrected; skip it if it is no longer the live
-		// incarnation of its namespace.
-		m.mu.Lock()
-		live := m.groups[e.ns] == e.info
-		m.mu.Unlock()
-		if !live {
-			continue
-		}
-		for _, n := range e.info.nodes {
-			if err := m.serveNode(ctx, n.ID, e.ns, e.info); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("gateway: reprovision group %d: %w", e.ns, err)
+	byNode := make(map[int32][]int32) // node id -> namespaces placed on it
+	for ns, info := range groups {
+		for j, id := range info.nodes {
+			if !slices.Contains(info.nodes[:j], id) {
+				byNode[id] = append(byNode[id], ns)
 			}
 		}
-		// Retired while we were re-serving it: the retire frames may have
-		// lost the race to nodes we just rebuilt, so fire another round.
-		m.mu.Lock()
-		live = m.groups[e.ns] == e.info
-		m.mu.Unlock()
-		if !live {
-			m.fireRetire(e.ns, e.info.nodes)
+	}
+	ids := slices.Sorted(maps.Keys(byNode))
+	topology := m.nodeAddrs(slices.Sorted(maps.Keys(m.nodes)))
+	type nodeResult struct {
+		served int
+		failed []int32 // namespaces left unconfirmed on the node
+		err    error
+	}
+	results := make([]nodeResult, len(ids))
+	eachNode(ctx, ids, func(nctx context.Context, i int, id int32) {
+		r := &results[i]
+		st, err := request[wire.GroupStatsResp](nctx, m, id, func(seq uint64) wire.Message {
+			return wire.GroupStats{Seq: seq, Group: wire.AllGroups, ReplyAddr: m.advertise, Code: m.codeFP, Nodes: topology}
+		})
+		hosted := make(map[int32]uint64, len(st.Groups))
+		for _, g := range st.Groups {
+			hosted[g.Group] = g.Gen
+		}
+		var todo []int32 // namespaces the node lacks at their generation
+		for _, ns := range byNode[id] {
+			if hosted[ns] != groups[ns].gen {
+				todo = append(todo, ns)
+			}
+		}
+		if err == nil && st.Code != m.codeFP && len(todo) < len(byNode[id]) {
+			err = fmt.Errorf("gateway: node %d did not confirm erasure code %016x: run one build on gateway and nodes", id, m.codeFP)
+		}
+		if err != nil {
+			r.failed, r.err = byNode[id], err
+			return
+		}
+		slices.Sort(todo)
+		for k, ns := range todo {
+			info := groups[ns]
+			if !m.live(ns, info) {
+				continue // retired since the snapshot: never resurrect it
+			}
+			sctx, cancel := context.WithTimeout(ctx, nodeTimeout)
+			err := m.serveNode(sctx, id, ns, info)
+			cancel()
+			if err != nil {
+				r.failed, r.err = todo[k:], err
+				return
+			}
+			r.served++
+			if !m.live(ns, info) {
+				// Retired while we served it: the retire may have lost the
+				// race to this node, so fire another.
+				m.fireRetire(ns, []int32{id})
+			}
+		}
+	})
+	unconfirmed := make(map[int32]bool)
+	for i, r := range results {
+		served += r.served
+		for _, ns := range r.failed {
+			unconfirmed[ns] = true
+		}
+		if r.err != nil {
+			errs = append(errs, fmt.Errorf("node %d: %w", ids[i], r.err))
 		}
 	}
-	return firstErr
+	return len(groups) - len(unconfirmed), served, errs
 }
 
 // remoteGroup is a group interface implementation whose servers live in
@@ -561,9 +646,6 @@ func (r *remoteGroup) PermanentStorageBytes() int64 { return r.gaugePerm.Load() 
 // OffloadQueueDepth implements group (sampled, as above).
 func (r *remoteGroup) OffloadQueueDepth() int64 { return r.gaugeOffload.Load() }
 
-// statsNodeTimeout bounds each node's share of a gauge sweep.
-const statsNodeTimeout = 2 * time.Second
-
 // sampleStats refreshes the cached gauges of the given remote groups
 // (keyed by namespace) with one bulk GroupStats RPC per distinct node —
 // O(nodes) round trips regardless of how many groups are live. Each
@@ -574,76 +656,36 @@ const statsNodeTimeout = 2 * time.Second
 // stored only for groups whose entire node set answered (a partial sum
 // would read as missing data), and the first failure is returned at the
 // end — so a single dead node never freezes the healthy nodes' gauges.
-func (m *remoteManager) sampleStats(ctx context.Context, targets map[int32]*remoteGroup) error {
-	groupNodes := make(map[int32][]int32, len(targets)) // ns -> distinct node ids
+func (m *remoteManager) sampleStats(ctx context.Context, targets map[int32]remoteTarget) error {
+	groupNodes := make(map[int32][]int32, len(targets))
 	nodeIDs := make(map[int32]bool)
 	m.mu.Lock()
 	for ns := range targets {
-		info := m.groups[ns]
-		if info == nil {
-			continue
-		}
-		seen := make(map[int32]bool, len(info.nodes))
-		for _, n := range info.nodes {
-			if !seen[n.ID] {
-				seen[n.ID] = true
-				groupNodes[ns] = append(groupNodes[ns], n.ID)
-				nodeIDs[n.ID] = true
+		if info := m.groups[ns]; info != nil {
+			groupNodes[ns] = info.nodes
+			for _, id := range info.nodes {
+				nodeIDs[id] = true
 			}
 		}
 	}
 	m.mu.Unlock()
-	ids := make([]int32, 0, len(nodeIDs))
-	for id := range nodeIDs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.Sorted(maps.Keys(nodeIDs))
+	resps := make([]wire.GroupStatsResp, len(ids))
+	errs := make([]error, len(ids))
+	eachNode(ctx, ids, func(ctx context.Context, i int, id int32) {
+		resps[i], errs[i] = request[wire.GroupStatsResp](ctx, m, id, func(seq uint64) wire.Message {
+			return wire.GroupStats{Seq: seq, Group: wire.AllGroups, ReplyAddr: m.advertise}
+		})
+	})
 
-	// The per-node calls fan out concurrently, so a sweep costs ~one
-	// statsNodeTimeout even when several nodes are down — the degraded
-	// fleets operators scrape stats to diagnose must not make the scrape
-	// itself crawl.
-	type nodeResult struct {
-		id   int32
-		resp wire.GroupStatsResp
-		err  error
-	}
-	results := make([]nodeResult, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id int32) {
-			defer wg.Done()
-			nctx, cancel := context.WithTimeout(ctx, statsNodeTimeout)
-			defer cancel()
-			resp, err := m.call(nctx, id, func(seq uint64) wire.Message {
-				return wire.GroupStats{Seq: seq, Group: wire.AllGroups, ReplyAddr: m.advertise}
-			})
-			if err == nil {
-				st, ok := resp.(wire.GroupStatsResp)
-				if !ok {
-					err = fmt.Errorf("gateway: node %d: unexpected response %T", id, resp)
-				}
-				results[i] = nodeResult{id: id, resp: st, err: err}
-				return
-			}
-			results[i] = nodeResult{id: id, err: err}
-		}(i, id)
-	}
-	wg.Wait()
-
-	var firstErr error
 	failed := make(map[int32]bool)
 	sums := make(map[int32]wire.GroupGauges, len(targets))
-	for _, r := range results {
-		if r.err != nil {
-			failed[r.id] = true
-			if firstErr == nil {
-				firstErr = r.err
-			}
+	for i, resp := range resps {
+		if errs[i] != nil {
+			failed[ids[i]] = true
 			continue
 		}
-		for _, g := range r.resp.Groups {
+		for _, g := range resp.Groups {
 			if _, wanted := targets[g.Group]; !wanted {
 				continue
 			}
@@ -654,23 +696,17 @@ func (m *remoteManager) sampleStats(ctx context.Context, targets map[int32]*remo
 			sums[g.Group] = s
 		}
 	}
-	for ns, rg := range targets {
-		complete := len(groupNodes[ns]) > 0
-		for _, id := range groupNodes[ns] {
-			if failed[id] {
-				complete = false
-				break
-			}
-		}
-		if !complete {
+	for ns, t := range targets {
+		nodes := groupNodes[ns]
+		if len(nodes) == 0 || slices.ContainsFunc(nodes, func(id int32) bool { return failed[id] }) {
 			continue // keep the previous sample rather than a partial sum
 		}
 		s := sums[ns] // zero value when no node hosts the group right now
-		rg.gaugeTemp.Store(s.TemporaryBytes)
-		rg.gaugePerm.Store(s.PermanentBytes)
-		rg.gaugeOffload.Store(s.OffloadQueueDepth)
+		t.rg.gaugeTemp.Store(s.TemporaryBytes)
+		t.rg.gaugePerm.Store(s.PermanentBytes)
+		t.rg.gaugeOffload.Store(s.OffloadQueueDepth)
 	}
-	return firstErr
+	return cmp.Or(errs...)
 }
 
 // Close implements group: it unregisters the gateway-side clients,

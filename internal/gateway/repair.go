@@ -3,6 +3,8 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -195,54 +197,26 @@ func (b *tokenBucket) take(ctx context.Context, n int64) error {
 
 // --- control RPC wrappers ---------------------------------------------------
 
-func (m *remoteManager) elemInventory(ctx context.Context, nodeID int32) (wire.ElemInventoryResp, error) {
-	resp, err := m.call(ctx, nodeID, func(seq uint64) wire.Message {
-		return wire.ElemInventory{Seq: seq, Group: wire.AllGroups, ReplyAddr: m.advertise}
-	})
-	if err != nil {
-		return wire.ElemInventoryResp{}, err
-	}
-	inv, ok := resp.(wire.ElemInventoryResp)
-	if !ok {
-		return wire.ElemInventoryResp{}, fmt.Errorf("gateway: node %d: unexpected response %T", nodeID, resp)
-	}
-	return inv, nil
-}
-
 func (m *remoteManager) elemFetch(ctx context.Context, nodeID, ns, index, failedIndex int32) (wire.ElemFetchResp, error) {
-	resp, err := m.call(ctx, nodeID, func(seq uint64) wire.Message {
+	fr, err := request[wire.ElemFetchResp](ctx, m, nodeID, func(seq uint64) wire.Message {
 		return wire.ElemFetch{Seq: seq, Group: ns, Index: index, FailedIndex: failedIndex, ReplyAddr: m.advertise}
 	})
-	if err != nil {
-		return wire.ElemFetchResp{}, err
+	if err == nil && fr.Err != "" {
+		err = fmt.Errorf("gateway: node %d: %s", nodeID, fr.Err)
 	}
-	fr, ok := resp.(wire.ElemFetchResp)
-	if !ok {
-		return wire.ElemFetchResp{}, fmt.Errorf("gateway: node %d: unexpected response %T", nodeID, resp)
-	}
-	if fr.Err != "" {
-		return wire.ElemFetchResp{}, fmt.Errorf("gateway: node %d: %s", nodeID, fr.Err)
-	}
-	return fr, nil
+	return fr, err
 }
 
 func (m *remoteManager) elemRepair(ctx context.Context, nodeID int32, rep wire.ElemRepair) (wire.ElemRepairResp, error) {
-	resp, err := m.call(ctx, nodeID, func(seq uint64) wire.Message {
+	rr, err := request[wire.ElemRepairResp](ctx, m, nodeID, func(seq uint64) wire.Message {
 		rep.Seq = seq
 		rep.ReplyAddr = m.advertise
 		return rep
 	})
-	if err != nil {
-		return wire.ElemRepairResp{}, err
+	if err == nil && rr.Err != "" {
+		err = fmt.Errorf("gateway: node %d: %s", nodeID, rr.Err)
 	}
-	rr, ok := resp.(wire.ElemRepairResp)
-	if !ok {
-		return wire.ElemRepairResp{}, fmt.Errorf("gateway: node %d: unexpected response %T", nodeID, resp)
-	}
-	if rr.Err != "" {
-		return wire.ElemRepairResp{}, fmt.Errorf("gateway: node %d: %s", nodeID, rr.Err)
-	}
-	return rr, nil
+	return rr, err
 }
 
 // --- scrub ------------------------------------------------------------------
@@ -259,19 +233,24 @@ type elemView struct {
 type scrubGroup struct {
 	ns    int32
 	sh    *shard
-	nodes []wire.NodeAddr
 	elems []elemView // indexed by L2 server index
 	ref   tag.Tag
 }
 
-// scrubTargets snapshots the live remote groups: namespace → owning shard.
-func (g *Gateway) scrubTargets() map[int32]*shard {
-	targets := make(map[int32]*shard)
+// remoteTarget is one live remote group and the shard that owns it.
+type remoteTarget struct {
+	sh *shard
+	rg *remoteGroup
+}
+
+// remoteTargets snapshots the live remote groups by namespace.
+func (g *Gateway) remoteTargets() map[int32]remoteTarget {
+	targets := make(map[int32]remoteTarget)
 	for _, sh := range g.shardList() {
 		sh.mu.Lock()
 		for _, obj := range sh.objects {
 			if rg, ok := obj.grp.(*remoteGroup); ok {
-				targets[rg.ns] = sh
+				targets[rg.ns] = remoteTarget{sh, rg}
 			}
 		}
 		sh.mu.Unlock()
@@ -280,66 +259,50 @@ func (g *Gateway) scrubTargets() map[int32]*shard {
 }
 
 // scrub sweeps the targets' nodes with one bulk ElemInventory per node
-// (concurrent, per-node timeout, as in sampleStats) and classifies every
-// expected element of every group.
-func (g *Gateway) scrub(ctx context.Context, targets map[int32]*shard) ([]*scrubGroup, []string) {
+// (through eachNode, as in sampleStats) and classifies every expected
+// element of every group.
+func (g *Gateway) scrub(ctx context.Context, targets map[int32]remoteTarget) ([]*scrubGroup, []string) {
 	m := g.remote
 	// Placement snapshot: per group, the node list; plus the distinct
 	// node set of the whole sweep.
 	groups := make([]*scrubGroup, 0, len(targets))
 	nodeIDs := make(map[int32]bool)
 	m.mu.Lock()
-	for ns, sh := range targets {
+	for ns, t := range targets {
 		info := m.groups[ns]
 		if info == nil {
 			continue
 		}
-		sg := &scrubGroup{ns: ns, sh: sh, nodes: info.nodes, elems: make([]elemView, g.cfg.Params.N2)}
+		sg := &scrubGroup{ns: ns, sh: t.sh, elems: make([]elemView, g.cfg.Params.N2)}
 		for i := range sg.elems {
-			n := info.nodes[nodehost.AssignedNode(i, len(info.nodes))]
-			sg.elems[i].node = n.ID
-			nodeIDs[n.ID] = true
+			id := info.nodes[nodehost.AssignedNode(i, len(info.nodes))]
+			sg.elems[i].node = id
+			nodeIDs[id] = true
 		}
 		groups = append(groups, sg)
 	}
 	m.mu.Unlock()
 	sort.Slice(groups, func(i, j int) bool { return groups[i].ns < groups[j].ns })
 
-	ids := make([]int32, 0, len(nodeIDs))
-	for id := range nodeIDs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	type nodeResult struct {
-		id   int32
-		resp wire.ElemInventoryResp
-		err  error
-	}
-	results := make([]nodeResult, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id int32) {
-			defer wg.Done()
-			nctx, cancel := context.WithTimeout(ctx, statsNodeTimeout)
-			defer cancel()
-			resp, err := m.elemInventory(nctx, id)
-			results[i] = nodeResult{id: id, resp: resp, err: err}
-		}(i, id)
-	}
-	wg.Wait()
+	ids := slices.Sorted(maps.Keys(nodeIDs))
+	resps := make([]wire.ElemInventoryResp, len(ids))
+	errs := make([]error, len(ids))
+	eachNode(ctx, ids, func(ctx context.Context, i int, id int32) {
+		resps[i], errs[i] = request[wire.ElemInventoryResp](ctx, m, id, func(seq uint64) wire.Message {
+			return wire.ElemInventory{Seq: seq, Group: wire.AllGroups, ReplyAddr: m.advertise}
+		})
+	})
 
 	var nodeErrors []string
 	answered := make(map[int32]bool)
 	byGroup := make(map[int32]map[int32]wire.ElemStat) // ns -> index -> stat
-	for _, r := range results {
-		if r.err != nil {
-			nodeErrors = append(nodeErrors, fmt.Sprintf("node %d: %v", r.id, r.err))
+	for i, resp := range resps {
+		if errs[i] != nil {
+			nodeErrors = append(nodeErrors, fmt.Sprintf("node %d: %v", ids[i], errs[i]))
 			continue
 		}
-		answered[r.id] = true
-		for _, inv := range r.resp.Groups {
+		answered[ids[i]] = true
+		for _, inv := range resp.Groups {
 			elems := byGroup[inv.Group]
 			if elems == nil {
 				elems = make(map[int32]wire.ElemStat)
@@ -401,7 +364,7 @@ func (g *Gateway) ScrubRemote(ctx context.Context) (*ScrubReport, error) {
 	defer g.endOp()
 	ctx, cancel := g.opContext(ctx)
 	defer cancel()
-	groups, nodeErrors := g.scrub(ctx, g.scrubTargets())
+	groups, nodeErrors := g.scrub(ctx, g.remoteTargets())
 	report := &ScrubReport{NodeErrors: nodeErrors}
 	for _, sg := range groups {
 		sg.sh.stats.repairScrubs.Add(1)
@@ -441,37 +404,19 @@ func (g *Gateway) repairPass(ctx context.Context) (*RepairReport, error) {
 			report.Errors = append(report.Errors, fmt.Sprintf(format, args...))
 		}
 	}
-	targets := g.scrubTargets()
+	targets := g.remoteTargets()
 
-	// Pass 1: find groups whose structure is gone from an answering node
-	// (a restarted, amnesiac node) and re-serve them there. The re-served
-	// slices boot at the group's seed; the element repair below then
-	// brings them to the reference tag.
-	groups, _ := g.scrub(ctx, targets)
-	for _, sg := range groups {
-		resurvey := false
-		for i := range sg.elems {
-			ev := &sg.elems[i]
-			if !ev.known || ev.hosted {
-				continue
-			}
-			m.mu.Lock()
-			info := m.groups[sg.ns]
-			m.mu.Unlock()
-			if info == nil {
-				break // group retired mid-pass
-			}
-			if err := m.serveNode(ctx, ev.node, sg.ns, info); err != nil {
-				fail("re-serve group %d on node %d: %v", sg.ns, ev.node, err)
-				continue
-			}
-			report.Reserved++
-			resurvey = true
-		}
-		_ = resurvey
+	// Pass 1: the per-node reconcile re-serves every group whose
+	// structure is gone from a node (a restarted, amnesiac node). The
+	// re-served slices boot at the group's seed; the element repair below
+	// then brings them to the reference tag.
+	_, reserved, errs := m.reconcile(ctx)
+	report.Reserved = reserved
+	for _, err := range errs {
+		fail("reconcile %v", err)
 	}
-	// Re-scrub so the freshly re-served slices appear (as stale elements
-	// at the seed tag) and donor health is current.
+	// Scrub, so the freshly re-served slices appear (as stale elements at
+	// the seed tag) and donor health is current.
 	groups, nodeErrors := g.scrub(ctx, targets)
 	for _, sg := range groups {
 		sg.sh.stats.repairScrubs.Add(1)

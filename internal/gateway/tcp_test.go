@@ -311,7 +311,8 @@ func TestTCPGatewayE2E(t *testing.T) {
 // TestTCPShardRefusesNodeOfOtherBuild: a node that acknowledges a
 // GroupServe without echoing the gateway's code fingerprint -- one built
 // before the fingerprint existed, whose erasure code may differ -- must
-// not be served: the key's creation fails and names the reason.
+// not be served: the key's creation fails and names the reason. Nor may
+// a gateway restarted on its catalog adopt nodes of another code.
 func TestTCPShardRefusesNodeOfOtherBuild(t *testing.T) {
 	var (
 		mu      sync.Mutex
@@ -354,4 +355,52 @@ func TestTCPShardRefusesNodeOfOtherBuild(t *testing.T) {
 	if _, err := g.Put(ctx, "k", []byte("v")); err == nil || !strings.Contains(err.Error(), "did not confirm erasure code") {
 		t.Fatalf("Put on a node that echoes no code: err = %v, want a refusal naming the erasure code", err)
 	}
+
+	// A gateway restarted with another erasure code meets a fleet that
+	// holds every group at its generation. Every node answers the
+	// reconcile without echoing the code, so every node is reported in
+	// RestoreInfo.AdoptErrors and sent no GroupServe, and no node sends
+	// the gateway a data reply: a read of a restored key gets no answer.
+	t.Run("restart", func(t *testing.T) {
+		_, taps, cfg := tappedFleet(t, 3)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		g1, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putKeys(t, ctx, g1, 4)
+		if err := g1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tap := range taps {
+			tap.otherCode.Store(true)
+			tap.counts()
+		}
+
+		g2, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g2.Close()
+		info := g2.RestoreInfo()
+		if info == nil || info.AdoptedGroups != 0 || len(info.AdoptErrors) != len(taps) {
+			t.Fatalf("RestoreInfo = %+v, want no adopted group and one error per node", info)
+		}
+		for i, e := range info.AdoptErrors {
+			if !strings.HasPrefix(e, fmt.Sprintf("node %d:", i+1)) || !strings.Contains(e, "did not confirm erasure code") {
+				t.Errorf("AdoptErrors[%d] = %q, want node %d refused for its erasure code", i, e, i+1)
+			}
+		}
+		for i, tap := range taps {
+			if serves, _ := tap.counts(); serves != 0 {
+				t.Errorf("node %d was sent %d GroupServes", i+1, serves)
+			}
+		}
+		rctx, rcancel := context.WithTimeout(ctx, time.Second)
+		defer rcancel()
+		if v, _, err := g2.Get(rctx, "reconcile-0"); err == nil {
+			t.Fatalf("Get answered %q: a node sent data replies to a gateway of another code", v)
+		}
+	})
 }

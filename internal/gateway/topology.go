@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"github.com/lds-storage/lds/internal/wire"
 )
 
 // Shard backend names accepted by ShardSpec.Backend.
@@ -149,12 +147,11 @@ func (t *Topology) nodeTable() map[int32]string {
 	return table
 }
 
-// nodeAddrs converts a shard's specs into the wire form carried by the
-// provisioning handshake.
-func nodeAddrs(specs []NodeSpec) []wire.NodeAddr {
-	out := make([]wire.NodeAddr, len(specs))
+// nodeIDs lists a shard's node ids in assignment order.
+func nodeIDs(specs []NodeSpec) []int32 {
+	out := make([]int32, len(specs))
 	for i, s := range specs {
-		out[i] = wire.NodeAddr{ID: s.ID, Addr: s.Addr}
+		out[i] = s.ID
 	}
 	return out
 }

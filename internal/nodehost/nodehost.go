@@ -13,16 +13,17 @@
 // the same placement from the same node list without further coordination
 // (see AssignedNode).
 //
-// The Host's address resolver maps each namespaced process id onto the
-// per-process address space this placement induces: L1/L2 ids route to
-// the owning peer node, writer/reader ids route to the gateway listener
-// carried by the group's GroupServe, and control ids route to wherever a
-// handshake last told us the sender lives. Nothing here needs a static
-// address book; topology flows entirely through the handshake.
+// Groups name their nodes by id. The Host's resolver routes L1/L2 ids
+// through one id→address table, writer/reader ids to the one gateway
+// address, and control ids to wherever a handshake last told us the sender
+// lives. No static address book: the table is merged from GroupServe node
+// lists and the gateway's reconcile (wire.GroupStats with a Code), and
+// the gateway address moves only with a message that carried this node's
+// own code fingerprint, so a gateway of another code gets no data replies.
 //
 // A restarted node comes back empty (crash-stop: its servers' state is
-// gone) and reports Groups=0 to the gateway's NodePing prober, which
-// re-serves the lost groups at their boot seeds. That is safe as long as
+// gone) and lists no groups to the gateway's reconcile, which re-serves
+// the lost groups at their boot seeds. That is safe as long as
 // the nodes restarted concurrently host at most f1 L1 and f2 L2 servers
 // of any one group — the paper's fault budget, which a placement of one
 // L1 and one L2 server per node (m = n1 = n2 nodes) meets for a single
@@ -74,6 +75,8 @@ type Host struct {
 
 	mu       sync.RWMutex
 	groups   map[int32]*hostedGroup
+	addrs    map[int32]string       // node id -> address, merged from GroupServe.Nodes and reconciles
+	gateway  string                 // where client (writer/reader) replies go
 	ctlAddrs map[wire.ProcID]string // control peers learned from handshakes
 	codes    map[lds.Params]hostedCode
 	closed   bool
@@ -90,25 +93,26 @@ type hostedGroup struct {
 	gen     uint64 // incarnation (wire.GroupServe.Gen): namespaces recycle, gens never repeat
 	view    *transport.NamespacedNetwork
 	params  lds.Params
-	nodes   []wire.NodeAddr
-	clients string // gateway listener hosting the group's clients
-	servers int    // how many servers this node runs for the group
+	nodes   []int32 // node ids in assignment order; addresses live in Host.addrs
+	servers int     // how many servers this node runs for the group
 	// l1s/l2s retain the servers for the GroupStats and repair RPCs (both
 	// safe while traffic flows).
 	l1s []*lds.L1Proc
 	l2s []*lds.L2Proc
 }
 
-// gauges sums the group's storage gauges over this node's servers.
-func (g *hostedGroup) gauges() (temp, perm, offload int64) {
+// gauges sums the group's storage gauges over this node's servers and
+// names its generation; the caller fills in the namespace.
+func (g *hostedGroup) gauges() wire.GroupGauges {
+	gg := wire.GroupGauges{Gen: g.gen}
 	for _, s := range g.l1s {
-		temp += s.TemporaryBytes()
-		offload += s.OffloadQueueDepth()
+		gg.TemporaryBytes += s.TemporaryBytes()
+		gg.OffloadQueueDepth += s.OffloadQueueDepth()
 	}
 	for _, s := range g.l2s {
-		perm += s.StoredBytes()
+		gg.PermanentBytes += s.StoredBytes()
 	}
-	return temp, perm, offload
+	return gg
 }
 
 // New starts a host with the given topology-wide node id, listening on
@@ -121,6 +125,7 @@ func New(listen string, nodeID int32, opts Options) (*Host, error) {
 	h := &Host{
 		id:       nodeID,
 		groups:   make(map[int32]*hostedGroup),
+		addrs:    make(map[int32]string),
 		ctlAddrs: make(map[wire.ProcID]string),
 		codes:    make(map[lds.Params]hostedCode),
 		logf:     opts.Log,
@@ -209,9 +214,10 @@ func (h *Host) resolve(id wire.ProcID) (string, bool) {
 	}
 	switch id.Role {
 	case wire.RoleL1, wire.RoleL2:
-		return g.nodes[AssignedNode(local, len(g.nodes))].Addr, true
+		addr, ok := h.addrs[g.nodes[AssignedNode(local, len(g.nodes))]]
+		return addr, ok
 	case wire.RoleWriter, wire.RoleReader:
-		return g.clients, true
+		return h.gateway, h.gateway != ""
 	}
 	return "", false
 }
@@ -238,17 +244,7 @@ func (h *Host) handleCtl(env wire.Envelope) {
 		h.ctl.Send(env.From, h.pong(m.Seq))
 	case wire.GroupStats:
 		h.rememberCtl(env.From, m.ReplyAddr)
-		resp := wire.GroupStatsResp{Seq: m.Seq}
-		h.mu.RLock()
-		if m.Group == wire.AllGroups {
-			for ns, g := range h.groups {
-				resp.Groups = append(resp.Groups, gaugesOf(ns, g))
-			}
-		} else if g, ok := h.groups[m.Group]; ok {
-			resp.Groups = append(resp.Groups, gaugesOf(m.Group, g))
-		}
-		h.mu.RUnlock()
-		h.ctl.Send(env.From, resp)
+		h.ctl.Send(env.From, h.stats(m))
 	case wire.ElemInventory:
 		h.rememberCtl(env.From, m.ReplyAddr)
 		h.ctl.Send(env.From, h.inventory(m))
@@ -261,6 +257,20 @@ func (h *Host) handleCtl(env wire.Envelope) {
 	}
 }
 
+// eachLocked calls fn for the hosted group ns, or for every hosted group
+// when ns is wire.AllGroups; h.mu held.
+func (h *Host) eachLocked(ns int32, fn func(ns int32, g *hostedGroup)) {
+	if ns != wire.AllGroups {
+		if g, ok := h.groups[ns]; ok {
+			fn(ns, g)
+		}
+		return
+	}
+	for ns, g := range h.groups {
+		fn(ns, g)
+	}
+}
+
 // inventory lists the (tag, digest) of every L2 element this node stores
 // for the requested group(s). Like GroupStats, absent groups simply have
 // no entry; the gateway's scrubber turns that into "missing".
@@ -268,25 +278,19 @@ func (h *Host) inventory(m wire.ElemInventory) wire.ElemInventoryResp {
 	resp := wire.ElemInventoryResp{Seq: m.Seq}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	appendGroup := func(ns int32, g *hostedGroup) {
+	h.eachLocked(m.Group, func(ns int32, g *hostedGroup) {
 		inv := wire.GroupInventory{Group: ns}
 		for _, s := range g.l2s {
 			inv.Elems = append(inv.Elems, s.ElemStat())
 		}
 		resp.Groups = append(resp.Groups, inv)
-	}
-	if m.Group == wire.AllGroups {
-		for ns, g := range h.groups {
-			appendGroup(ns, g)
-		}
-	} else if g, ok := h.groups[m.Group]; ok {
-		appendGroup(m.Group, g)
-	}
+	})
 	return resp
 }
 
-// l2of returns the hosted L2 server with the given in-group index, or nil.
-func (h *Host) l2of(group, index int32) *lds.L2Proc {
+// L2 returns the hosted L2 server with the given in-group index, or nil;
+// tests and experiments use it too (corruption injection, state checks).
+func (h *Host) L2(group, index int32) *lds.L2Proc {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	g, ok := h.groups[group]
@@ -301,15 +305,11 @@ func (h *Host) l2of(group, index int32) *lds.L2Proc {
 	return nil
 }
 
-// L2 exposes a hosted L2 server to tests and experiments (corruption
-// injection, direct state checks); nil when this node does not host it.
-func (h *Host) L2(group, index int32) *lds.L2Proc { return h.l2of(group, index) }
-
 // fetch serves one element's repair data: the whole stored element
 // (FailedIndex == FullElement) or helper data toward a failed code index.
 func (h *Host) fetch(m wire.ElemFetch) wire.ElemFetchResp {
 	resp := wire.ElemFetchResp{Seq: m.Seq, Group: m.Group, Index: m.Index}
-	s := h.l2of(m.Group, m.Index)
+	s := h.L2(m.Group, m.Index)
 	if s == nil {
 		resp.Err = fmt.Sprintf("nodehost %d: group %d element %d not hosted", h.id, m.Group, m.Index)
 		return resp
@@ -332,7 +332,7 @@ func (h *Host) fetch(m wire.ElemFetch) wire.ElemFetchResp {
 // rule (see lds.L2Server.InstallRepair).
 func (h *Host) repair(m wire.ElemRepair) wire.ElemRepairResp {
 	resp := wire.ElemRepairResp{Seq: m.Seq, Group: m.Group, Index: m.Index}
-	s := h.l2of(m.Group, m.Index)
+	s := h.L2(m.Group, m.Index)
 	if s == nil {
 		resp.Err = fmt.Sprintf("nodehost %d: group %d element %d not hosted", h.id, m.Group, m.Index)
 		return resp
@@ -341,10 +341,43 @@ func (h *Host) repair(m wire.ElemRepair) wire.ElemRepairResp {
 	return resp
 }
 
-// gaugesOf samples one hosted group's share of the storage gauges.
-func gaugesOf(ns int32, g *hostedGroup) wire.GroupGauges {
-	temp, perm, offload := g.gauges()
-	return wire.GroupGauges{Group: ns, TemporaryBytes: temp, PermanentBytes: perm, OffloadQueueDepth: offload}
+// stats answers a GroupStats with the gauges and generation of each
+// requested group this node hosts. A request carrying the fingerprint of
+// a code this node serves with is a gateway's reconcile: the node echoes
+// it and adopts the sender's topology and address. Any other Code moves
+// nothing.
+func (h *Host) stats(m wire.GroupStats) wire.GroupStatsResp {
+	resp := wire.GroupStatsResp{Seq: m.Seq}
+	if m.Code != 0 {
+		h.mu.Lock()
+		for _, c := range h.codes {
+			if c.fp == m.Code {
+				resp.Code = m.Code
+				h.adoptLocked(m.Nodes, m.ReplyAddr)
+			}
+		}
+		h.mu.Unlock()
+	}
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	h.eachLocked(m.Group, func(ns int32, g *hostedGroup) {
+		gg := g.gauges()
+		gg.Group = ns
+		resp.Groups = append(resp.Groups, gg)
+	})
+	return resp
+}
+
+// adoptLocked merges nodes into the address table and sends client
+// replies to gateway from now on; h.mu held, and the caller has checked
+// that the message carried this node's code fingerprint.
+func (h *Host) adoptLocked(nodes []wire.NodeAddr, gateway string) {
+	for _, n := range nodes {
+		h.addrs[n.ID] = n.Addr
+	}
+	if gateway != "" {
+		h.gateway = gateway
+	}
 }
 
 // pong builds the NodePing response: group/server counts plus the
@@ -354,11 +387,11 @@ func (h *Host) pong(seq uint64) wire.NodePong {
 	defer h.mu.RUnlock()
 	pong := wire.NodePong{Seq: seq, Groups: int32(len(h.groups))}
 	for _, g := range h.groups {
+		gg := g.gauges()
 		pong.Servers += int32(g.servers)
-		temp, perm, offload := g.gauges()
-		pong.TemporaryBytes += temp
-		pong.PermanentBytes += perm
-		pong.OffloadQueueDepth += offload
+		pong.TemporaryBytes += gg.TemporaryBytes
+		pong.PermanentBytes += gg.PermanentBytes
+		pong.OffloadQueueDepth += gg.OffloadQueueDepth
 	}
 	return pong
 }
@@ -387,11 +420,12 @@ func (h *Host) serve(m wire.GroupServe) error {
 	if len(m.Nodes) == 0 {
 		return fmt.Errorf("nodehost: group %d has no nodes", m.Group)
 	}
+	nodes := make([]int32, len(m.Nodes))
 	myPos := -1
 	for i, n := range m.Nodes {
-		if n.ID == h.id {
+		nodes[i] = n.ID
+		if n.ID == h.id && myPos < 0 {
 			myPos = i
-			break
 		}
 	}
 	if myPos < 0 {
@@ -408,6 +442,7 @@ func (h *Host) serve(m wire.GroupServe) error {
 		h.mu.Unlock()
 		return err
 	}
+	h.adoptLocked(m.Nodes, m.ClientAddr)
 	if g, ok := h.groups[m.Group]; ok {
 		if g.gen == m.Gen {
 			if g.params != params {
@@ -421,12 +456,7 @@ func (h *Host) serve(m wire.GroupServe) error {
 					params.N1, params.N2, params.F1, params.F2)
 			}
 			// Idempotent re-serve of the same incarnation: keep the servers
-			// and their state, but adopt the (possibly new) addresses — a
-			// gateway that restarted against a durable catalog re-serves
-			// with the generation it persisted, and its client listener has
-			// usually moved.
-			g.nodes = m.Nodes
-			g.clients = m.ClientAddr
+			// and their state; the addresses were adopted above.
 			h.mu.Unlock()
 			return nil
 		}
@@ -442,7 +472,7 @@ func (h *Host) serve(m wire.GroupServe) error {
 		h.mu.Unlock()
 		return err
 	}
-	g := &hostedGroup{gen: m.Gen, view: view, params: params, nodes: m.Nodes, clients: m.ClientAddr}
+	g := &hostedGroup{gen: m.Gen, view: view, params: params, nodes: nodes}
 	h.groups[m.Group] = g
 	h.mu.Unlock()
 

@@ -141,23 +141,31 @@ func TestServeRetireHandshake(t *testing.T) {
 		t.Fatalf("seeded replace: groups=%d servers=%d, want 1/7", h.Groups(), h.Servers())
 	}
 
-	// An idempotent re-serve with the same Gen but a new client address —
-	// what a gateway restarted against its catalog sends, its listener
-	// having moved — must keep the servers but adopt the new address. The
-	// second ctl client plays the restarted gateway; the ack routes to it
-	// because the node adopts the address it advertises.
+	// A gateway restarted against its catalog moves to a new address and
+	// reconciles: a bulk GroupStats carrying this node's code fingerprint
+	// and the topology. The node keeps the servers, lists the group at its
+	// generation, echoes the code and sends client replies to the new
+	// address from then on. The second ctl client plays the restarted
+	// gateway; the answer routes to it because the request says where it
+	// lives.
 	c2 := newCtlClient(t, h.Addr(), 1)
-	moved := migrated
-	moved.Seq = 5
-	moved.ClientAddr = c2.net.Addr()
-	if resp := c2.roundTrip(t, 1, moved).(wire.GroupServeResp); resp.Err != "" {
-		t.Fatalf("re-serve with moved client addr: %s", resp.Err)
+	reconcile := wire.GroupStats{Seq: 5, Group: wire.AllGroups, ReplyAddr: c2.net.Addr(), Code: serve.Code,
+		Nodes: []wire.NodeAddr{{ID: 1, Addr: h.Addr()}, {ID: 2, Addr: "10.0.0.2:7101"}}}
+	st := c2.roundTrip(t, 1, reconcile).(wire.GroupStatsResp)
+	if st.Code != serve.Code || len(st.Groups) != 1 || st.Groups[0].Group != 7 || st.Groups[0].Gen != migrated.Gen {
+		t.Fatalf("reconcile = %+v, want code %016x echoed and group 7 at gen %d", st, serve.Code, migrated.Gen)
 	}
 	if h.Groups() != 1 || h.Servers() != 7 {
-		t.Fatalf("moved-addr re-serve rebuilt: groups=%d servers=%d", h.Groups(), h.Servers())
+		t.Fatalf("reconcile rebuilt: groups=%d servers=%d", h.Groups(), h.Servers())
 	}
 	if addr, ok := h.resolve(wire.ProcID{Role: wire.RoleWriter, Index: 7 << 16}); !ok || addr != c2.net.Addr() {
-		t.Fatalf("writer resolve after moved-addr re-serve = (%q, %v), want %q", addr, ok, c2.net.Addr())
+		t.Fatalf("writer resolve after reconcile = (%q, %v), want %q", addr, ok, c2.net.Addr())
+	}
+	h.mu.RLock()
+	peer := h.addrs[2]
+	h.mu.RUnlock()
+	if peer != "10.0.0.2:7101" {
+		t.Fatalf("node 2's address after reconcile = %q, want the topology's", peer)
 	}
 
 	// GroupStats samples this node's share of the group's gauges; the L2
@@ -174,8 +182,11 @@ func TestServeRetireHandshake(t *testing.T) {
 	}
 
 	// Hand the control conversation back to the original client for the
-	// remaining checks.
+	// remaining checks. A ping moves control replies, never client ones.
 	c.roundTrip(t, 1, wire.NodePing{Seq: 8, ReplyAddr: c.net.Addr()})
+	if addr, _ := h.resolve(wire.ProcID{Role: wire.RoleReader, Index: 7 << 16}); addr != c2.net.Addr() {
+		t.Fatalf("reader resolve after a ping = %q, want the reconciled %q", addr, c2.net.Addr())
+	}
 
 	// A serve that does not list this node must be refused.
 	foreign := serve
@@ -206,7 +217,8 @@ func TestServeRetireHandshake(t *testing.T) {
 // or one that predates the fingerprint and sends none -- would pair its
 // decoder with this node's coded bytes and read wrong values. The node
 // answers with an error, echoes no code, and serves nothing, not even on
-// an incarnation it already hosts.
+// an incarnation it already hosts; and no message from such a gateway
+// makes the node send it client replies.
 func TestServeRefusesOtherCode(t *testing.T) {
 	h, err := New("127.0.0.1:0", 1, Options{})
 	if err != nil {
@@ -234,12 +246,40 @@ func TestServeRefusesOtherCode(t *testing.T) {
 	if resp := c.roundTrip(t, 1, serve).(wire.GroupServeResp); resp.Err != "" || resp.Code != serve.Code {
 		t.Fatalf("serve with this node's code: %+v", resp)
 	}
+	writer := wire.ProcID{Role: wire.RoleWriter, Index: 3 << 16}
+	if addr, _ := h.resolve(writer); addr != c.net.Addr() {
+		t.Fatalf("writer resolve = %q, want the serving gateway's %q", addr, c.net.Addr())
+	}
+
+	// A gateway of another code at another address: its serves are
+	// refused, its reconcile is answered without an echo, and neither its
+	// pings nor its gauge samples move the client replies to it. Only a
+	// reconcile with this node's code does.
+	c2 := newCtlClient(t, h.Addr(), 1)
 	bad := serve
-	bad.Seq, bad.Code = 20, 0
-	if resp := c.roundTrip(t, 1, bad).(wire.GroupServeResp); resp.Err == "" {
+	bad.Seq, bad.Code, bad.ClientAddr = 20, 0, c2.net.Addr()
+	if resp := c2.roundTrip(t, 1, bad).(wire.GroupServeResp); resp.Err == "" {
 		t.Fatal("re-serve of a hosted incarnation without a code did not fail")
 	}
 	if h.Groups() != 1 || h.Servers() != 7 {
 		t.Fatalf("after refused re-serve: groups=%d servers=%d, want the hosted 1/7 kept", h.Groups(), h.Servers())
+	}
+	for i, msg := range []wire.Message{
+		wire.GroupStats{Seq: 21, Group: wire.AllGroups, ReplyAddr: c2.net.Addr(), Code: serve.Code ^ 1},
+		wire.GroupStats{Seq: 22, Group: wire.AllGroups, ReplyAddr: c2.net.Addr()},
+		wire.NodePing{Seq: 23, ReplyAddr: c2.net.Addr()},
+	} {
+		if st, ok := c2.roundTrip(t, 1, msg).(wire.GroupStatsResp); ok && st.Code != 0 {
+			t.Fatalf("request %d: %T echoed code %016x", i, msg, st.Code)
+		}
+		if addr, _ := h.resolve(writer); addr != c.net.Addr() {
+			t.Fatalf("after %T: writer resolve = %q, want still %q", msg, addr, c.net.Addr())
+		}
+	}
+	if st := c2.roundTrip(t, 1, wire.GroupStats{Seq: 24, Group: wire.AllGroups, ReplyAddr: c2.net.Addr(), Code: serve.Code}).(wire.GroupStatsResp); st.Code != serve.Code {
+		t.Fatalf("reconcile with this node's code: %+v, want the code echoed", st)
+	}
+	if addr, _ := h.resolve(writer); addr != c2.net.Addr() {
+		t.Fatalf("after a reconcile with this node's code: writer resolve = %q, want %q", addr, c2.net.Addr())
 	}
 }

@@ -19,16 +19,41 @@ type NodeAddr struct {
 	Addr string
 }
 
+func appendNodes(b []byte, nodes []NodeAddr) []byte {
+	b = appendUvarint(b, uint64(len(nodes)))
+	for _, n := range nodes {
+		b = appendInt32(b, n.ID)
+		b = appendBytes(b, []byte(n.Addr))
+	}
+	return b
+}
+
+// readNodes decodes appendNodes' form; an empty list decodes as nil.
+func readNodes(b []byte) (nodes []NodeAddr, _ []byte, err error) {
+	n, b, err := readUvarint(b)
+	if err == nil && n > uint64(len(b)) {
+		err = ErrTruncated
+	}
+	for i := uint64(0); err == nil && i < n; i++ {
+		var addr []byte
+		nodes = append(nodes, NodeAddr{})
+		if nodes[i].ID, b, err = readInt32(b); err == nil {
+			addr, b, err = readBytes(b)
+			nodes[i].Addr = string(addr)
+		}
+	}
+	return nodes, b, err
+}
+
 // GroupServe asks a node host to instantiate its slice of one LDS group:
 // the L1 and L2 servers of namespace Group that the deterministic
 // round-robin assignment (L1/i and L2/i go to Nodes[i mod len(Nodes)])
 // places on the receiver. The servers boot seeded at (Value, Tag) — the
 // zero tag is the paper's initial state, a non-zero tag a migration
-// snapshot. ClientAddr is where the group's clients (and the sender's
-// control endpoint) live, so the receiver can route responses without any
-// static address book. Serving an already-hosted group with the same Gen
-// is idempotent and just re-acknowledges; a different Gen replaces the
-// hosted group outright.
+// snapshot. Once the code check passes, the receiver merges Nodes into its
+// address table and sends client replies to ClientAddr. Serving an
+// already-hosted group with the same Gen is idempotent and just
+// re-acknowledges; a different Gen replaces the hosted group outright.
 type GroupServe struct {
 	Seq   uint64
 	Group int32
@@ -44,8 +69,8 @@ type GroupServe struct {
 	N1, N2, F1, F2 int32
 	// Nodes is the full shard group, in assignment order.
 	Nodes []NodeAddr
-	// ClientAddr is the gateway-side listener hosting the group's writers,
-	// readers and the control endpoint the response goes to.
+	// ClientAddr is the gateway-side listener hosting the clients and the
+	// control endpoint the response goes to.
 	ClientAddr string
 	// Value and Tag seed the group's servers (sim.Config.InitialValue /
 	// InitialTag equivalents).
@@ -70,11 +95,7 @@ func (m GroupServe) AppendTo(b []byte) []byte {
 	b = appendInt32(b, m.N2)
 	b = appendInt32(b, m.F1)
 	b = appendInt32(b, m.F2)
-	b = appendUvarint(b, uint64(len(m.Nodes)))
-	for _, n := range m.Nodes {
-		b = appendInt32(b, n.ID)
-		b = appendBytes(b, []byte(n.Addr))
-	}
+	b = appendNodes(b, m.Nodes)
 	b = appendBytes(b, []byte(m.ClientAddr))
 	b = appendTag(b, m.Tag)
 	b = appendBytes(b, m.Value)
@@ -208,6 +229,11 @@ func (NodePong) PayloadBytes() int { return 0 }
 // remote groups — what sim shards read directly from their in-process
 // servers. The bulk form keeps a stats sweep at one RPC per node instead
 // of one per (group, node).
+//
+// With a Code it is the gateway's per-node reconcile: a receiver whose
+// own code fingerprint is Code echoes it, merges Nodes (the topology) into
+// its address table and sends client replies to ReplyAddr from then on.
+// An older sender encodes neither field; they decode as 0 and nil.
 type GroupStats struct {
 	Seq   uint64
 	Group int32
@@ -215,6 +241,8 @@ type GroupStats struct {
 	// lives (stats may be sampled before any GroupServe taught the node
 	// the gateway's address, e.g. right after a gateway restart).
 	ReplyAddr string
+	Code      uint64 // lds.Params.CodeFingerprint; 0 in a gauge sample
+	Nodes     []NodeAddr
 }
 
 // AllGroups as GroupStats.Group selects every group the node hosts.
@@ -227,27 +255,35 @@ func (GroupStats) Kind() Kind { return KindGroupStats }
 func (m GroupStats) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.Seq)
 	b = appendInt32(b, m.Group)
-	return appendBytes(b, []byte(m.ReplyAddr))
+	b = appendBytes(b, []byte(m.ReplyAddr))
+	b = appendUvarint(b, m.Code)
+	return appendNodes(b, m.Nodes)
 }
 
 // PayloadBytes implements Message.
 func (GroupStats) PayloadBytes() int { return 0 }
 
 // GroupGauges is one group's storage gauges as summed over the L1 and L2
-// server slices a single node hosts for it.
+// server slices a single node hosts for it, and its GroupServe.Gen.
 type GroupGauges struct {
 	Group             int32
 	TemporaryBytes    int64
 	PermanentBytes    int64
 	OffloadQueueDepth int64
+	Gen               uint64
 }
 
 // GroupStatsResp answers a GroupStats with one entry per requested group
 // the node actually hosts; a requested group that is absent (a restarted
 // node before reprovisioning, or a raced retire) simply has no entry.
+// Code echoes a request Code that is the node's own fingerprint. Gens and
+// Code follow the gauges, so an older decoder ignores them, and an older
+// node's answer decodes with every Gen 0 — never minted, so the gateway
+// re-serves its groups.
 type GroupStatsResp struct {
 	Seq    uint64
 	Groups []GroupGauges
+	Code   uint64
 }
 
 // Kind implements Message.
@@ -263,7 +299,10 @@ func (m GroupStatsResp) AppendTo(b []byte) []byte {
 		b = appendInt64(b, g.PermanentBytes)
 		b = appendInt64(b, g.OffloadQueueDepth)
 	}
-	return b
+	for _, g := range m.Groups {
+		b = appendUvarint(b, g.Gen)
+	}
+	return appendUvarint(b, m.Code)
 }
 
 // PayloadBytes implements Message.
@@ -300,23 +339,8 @@ func registerControlDecoders() {
 		if m.F2, b, err = readInt32(b); err != nil {
 			return nil, err
 		}
-		n, b, err := readUvarint(b)
-		if err != nil {
+		if m.Nodes, b, err = readNodes(b); err != nil {
 			return nil, err
-		}
-		if n > uint64(len(b)) {
-			return nil, ErrTruncated
-		}
-		m.Nodes = make([]NodeAddr, n)
-		for i := range m.Nodes {
-			if m.Nodes[i].ID, b, err = readInt32(b); err != nil {
-				return nil, err
-			}
-			var addr []byte
-			if addr, b, err = readBytes(b); err != nil {
-				return nil, err
-			}
-			m.Nodes[i].Addr = string(addr)
 		}
 		var client []byte
 		if client, b, err = readBytes(b); err != nil {
@@ -419,8 +443,13 @@ func registerControlDecoders() {
 		if m.Group, b, err = readInt32(b); err != nil {
 			return nil, err
 		}
-		addr, _, err := readBytes(b)
+		addr, b, err := readBytes(b)
 		m.ReplyAddr = string(addr)
+		if err == nil && len(b) > 0 { // an older sender ends here
+			if m.Code, b, err = readUvarint(b); err == nil {
+				m.Nodes, _, err = readNodes(b)
+			}
+		}
 		return m, err
 	})
 	register(KindGroupStatsResp, func(b []byte) (Message, error) {
@@ -454,7 +483,16 @@ func registerControlDecoders() {
 				return nil, err
 			}
 		}
-		return m, nil
+		if len(b) == 0 {
+			return m, nil // an older node: no generations, no Code
+		}
+		for i := range m.Groups {
+			if m.Groups[i].Gen, b, err = readUvarint(b); err != nil {
+				return nil, err
+			}
+		}
+		m.Code, err = readOptionalUvarint(b)
+		return m, err
 	})
 }
 

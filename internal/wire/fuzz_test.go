@@ -63,7 +63,8 @@ func TestRetiredKindsRefused(t *testing.T) {
 
 // FuzzDecode feeds arbitrary bytes to the message decoder. The corpus
 // seeds one encoding of every message kind (via allMessages), so the
-// fuzzer starts from every decoder path, and the retired frames. Properties checked on inputs
+// fuzzer starts from every decoder path, the retired frames, and the
+// older-build forms of the messages that gained trailing fields. Properties checked on inputs
 // that decode: re-encoding is stable (encode∘decode is idempotent on the
 // wire form) and never panics.
 func FuzzDecode(f *testing.F) {
@@ -76,6 +77,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x01, 0x00})
 	for _, h := range retiredFrames {
 		f.Add(unhex(f, h))
+	}
+	for _, o := range olderStatsFrames {
+		f.Add(unhex(f, o.hex))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)

@@ -67,11 +67,17 @@ func allMessages() []Message {
 			TemporaryBytes: 4096, PermanentBytes: 123456, OffloadQueueDepth: 7},
 		GroupStats{Seq: 14, Group: 12, ReplyAddr: "127.0.0.1:9000"},
 		GroupStats{Seq: 15, Group: AllGroups, ReplyAddr: "127.0.0.1:9000"},
+		GroupStats{Seq: 16, Group: AllGroups, ReplyAddr: "127.0.0.1:9000", Code: 0x9a3f_52c1_07e4_d86b,
+			Nodes: []NodeAddr{{ID: 1, Addr: "127.0.0.1:7101"}, {ID: 2, Addr: "127.0.0.1:7102"}}},
 		GroupStatsResp{Seq: 14, Groups: []GroupGauges{
 			{Group: 12, TemporaryBytes: 100, PermanentBytes: 2048, OffloadQueueDepth: 3},
 			{Group: 13, PermanentBytes: 96},
 		}},
 		GroupStatsResp{Seq: 15, Groups: []GroupGauges{}},
+		GroupStatsResp{Seq: 16, Code: 0x9a3f_52c1_07e4_d86b, Groups: []GroupGauges{
+			{Group: 12, PermanentBytes: 2048, Gen: 42},
+			{Group: 13, Gen: 1 << 40},
+		}},
 		ElemInventory{Seq: 16, Group: 12, ReplyAddr: "127.0.0.1:9000"},
 		ElemInventory{Seq: 17, Group: AllGroups, ReplyAddr: "127.0.0.1:9000"},
 		ElemInventoryResp{Seq: 16, Groups: []GroupInventory{
@@ -292,6 +298,40 @@ func TestGroupServeFromOlderBuild(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, msg) {
 			t.Fatalf("%T without Code decoded as %#v, want %#v", msg, got, msg)
+		}
+	}
+}
+
+// olderStatsFrames encode a GroupStats and a GroupStatsResp as a build
+// that predates the reconcile fields writes them: no Code and no Nodes in
+// the request, no generations and no Code after the gauges. decodedAs is
+// what each decodes to now.
+var olderStatsFrames = []struct {
+	hex       string
+	decodedAs Message
+}{
+	{"1d0f010e3132372e302e302e313a39303030", // GroupStats, kind 29
+		GroupStats{Seq: 15, Group: AllGroups, ReplyAddr: "127.0.0.1:9000"}},
+	{"1e0e0218c8018020061a00c00100", // GroupStatsResp, kind 30
+		GroupStatsResp{Seq: 14, Groups: []GroupGauges{
+			{Group: 12, TemporaryBytes: 100, PermanentBytes: 2048, OffloadQueueDepth: 3},
+			{Group: 13, PermanentBytes: 96},
+		}}},
+}
+
+// TestGroupStatsFromOlderBuild: a reconcile answered by a node that
+// predates generations decodes with every Gen and the Code 0 — a
+// generation no group is minted at, so the gateway re-serves its groups —
+// and a request from an older gateway decodes as a gauge sample, which
+// moves nothing on the node.
+func TestGroupStatsFromOlderBuild(t *testing.T) {
+	for _, f := range olderStatsFrames {
+		got, err := Decode(unhex(t, f.hex))
+		if err != nil {
+			t.Fatalf("%T of an older build: %v", f.decodedAs, err)
+		}
+		if !reflect.DeepEqual(got, f.decodedAs) {
+			t.Fatalf("%T of an older build decoded as %#v, want %#v", f.decodedAs, got, f.decodedAs)
 		}
 	}
 }
