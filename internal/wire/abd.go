@@ -19,13 +19,9 @@ type ABDQuery struct {
 // Kind implements Message.
 func (ABDQuery) Kind() Kind { return KindABDQuery }
 
-// AppendTo implements Message.
-func (m ABDQuery) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.OpID)
-	if m.WantValue {
-		return append(b, 1)
-	}
-	return append(b, 0)
+func (m *ABDQuery) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.bool(&m.WantValue)
 }
 
 // PayloadBytes implements Message.
@@ -42,11 +38,10 @@ type ABDQueryResp struct {
 // Kind implements Message.
 func (ABDQueryResp) Kind() Kind { return KindABDQueryResp }
 
-// AppendTo implements Message.
-func (m ABDQueryResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.OpID)
-	b = appendTag(b, m.Tag)
-	return appendBytes(b, m.Value)
+func (m *ABDQueryResp) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.tag(&m.Tag)
+	c.bytes(&m.Value)
 }
 
 // PayloadBytes implements Message.
@@ -63,11 +58,10 @@ type ABDUpdate struct {
 // Kind implements Message.
 func (ABDUpdate) Kind() Kind { return KindABDUpdate }
 
-// AppendTo implements Message.
-func (m ABDUpdate) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.OpID)
-	b = appendTag(b, m.Tag)
-	return appendBytes(b, m.Value)
+func (m *ABDUpdate) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.tag(&m.Tag)
+	c.bytes(&m.Value)
 }
 
 // PayloadBytes implements Message.
@@ -81,51 +75,7 @@ type ABDUpdateAck struct {
 // Kind implements Message.
 func (ABDUpdateAck) Kind() Kind { return KindABDUpdateAck }
 
-// AppendTo implements Message.
-func (m ABDUpdateAck) AppendTo(b []byte) []byte { return appendUvarint(b, m.OpID) }
+func (m *ABDUpdateAck) fields(c *codec) { c.uint64(&m.OpID) }
 
 // PayloadBytes implements Message.
 func (ABDUpdateAck) PayloadBytes() int { return 0 }
-
-func init() { registerABDDecoders() }
-
-func registerABDDecoders() {
-	register(KindABDQuery, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) < 1 {
-			return nil, ErrTruncated
-		}
-		return ABDQuery{OpID: op, WantValue: b[0] == 1}, nil
-	})
-	register(KindABDQueryResp, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, b, err := readTag(b)
-		if err != nil {
-			return nil, err
-		}
-		v, _, err := readBytes(b)
-		return ABDQueryResp{OpID: op, Tag: t, Value: v}, err
-	})
-	register(KindABDUpdate, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, b, err := readTag(b)
-		if err != nil {
-			return nil, err
-		}
-		v, _, err := readBytes(b)
-		return ABDUpdate{OpID: op, Tag: t, Value: v}, err
-	})
-	register(KindABDUpdateAck, func(b []byte) (Message, error) {
-		op, _, err := readUvarint(b)
-		return ABDUpdateAck{OpID: op}, err
-	})
-}

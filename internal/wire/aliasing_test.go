@@ -94,3 +94,33 @@ func TestBufferOwnershipReusedEncodeBuffer(t *testing.T) {
 		t.Errorf("decoded message corrupted by encode-buffer reuse: %q", pd.Value)
 	}
 }
+
+// TestAliasingBroadcastInner: a Broadcast's inner message is decoded in
+// the caller's mode. Under DecodeAlias its byte fields alias the frame
+// like the outer message's would; under Decode they share nothing with
+// the caller's buffer.
+func TestAliasingBroadcastInner(t *testing.T) {
+	m := testPutData()
+	buf := wire.Encode(wire.Broadcast{Origin: wire.ProcID{Role: wire.RoleL1, Index: 1}, Seq: 2, Inner: m})
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte) (wire.Message, error)
+		shares bool
+	}{
+		{"DecodeAlias", wire.DecodeAlias, true},
+		{"Decode", wire.Decode, false},
+	} {
+		frame := bytes.Clone(buf)
+		got, err := tc.decode(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range frame {
+			frame[i] = 0xAA
+		}
+		inner := got.(wire.Broadcast).Inner.(wire.PutData)
+		if shares := !bytes.Equal(inner.Value, m.Value); shares != tc.shares {
+			t.Errorf("%s: inner value shares the frame: %v, want %v", tc.name, shares, tc.shares)
+		}
+	}
+}

@@ -19,32 +19,6 @@ type NodeAddr struct {
 	Addr string
 }
 
-func appendNodes(b []byte, nodes []NodeAddr) []byte {
-	b = appendUvarint(b, uint64(len(nodes)))
-	for _, n := range nodes {
-		b = appendInt32(b, n.ID)
-		b = appendBytes(b, []byte(n.Addr))
-	}
-	return b
-}
-
-// readNodes decodes appendNodes' form; an empty list decodes as nil.
-func readNodes(b []byte) (nodes []NodeAddr, _ []byte, err error) {
-	n, b, err := readUvarint(b)
-	if err == nil && n > uint64(len(b)) {
-		err = ErrTruncated
-	}
-	for i := uint64(0); err == nil && i < n; i++ {
-		var addr []byte
-		nodes = append(nodes, NodeAddr{})
-		if nodes[i].ID, b, err = readInt32(b); err == nil {
-			addr, b, err = readBytes(b)
-			nodes[i].Addr = string(addr)
-		}
-	}
-	return nodes, b, err
-}
-
 // GroupServe asks a node host to instantiate its slice of one LDS group:
 // the L1 and L2 servers of namespace Group that the deterministic
 // round-robin assignment (L1/i and L2/i go to Nodes[i mod len(Nodes)])
@@ -86,20 +60,21 @@ type GroupServe struct {
 // Kind implements Message.
 func (GroupServe) Kind() Kind { return KindGroupServe }
 
-// AppendTo implements Message.
-func (m GroupServe) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Group)
-	b = appendUvarint(b, m.Gen)
-	b = appendInt32(b, m.N1)
-	b = appendInt32(b, m.N2)
-	b = appendInt32(b, m.F1)
-	b = appendInt32(b, m.F2)
-	b = appendNodes(b, m.Nodes)
-	b = appendBytes(b, []byte(m.ClientAddr))
-	b = appendTag(b, m.Tag)
-	b = appendBytes(b, m.Value)
-	return appendUvarint(b, m.Code)
+func (m *GroupServe) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
+	c.uint64(&m.Gen)
+	c.int32(&m.N1)
+	c.int32(&m.N2)
+	c.int32(&m.F1)
+	c.int32(&m.F2)
+	c.nodes(&m.Nodes)
+	c.string(&m.ClientAddr)
+	c.tag(&m.Tag)
+	c.bytes(&m.Value)
+	if c.more() { // an older sender ends here
+		c.uint64(&m.Code)
+	}
 }
 
 // PayloadBytes implements Message: the seed value is data, the rest is
@@ -120,12 +95,13 @@ type GroupServeResp struct {
 // Kind implements Message.
 func (GroupServeResp) Kind() Kind { return KindGroupServeResp }
 
-// AppendTo implements Message.
-func (m GroupServeResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Group)
-	b = appendBytes(b, []byte(m.Err))
-	return appendUvarint(b, m.Code)
+func (m *GroupServeResp) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
+	c.string(&m.Err)
+	if c.more() { // an older node ends here
+		c.uint64(&m.Code)
+	}
 }
 
 // PayloadBytes implements Message.
@@ -142,10 +118,9 @@ type GroupRetire struct {
 // Kind implements Message.
 func (GroupRetire) Kind() Kind { return KindGroupRetire }
 
-// AppendTo implements Message.
-func (m GroupRetire) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	return appendInt32(b, m.Group)
+func (m *GroupRetire) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
 }
 
 // PayloadBytes implements Message.
@@ -160,10 +135,9 @@ type GroupRetireResp struct {
 // Kind implements Message.
 func (GroupRetireResp) Kind() Kind { return KindGroupRetireResp }
 
-// AppendTo implements Message.
-func (m GroupRetireResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	return appendInt32(b, m.Group)
+func (m *GroupRetireResp) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
 }
 
 // PayloadBytes implements Message.
@@ -180,10 +154,9 @@ type NodePing struct {
 // Kind implements Message.
 func (NodePing) Kind() Kind { return KindNodePing }
 
-// AppendTo implements Message.
-func (m NodePing) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	return appendBytes(b, []byte(m.ReplyAddr))
+func (m *NodePing) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.string(&m.ReplyAddr)
 }
 
 // PayloadBytes implements Message.
@@ -210,14 +183,13 @@ type NodePong struct {
 // Kind implements Message.
 func (NodePong) Kind() Kind { return KindNodePong }
 
-// AppendTo implements Message.
-func (m NodePong) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Groups)
-	b = appendInt32(b, m.Servers)
-	b = appendInt64(b, m.TemporaryBytes)
-	b = appendInt64(b, m.PermanentBytes)
-	return appendInt64(b, m.OffloadQueueDepth)
+func (m *NodePong) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Groups)
+	c.int32(&m.Servers)
+	c.int64(&m.TemporaryBytes)
+	c.int64(&m.PermanentBytes)
+	c.int64(&m.OffloadQueueDepth)
 }
 
 // PayloadBytes implements Message.
@@ -251,13 +223,14 @@ const AllGroups int32 = -1
 // Kind implements Message.
 func (GroupStats) Kind() Kind { return KindGroupStats }
 
-// AppendTo implements Message.
-func (m GroupStats) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Group)
-	b = appendBytes(b, []byte(m.ReplyAddr))
-	b = appendUvarint(b, m.Code)
-	return appendNodes(b, m.Nodes)
+func (m *GroupStats) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
+	c.string(&m.ReplyAddr)
+	if c.more() { // an older sender ends here
+		c.uint64(&m.Code)
+		c.nodes(&m.Nodes)
+	}
 }
 
 // PayloadBytes implements Message.
@@ -289,219 +262,26 @@ type GroupStatsResp struct {
 // Kind implements Message.
 func (GroupStatsResp) Kind() Kind { return KindGroupStatsResp }
 
-// AppendTo implements Message.
-func (m GroupStatsResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendUvarint(b, uint64(len(m.Groups)))
-	for _, g := range m.Groups {
-		b = appendInt32(b, g.Group)
-		b = appendInt64(b, g.TemporaryBytes)
-		b = appendInt64(b, g.PermanentBytes)
-		b = appendInt64(b, g.OffloadQueueDepth)
+func (m *GroupStatsResp) fields(c *codec) {
+	c.uint64(&m.Seq)
+	list(c, &m.Groups)
+	for i := range m.Groups {
+		g := &m.Groups[i]
+		c.int32(&g.Group)
+		c.int64(&g.TemporaryBytes)
+		c.int64(&g.PermanentBytes)
+		c.int64(&g.OffloadQueueDepth)
 	}
-	for _, g := range m.Groups {
-		b = appendUvarint(b, g.Gen)
+	if !c.more() {
+		return // an older node: no generations, no Code
 	}
-	return appendUvarint(b, m.Code)
+	for i := range m.Groups {
+		c.uint64(&m.Groups[i].Gen)
+	}
+	if c.more() {
+		c.uint64(&m.Code)
+	}
 }
 
 // PayloadBytes implements Message.
 func (GroupStatsResp) PayloadBytes() int { return 0 }
-
-// --- decoders ---------------------------------------------------------------
-
-func init() { registerControlDecoders() }
-
-func registerControlDecoders() {
-	register(KindGroupServe, func(b []byte) (Message, error) {
-		var (
-			m   GroupServe
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Group, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Gen, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.N1, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.N2, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.F1, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.F2, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Nodes, b, err = readNodes(b); err != nil {
-			return nil, err
-		}
-		var client []byte
-		if client, b, err = readBytes(b); err != nil {
-			return nil, err
-		}
-		m.ClientAddr = string(client)
-		if m.Tag, b, err = readTag(b); err != nil {
-			return nil, err
-		}
-		if m.Value, b, err = readBytes(b); err != nil {
-			return nil, err
-		}
-		m.Code, err = readOptionalUvarint(b)
-		return m, err
-	})
-	register(KindGroupServeResp, func(b []byte) (Message, error) {
-		var (
-			m   GroupServeResp
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Group, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		msg, b, err := readBytes(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Err = string(msg)
-		m.Code, err = readOptionalUvarint(b)
-		return m, err
-	})
-	register(KindGroupRetire, func(b []byte) (Message, error) {
-		var (
-			m   GroupRetire
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		m.Group, _, err = readInt32(b)
-		return m, err
-	})
-	register(KindGroupRetireResp, func(b []byte) (Message, error) {
-		var (
-			m   GroupRetireResp
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		m.Group, _, err = readInt32(b)
-		return m, err
-	})
-	register(KindNodePing, func(b []byte) (Message, error) {
-		var (
-			m   NodePing
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		addr, _, err := readBytes(b)
-		m.ReplyAddr = string(addr)
-		return m, err
-	})
-	register(KindNodePong, func(b []byte) (Message, error) {
-		var (
-			m   NodePong
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Groups, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Servers, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.TemporaryBytes, b, err = readInt64(b); err != nil {
-			return nil, err
-		}
-		if m.PermanentBytes, b, err = readInt64(b); err != nil {
-			return nil, err
-		}
-		m.OffloadQueueDepth, _, err = readInt64(b)
-		return m, err
-	})
-	register(KindGroupStats, func(b []byte) (Message, error) {
-		var (
-			m   GroupStats
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Group, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		addr, b, err := readBytes(b)
-		m.ReplyAddr = string(addr)
-		if err == nil && len(b) > 0 { // an older sender ends here
-			if m.Code, b, err = readUvarint(b); err == nil {
-				m.Nodes, _, err = readNodes(b)
-			}
-		}
-		return m, err
-	})
-	register(KindGroupStatsResp, func(b []byte) (Message, error) {
-		var (
-			m   GroupStatsResp
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		n, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(b)) {
-			return nil, ErrTruncated
-		}
-		m.Groups = make([]GroupGauges, n)
-		for i := range m.Groups {
-			g := &m.Groups[i]
-			if g.Group, b, err = readInt32(b); err != nil {
-				return nil, err
-			}
-			if g.TemporaryBytes, b, err = readInt64(b); err != nil {
-				return nil, err
-			}
-			if g.PermanentBytes, b, err = readInt64(b); err != nil {
-				return nil, err
-			}
-			if g.OffloadQueueDepth, b, err = readInt64(b); err != nil {
-				return nil, err
-			}
-		}
-		if len(b) == 0 {
-			return m, nil // an older node: no generations, no Code
-		}
-		for i := range m.Groups {
-			if m.Groups[i].Gen, b, err = readUvarint(b); err != nil {
-				return nil, err
-			}
-		}
-		m.Code, err = readOptionalUvarint(b)
-		return m, err
-	})
-}
-
-// readOptionalUvarint reads a trailing field that older builds do not
-// send: absent, it is 0.
-func readOptionalUvarint(b []byte) (uint64, error) {
-	if len(b) == 0 {
-		return 0, nil
-	}
-	v, _, err := readUvarint(b)
-	return v, err
-}

@@ -27,23 +27,6 @@ const (
 	PayloadCoded
 )
 
-func appendTag(b []byte, t tag.Tag) []byte {
-	b = appendUvarint(b, t.Z)
-	return appendInt32(b, t.W)
-}
-
-func readTag(b []byte) (tag.Tag, []byte, error) {
-	z, b, err := readUvarint(b)
-	if err != nil {
-		return tag.Tag{}, nil, err
-	}
-	w, b, err := readInt32(b)
-	if err != nil {
-		return tag.Tag{}, nil, err
-	}
-	return tag.Tag{Z: z, W: w}, b, nil
-}
-
 // QueryTag is the writer's get-tag request (QUERY-TAG).
 type QueryTag struct {
 	OpID uint64
@@ -52,8 +35,7 @@ type QueryTag struct {
 // Kind implements Message.
 func (QueryTag) Kind() Kind { return KindQueryTag }
 
-// AppendTo implements Message.
-func (m QueryTag) AppendTo(b []byte) []byte { return appendUvarint(b, m.OpID) }
+func (m *QueryTag) fields(c *codec) { c.uint64(&m.OpID) }
 
 // PayloadBytes implements Message.
 func (QueryTag) PayloadBytes() int { return 0 }
@@ -67,9 +49,9 @@ type QueryTagResp struct {
 // Kind implements Message.
 func (QueryTagResp) Kind() Kind { return KindQueryTagResp }
 
-// AppendTo implements Message.
-func (m QueryTagResp) AppendTo(b []byte) []byte {
-	return appendTag(appendUvarint(b, m.OpID), m.Tag)
+func (m *QueryTagResp) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.tag(&m.Tag)
 }
 
 // PayloadBytes implements Message.
@@ -85,11 +67,10 @@ type PutData struct {
 // Kind implements Message.
 func (PutData) Kind() Kind { return KindPutData }
 
-// AppendTo implements Message.
-func (m PutData) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.OpID)
-	b = appendTag(b, m.Tag)
-	return appendBytes(b, m.Value)
+func (m *PutData) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.tag(&m.Tag)
+	c.bytes(&m.Value)
 }
 
 // PayloadBytes implements Message.
@@ -104,9 +85,9 @@ type PutDataResp struct {
 // Kind implements Message.
 func (PutDataResp) Kind() Kind { return KindPutDataResp }
 
-// AppendTo implements Message.
-func (m PutDataResp) AppendTo(b []byte) []byte {
-	return appendTag(appendUvarint(b, m.OpID), m.Tag)
+func (m *PutDataResp) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.tag(&m.Tag)
 }
 
 // PayloadBytes implements Message.
@@ -121,8 +102,7 @@ type CommitTag struct {
 // Kind implements Message.
 func (CommitTag) Kind() Kind { return KindCommitTag }
 
-// AppendTo implements Message.
-func (m CommitTag) AppendTo(b []byte) []byte { return appendTag(b, m.Tag) }
+func (m *CommitTag) fields(c *codec) { c.tag(&m.Tag) }
 
 // PayloadBytes implements Message.
 func (CommitTag) PayloadBytes() int { return 0 }
@@ -139,12 +119,10 @@ type Broadcast struct {
 // Kind implements Message.
 func (Broadcast) Kind() Kind { return KindBroadcast }
 
-// AppendTo implements Message.
-func (m Broadcast) AppendTo(b []byte) []byte {
-	b = appendProcID(b, m.Origin)
-	b = appendUvarint(b, m.Seq)
-	b = append(b, byte(m.Inner.Kind()))
-	return m.Inner.AppendTo(b)
+func (m *Broadcast) fields(c *codec) {
+	c.proc(&m.Origin)
+	c.uint64(&m.Seq)
+	c.message(&m.Inner)
 }
 
 // PayloadBytes implements Message.
@@ -158,8 +136,7 @@ type QueryCommTag struct {
 // Kind implements Message.
 func (QueryCommTag) Kind() Kind { return KindQueryCommTag }
 
-// AppendTo implements Message.
-func (m QueryCommTag) AppendTo(b []byte) []byte { return appendUvarint(b, m.OpID) }
+func (m *QueryCommTag) fields(c *codec) { c.uint64(&m.OpID) }
 
 // PayloadBytes implements Message.
 func (QueryCommTag) PayloadBytes() int { return 0 }
@@ -173,9 +150,9 @@ type QueryCommTagResp struct {
 // Kind implements Message.
 func (QueryCommTagResp) Kind() Kind { return KindQueryCommTagResp }
 
-// AppendTo implements Message.
-func (m QueryCommTagResp) AppendTo(b []byte) []byte {
-	return appendTag(appendUvarint(b, m.OpID), m.Tag)
+func (m *QueryCommTagResp) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.tag(&m.Tag)
 }
 
 // PayloadBytes implements Message.
@@ -190,9 +167,9 @@ type QueryData struct {
 // Kind implements Message.
 func (QueryData) Kind() Kind { return KindQueryData }
 
-// AppendTo implements Message.
-func (m QueryData) AppendTo(b []byte) []byte {
-	return appendTag(appendUvarint(b, m.OpID), m.Req)
+func (m *QueryData) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.tag(&m.Req)
 }
 
 // PayloadBytes implements Message.
@@ -213,13 +190,12 @@ type QueryDataResp struct {
 // Kind implements Message.
 func (QueryDataResp) Kind() Kind { return KindQueryDataResp }
 
-// AppendTo implements Message.
-func (m QueryDataResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.OpID)
-	b = append(b, byte(m.Class))
-	b = appendTag(b, m.Tag)
-	b = appendInt32(b, m.ValueLen)
-	return appendBytes(b, m.Data)
+func (m *QueryDataResp) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.byte((*byte)(&m.Class))
+	c.tag(&m.Tag)
+	c.int32(&m.ValueLen)
+	c.bytes(&m.Data)
 }
 
 // PayloadBytes implements Message.
@@ -235,9 +211,9 @@ type PutTag struct {
 // Kind implements Message.
 func (PutTag) Kind() Kind { return KindPutTag }
 
-// AppendTo implements Message.
-func (m PutTag) AppendTo(b []byte) []byte {
-	return appendTag(appendUvarint(b, m.OpID), m.Tag)
+func (m *PutTag) fields(c *codec) {
+	c.uint64(&m.OpID)
+	c.tag(&m.Tag)
 }
 
 // PayloadBytes implements Message.
@@ -251,8 +227,7 @@ type PutTagResp struct {
 // Kind implements Message.
 func (PutTagResp) Kind() Kind { return KindPutTagResp }
 
-// AppendTo implements Message.
-func (m PutTagResp) AppendTo(b []byte) []byte { return appendUvarint(b, m.OpID) }
+func (m *PutTagResp) fields(c *codec) { c.uint64(&m.OpID) }
 
 // PayloadBytes implements Message.
 func (PutTagResp) PayloadBytes() int { return 0 }
@@ -268,11 +243,10 @@ type WriteCodeElem struct {
 // Kind implements Message.
 func (WriteCodeElem) Kind() Kind { return KindWriteCodeElem }
 
-// AppendTo implements Message.
-func (m WriteCodeElem) AppendTo(b []byte) []byte {
-	b = appendTag(b, m.Tag)
-	b = appendInt32(b, m.ValueLen)
-	return appendBytes(b, m.Coded)
+func (m *WriteCodeElem) fields(c *codec) {
+	c.tag(&m.Tag)
+	c.int32(&m.ValueLen)
+	c.bytes(&m.Coded)
 }
 
 // PayloadBytes implements Message.
@@ -286,8 +260,7 @@ type AckCodeElem struct {
 // Kind implements Message.
 func (AckCodeElem) Kind() Kind { return KindAckCodeElem }
 
-// AppendTo implements Message.
-func (m AckCodeElem) AppendTo(b []byte) []byte { return appendTag(b, m.Tag) }
+func (m *AckCodeElem) fields(c *codec) { c.tag(&m.Tag) }
 
 // PayloadBytes implements Message.
 func (AckCodeElem) PayloadBytes() int { return 0 }
@@ -313,15 +286,14 @@ type WriteCodeElemBatch struct {
 // Kind implements Message.
 func (WriteCodeElemBatch) Kind() Kind { return KindWriteCodeElemBatch }
 
-// AppendTo implements Message.
-func (m WriteCodeElemBatch) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, uint64(len(m.Elems)))
-	for _, el := range m.Elems {
-		b = appendTag(b, el.Tag)
-		b = appendInt32(b, el.ValueLen)
-		b = appendBytes(b, el.Coded)
+func (m *WriteCodeElemBatch) fields(c *codec) {
+	list(c, &m.Elems)
+	for i := range m.Elems {
+		e := &m.Elems[i]
+		c.tag(&e.Tag)
+		c.int32(&e.ValueLen)
+		c.bytes(&e.Coded)
 	}
-	return b
 }
 
 // PayloadBytes implements Message.
@@ -343,13 +315,11 @@ type AckCodeElemBatch struct {
 // Kind implements Message.
 func (AckCodeElemBatch) Kind() Kind { return KindAckCodeElemBatch }
 
-// AppendTo implements Message.
-func (m AckCodeElemBatch) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, uint64(len(m.Tags)))
-	for _, t := range m.Tags {
-		b = appendTag(b, t)
+func (m *AckCodeElemBatch) fields(c *codec) {
+	list(c, &m.Tags)
+	for i := range m.Tags {
+		c.tag(&m.Tags[i])
 	}
-	return b
 }
 
 // PayloadBytes implements Message.
@@ -366,9 +336,9 @@ type QueryCodeElem struct {
 // Kind implements Message.
 func (QueryCodeElem) Kind() Kind { return KindQueryCodeElem }
 
-// AppendTo implements Message.
-func (m QueryCodeElem) AppendTo(b []byte) []byte {
-	return appendUvarint(appendProcID(b, m.Reader), m.OpID)
+func (m *QueryCodeElem) fields(c *codec) {
+	c.proc(&m.Reader)
+	c.uint64(&m.OpID)
 }
 
 // PayloadBytes implements Message.
@@ -387,208 +357,13 @@ type SendHelperElem struct {
 // Kind implements Message.
 func (SendHelperElem) Kind() Kind { return KindSendHelperElem }
 
-// AppendTo implements Message.
-func (m SendHelperElem) AppendTo(b []byte) []byte {
-	b = appendProcID(b, m.Reader)
-	b = appendUvarint(b, m.OpID)
-	b = appendTag(b, m.Tag)
-	b = appendInt32(b, m.ValueLen)
-	return appendBytes(b, m.Helper)
+func (m *SendHelperElem) fields(c *codec) {
+	c.proc(&m.Reader)
+	c.uint64(&m.OpID)
+	c.tag(&m.Tag)
+	c.int32(&m.ValueLen)
+	c.bytes(&m.Helper)
 }
 
 // PayloadBytes implements Message.
 func (m SendHelperElem) PayloadBytes() int { return len(m.Helper) }
-
-// --- decoders ---------------------------------------------------------------
-
-func init() { registerLDSDecoders() }
-
-func registerLDSDecoders() {
-	register(KindQueryTag, func(b []byte) (Message, error) {
-		op, _, err := readUvarint(b)
-		return QueryTag{OpID: op}, err
-	})
-	register(KindQueryTagResp, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, _, err := readTag(b)
-		return QueryTagResp{OpID: op, Tag: t}, err
-	})
-	register(KindPutData, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, b, err := readTag(b)
-		if err != nil {
-			return nil, err
-		}
-		v, _, err := readBytes(b)
-		return PutData{OpID: op, Tag: t, Value: v}, err
-	})
-	register(KindPutDataResp, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, _, err := readTag(b)
-		return PutDataResp{OpID: op, Tag: t}, err
-	})
-	register(KindCommitTag, func(b []byte) (Message, error) {
-		t, _, err := readTag(b)
-		return CommitTag{Tag: t}, err
-	})
-	register(KindBroadcast, func(b []byte) (Message, error) {
-		origin, b, err := readProcID(b)
-		if err != nil {
-			return nil, err
-		}
-		seq, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		inner, err := Decode(b)
-		if err != nil {
-			return nil, err
-		}
-		return Broadcast{Origin: origin, Seq: seq, Inner: inner}, nil
-	})
-	register(KindQueryCommTag, func(b []byte) (Message, error) {
-		op, _, err := readUvarint(b)
-		return QueryCommTag{OpID: op}, err
-	})
-	register(KindQueryCommTagResp, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, _, err := readTag(b)
-		return QueryCommTagResp{OpID: op, Tag: t}, err
-	})
-	register(KindQueryData, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, _, err := readTag(b)
-		return QueryData{OpID: op, Req: t}, err
-	})
-	register(KindQueryDataResp, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) < 1 {
-			return nil, ErrTruncated
-		}
-		class := PayloadClass(b[0])
-		t, b, err := readTag(b[1:])
-		if err != nil {
-			return nil, err
-		}
-		vl, b, err := readInt32(b)
-		if err != nil {
-			return nil, err
-		}
-		data, _, err := readBytes(b)
-		return QueryDataResp{OpID: op, Class: class, Tag: t, Data: data, ValueLen: vl}, err
-	})
-	register(KindPutTag, func(b []byte) (Message, error) {
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, _, err := readTag(b)
-		return PutTag{OpID: op, Tag: t}, err
-	})
-	register(KindPutTagResp, func(b []byte) (Message, error) {
-		op, _, err := readUvarint(b)
-		return PutTagResp{OpID: op}, err
-	})
-	register(KindWriteCodeElem, func(b []byte) (Message, error) {
-		t, b, err := readTag(b)
-		if err != nil {
-			return nil, err
-		}
-		vl, b, err := readInt32(b)
-		if err != nil {
-			return nil, err
-		}
-		coded, _, err := readBytes(b)
-		return WriteCodeElem{Tag: t, Coded: coded, ValueLen: vl}, err
-	})
-	register(KindAckCodeElem, func(b []byte) (Message, error) {
-		t, _, err := readTag(b)
-		return AckCodeElem{Tag: t}, err
-	})
-	register(KindWriteCodeElemBatch, func(b []byte) (Message, error) {
-		n, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(b)) {
-			// Each element encodes to at least one byte; a larger count than
-			// remaining bytes is a malformed frame, not a huge allocation.
-			return nil, ErrTruncated
-		}
-		elems := make([]CodeElem, n)
-		for i := range elems {
-			if elems[i].Tag, b, err = readTag(b); err != nil {
-				return nil, err
-			}
-			if elems[i].ValueLen, b, err = readInt32(b); err != nil {
-				return nil, err
-			}
-			if elems[i].Coded, b, err = readBytes(b); err != nil {
-				return nil, err
-			}
-		}
-		return WriteCodeElemBatch{Elems: elems}, nil
-	})
-	register(KindAckCodeElemBatch, func(b []byte) (Message, error) {
-		n, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(b)) {
-			return nil, ErrTruncated
-		}
-		tags := make([]tag.Tag, n)
-		for i := range tags {
-			if tags[i], b, err = readTag(b); err != nil {
-				return nil, err
-			}
-		}
-		return AckCodeElemBatch{Tags: tags}, nil
-	})
-	register(KindQueryCodeElem, func(b []byte) (Message, error) {
-		r, b, err := readProcID(b)
-		if err != nil {
-			return nil, err
-		}
-		op, _, err := readUvarint(b)
-		return QueryCodeElem{Reader: r, OpID: op}, err
-	})
-	register(KindSendHelperElem, func(b []byte) (Message, error) {
-		r, b, err := readProcID(b)
-		if err != nil {
-			return nil, err
-		}
-		op, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		t, b, err := readTag(b)
-		if err != nil {
-			return nil, err
-		}
-		vl, b, err := readInt32(b)
-		if err != nil {
-			return nil, err
-		}
-		h, _, err := readBytes(b)
-		return SendHelperElem{Reader: r, OpID: op, Tag: t, Helper: h, ValueLen: vl}, err
-	})
-}

@@ -26,11 +26,10 @@ type ElemInventory struct {
 // Kind implements Message.
 func (ElemInventory) Kind() Kind { return KindElemInventory }
 
-// AppendTo implements Message.
-func (m ElemInventory) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Group)
-	return appendBytes(b, []byte(m.ReplyAddr))
+func (m *ElemInventory) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
+	c.string(&m.ReplyAddr)
 }
 
 // PayloadBytes implements Message.
@@ -71,27 +70,23 @@ type ElemInventoryResp struct {
 // Kind implements Message.
 func (ElemInventoryResp) Kind() Kind { return KindElemInventoryResp }
 
-// AppendTo implements Message.
-func (m ElemInventoryResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendUvarint(b, uint64(len(m.Groups)))
-	for _, g := range m.Groups {
-		b = appendInt32(b, g.Group)
-		b = appendUvarint(b, uint64(len(g.Elems)))
-		for _, e := range g.Elems {
-			b = appendInt32(b, e.Index)
-			b = appendTag(b, e.Tag)
-			b = appendUvarint(b, e.Digest)
-			b = appendInt32(b, e.StoredLen)
-			b = appendInt32(b, e.ValueLen)
-			if e.Healthy {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
+func (m *ElemInventoryResp) fields(c *codec) {
+	c.uint64(&m.Seq)
+	list(c, &m.Groups)
+	for i := range m.Groups {
+		g := &m.Groups[i]
+		c.int32(&g.Group)
+		list(c, &g.Elems)
+		for j := range g.Elems {
+			e := &g.Elems[j]
+			c.int32(&e.Index)
+			c.tag(&e.Tag)
+			c.uint64(&e.Digest)
+			c.int32(&e.StoredLen)
+			c.int32(&e.ValueLen)
+			c.bool(&e.Healthy)
 		}
 	}
-	return b
 }
 
 // PayloadBytes implements Message: an inventory is pure metadata.
@@ -118,13 +113,12 @@ const FullElement int32 = -1
 // Kind implements Message.
 func (ElemFetch) Kind() Kind { return KindElemFetch }
 
-// AppendTo implements Message.
-func (m ElemFetch) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Group)
-	b = appendInt32(b, m.Index)
-	b = appendInt32(b, m.FailedIndex)
-	return appendBytes(b, []byte(m.ReplyAddr))
+func (m *ElemFetch) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
+	c.int32(&m.Index)
+	c.int32(&m.FailedIndex)
+	c.string(&m.ReplyAddr)
 }
 
 // PayloadBytes implements Message.
@@ -146,15 +140,14 @@ type ElemFetchResp struct {
 // Kind implements Message.
 func (ElemFetchResp) Kind() Kind { return KindElemFetchResp }
 
-// AppendTo implements Message.
-func (m ElemFetchResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Group)
-	b = appendInt32(b, m.Index)
-	b = appendTag(b, m.Tag)
-	b = appendInt32(b, m.ValueLen)
-	b = appendBytes(b, []byte(m.Err))
-	return appendBytes(b, m.Data)
+func (m *ElemFetchResp) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
+	c.int32(&m.Index)
+	c.tag(&m.Tag)
+	c.int32(&m.ValueLen)
+	c.string(&m.Err)
+	c.bytes(&m.Data)
 }
 
 // PayloadBytes implements Message: repair data is data — it is exactly
@@ -179,15 +172,14 @@ type ElemRepair struct {
 // Kind implements Message.
 func (ElemRepair) Kind() Kind { return KindElemRepair }
 
-// AppendTo implements Message.
-func (m ElemRepair) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Group)
-	b = appendInt32(b, m.Index)
-	b = appendTag(b, m.Tag)
-	b = appendInt32(b, m.ValueLen)
-	b = appendBytes(b, []byte(m.ReplyAddr))
-	return appendBytes(b, m.Coded)
+func (m *ElemRepair) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
+	c.int32(&m.Index)
+	c.tag(&m.Tag)
+	c.int32(&m.ValueLen)
+	c.string(&m.ReplyAddr)
+	c.bytes(&m.Coded)
 }
 
 // PayloadBytes implements Message.
@@ -206,195 +198,13 @@ type ElemRepairResp struct {
 // Kind implements Message.
 func (ElemRepairResp) Kind() Kind { return KindElemRepairResp }
 
-// AppendTo implements Message.
-func (m ElemRepairResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.Seq)
-	b = appendInt32(b, m.Group)
-	b = appendInt32(b, m.Index)
-	if m.Installed {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return appendBytes(b, []byte(m.Err))
+func (m *ElemRepairResp) fields(c *codec) {
+	c.uint64(&m.Seq)
+	c.int32(&m.Group)
+	c.int32(&m.Index)
+	c.bool(&m.Installed)
+	c.string(&m.Err)
 }
 
 // PayloadBytes implements Message.
 func (ElemRepairResp) PayloadBytes() int { return 0 }
-
-// --- decoders ---------------------------------------------------------------
-
-func init() { registerRepairDecoders() }
-
-func registerRepairDecoders() {
-	register(KindElemInventory, func(b []byte) (Message, error) {
-		var (
-			m   ElemInventory
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Group, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		addr, _, err := readBytes(b)
-		m.ReplyAddr = string(addr)
-		return m, err
-	})
-	register(KindElemInventoryResp, func(b []byte) (Message, error) {
-		var (
-			m   ElemInventoryResp
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		n, b, err := readUvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(b)) {
-			return nil, ErrTruncated
-		}
-		m.Groups = make([]GroupInventory, n)
-		for i := range m.Groups {
-			g := &m.Groups[i]
-			if g.Group, b, err = readInt32(b); err != nil {
-				return nil, err
-			}
-			var ne uint64
-			if ne, b, err = readUvarint(b); err != nil {
-				return nil, err
-			}
-			if ne > uint64(len(b)) {
-				return nil, ErrTruncated
-			}
-			g.Elems = make([]ElemStat, ne)
-			for j := range g.Elems {
-				e := &g.Elems[j]
-				if e.Index, b, err = readInt32(b); err != nil {
-					return nil, err
-				}
-				if e.Tag, b, err = readTag(b); err != nil {
-					return nil, err
-				}
-				if e.Digest, b, err = readUvarint(b); err != nil {
-					return nil, err
-				}
-				if e.StoredLen, b, err = readInt32(b); err != nil {
-					return nil, err
-				}
-				if e.ValueLen, b, err = readInt32(b); err != nil {
-					return nil, err
-				}
-				if len(b) < 1 {
-					return nil, ErrTruncated
-				}
-				e.Healthy = b[0] == 1
-				b = b[1:]
-			}
-		}
-		return m, nil
-	})
-	register(KindElemFetch, func(b []byte) (Message, error) {
-		var (
-			m   ElemFetch
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Group, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Index, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.FailedIndex, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		addr, _, err := readBytes(b)
-		m.ReplyAddr = string(addr)
-		return m, err
-	})
-	register(KindElemFetchResp, func(b []byte) (Message, error) {
-		var (
-			m   ElemFetchResp
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Group, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Index, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Tag, b, err = readTag(b); err != nil {
-			return nil, err
-		}
-		if m.ValueLen, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		var msg []byte
-		if msg, b, err = readBytes(b); err != nil {
-			return nil, err
-		}
-		m.Err = string(msg)
-		m.Data, _, err = readBytes(b)
-		return m, err
-	})
-	register(KindElemRepair, func(b []byte) (Message, error) {
-		var (
-			m   ElemRepair
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Group, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Index, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Tag, b, err = readTag(b); err != nil {
-			return nil, err
-		}
-		if m.ValueLen, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		var addr []byte
-		if addr, b, err = readBytes(b); err != nil {
-			return nil, err
-		}
-		m.ReplyAddr = string(addr)
-		m.Coded, _, err = readBytes(b)
-		return m, err
-	})
-	register(KindElemRepairResp, func(b []byte) (Message, error) {
-		var (
-			m   ElemRepairResp
-			err error
-		)
-		if m.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if m.Group, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if m.Index, b, err = readInt32(b); err != nil {
-			return nil, err
-		}
-		if len(b) < 1 {
-			return nil, ErrTruncated
-		}
-		m.Installed = b[0] == 1
-		b = b[1:]
-		msg, _, err := readBytes(b)
-		m.Err = string(msg)
-		return m, err
-	})
-}

@@ -9,10 +9,19 @@
 // helper data) and explicitly ignores metadata such as tags and counters;
 // every message therefore reports PayloadBytes and MetaBytes separately so
 // the cost accountant can apply exactly that rule.
+//
+// Each message lists its fields once, in wire order, in an unexported
+// fields method, and one codec (codec.go) walks that list both ways:
+// encoding appends the fields, decoding reads them back and keeps the
+// first error. The codec holds the rules every message shares: varints
+// and length prefixes, int32 fields that refuse out-of-range varints, a
+// guard on every list count, and the trailing fields older builds omit,
+// which decode as zero. DecodeAlias walks the caller's frame, so decoded
+// byte slices alias it, a Broadcast's inner message's included; Decode
+// walks a private copy of it.
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -127,13 +136,12 @@ const (
 	KindElemRepairResp
 )
 
-// Message is the interface all protocol messages implement.
+// Message is the interface all protocol messages implement. Every message
+// type of this package also has a fields method listing its fields, once,
+// in wire order; the codec (codec.go) walks it to encode and to decode.
 type Message interface {
 	// Kind returns the wire discriminator.
 	Kind() Kind
-	// AppendTo appends the binary encoding of the message body (without the
-	// kind byte) to b and returns the extended slice.
-	AppendTo(b []byte) []byte
 	// PayloadBytes is the number of data bytes (object values, coded
 	// elements, helper data) the message carries; the unit of the paper's
 	// communication-cost model.
@@ -143,7 +151,7 @@ type Message interface {
 // MetaBytes returns the number of non-payload bytes in the encoded message;
 // ignored by the paper's cost model but tracked so the split is visible.
 func MetaBytes(m Message) int {
-	return len(m.AppendTo(nil)) - m.PayloadBytes() + 1 // +1 for the kind byte
+	return len(AppendEncode(nil, m)) - m.PayloadBytes()
 }
 
 // Envelope is a routed message.
@@ -184,8 +192,9 @@ func Encode(m Message) []byte {
 // AppendEncode appends kind byte + body to b and returns the extended
 // slice; the append-style form of Encode for callers that reuse buffers.
 func AppendEncode(b []byte, m Message) []byte {
-	b = append(b, byte(m.Kind()))
-	return m.AppendTo(b)
+	c := codec{b: b}
+	c.message(&m)
+	return c.b
 }
 
 // Decode parses a message produced by Encode. The returned message owns
@@ -200,21 +209,17 @@ func Decode(b []byte) (Message, error) {
 }
 
 // DecodeAlias parses a message produced by Encode without copying:
-// byte-slice fields of the returned message alias b directly. b becomes
-// the message's: the caller must never modify or reuse it, because a
-// server may keep a decoded field for good. Decoders that convert to
-// string or fixed-width scalars copy by construction, so only []byte
-// fields alias.
+// byte-slice fields of the returned message alias b directly, the inner
+// message of a Broadcast's too. b becomes the message's: the caller must
+// never modify or reuse it, because a server may keep a decoded field for
+// good. Strings and scalars are copies, so only []byte fields alias.
 func DecodeAlias(b []byte) (Message, error) {
-	if len(b) < 1 {
-		return nil, ErrTruncated
+	c := codec{b: b, dec: true}
+	var m Message
+	if c.message(&m); c.err != nil {
+		return nil, c.err
 	}
-	kind := Kind(b[0])
-	dec, ok := decoders[kind]
-	if !ok {
-		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
-	}
-	return dec(b[1:])
+	return m, nil
 }
 
 // EncodeEnvelope serializes a full envelope (for the TCP transport) into
@@ -226,9 +231,9 @@ func EncodeEnvelope(env Envelope) []byte {
 // AppendEnvelope appends the envelope encoding to b and returns the
 // extended slice; the append-style form of EncodeEnvelope.
 func AppendEnvelope(b []byte, env Envelope) []byte {
-	b = appendProcID(b, env.From)
-	b = appendProcID(b, env.To)
-	return AppendEncode(b, env.Msg)
+	c := codec{b: b}
+	c.envelope(&env)
+	return c.b
 }
 
 // DecodeEnvelope parses an envelope produced by EncodeEnvelope. Like
@@ -242,103 +247,14 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 // DecodeAlias). The TCP read loop uses it on a fresh body buffer per
 // frame.
 func DecodeEnvelopeAlias(b []byte) (Envelope, error) {
+	c := codec{b: b, dec: true}
 	var env Envelope
-	var err error
-	env.From, b, err = readProcID(b)
-	if err != nil {
-		return env, err
-	}
-	env.To, b, err = readProcID(b)
-	if err != nil {
-		return env, err
-	}
-	env.Msg, err = DecodeAlias(b)
-	return env, err
+	c.envelope(&env)
+	return env, c.err
 }
 
-type decoder func(body []byte) (Message, error)
-
-var decoders = map[Kind]decoder{}
-
-// register installs a decoder for a kind; called from message definitions.
-func register(k Kind, d decoder) {
-	if _, dup := decoders[k]; dup {
-		panic(fmt.Sprintf("wire: duplicate decoder for kind %d", k))
-	}
-	decoders[k] = d
-}
-
-// --- low-level encoding helpers -------------------------------------------
-
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, ErrTruncated
-	}
-	return v, b[n:], nil
-}
-
-func appendInt32(b []byte, v int32) []byte {
-	return binary.AppendVarint(b, int64(v))
-}
-
-func readInt32(b []byte) (int32, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, ErrTruncated
-	}
-	return int32(v), b[n:], nil
-}
-
-func appendInt64(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
-}
-
-func readInt64(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, ErrTruncated
-	}
-	return v, b[n:], nil
-}
-
-func appendBytes(b, data []byte) []byte {
-	b = appendUvarint(b, uint64(len(data)))
-	return append(b, data...)
-}
-
-// readBytes reads a length-prefixed byte field. The returned field
-// ALIASES b (full-capacity-clipped, so appends cannot clobber the rest
-// of the frame); ownership is decided one level up — Decode clones the
-// whole frame once, DecodeAlias passes the caller's buffer through.
-func readBytes(b []byte) ([]byte, []byte, error) {
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(len(b)) < n {
-		return nil, nil, ErrTruncated
-	}
-	return b[:n:n], b[n:], nil
-}
-
-func appendProcID(b []byte, p ProcID) []byte {
-	b = append(b, byte(p.Role))
-	return appendInt32(b, p.Index)
-}
-
-func readProcID(b []byte) (ProcID, []byte, error) {
-	if len(b) < 1 {
-		return ProcID{}, nil, ErrTruncated
-	}
-	role := Role(b[0])
-	idx, rest, err := readInt32(b[1:])
-	if err != nil {
-		return ProcID{}, nil, err
-	}
-	return ProcID{Role: role, Index: idx}, rest, nil
+func (c *codec) envelope(env *Envelope) {
+	c.proc(&env.From)
+	c.proc(&env.To)
+	c.message(&env.Msg)
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -205,17 +206,18 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte{255}); err == nil {
 		t.Error("Decode of unknown kind should fail")
 	}
-	// Truncate every message at every length and require an error, never a
-	// panic (the transport must survive malformed frames).
+	// Every strict prefix of an encoding fails to decode, except one that
+	// ends where an older build's form of the message ends: it decodes,
+	// with the missing trailing fields zero, to a message whose encoding
+	// extends it.
+	olderForms := map[Kind]bool{KindGroupServe: true, KindGroupServeResp: true,
+		KindGroupStats: true, KindGroupStatsResp: true}
 	for _, msg := range allMessages() {
 		enc := Encode(msg)
-		for cut := 0; cut < len(enc); cut++ {
-			if _, err := Decode(enc[:cut]); err == nil {
-				// Truncating may still parse successfully when the dropped
-				// bytes were a zero-length suffix; only flag panics, which
-				// the test harness would catch. Parsing shorter prefixes
-				// into a valid message of the same kind is acceptable.
-				continue
+		for cut := range len(enc) {
+			m, err := Decode(enc[:cut])
+			if err == nil && (!olderForms[msg.Kind()] || !bytes.HasPrefix(Encode(m), enc[:cut])) {
+				t.Errorf("%T: prefix % x of % x decoded as %#v", msg, enc[:cut], enc, m)
 			}
 		}
 	}
