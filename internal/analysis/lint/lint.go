@@ -152,7 +152,14 @@ func PathHasSuffix(pkgPath, suffix string) bool {
 // CalleeOf resolves the object a call expression invokes, or nil for
 // indirect calls through function values and built-ins.
 func CalleeOf(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) { // an explicitly instantiated generic function
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		return info.Uses[fun]
 	case *ast.SelectorExpr:

@@ -15,8 +15,9 @@
 //   - a Send method that takes an internal/wire parameter (the transport
 //     send surface, whatever the concrete transport), and the lds adaptor's
 //     process.flush, which sends a step's outbox;
-//   - the gateway's at-least-once control RPCs (remoteManager.call and
-//     its wrappers) and time.Sleep.
+//   - the gateway's at-least-once control RPCs (remoteManager.call, the
+//     generic request and their wrappers), its per-node fan-out eachNode,
+//     which waits for every node, and time.Sleep.
 //
 // Disk I/O is deliberately NOT in the list: the gateway's write-ahead
 // catalog fsyncs under the route lock by design (see
@@ -66,11 +67,12 @@ var blockingMethods = []struct {
 	what      string
 }{
 	{"internal/gateway", "remoteManager", "call", "at-least-once control RPC"},
-	{"internal/gateway", "remoteManager", "ping", "control RPC"},
 	{"internal/gateway", "remoteManager", "serveNode", "control RPC"},
 	{"internal/gateway", "remoteManager", "serveGroup", "control RPC"},
 	{"internal/gateway", "remoteManager", "sampleStats", "control RPC"},
-	{"internal/gateway", "remoteManager", "reprovision", "control RPC"},
+	{"internal/gateway", "remoteManager", "reconcile", "control RPC"},
+	{"internal/gateway", "remoteManager", "elemFetch", "control RPC"},
+	{"internal/gateway", "remoteManager", "elemRepair", "control RPC"},
 	{"", "Network", "Drain", "transport drain"},
 	{"internal/lds", "process", "flush", "outbox flush"},
 }
@@ -82,6 +84,8 @@ var blockingFuncs = []struct {
 	what      string
 }{
 	{"time", "Sleep", "sleep"},
+	{"internal/gateway", "request", "control RPC"},
+	{"internal/gateway", "eachNode", "per-node control RPC fan-out"},
 }
 
 func run(pass *lint.Pass) error {

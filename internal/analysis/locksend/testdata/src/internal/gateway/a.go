@@ -77,6 +77,38 @@ func (m *mgr) rpcResultUnderLock() {
 	_ = err
 }
 
+// remoteManager, request and eachNode stand in for the gateway's control
+// RPCs: a method, a generic function called instantiated, and a fan-out.
+type remoteManager struct{ mu sync.Mutex }
+
+func (m *remoteManager) reconcile() {}
+
+func request[T any](m *remoteManager) (T, error) {
+	var t T
+	return t, nil
+}
+
+func eachNode(ids []int32, fn func(id int32)) {}
+
+func (m *remoteManager) reconcileUnderLock() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reconcile() // want "control RPC remoteManager.reconcile while holding m.mu"
+}
+
+func (m *remoteManager) requestUnderLock() {
+	m.mu.Lock()
+	_, err := request[wire.NodePong](m) // want "control RPC gateway.request while holding m.mu"
+	m.mu.Unlock()
+	_ = err
+}
+
+func (m *remoteManager) eachNodeUnderLock() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	eachNode(nil, func(int32) {}) // want "per-node control RPC fan-out gateway.eachNode while holding m.mu"
+}
+
 // --- allowed ---
 
 func (m *mgr) copyThenSend() {
@@ -114,6 +146,12 @@ func (m *mgr) goroutineDoesNotInherit() {
 	go func() {
 		m.ch <- 1 // runs on its own goroutine, without the caller's locks
 	}()
+}
+
+func (m *remoteManager) requestAfterUnlock() {
+	m.mu.Lock()
+	m.mu.Unlock()
+	request[wire.NodePong](m)
 }
 
 func (m *mgr) deferredSendRunsAfterBody() {

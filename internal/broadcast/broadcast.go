@@ -12,6 +12,13 @@
 // A Broadcaster is part of one L1 server's state and is driven by that
 // server's steps: what it sends goes into the step's wire.Outbox. It holds no
 // locks.
+//
+// A server that restarts empty is a new incarnation of its origin, and
+// numbers its broadcasts from 1 again. Each broadcaster is created with an
+// incarnation larger than every earlier one of its origin, and receivers
+// keep their dedup state per (origin, incarnation): the first instance of
+// a newer incarnation resets it, and a late instance of an older one is
+// dropped, as if lost with the process that sent it.
 package broadcast
 
 import (
@@ -28,25 +35,29 @@ type Broadcaster struct {
 	relays []wire.ProcID // the fixed relay set S_{f1+1}
 
 	isRelay bool
+	inc     uint64
 	nextSeq uint64
 	seen    []originSeen // indexed like peers: origin peers[i]'s state at i
 }
 
-// originSeen is the dedup state for one origin's instances: every seq up to
-// floor has been seen, plus the ones in ahead, kept sorted. An origin
-// numbers its broadcasts consecutively from 1 and each instance reaches
-// every live server, so ahead holds only what reordering let overtake a
-// missing seq; it is nil whenever nothing is out of order, and the state
-// stays small however many broadcasts have passed.
+// originSeen is the dedup state for the latest incarnation inc seen of one
+// origin: every seq up to floor has been seen, plus the ones in ahead, kept
+// sorted. An incarnation numbers its broadcasts consecutively from 1 and
+// each instance reaches every live server, so ahead holds only what
+// reordering let overtake a missing seq; it is nil whenever nothing is out
+// of order, and the state stays small however many broadcasts and
+// incarnations have passed.
 type originSeen struct {
+	inc   uint64
 	floor uint64
 	ahead []uint64
 }
 
-// New creates a broadcaster for the server self. peers must list all L1
+// New creates a broadcaster for incarnation inc of the server self, which
+// must exceed every earlier incarnation of self. peers must list all L1
 // servers and is kept, not copied; the relay set is the first relayCount of
 // them (a fixed set known to everyone, per the paper).
-func New(self wire.ProcID, peers []wire.ProcID, relayCount int) (*Broadcaster, error) {
+func New(self wire.ProcID, peers []wire.ProcID, relayCount int, inc uint64) (*Broadcaster, error) {
 	if relayCount < 1 || relayCount > len(peers) {
 		return nil, fmt.Errorf("broadcast: relay count %d out of range (1..%d)", relayCount, len(peers))
 	}
@@ -54,6 +65,7 @@ func New(self wire.ProcID, peers []wire.ProcID, relayCount int) (*Broadcaster, e
 		self:   self,
 		peers:  peers,
 		relays: peers[:relayCount],
+		inc:    inc,
 		seen:   make([]originSeen, len(peers)),
 	}
 	for _, r := range b.relays {
@@ -69,7 +81,7 @@ func New(self wire.ProcID, peers []wire.ProcID, relayCount int) (*Broadcaster, e
 // the network like any other message).
 func (b *Broadcaster) Broadcast(inner wire.Message, out *wire.Outbox) {
 	b.nextSeq++
-	msg := wire.Broadcast{Origin: b.self, Seq: b.nextSeq, Inner: inner}
+	var msg wire.Message = wire.Broadcast{Origin: b.self, Seq: b.nextSeq, Inner: inner, Incarnation: b.inc} // boxed once for every relay
 	for _, r := range b.relays {
 		out.Send(r, msg)
 	}
@@ -86,7 +98,7 @@ func (b *Broadcaster) Handle(msg wire.Broadcast, out *wire.Outbox) (inner wire.M
 	if i < 0 || i >= len(b.peers) || b.peers[i] != msg.Origin {
 		return nil, false
 	}
-	if !b.seen[i].add(msg.Seq) {
+	if !b.seen[i].add(msg.Incarnation, msg.Seq) {
 		return nil, false
 	}
 	if b.isRelay {
@@ -98,9 +110,12 @@ func (b *Broadcaster) Handle(msg wire.Broadcast, out *wire.Outbox) (inner wire.M
 	return msg.Inner, true
 }
 
-// add records seq and reports whether it was new.
-func (o *originSeen) add(seq uint64) bool {
-	if seq <= o.floor {
+// add records seq of incarnation inc and reports whether it was new.
+func (o *originSeen) add(inc, seq uint64) bool {
+	if inc > o.inc {
+		*o = originSeen{inc: inc}
+	}
+	if inc < o.inc || seq <= o.floor {
 		return false
 	}
 	if seq > o.floor+1 {
@@ -127,9 +142,9 @@ func (o *originSeen) add(seq uint64) bool {
 	return true
 }
 
-// SeenCount reports how many broadcast instances have been consumed or
-// relayed; exposed for tests and storage accounting (the dedup set is
-// metadata).
+// SeenCount reports how many broadcast instances of the latest incarnations
+// have been consumed or relayed; exposed for tests and storage accounting
+// (the dedup set is metadata).
 func (b *Broadcaster) SeenCount() int {
 	n := 0
 	for _, o := range b.seen {

@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -18,17 +19,17 @@ func ids(n int) []wire.ProcID {
 
 func TestNewValidation(t *testing.T) {
 	peers := ids(5)
-	if _, err := New(peers[0], peers, 0); err == nil {
+	if _, err := New(peers[0], peers, 0, 0); err == nil {
 		t.Error("relayCount 0 should fail")
 	}
-	if _, err := New(peers[0], peers, 6); err == nil {
+	if _, err := New(peers[0], peers, 6, 0); err == nil {
 		t.Error("relayCount > len(peers) should fail")
 	}
 }
 
 func TestBroadcastSendsToRelaySetOnly(t *testing.T) {
 	peers := ids(5)
-	b, err := New(peers[4], peers, 2)
+	b, err := New(peers[4], peers, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestBroadcastSendsToRelaySetOnly(t *testing.T) {
 func TestRelayForwardsToAllPeersOnFirstReception(t *testing.T) {
 	peers := ids(4)
 	// peers[0] is in the relay set (first 2).
-	b, err := New(peers[0], peers, 2)
+	b, err := New(peers[0], peers, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRelayForwardsToAllPeersOnFirstReception(t *testing.T) {
 
 func TestNonRelayDoesNotForward(t *testing.T) {
 	peers := ids(4)
-	b, err := New(peers[3], peers, 2)
+	b, err := New(peers[3], peers, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestNonRelayDoesNotForward(t *testing.T) {
 
 func TestDistinctInstancesConsumedSeparately(t *testing.T) {
 	peers := ids(3)
-	b, _ := New(peers[2], peers, 1)
+	b, _ := New(peers[2], peers, 1, 0)
 	m1 := wire.Broadcast{Origin: peers[0], Seq: 1, Inner: wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}}
 	m2 := wire.Broadcast{Origin: peers[0], Seq: 2, Inner: wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}}
 	m3 := wire.Broadcast{Origin: peers[1], Seq: 1, Inner: wire.CommitTag{Tag: tag.Tag{Z: 1, W: 1}}}
@@ -125,7 +126,7 @@ func runBroadcast(t *testing.T, n, relays, origin int, crashed map[int32]bool) [
 	peers := ids(n)
 	bs := make([]*Broadcaster, n)
 	for i := range bs {
-		b, err := New(peers[i], peers, relays)
+		b, err := New(peers[i], peers, relays, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +176,7 @@ func TestRelayCrashTolerance(t *testing.T) {
 // within the window, sorted, and is released once the gap closes.
 func TestDedupStateStaysBounded(t *testing.T) {
 	peers := ids(3)
-	b, _ := New(peers[2], peers, 1)
+	b, _ := New(peers[2], peers, 1, 0)
 	const total, window = 10000, 8
 	consumed := 0
 	var out wire.Outbox
@@ -213,7 +214,7 @@ func TestDedupStateStaysBounded(t *testing.T) {
 // missing, and the floor jumps over everything that had overtaken it.
 func TestGapsFillInAnyOrder(t *testing.T) {
 	peers := ids(3)
-	b, _ := New(peers[2], peers, 1)
+	b, _ := New(peers[2], peers, 1, 0)
 	var out wire.Outbox
 	consumed := 0
 	for _, seq := range []uint64{5, 3, 7, 1, 3, 2, 6, 4} { // 3 twice
@@ -236,7 +237,7 @@ func TestGapsFillInAnyOrder(t *testing.T) {
 // peers is neither consumed nor relayed, and creates no dedup state.
 func TestBadOriginIsDropped(t *testing.T) {
 	peers := ids(4)
-	b, _ := New(peers[0], peers, 2) // a relay: it would forward a good one
+	b, _ := New(peers[0], peers, 2, 0) // a relay: it would forward a good one
 	for _, origin := range []wire.ProcID{
 		{Role: wire.RoleL1, Index: -1},
 		{Role: wire.RoleL1, Index: 4},
@@ -264,7 +265,7 @@ func TestBadOriginIsDropped(t *testing.T) {
 // arriving in sequence, touches only the floor.
 func TestInOrderHandleDoesNotAllocate(t *testing.T) {
 	peers := ids(3)
-	b, _ := New(peers[2], peers, 1) // not a relay: no forwards to box
+	b, _ := New(peers[2], peers, 1, 0) // not a relay: no forwards to box
 	var out wire.Outbox
 	msg := wire.Broadcast{Origin: peers[0], Inner: wire.CommitTag{}} // Inner boxed once, as decode does
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -275,5 +276,59 @@ func TestInOrderHandleDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("in-order Handle allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestRebornOriginIsHeard: an origin restarted empty numbers its
+// broadcasts from 1 again, under a larger incarnation. In any order of
+// arrival, with every instance arriving twice, each of the reborn
+// origin's instances is consumed exactly once, each of the old one's at
+// most once and never after the first reborn instance, and the dedup
+// state ends as one incarnation's.
+func TestRebornOriginIsHeard(t *testing.T) {
+	peers := ids(3)
+	const per = 5
+	var sent wire.Outbox
+	for _, inc := range []uint64{10, 20} {
+		origin, _ := New(peers[0], peers, 1, inc)
+		for range per {
+			origin.Broadcast(wire.CommitTag{}, &sent)
+		}
+	}
+	var msgs []wire.Broadcast
+	for _, env := range sent.Msgs {
+		msgs = append(msgs, env.Msg.(wire.Broadcast), env.Msg.(wire.Broadcast))
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for run := range 200 {
+		rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
+		b, _ := New(peers[2], peers, 1, 0)
+		var out wire.Outbox
+		consumed := map[[2]uint64]int{}
+		reborn := false
+		for _, m := range msgs {
+			_, consume := b.Handle(m, &out)
+			if consume {
+				consumed[[2]uint64{m.Incarnation, m.Seq}]++
+				if reborn && m.Incarnation == 10 {
+					t.Fatalf("run %d: old instance %d consumed after the reborn origin was heard", run, m.Seq)
+				}
+			}
+			reborn = reborn || m.Incarnation == 20
+			if len(b.seen[0].ahead) >= per {
+				t.Fatalf("run %d: ahead holds %v", run, b.seen[0].ahead)
+			}
+		}
+		for seq := uint64(1); seq <= per; seq++ {
+			if n := consumed[[2]uint64{20, seq}]; n != 1 {
+				t.Errorf("run %d: reborn instance %d consumed %d times, want 1", run, seq, n)
+			}
+			if n := consumed[[2]uint64{10, seq}]; n > 1 {
+				t.Errorf("run %d: old instance %d consumed %d times", run, seq, n)
+			}
+		}
+		if o := b.seen[0]; o.inc != 20 || o.floor != per || o.ahead != nil {
+			t.Errorf("run %d: state ends at incarnation %d, floor %d, ahead %v; want 20, %d, nil", run, o.inc, o.floor, o.ahead, per)
+		}
 	}
 }

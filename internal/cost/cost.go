@@ -62,17 +62,14 @@ type ClassCounters struct {
 	Meta     int64 // everything else; ignored by the paper's model
 }
 
-// maxKinds bounds the per-message-kind payload table.
-const maxKinds = 32
-
 // Snapshot is a point-in-time copy of an Accountant.
 type Snapshot struct {
 	PerClass [numLinkClasses]ClassCounters
-	// PerKindPayload tracks payload bytes by message kind, so an
-	// operation's bill can exclude traffic the paper charges elsewhere
-	// (e.g. a write's deferred write-to-L2 traffic landing inside a
-	// concurrent read's measurement window).
-	PerKindPayload [maxKinds]int64
+	// PerKindPayload tracks payload bytes by message kind, one row for
+	// every wire.Kind value, so an operation's bill can exclude traffic
+	// the paper charges elsewhere (e.g. a write's deferred write-to-L2
+	// traffic landing inside a concurrent read's measurement window).
+	PerKindPayload [1 << 8]int64
 }
 
 // Sub returns the delta s - prev, the traffic between two snapshots.
@@ -92,12 +89,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 }
 
 // KindPayload returns the payload bytes carried by one message kind.
-func (s Snapshot) KindPayload(k wire.Kind) int64 {
-	if int(k) >= maxKinds {
-		return 0
-	}
-	return s.PerKindPayload[k]
-}
+func (s Snapshot) KindPayload(k wire.Kind) int64 { return s.PerKindPayload[k] }
 
 // TotalPayload sums payload bytes over all classes.
 func (s Snapshot) TotalPayload() int64 {
@@ -143,17 +135,14 @@ func NewAccountant() *Accountant { return &Accountant{} }
 // Observe records one envelope; matches channet.Observer.
 func (a *Accountant) Observe(env wire.Envelope) {
 	class := Classify(env.From.Role, env.To.Role)
-	payload := int64(env.Msg.PayloadBytes())
-	meta := int64(wire.MetaBytes(env.Msg))
+	meta, payload := wire.Sizes(env.Msg)
 	kind := env.Msg.Kind()
 	a.mu.Lock()
 	c := &a.snap.PerClass[class]
 	c.Messages++
-	c.Payload += payload
-	c.Meta += meta
-	if int(kind) < maxKinds {
-		a.snap.PerKindPayload[kind] += payload
-	}
+	c.Payload += int64(payload)
+	c.Meta += int64(meta)
+	a.snap.PerKindPayload[kind] += int64(payload)
 	a.mu.Unlock()
 }
 

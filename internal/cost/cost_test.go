@@ -77,6 +77,65 @@ func TestAccountantObserveAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestKindPayloadCoversEveryKind: the per-kind table bills the repair
+// plane's payload kinds, whose discriminators pass 32, like any other.
+func TestKindPayloadCoversEveryKind(t *testing.T) {
+	a := NewAccountant()
+	ctl := wire.ProcID{Role: wire.RoleControl, Index: 1}
+	a.Observe(wire.Envelope{From: ctl, To: ctl, Msg: wire.ElemFetchResp{Data: make([]byte, 7)}})
+	a.Observe(wire.Envelope{From: ctl, To: ctl, Msg: wire.ElemRepair{Coded: make([]byte, 5)}})
+	s := a.Snapshot()
+	for k, want := range map[wire.Kind]int64{wire.KindElemFetchResp: 7, wire.KindElemRepair: 5, 255: 0} {
+		if got := s.KindPayload(k); got != want {
+			t.Errorf("KindPayload(%d) = %d, want %d", k, got, want)
+		}
+	}
+	if got := s.Sub(Snapshot{}).KindPayload(wire.KindElemRepair); got != 5 {
+		t.Errorf("Sub keeps KindPayload(ElemRepair) = %d, want 5", got)
+	}
+}
+
+// BenchmarkObserve: what the accountant costs per envelope, for a 16 KiB
+// put-data and for the messages of a 4 KiB write and read.
+func BenchmarkObserve(b *testing.B) {
+	w := wire.ProcID{Role: wire.RoleWriter, Index: 1}
+	r := wire.ProcID{Role: wire.RoleReader, Index: 1}
+	l1 := wire.ProcID{Role: wire.RoleL1, Index: 0}
+	l2 := wire.ProcID{Role: wire.RoleL2, Index: 0}
+	t1 := tag.Tag{Z: 1 << 20, W: 1}
+	value := make([]byte, 4<<10)
+	mix := []wire.Envelope{
+		{From: w, To: l1, Msg: wire.QueryTag{OpID: 1}},
+		{From: l1, To: w, Msg: wire.QueryTagResp{OpID: 1, Tag: t1}},
+		{From: w, To: l1, Msg: wire.PutData{OpID: 2, Tag: t1, Value: value}},
+		{From: l1, To: l1, Msg: wire.Broadcast{Origin: l1, Seq: 3, Inner: wire.CommitTag{Tag: t1}}},
+		{From: l1, To: w, Msg: wire.PutDataResp{OpID: 2, Tag: t1}},
+		{From: l1, To: l2, Msg: wire.WriteCodeElemBatch{Elems: []wire.CodeElem{{Tag: t1, Coded: value[:1<<10], ValueLen: 4 << 10}}}},
+		{From: l2, To: l1, Msg: wire.AckCodeElemBatch{Tags: []tag.Tag{t1}}},
+		{From: r, To: l1, Msg: wire.QueryCommTag{OpID: 4}},
+		{From: l1, To: r, Msg: wire.QueryCommTagResp{OpID: 4, Tag: t1}},
+		{From: r, To: l1, Msg: wire.QueryData{OpID: 5, Req: t1}},
+		{From: l1, To: r, Msg: wire.QueryDataResp{OpID: 5, Class: wire.PayloadValue, Tag: t1, Data: value, ValueLen: 4 << 10}},
+		{From: r, To: l1, Msg: wire.PutTag{OpID: 6, Tag: t1}},
+		{From: l1, To: r, Msg: wire.PutTagResp{OpID: 6}},
+	}
+	for _, bc := range []struct {
+		name string
+		envs []wire.Envelope
+	}{
+		{"putdata_16KiB", []wire.Envelope{{From: w, To: l1, Msg: wire.PutData{OpID: 2, Tag: t1, Value: make([]byte, 16<<10)}}}},
+		{"mix_4KiB", mix},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := NewAccountant()
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				a.Observe(bc.envs[i%len(bc.envs)])
+			}
+		})
+	}
+}
+
 func TestLinkClassString(t *testing.T) {
 	if ClientL1.String() != "client-L1" || L1L1.String() != "L1-L1" || L1L2.String() != "L1-L2" || OtherLink.String() != "other" {
 		t.Error("LinkClass.String mismatch")

@@ -134,7 +134,12 @@ type L1Server struct {
 // that value: get-tag answers seed (the next write strictly exceeds it), and
 // reads regenerate the snapshot value from L2. The hook is what lets the
 // gateway migrate a key between groups without breaking per-key atomicity.
-func NewL1Server(params Params, index int, code erasure.Regenerating, seed tag.Tag) (*L1Server, error) {
+//
+// incarnation stamps the server's COMMIT-TAG broadcasts (see
+// broadcast.New): it must exceed that of every earlier server with this
+// index in the group, so peers that heard an earlier one, which numbered
+// its broadcasts from 1 too, do not drop this one's as duplicates.
+func NewL1Server(params Params, index int, code erasure.Regenerating, seed tag.Tag, incarnation uint64) (*L1Server, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -161,7 +166,7 @@ func NewL1Server(params Params, index int, code erasure.Regenerating, seed tag.T
 	for i := range s.l2Idx {
 		s.l2Idx[i] = params.L2CodeIndex(i)
 	}
-	bcast, err := broadcast.New(s.id, params.L1IDs(), params.RelayCount())
+	bcast, err := broadcast.New(s.id, params.L1IDs(), params.RelayCount(), incarnation)
 	if err != nil {
 		return nil, err
 	}

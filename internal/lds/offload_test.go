@@ -25,7 +25,7 @@ func newTestServerMode(t *testing.T, mode OffloadMode) (*L1Server, *wire.Outbox,
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewL1Server(p, 0, code, tag.Zero)
+	s, err := NewL1Server(p, 0, code, tag.Zero, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

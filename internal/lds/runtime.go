@@ -76,9 +76,10 @@ type L1Proc struct {
 	temp, depth, violations atomic.Int64
 }
 
-// RegisterL1 registers NewL1Server(params, index, code, seed) on net.
+// RegisterL1 registers NewL1Server(params, index, code, seed, incarnation)
+// on net, with the wall clock in ns as the incarnation (see opSeq).
 func RegisterL1(net transport.Network, params Params, index int, code erasure.Regenerating, seed tag.Tag) (*L1Proc, error) {
-	s, err := NewL1Server(params, index, code, seed)
+	s, err := NewL1Server(params, index, code, seed, opSeq())
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +220,8 @@ func (c *client[O]) run(ctx context.Context, start func(out *wire.Outbox)) error
 
 // opSeq is where a registered client's op ids start (see opCore): above every
 // op id an earlier registration of the id minted, in any process, since each
-// op id costs a round trip and a round trip outlasts a nanosecond.
+// op id costs a round trip and a round trip outlasts a nanosecond. It is
+// also a registered L1 server's incarnation: larger than any earlier one's.
 func opSeq() uint64 { return uint64(time.Now().UnixNano()) }
 
 // Writer is a registered write client (paper, Fig. 1 left).

@@ -81,7 +81,7 @@ func newStepCluster(t *testing.T, p lds.Params, seed int64) *stepCluster {
 		crashed: make(map[wire.ProcID]bool),
 	}
 	for i := 0; i < p.N1; i++ {
-		s, err := lds.NewL1Server(p, i, code, tag.Zero)
+		s, err := lds.NewL1Server(p, i, code, tag.Zero, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

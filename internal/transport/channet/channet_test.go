@@ -227,7 +227,8 @@ func TestObserverSeesAllSends(t *testing.T) {
 	var payload atomic.Int64
 	net := New(Options{Observer: func(env wire.Envelope) {
 		seen.Add(1)
-		payload.Add(int64(env.Msg.PayloadBytes()))
+		_, n := wire.Sizes(env.Msg)
+		payload.Add(int64(n))
 	}})
 	defer net.Close()
 	col := newCollector()

@@ -24,9 +24,6 @@ func (m *ABDQuery) fields(c *codec) {
 	c.bool(&m.WantValue)
 }
 
-// PayloadBytes implements Message.
-func (ABDQuery) PayloadBytes() int { return 0 }
-
 // ABDQueryResp returns the server's (tag, value) pair; Value is nil for
 // tag-only queries.
 type ABDQueryResp struct {
@@ -43,9 +40,6 @@ func (m *ABDQueryResp) fields(c *codec) {
 	c.tag(&m.Tag)
 	c.bytes(&m.Value)
 }
-
-// PayloadBytes implements Message.
-func (m ABDQueryResp) PayloadBytes() int { return len(m.Value) }
 
 // ABDUpdate propagates a (tag, value) pair; servers adopt it if the tag
 // exceeds their local tag.
@@ -64,9 +58,6 @@ func (m *ABDUpdate) fields(c *codec) {
 	c.bytes(&m.Value)
 }
 
-// PayloadBytes implements Message.
-func (m ABDUpdate) PayloadBytes() int { return len(m.Value) }
-
 // ABDUpdateAck acknowledges an update.
 type ABDUpdateAck struct {
 	OpID uint64
@@ -76,6 +67,3 @@ type ABDUpdateAck struct {
 func (ABDUpdateAck) Kind() Kind { return KindABDUpdateAck }
 
 func (m *ABDUpdateAck) fields(c *codec) { c.uint64(&m.OpID) }
-
-// PayloadBytes implements Message.
-func (ABDUpdateAck) PayloadBytes() int { return 0 }

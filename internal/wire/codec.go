@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/lds-storage/lds/internal/tag"
 )
@@ -13,13 +14,18 @@ import (
 // b into the message. A message lists its fields once, in its fields
 // method, so its encoder and decoder cannot disagree on their order.
 //
+// Sizing is an encoding that writes nothing: it adds the length of every
+// byte field's contents to payload and the length of everything else to
+// meta, the split the paper's cost model bills by.
+//
 // A decode error is sticky: the first one is kept in err and b is
 // emptied, so every later read fails too (each field takes at least one
 // byte) and leaves its field as it was.
 type codec struct {
-	b   []byte
-	dec bool
-	err error
+	b             []byte
+	dec, size     bool
+	meta, payload int
+	err           error
 }
 
 // errInt32Range rejects a varint that does not fit the int32 field it
@@ -38,9 +44,21 @@ func (c *codec) fail(err error) {
 // absent field decodes as its zero value.
 func (c *codec) more() bool { return !c.dec || len(c.b) > 0 }
 
+// uvarint encodes x, or counts its length when sizing. The signed fields
+// encode zigzag(x), as binary.AppendVarint does.
+func (c *codec) uvarint(x uint64) {
+	if c.size {
+		c.meta += (bits.Len64(x|1) + 6) / 7
+		return
+	}
+	c.b = binary.AppendUvarint(c.b, x)
+}
+
+func zigzag(x int64) uint64 { return uint64(x)<<1 ^ uint64(x>>63) }
+
 func (c *codec) uint64(v *uint64) {
 	if !c.dec {
-		c.b = binary.AppendUvarint(c.b, *v)
+		c.uvarint(*v)
 		return
 	}
 	x, n := binary.Uvarint(c.b)
@@ -53,7 +71,7 @@ func (c *codec) uint64(v *uint64) {
 
 func (c *codec) int64(v *int64) {
 	if !c.dec {
-		c.b = binary.AppendVarint(c.b, *v)
+		c.uvarint(zigzag(*v))
 		return
 	}
 	x, n := binary.Varint(c.b)
@@ -66,7 +84,7 @@ func (c *codec) int64(v *int64) {
 
 func (c *codec) int32(v *int32) {
 	if !c.dec {
-		c.b = binary.AppendVarint(c.b, int64(*v))
+		c.uvarint(zigzag(int64(*v)))
 		return
 	}
 	x, n := binary.Varint(c.b)
@@ -81,15 +99,16 @@ func (c *codec) int32(v *int32) {
 }
 
 func (c *codec) byte(v *byte) {
-	if !c.dec {
+	switch {
+	case c.size:
+		c.meta++
+	case !c.dec:
 		c.b = append(c.b, *v)
-		return
-	}
-	if len(c.b) == 0 {
+	case len(c.b) == 0:
 		c.fail(ErrTruncated)
-		return
+	default:
+		*v, c.b = c.b[0], c.b[1:]
 	}
-	*v, c.b = c.b[0], c.b[1:]
 }
 
 // bool is one byte, 1 for true; any other byte decodes as false.
@@ -108,7 +127,7 @@ func (c *codec) bool(v *bool) {
 // allocated for it.
 func (c *codec) count(n int) int {
 	if !c.dec {
-		c.b = binary.AppendUvarint(c.b, uint64(n))
+		c.uvarint(uint64(n))
 		return n
 	}
 	x, k := binary.Uvarint(c.b)
@@ -120,26 +139,33 @@ func (c *codec) count(n int) int {
 	return int(x)
 }
 
-// bytes walks a length-prefixed byte field. Decoded, it aliases the input
-// (clipped to its length, so an append cannot overwrite what follows);
-// Decode makes that input a private copy, DecodeAlias the caller's buffer.
+// bytes walks a length-prefixed byte field, whose contents are payload.
+// Decoded, it aliases the input (clipped to its length, so an append
+// cannot overwrite what follows); Decode makes that input a private copy,
+// DecodeAlias the caller's buffer.
 func (c *codec) bytes(v *[]byte) {
 	n := c.count(len(*v))
-	if !c.dec {
+	switch {
+	case c.size:
+		c.payload += n
+	case !c.dec:
 		c.b = append(c.b, *v...)
-		return
+	default:
+		*v, c.b = c.b[:n:n], c.b[n:]
 	}
-	*v, c.b = c.b[:n:n], c.b[n:]
 }
 
-// string is encoded like bytes; decoding copies it.
+// string is encoded like bytes, but is metadata; decoding copies it.
 func (c *codec) string(v *string) {
 	n := c.count(len(*v))
-	if !c.dec {
+	switch {
+	case c.size:
+		c.meta += n
+	case !c.dec:
 		c.b = append(c.b, *v...)
-		return
+	default:
+		*v, c.b = string(c.b[:n]), c.b[n:]
 	}
-	*v, c.b = string(c.b[:n]), c.b[n:]
 }
 
 func (c *codec) tag(t *tag.Tag) {
@@ -175,7 +201,8 @@ func (c *codec) nodes(s *[]NodeAddr) {
 // message walks a kind byte and a body of that kind.
 func (c *codec) message(m *Message) {
 	if !c.dec {
-		c.b = append(c.b, byte((*m).Kind()))
+		k := byte((*m).Kind())
+		c.byte(&k)
 		c.encode(*m)
 		return
 	}

@@ -170,6 +170,14 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 	})
+	b.Run("sizes", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, m := range msgs {
+				Sizes(m)
+			}
+		}
+	})
 	b.Run("decode_alias", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

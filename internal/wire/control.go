@@ -77,10 +77,6 @@ func (m *GroupServe) fields(c *codec) {
 	}
 }
 
-// PayloadBytes implements Message: the seed value is data, the rest is
-// provisioning metadata.
-func (m GroupServe) PayloadBytes() int { return len(m.Value) }
-
 // GroupServeResp acknowledges a GroupServe; a non-empty Err reports why
 // the receiver could not host its slice of the group. A node that serves
 // the group echoes the request's Code, which it checked against its own;
@@ -104,9 +100,6 @@ func (m *GroupServeResp) fields(c *codec) {
 	}
 }
 
-// PayloadBytes implements Message.
-func (GroupServeResp) PayloadBytes() int { return 0 }
-
 // GroupRetire asks a node host to tear down its servers of namespace
 // Group. Retiring an unknown group acknowledges trivially, so retire is
 // idempotent and safe to fire at restarted (amnesiac) nodes.
@@ -123,9 +116,6 @@ func (m *GroupRetire) fields(c *codec) {
 	c.int32(&m.Group)
 }
 
-// PayloadBytes implements Message.
-func (GroupRetire) PayloadBytes() int { return 0 }
-
 // GroupRetireResp acknowledges a GroupRetire.
 type GroupRetireResp struct {
 	Seq   uint64
@@ -139,9 +129,6 @@ func (m *GroupRetireResp) fields(c *codec) {
 	c.uint64(&m.Seq)
 	c.int32(&m.Group)
 }
-
-// PayloadBytes implements Message.
-func (GroupRetireResp) PayloadBytes() int { return 0 }
 
 // NodePing health-checks a node host. ReplyAddr tells the receiver where
 // the sender's control endpoint lives (a ping may precede any GroupServe,
@@ -158,9 +145,6 @@ func (m *NodePing) fields(c *codec) {
 	c.uint64(&m.Seq)
 	c.string(&m.ReplyAddr)
 }
-
-// PayloadBytes implements Message.
-func (NodePing) PayloadBytes() int { return 0 }
 
 // NodePong answers a NodePing with the number of groups the node
 // currently hosts — zero after a restart, which is how the gateway's
@@ -191,9 +175,6 @@ func (m *NodePong) fields(c *codec) {
 	c.int64(&m.PermanentBytes)
 	c.int64(&m.OffloadQueueDepth)
 }
-
-// PayloadBytes implements Message.
-func (NodePong) PayloadBytes() int { return 0 }
 
 // GroupStats asks a node host for its share of the storage gauges of one
 // group (Group >= 0) or of every group it hosts (Group == AllGroups).
@@ -232,9 +213,6 @@ func (m *GroupStats) fields(c *codec) {
 		c.nodes(&m.Nodes)
 	}
 }
-
-// PayloadBytes implements Message.
-func (GroupStats) PayloadBytes() int { return 0 }
 
 // GroupGauges is one group's storage gauges as summed over the L1 and L2
 // server slices a single node hosts for it, and its GroupServe.Gen.
@@ -282,6 +260,3 @@ func (m *GroupStatsResp) fields(c *codec) {
 		c.uint64(&m.Code)
 	}
 }
-
-// PayloadBytes implements Message.
-func (GroupStatsResp) PayloadBytes() int { return 0 }

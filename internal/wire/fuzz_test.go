@@ -66,7 +66,7 @@ func TestRetiredKindsRefused(t *testing.T) {
 // fuzzer starts from every decoder path, the retired frames, and the
 // older-build forms of the messages that gained trailing fields. Properties checked on inputs
 // that decode: re-encoding is stable (encode∘decode is idempotent on the
-// wire form) and never panics.
+// wire form) and never panics, and Sizes splits exactly that encoding.
 func FuzzDecode(f *testing.F) {
 	for _, m := range allMessages() {
 		f.Add(Encode(m))
@@ -87,6 +87,9 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		enc := Encode(m)
+		if meta, payload := Sizes(m); meta+payload != len(enc) {
+			t.Fatalf("Sizes = (%d, %d), the encoding has %d bytes (kind %d)", meta, payload, len(enc), m.Kind())
+		}
 		m2, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v (kind %d)", err, m.Kind())

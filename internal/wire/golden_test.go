@@ -29,8 +29,8 @@ var golden = []struct {
 	{PutTag{OpID: 9, Tag: gt}, "0909ac0209"},
 	{PutTagResp{OpID: 10}, "0a0a"},
 	{Broadcast{Origin: ProcID{Role: RoleL1, Index: -2}, Seq: 11,
-		Inner: PutData{OpID: 12, Tag: tag.Tag{Z: 1, W: 2}, Value: []byte("in")}},
-		"0b03030b030c010402696e"},
+		Inner: PutData{OpID: 12, Tag: tag.Tag{Z: 1, W: 2}, Value: []byte("in")}, Incarnation: 1 << 40},
+		"0b03030b030c010402696e808080808020"},
 	{CommitTag{Tag: gt}, "0cac0209"},
 	{WriteCodeElem{Tag: gt, Coded: []byte{4, 5}, ValueLen: -12}, "0dac020917020405"},
 	{AckCodeElem{Tag: gt}, "0eac0209"},

@@ -37,9 +37,6 @@ func (QueryTag) Kind() Kind { return KindQueryTag }
 
 func (m *QueryTag) fields(c *codec) { c.uint64(&m.OpID) }
 
-// PayloadBytes implements Message.
-func (QueryTag) PayloadBytes() int { return 0 }
-
 // QueryTagResp answers get-tag with the maximum tag in the server's list.
 type QueryTagResp struct {
 	OpID uint64
@@ -53,9 +50,6 @@ func (m *QueryTagResp) fields(c *codec) {
 	c.uint64(&m.OpID)
 	c.tag(&m.Tag)
 }
-
-// PayloadBytes implements Message.
-func (QueryTagResp) PayloadBytes() int { return 0 }
 
 // PutData is the writer's put-data request (PUT-DATA, (tw, v)).
 type PutData struct {
@@ -73,9 +67,6 @@ func (m *PutData) fields(c *codec) {
 	c.bytes(&m.Value)
 }
 
-// PayloadBytes implements Message.
-func (m PutData) PayloadBytes() int { return len(m.Value) }
-
 // PutDataResp is the server ACK completing a writer's participation.
 type PutDataResp struct {
 	OpID uint64
@@ -90,9 +81,6 @@ func (m *PutDataResp) fields(c *codec) {
 	c.tag(&m.Tag)
 }
 
-// PayloadBytes implements Message.
-func (PutDataResp) PayloadBytes() int { return 0 }
-
 // CommitTag is the COMMIT-TAG broadcast body (metadata only, as the paper
 // stresses: the broadcast carries no value).
 type CommitTag struct {
@@ -104,16 +92,16 @@ func (CommitTag) Kind() Kind { return KindCommitTag }
 
 func (m *CommitTag) fields(c *codec) { c.tag(&m.Tag) }
 
-// PayloadBytes implements Message.
-func (CommitTag) PayloadBytes() int { return 0 }
-
 // Broadcast wraps an inner message for the f1+1-relay broadcast primitive.
-// Origin and Seq identify the broadcast instance for exactly-once
-// consumption.
+// Origin, Incarnation and Seq identify the broadcast instance for
+// exactly-once consumption: each incarnation of an origin numbers its
+// broadcasts from 1, and a later incarnation has a larger Incarnation. An
+// older sender encodes none; it decodes as 0.
 type Broadcast struct {
-	Origin ProcID
-	Seq    uint64
-	Inner  Message
+	Origin      ProcID
+	Seq         uint64
+	Inner       Message
+	Incarnation uint64
 }
 
 // Kind implements Message.
@@ -123,10 +111,10 @@ func (m *Broadcast) fields(c *codec) {
 	c.proc(&m.Origin)
 	c.uint64(&m.Seq)
 	c.message(&m.Inner)
+	if c.more() { // an older sender ends here
+		c.uint64(&m.Incarnation)
+	}
 }
-
-// PayloadBytes implements Message.
-func (m Broadcast) PayloadBytes() int { return m.Inner.PayloadBytes() }
 
 // QueryCommTag is the reader's get-committed-tag request (QUERY-COMM-TAG).
 type QueryCommTag struct {
@@ -137,9 +125,6 @@ type QueryCommTag struct {
 func (QueryCommTag) Kind() Kind { return KindQueryCommTag }
 
 func (m *QueryCommTag) fields(c *codec) { c.uint64(&m.OpID) }
-
-// PayloadBytes implements Message.
-func (QueryCommTag) PayloadBytes() int { return 0 }
 
 // QueryCommTagResp returns the server's committed tag tc.
 type QueryCommTagResp struct {
@@ -155,9 +140,6 @@ func (m *QueryCommTagResp) fields(c *codec) {
 	c.tag(&m.Tag)
 }
 
-// PayloadBytes implements Message.
-func (QueryCommTagResp) PayloadBytes() int { return 0 }
-
 // QueryData is the reader's get-data request carrying the requested tag.
 type QueryData struct {
 	OpID uint64
@@ -171,9 +153,6 @@ func (m *QueryData) fields(c *codec) {
 	c.uint64(&m.OpID)
 	c.tag(&m.Req)
 }
-
-// PayloadBytes implements Message.
-func (QueryData) PayloadBytes() int { return 0 }
 
 // QueryDataResp is a server's answer in the get-data phase: a (tag, value)
 // pair, a (tag, coded-element) pair, or (bot, bot) after a failed
@@ -198,9 +177,6 @@ func (m *QueryDataResp) fields(c *codec) {
 	c.bytes(&m.Data)
 }
 
-// PayloadBytes implements Message.
-func (m QueryDataResp) PayloadBytes() int { return len(m.Data) }
-
 // PutTag is the reader's put-tag (write-back) request; the value is
 // deliberately not written back (paper, Section III-C).
 type PutTag struct {
@@ -216,9 +192,6 @@ func (m *PutTag) fields(c *codec) {
 	c.tag(&m.Tag)
 }
 
-// PayloadBytes implements Message.
-func (PutTag) PayloadBytes() int { return 0 }
-
 // PutTagResp acknowledges a put-tag.
 type PutTagResp struct {
 	OpID uint64
@@ -228,9 +201,6 @@ type PutTagResp struct {
 func (PutTagResp) Kind() Kind { return KindPutTagResp }
 
 func (m *PutTagResp) fields(c *codec) { c.uint64(&m.OpID) }
-
-// PayloadBytes implements Message.
-func (PutTagResp) PayloadBytes() int { return 0 }
 
 // WriteCodeElem carries one coded element c_{n1+i} of the internal
 // write-to-L2 operation (WRITE-CODE-ELEM).
@@ -249,9 +219,6 @@ func (m *WriteCodeElem) fields(c *codec) {
 	c.bytes(&m.Coded)
 }
 
-// PayloadBytes implements Message.
-func (m WriteCodeElem) PayloadBytes() int { return len(m.Coded) }
-
 // AckCodeElem acknowledges a WriteCodeElem (ACK-CODE-ELEM).
 type AckCodeElem struct {
 	Tag tag.Tag
@@ -261,9 +228,6 @@ type AckCodeElem struct {
 func (AckCodeElem) Kind() Kind { return KindAckCodeElem }
 
 func (m *AckCodeElem) fields(c *codec) { c.tag(&m.Tag) }
-
-// PayloadBytes implements Message.
-func (AckCodeElem) PayloadBytes() int { return 0 }
 
 // CodeElem is one (tag, coded-element) pair of a batched offload. ValueLen
 // carries the original value length, exactly as in WriteCodeElem.
@@ -296,15 +260,6 @@ func (m *WriteCodeElemBatch) fields(c *codec) {
 	}
 }
 
-// PayloadBytes implements Message.
-func (m WriteCodeElemBatch) PayloadBytes() int {
-	var n int
-	for _, el := range m.Elems {
-		n += len(el.Coded)
-	}
-	return n
-}
-
 // AckCodeElemBatch acknowledges a WriteCodeElemBatch: one tag per element
 // the L2 server consumed, so the L1 sender can credit each tag's quorum
 // with a single return message.
@@ -322,9 +277,6 @@ func (m *AckCodeElemBatch) fields(c *codec) {
 	}
 }
 
-// PayloadBytes implements Message.
-func (AckCodeElemBatch) PayloadBytes() int { return 0 }
-
 // QueryCodeElem asks an L2 server for helper data toward regenerating the
 // sender's coded element, on behalf of the given reader's operation
 // (QUERY-CODE-ELEM). The failed index is implied by the sender.
@@ -340,9 +292,6 @@ func (m *QueryCodeElem) fields(c *codec) {
 	c.proc(&m.Reader)
 	c.uint64(&m.OpID)
 }
-
-// PayloadBytes implements Message.
-func (QueryCodeElem) PayloadBytes() int { return 0 }
 
 // SendHelperElem returns the helper data h_{n1+i,j} for a regeneration
 // (SEND-HELPER-ELEM), tagged with the L2 server's stored tag.
@@ -364,6 +313,3 @@ func (m *SendHelperElem) fields(c *codec) {
 	c.int32(&m.ValueLen)
 	c.bytes(&m.Helper)
 }
-
-// PayloadBytes implements Message.
-func (m SendHelperElem) PayloadBytes() int { return len(m.Helper) }

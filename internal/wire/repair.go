@@ -32,9 +32,6 @@ func (m *ElemInventory) fields(c *codec) {
 	c.string(&m.ReplyAddr)
 }
 
-// PayloadBytes implements Message.
-func (ElemInventory) PayloadBytes() int { return 0 }
-
 // ElemStat describes one stored L2 code element: which server holds it,
 // the tag it is stored under, a digest of the stored bytes, and whether
 // the bytes still match the digest recorded when the element was adopted
@@ -89,9 +86,6 @@ func (m *ElemInventoryResp) fields(c *codec) {
 	}
 }
 
-// PayloadBytes implements Message: an inventory is pure metadata.
-func (ElemInventoryResp) PayloadBytes() int { return 0 }
-
 // ElemFetch asks a node host for repair data from one stored L2 element.
 // With FailedIndex == FullElement the response carries the whole stored
 // element (the RS decode-reencode fallback); otherwise FailedIndex is the
@@ -121,9 +115,6 @@ func (m *ElemFetch) fields(c *codec) {
 	c.string(&m.ReplyAddr)
 }
 
-// PayloadBytes implements Message.
-func (ElemFetch) PayloadBytes() int { return 0 }
-
 // ElemFetchResp answers an ElemFetch. Data is the stored element or the
 // helper payload; a non-empty Err reports why the node could not serve it
 // (group or element not hosted, helper computation failed).
@@ -149,11 +140,6 @@ func (m *ElemFetchResp) fields(c *codec) {
 	c.string(&m.Err)
 	c.bytes(&m.Data)
 }
-
-// PayloadBytes implements Message: repair data is data — it is exactly
-// what the paper's bandwidth comparison between regenerating and naive
-// repair counts.
-func (m ElemFetchResp) PayloadBytes() int { return len(m.Data) }
 
 // ElemRepair installs a regenerated element on a node host. The receiver
 // adopts it when the stored tag is not newer than Tag (equal tags replace
@@ -182,9 +168,6 @@ func (m *ElemRepair) fields(c *codec) {
 	c.bytes(&m.Coded)
 }
 
-// PayloadBytes implements Message.
-func (m ElemRepair) PayloadBytes() int { return len(m.Coded) }
-
 // ElemRepairResp acknowledges an ElemRepair. Installed reports whether the
 // element was adopted (false with empty Err: a newer stored element won).
 type ElemRepairResp struct {
@@ -205,6 +188,3 @@ func (m *ElemRepairResp) fields(c *codec) {
 	c.bool(&m.Installed)
 	c.string(&m.Err)
 }
-
-// PayloadBytes implements Message.
-func (ElemRepairResp) PayloadBytes() int { return 0 }

@@ -6,9 +6,9 @@
 // the in-memory simulated network and the TCP transport -- move the same
 // values, so the protocol code is transport-agnostic. Second, the paper's
 // cost model (Section II-d) counts only data bytes (values, coded elements,
-// helper data) and explicitly ignores metadata such as tags and counters;
-// every message therefore reports PayloadBytes and MetaBytes separately so
-// the cost accountant can apply exactly that rule.
+// helper data) and explicitly ignores metadata such as tags and counters.
+// Every []byte field of a message is data and every other field metadata,
+// so Sizes splits an encoding that way for the cost accountant.
 //
 // Each message lists its fields once, in wire order, in an unexported
 // fields method, and one codec (codec.go) walks that list both ways:
@@ -138,20 +138,23 @@ const (
 
 // Message is the interface all protocol messages implement. Every message
 // type of this package also has a fields method listing its fields, once,
-// in wire order; the codec (codec.go) walks it to encode and to decode.
+// in wire order; the codec (codec.go) walks it to encode, to decode and
+// to size.
 type Message interface {
 	// Kind returns the wire discriminator.
 	Kind() Kind
-	// PayloadBytes is the number of data bytes (object values, coded
-	// elements, helper data) the message carries; the unit of the paper's
-	// communication-cost model.
-	PayloadBytes() int
 }
 
-// MetaBytes returns the number of non-payload bytes in the encoded message;
-// ignored by the paper's cost model but tracked so the split is visible.
-func MetaBytes(m Message) int {
-	return len(AppendEncode(nil, m)) - m.PayloadBytes()
+// Sizes splits the encoding of m (Encode's, kind byte included) into the
+// data bytes it carries, payload (object values, coded elements, helper
+// data: the contents of its []byte fields, a Broadcast's inner message's
+// included), the unit of the paper's communication-cost model, and the
+// rest, meta, which the model ignores. It encodes nothing and allocates
+// nothing.
+func Sizes(m Message) (meta, payload int) {
+	c := codec{size: true}
+	c.message(&m)
+	return c.meta, c.payload
 }
 
 // Envelope is a routed message.

@@ -211,7 +211,7 @@ func TestDecodeErrors(t *testing.T) {
 	// with the missing trailing fields zero, to a message whose encoding
 	// extends it.
 	olderForms := map[Kind]bool{KindGroupServe: true, KindGroupServeResp: true,
-		KindGroupStats: true, KindGroupStatsResp: true}
+		KindGroupStats: true, KindGroupStatsResp: true, KindBroadcast: true}
 	for _, msg := range allMessages() {
 		enc := Encode(msg)
 		for cut := range len(enc) {
@@ -226,17 +226,17 @@ func TestDecodeErrors(t *testing.T) {
 func TestPayloadVsMetaSplit(t *testing.T) {
 	val := make([]byte, 1000)
 	m := PutData{OpID: 1, Tag: tag.Tag{Z: 9, W: 2}, Value: val}
-	if got := m.PayloadBytes(); got != 1000 {
-		t.Errorf("PayloadBytes = %d, want 1000", got)
+	meta, payload := Sizes(m)
+	if payload != 1000 {
+		t.Errorf("payload = %d, want 1000", payload)
 	}
-	meta := MetaBytes(m)
 	if meta <= 0 || meta > 32 {
-		t.Errorf("MetaBytes = %d, want small positive overhead", meta)
+		t.Errorf("meta = %d, want small positive overhead", meta)
 	}
 	// Control messages are pure metadata.
 	for _, m := range []Message{QueryTag{OpID: 1}, CommitTag{Tag: tag.Tag{Z: 1, W: 1}}, PutTag{OpID: 2, Tag: tag.Tag{Z: 1, W: 1}}} {
-		if m.PayloadBytes() != 0 {
-			t.Errorf("%T: PayloadBytes = %d, want 0", m, m.PayloadBytes())
+		if _, payload := Sizes(m); payload != 0 {
+			t.Errorf("%T: payload = %d, want 0", m, payload)
 		}
 	}
 }
@@ -244,8 +244,87 @@ func TestPayloadVsMetaSplit(t *testing.T) {
 func TestBroadcastCarriesInnerPayloadAccounting(t *testing.T) {
 	inner := PutData{OpID: 1, Tag: tag.Tag{Z: 1, W: 1}, Value: []byte("xyz")}
 	b := Broadcast{Origin: ProcID{Role: RoleL1, Index: 0}, Seq: 1, Inner: inner}
-	if got := b.PayloadBytes(); got != 3 {
-		t.Errorf("Broadcast.PayloadBytes = %d, want inner's 3", got)
+	if _, payload := Sizes(b); payload != 3 {
+		t.Errorf("Broadcast payload = %d, want inner's 3", payload)
+	}
+}
+
+// TestSizes pins (meta, payload) for every message of allMessages, as
+// each message's hand-written payload count and the length of its
+// encoding minus that count gave them, and checks that they add up to the
+// encoding's length.
+func TestSizes(t *testing.T) {
+	want := [][2]int{
+		{2, 0},     // QueryTag
+		{4, 0},     // QueryTagResp
+		{5, 11},    // PutData
+		{4, 0},     // PutDataResp
+		{3, 0},     // CommitTag
+		{7 + 1, 0}, // Broadcast: + the Incarnation varint
+		{2, 0},     // QueryCommTag
+		{4, 0},     // QueryCommTagResp
+		{4, 0},     // QueryData
+		{7, 1},     // QueryDataResp
+		{7, 3},     // QueryDataResp
+		{7, 0},     // QueryDataResp
+		{4, 0},     // PutTag
+		{2, 0},     // PutTagResp
+		{5, 4},     // WriteCodeElem
+		{3, 0},     // AckCodeElem
+		{10, 5},    // WriteCodeElemBatch
+		{2, 0},     // WriteCodeElemBatch
+		{6, 0},     // AckCodeElemBatch
+		{2, 0},     // AckCodeElemBatch
+		{4, 0},     // QueryCodeElem
+		{8, 1},     // SendHelperElem
+		{3, 0},     // ABDQuery
+		{3, 0},     // ABDQuery
+		{5, 3},     // ABDQueryResp
+		{5, 4},     // ABDUpdate
+		{2, 0},     // ABDUpdateAck
+		{69, 10},   // GroupServe
+		{22, 0},    // GroupServe
+		{5, 0},     // GroupServeResp
+		{24, 0},    // GroupServeResp
+		{14, 0},    // GroupServeResp
+		{3, 0},     // GroupRetire
+		{3, 0},     // GroupRetireResp
+		{17, 0},    // NodePing
+		{7, 0},     // NodePong
+		{10, 0},    // NodePong
+		{20, 0},    // GroupStats
+		{20, 0},    // GroupStats
+		{61, 0},    // GroupStats
+		{17, 0},    // GroupStatsResp
+		{4, 0},     // GroupStatsResp
+		{29, 0},    // GroupStatsResp
+		{18, 0},    // ElemInventory
+		{18, 0},    // ElemInventory
+		{29, 0},    // ElemInventoryResp
+		{3, 0},     // ElemInventoryResp
+		{20, 0},    // ElemFetch
+		{20, 0},    // ElemFetch
+		{10, 4},    // ElemFetchResp
+		{28, 0},    // ElemFetchResp
+		{24, 3},    // ElemRepair
+		{6, 0},     // ElemRepairResp
+		{24, 0},    // ElemRepairResp
+	}
+	msgs := allMessages()
+	if len(want) != len(msgs) {
+		t.Fatalf("%d sizes pinned for %d messages", len(want), len(msgs))
+	}
+	for i, m := range msgs {
+		meta, payload := Sizes(m)
+		if [2]int{meta, payload} != want[i] {
+			t.Errorf("%d: Sizes(%T) = (%d, %d), want %v", i, m, meta, payload, want[i])
+		}
+		if n := len(Encode(m)); meta+payload != n {
+			t.Errorf("%d: Sizes(%T) adds up to %d, its encoding has %d bytes", i, m, meta+payload, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { meta, payload = Sizes(m) }); n != 0 {
+			t.Errorf("%d: Sizes(%T) allocates %.0f times, want 0", i, m, n)
+		}
 	}
 }
 
@@ -301,6 +380,18 @@ func TestGroupServeFromOlderBuild(t *testing.T) {
 		if !reflect.DeepEqual(got, msg) {
 			t.Fatalf("%T without Code decoded as %#v, want %#v", msg, got, msg)
 		}
+	}
+}
+
+// TestBroadcastFromOlderBuild: a Broadcast from a build that predates
+// incarnations (the bytes such a build wrote) decodes with Incarnation 0,
+// the oldest one, instead of being dropped as malformed.
+func TestBroadcastFromOlderBuild(t *testing.T) {
+	got, err := Decode(unhex(t, "0b03030b030c010402696e"))
+	want := Broadcast{Origin: ProcID{Role: RoleL1, Index: -2}, Seq: 11,
+		Inner: PutData{OpID: 12, Tag: tag.Tag{Z: 1, W: 2}, Value: []byte("in")}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("older Broadcast decoded as (%#v, %v), want %#v", got, err, want)
 	}
 }
 
